@@ -67,7 +67,6 @@ pub mod noise;
 pub mod proc;
 pub mod runner;
 pub mod simtime;
-pub mod trace;
 pub mod transport;
 pub mod wire;
 

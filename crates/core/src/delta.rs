@@ -8,28 +8,24 @@
 //! re-execution.
 //!
 //! [`DeltaEngine`] upgrades a [`ListEngine`] with per-chunk output
-//! caches for both lists and a dirtiness protocol at one of two
-//! granularities (DESIGN.md §15–16):
+//! caches for both lists and an entry-granular dirtiness protocol
+//! (DESIGN.md §15–16):
 //!
 //! * **Inverted indexes** ([`polaroct_sched::CoverageIndex`], built once
-//!   per scaffold): Morton atom → the Born *entries* (default,
-//!   [`Granularity::Entry`]) or chunks ([`Granularity::Chunk`], PR 9's
-//!   protocol and the [`DeltaParams::max_cache_bytes`] fallback) whose
-//!   near records read that atom's position; the same two maps for the
-//!   E_pol list; atoms-tree node → E_pol entries/chunks holding a far
-//!   record on that node.
+//!   per scaffold): Morton atom → the Born entries whose near records
+//!   read that atom's position; the same map for the E_pol list;
+//!   atoms-tree node → E_pol entries holding a far record on that node.
 //! * A [`Perturbation`] query writes the moved positions / mutated
 //!   charges through the O(k) subset-refresh paths
 //!   ([`GbSystem::refresh_atom_subset`] / [`GbSystem::set_atom_charge`]),
-//!   marks dirty entries (or chunks) from the indexes, and re-executes
-//!   **only those** through the same pure Phase-A kernels
+//!   marks dirty entries from the indexes, and re-executes **only
+//!   those** through the same pure Phase-A kernels
 //!   ([`crate::lists::BornLists::run_entry`] /
 //!   [`crate::lists::EpolLists::run_entry`], which `run_chunk` itself
-//!   loops over). Entry granularity matters most for the E_pol list: its
-//!   entries cannot be sorted by atom (Phase B replays the recursion's
-//!   sum tree in emission order), so one moved atom touches a few
-//!   entries in *most* chunks and chunk granularity re-executes nearly
-//!   the whole list; entry granularity re-executes only those entries.
+//!   loops over). The E_pol list is why the unit is the entry and not
+//!   the chunk: its entries cannot be sorted by atom (Phase B replays
+//!   the recursion's sum tree in emission order), so one moved atom
+//!   touches a few entries in *most* chunks.
 //! * Recomputed outputs are **spliced in place** into the cached
 //!   per-chunk streams (each entry owns a fixed `[offset, offset+len)`
 //!   span of its chunk's stream — [`crate::lists::BornLists::entry_out_len`]
@@ -40,13 +36,11 @@
 //!   produce (its operands read only unchanged inputs — that is what
 //!   "clean" means), so the fold consumes identical floats in identical
 //!   order and the perturbed energy is **bit-identical to a fresh full
-//!   run by construction** — at either granularity, which is why the
-//!   cache-cap fallback cannot change any result bits.
+//!   run by construction**.
 //!
-//! [`DeltaEngine::apply_batch`] (the `batch` submodule) layers N
-//! *independent* queries over one immutable cached base without the
-//! apply→revert churn: per-query overlays over the shared base cache,
-//! same dirtiness protocol, same bit-identity contract.
+//! Scoring N independent candidates against one base state is an
+//! apply → [`DeltaEngine::revert`] loop; revert restores the replaced
+//! spans directly, so the loop pays no recomputation for the undo.
 //!
 //! Two global couplings need care (both are diffed, not assumed):
 //!
@@ -73,8 +67,8 @@
 //! rebuilding the previous scaffold and re-executing (prepare is a pure
 //! function, so the restored state is bit-identical too).
 //!
-//! The FT story carries over from PR 5 unchanged: dirty chunks fan out
-//! over [`WorkStealingPool::try_map`], a poisoned chunk's panic is
+//! The FT story is the list engine's, unchanged: dirty entries fan out
+//! over [`WorkStealingPool::try_map`], a poisoned entry's panic is
 //! contained, and the lost slot is re-executed serially by the same pure
 //! kernel before the apply pass ([`DeltaEngine::apply_perturbation_ft`]).
 
@@ -90,8 +84,6 @@ use polaroct_cluster::fault::{phase, FaultKind, FaultPlan};
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
 use polaroct_sched::{CoverageIndex, WorkStealingPool};
-
-pub mod batch;
 
 /// One perturbation query: absolute new positions for k moved atoms and
 /// absolute new charges for mutated atoms, both in the molecule's
@@ -122,48 +114,6 @@ impl Perturbation {
     }
 }
 
-/// Dirtiness granularity of a [`DeltaEngine`]'s incremental path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Granularity {
-    /// Re-execute only the list *entries* whose operands read a touched
-    /// atom, splicing their output spans into the cached chunk streams
-    /// (default). Strictly less Phase-A work than [`Granularity::Chunk`]
-    /// for small-k queries, at the cost of per-entry index tables.
-    Entry,
-    /// PR 9's protocol: re-execute whole cost-balanced chunks. Smaller
-    /// resident indexes; also the automatic fallback when the entry
-    /// tables would exceed [`DeltaParams::max_cache_bytes`].
-    Chunk,
-}
-
-/// Tuning knobs for [`DeltaEngine`] construction
-/// ([`DeltaEngine::with_params`] / [`ListEngine::into_delta_with`]).
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaParams {
-    /// Requested dirtiness granularity. The *effective* granularity
-    /// ([`DeltaEngine::effective_granularity`]) may be coarser if the
-    /// cache cap below trips; it is re-decided after every scaffold
-    /// rebuild (entry counts change with the geometry).
-    pub granularity: Granularity,
-    /// Cap (bytes) on the *extra* entry-granular index tables (entry →
-    /// chunk/offset maps plus the three entry-level coverage indexes).
-    /// When building them would exceed the cap, the engine falls back to
-    /// [`Granularity::Chunk`] for that scaffold — results stay
-    /// bit-identical (the granularity only decides how much clean work
-    /// is redundantly re-executed), only the accounting and the speed
-    /// change. `usize::MAX` (default) disables the cap.
-    pub max_cache_bytes: usize,
-}
-
-impl Default for DeltaParams {
-    fn default() -> Self {
-        DeltaParams {
-            granularity: Granularity::Entry,
-            max_cache_bytes: usize::MAX,
-        }
-    }
-}
-
 /// Result of one [`DeltaEngine::apply_perturbation`] query.
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaEval {
@@ -175,35 +125,31 @@ pub struct DeltaEval {
     pub rebuilt: bool,
     /// Max cumulative displacement from the scaffold geometry (Å).
     pub max_disp: f64,
-    /// Born chunks re-executed by this query.
+    /// Born chunks holding at least one re-executed entry.
     pub born_chunks_redone: usize,
-    /// E_pol chunks re-executed by this query.
+    /// E_pol chunks holding at least one re-executed entry.
     pub epol_chunks_redone: usize,
-    /// Total chunks re-executed (`born + epol`; equals `total_chunks`
-    /// on a rebuild).
+    /// Total chunks touched (`born + epol`; equals `total_chunks` on a
+    /// rebuild).
     pub chunks_redone: usize,
-    /// Chunks served from the cache.
+    /// Chunks none of whose entries were re-executed.
     pub chunks_cached: usize,
     /// Total chunks across both lists.
     pub total_chunks: usize,
-    /// List entries re-executed by this query (both lists). Under
-    /// [`Granularity::Entry`] these are exactly the dirty entries; under
-    /// [`Granularity::Chunk`] every entry of a dirty chunk counts.
+    /// Dirty list entries re-executed by this query (both lists).
     pub entries_redone: usize,
     /// List entries whose cached output spans were served as-is.
     pub entries_cached: usize,
     /// Total entries across both lists
     /// (`entries_redone + entries_cached`).
     pub total_entries: usize,
-    /// Poisoned Phase-A work units (chunks or entries, per the effective
-    /// granularity) recovered by serial re-execution (FT path).
+    /// Poisoned dirty entries recovered by serial re-execution (FT
+    /// path).
     pub recovered_chunks: u32,
 }
 
 /// One replaced span of a cached Phase-A stream: `(chunk, offset, old
-/// values)`. Entry-granular queries save exactly the spliced entry
-/// spans; chunk-granular queries save whole streams as one span with
-/// offset 0 — [`DeltaEngine::revert`] restores both the same way.
+/// values)` — exactly one spliced entry's span.
 type UndoSpan = (u32, u32, Vec<f64>);
 
 /// Undo record for one applied perturbation (LIFO).
@@ -234,64 +180,47 @@ enum UndoRecord {
 /// the module docs for the dirtiness protocol and the bit-identity
 /// argument.
 pub struct DeltaEngine {
-    pub(crate) base: ListEngine,
-    pub(crate) params: DeltaParams,
-    /// Effective granularity for the current scaffold (the requested one
-    /// unless the cache cap forced the chunk fallback).
-    pub(crate) mode: Granularity,
+    base: ListEngine,
     /// Cached Phase-A outputs, one vector per chunk, for both lists.
-    pub(crate) born_outputs: Vec<Vec<f64>>,
-    pub(crate) epol_outputs: Vec<Vec<f64>>,
-    /// Morton atom → Born chunks with a near entry reading it
-    /// (chunk mode only; empty in entry mode).
-    pub(crate) born_touch: CoverageIndex,
-    /// Morton atom → E_pol chunks with a near entry reading it.
-    pub(crate) epol_touch: CoverageIndex,
-    /// Atoms-tree node → E_pol chunks with a far entry on it.
-    pub(crate) epol_far_nodes: CoverageIndex,
-    /// E_pol chunks holding at least one far entry (for a global bin
-    /// relayout).
-    pub(crate) epol_far_chunks: Vec<u32>,
-    /// Entry-granular tables (entry mode only; all empty in chunk mode).
+    born_outputs: Vec<Vec<f64>>,
+    epol_outputs: Vec<Vec<f64>>,
     /// Born entry id → owning chunk / offset of its span in that chunk's
     /// cached stream; E_pol entry id → owning chunk (its span is always
     /// one value at `entry - chunk.start`).
-    pub(crate) born_entry_chunk: Vec<u32>,
-    pub(crate) born_entry_offset: Vec<u32>,
-    pub(crate) epol_entry_chunk: Vec<u32>,
+    born_entry_chunk: Vec<u32>,
+    born_entry_offset: Vec<u32>,
+    epol_entry_chunk: Vec<u32>,
     /// Morton atom → Born entries with a near record reading it.
-    pub(crate) born_entry_touch: CoverageIndex,
+    born_entry_touch: CoverageIndex,
     /// Morton atom → E_pol entries with a near record reading it.
-    pub(crate) epol_entry_touch: CoverageIndex,
+    epol_entry_touch: CoverageIndex,
     /// Atoms-tree node → E_pol entries holding a far record on it.
-    pub(crate) epol_far_entry_nodes: CoverageIndex,
+    epol_far_entry_nodes: CoverageIndex,
     /// E_pol entries that are far records (for a global bin relayout).
-    pub(crate) epol_far_entries: Vec<u32>,
+    epol_far_entries: Vec<u32>,
     /// Bin generation the cached far-entry outputs were computed with.
-    pub(crate) bins: ChargeBins,
-    pub(crate) raw: f64,
-    pub(crate) energy_kcal: f64,
+    bins: ChargeBins,
+    raw: f64,
+    energy_kcal: f64,
     /// Current positions / charges, original atom order.
-    pub(crate) positions: Vec<Vec3>,
-    pub(crate) charges: Vec<f64>,
+    positions: Vec<Vec3>,
+    charges: Vec<f64>,
     /// Per-atom displacement from the scaffold geometry (original order).
-    pub(crate) disp: Vec<f64>,
+    disp: Vec<f64>,
     /// Original index → Morton index for the current scaffold.
-    pub(crate) inv_order: Vec<u32>,
+    inv_order: Vec<u32>,
     undo: Vec<UndoRecord>,
     /// Queries served incrementally vs via full rebuild.
     pub queries_incremental: u64,
     pub queries_rebuilt: u64,
-    /// Queries served through [`DeltaEngine::apply_batch`].
-    pub queries_batched: u64,
 }
 
-/// Execute `n` dirty work units (chunks or entries) through a pure
+/// Execute `n` dirty work units (entries or whole chunks) through a pure
 /// kernel, optionally over a pool with one poisoned slot; a poisoned
 /// unit's panic is contained by `try_map` and the slot is re-executed
 /// serially by the same kernel (`recovered` counts them). Returns
 /// outputs in slot order.
-pub(crate) fn run_dirty_units<T, F>(
+fn run_dirty_units<T, F>(
     pool: Option<&WorkStealingPool>,
     n: usize,
     poison: Option<usize>,
@@ -334,11 +263,6 @@ impl ListEngine {
     pub fn into_delta(self) -> DeltaEngine {
         DeltaEngine::from_engine(self)
     }
-
-    /// [`ListEngine::into_delta`] with explicit [`DeltaParams`].
-    pub fn into_delta_with(self, params: DeltaParams) -> DeltaEngine {
-        DeltaEngine::from_engine_with(self, params)
-    }
 }
 
 impl DeltaEngine {
@@ -348,25 +272,10 @@ impl DeltaEngine {
         ListEngine::new(mol, approx, skin).into_delta()
     }
 
-    /// [`DeltaEngine::new`] with explicit [`DeltaParams`].
-    pub fn with_params(
-        mol: &Molecule,
-        approx: &ApproxParams,
-        skin: f64,
-        params: DeltaParams,
-    ) -> DeltaEngine {
-        ListEngine::new(mol, approx, skin).into_delta_with(params)
-    }
-
     /// Adopt a prepared [`ListEngine`]: recover its current positions
     /// from the Morton snapshot, then execute one full pass to populate
     /// the chunk caches.
     pub fn from_engine(base: ListEngine) -> DeltaEngine {
-        DeltaEngine::from_engine_with(base, DeltaParams::default())
-    }
-
-    /// [`DeltaEngine::from_engine`] with explicit [`DeltaParams`].
-    pub fn from_engine_with(base: ListEngine, params: DeltaParams) -> DeltaEngine {
         let n = base.sys.n_atoms();
         let mut positions = vec![Vec3::ZERO; n];
         let mut charges = vec![0.0f64; n];
@@ -377,14 +286,8 @@ impl DeltaEngine {
         }
         let mut engine = DeltaEngine {
             base,
-            params,
-            mode: params.granularity,
             born_outputs: Vec::new(),
             epol_outputs: Vec::new(),
-            born_touch: CoverageIndex::default(),
-            epol_touch: CoverageIndex::default(),
-            epol_far_nodes: CoverageIndex::default(),
-            epol_far_chunks: Vec::new(),
             born_entry_chunk: Vec::new(),
             born_entry_offset: Vec::new(),
             epol_entry_chunk: Vec::new(),
@@ -402,19 +305,15 @@ impl DeltaEngine {
             undo: Vec::new(),
             queries_incremental: 0,
             queries_rebuilt: 0,
-            queries_batched: 0,
         };
         engine.rebuild_caches();
         engine.full_execute(None);
         engine
     }
 
-    /// Rebuild the scaffold-derived caches (inverse permutation and the
-    /// inverted indexes at the effective granularity) after a prepare.
-    /// Decides the effective granularity: [`Granularity::Entry`] is
-    /// requested, the entry tables are built and measured, and if they
-    /// exceed [`DeltaParams::max_cache_bytes`] they are dropped in favor
-    /// of the chunk-granular indexes (the documented fallback).
+    /// Rebuild the scaffold-derived caches after a prepare: the inverse
+    /// permutation, the entry → chunk/offset splice maps and the
+    /// entry-level coverage indexes.
     fn rebuild_caches(&mut self) {
         let n = self.base.sys.n_atoms();
         let mut inv = vec![0u32; n];
@@ -424,83 +323,7 @@ impl DeltaEngine {
         }
         self.inv_order = inv;
 
-        self.mode = self.params.granularity;
-        if self.mode == Granularity::Entry {
-            self.build_entry_caches();
-            if self.entry_cache_bytes() > self.params.max_cache_bytes {
-                self.drop_entry_caches();
-                self.mode = Granularity::Chunk;
-            }
-        }
-        if self.mode == Granularity::Chunk {
-            self.drop_entry_caches();
-            self.build_chunk_caches();
-        } else {
-            self.drop_chunk_caches();
-        }
-    }
-
-    /// Chunk-granular inverted indexes (PR 9's protocol; also the cache
-    /// cap's fallback target).
-    fn build_chunk_caches(&mut self) {
         let sys = &self.base.sys;
-        let n = sys.n_atoms();
-        let born = &self.base.born_lists;
-        self.born_touch = CoverageIndex::build(
-            n,
-            born.chunks.iter().enumerate().flat_map(|(c, range)| {
-                born.entries[range.clone()]
-                    .iter()
-                    .filter(|e| !e.far)
-                    .map(move |e| (sys.atoms.node(e.a).range(), c as u32))
-            }),
-        );
-
-        let epol = &self.base.epol_lists;
-        self.epol_touch = CoverageIndex::build(
-            n,
-            epol.chunks.iter().enumerate().flat_map(|(c, range)| {
-                epol.entries[range.clone()].iter().filter(|e| !e.far).flat_map(move |e| {
-                    [
-                        (sys.atoms.node(e.a).range(), c as u32),
-                        (sys.atoms.node(e.b).range(), c as u32),
-                    ]
-                })
-            }),
-        );
-        self.epol_far_nodes = CoverageIndex::build(
-            sys.atoms.nodes.len(),
-            epol.chunks.iter().enumerate().flat_map(|(c, range)| {
-                epol.entries[range.clone()].iter().filter(|e| e.far).flat_map(move |e| {
-                    [
-                        (e.a as usize..e.a as usize + 1, c as u32),
-                        (e.b as usize..e.b as usize + 1, c as u32),
-                    ]
-                })
-            }),
-        );
-        self.epol_far_chunks = epol
-            .chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, range)| epol.entries[(*range).clone()].iter().any(|e| e.far))
-            .map(|(c, _)| c as u32)
-            .collect();
-    }
-
-    fn drop_chunk_caches(&mut self) {
-        self.born_touch = CoverageIndex::default();
-        self.epol_touch = CoverageIndex::default();
-        self.epol_far_nodes = CoverageIndex::default();
-        self.epol_far_chunks = Vec::new();
-    }
-
-    /// Entry-granular tables: entry → chunk/offset splice maps plus the
-    /// entry-level coverage indexes (same predicates as the chunk-level
-    /// ones, keyed by entry id instead of chunk id).
-    fn build_entry_caches(&mut self) {
-        let sys = &self.base.sys;
-        let n = sys.n_atoms();
         let born = &self.base.born_lists;
         self.born_entry_chunk = polaroct_sched::chunk_lookup(&born.chunks, born.len());
         let mut offsets = vec![0u32; born.len()];
@@ -558,18 +381,8 @@ impl DeltaEngine {
             .collect();
     }
 
-    fn drop_entry_caches(&mut self) {
-        self.born_entry_chunk = Vec::new();
-        self.born_entry_offset = Vec::new();
-        self.epol_entry_chunk = Vec::new();
-        self.born_entry_touch = CoverageIndex::default();
-        self.epol_entry_touch = CoverageIndex::default();
-        self.epol_far_entry_nodes = CoverageIndex::default();
-        self.epol_far_entries = Vec::new();
-    }
-
-    /// Resident bytes of the entry-granular tables alone — what
-    /// [`DeltaParams::max_cache_bytes`] caps.
+    /// Resident bytes of the entry-granular tables alone (splice maps
+    /// and coverage indexes).
     pub fn entry_cache_bytes(&self) -> usize {
         (self.born_entry_chunk.capacity()
             + self.born_entry_offset.capacity()
@@ -750,14 +563,9 @@ impl DeltaEngine {
         }
         self.base.lists_reused += 1;
 
-        // ---- Born dirtiness: a unit (entry or chunk, per the effective
-        // granularity) is dirty iff one of its near records' atom ranges
-        // contains a moved atom (far records read only frozen node
-        // aggregates and can never go stale). At either granularity the
-        // *set of chunks containing dirty work* is identical — the
-        // predicate is per-entry — which is why the chunk accounting
-        // below is granularity-invariant (and the pinned golden lines
-        // survive the default switch to entry mode).
+        // ---- Born dirtiness: an entry is dirty iff its near record's
+        // atom range contains a moved atom (far records read only frozen
+        // node aggregates and can never go stale).
         let poison_at = |len: usize, ph: u32| {
             plan.and_then(|pl| match pl.fire_exec(0, ph) {
                 Some(FaultKind::PanicWorker) => Some(pl.seed() as usize % len.max(1)),
@@ -765,69 +573,31 @@ impl DeltaEngine {
             })
         };
         let mut recovered = 0u32;
-        let entry_mode = self.mode == Granularity::Entry;
-        let (undo_born_spans, born_chunks_redone, born_entries_redone) = if entry_mode {
-            let mut dirty: Vec<u32> = moved_m
-                .iter()
-                .flat_map(|&mi| self.born_entry_touch.chunks_for(mi))
-                .copied()
-                .collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            let poison = poison_at(dirty.len(), phase::INTEGRALS);
-            let base = &self.base;
-            let dirty_ref = &dirty;
-            let fresh: Vec<Vec<f64>> = run_dirty_units(
-                pool,
-                dirty.len(),
-                poison,
-                |k| {
-                    let mut out = Vec::new();
-                    // PANIC-OK: k < dirty.len() by the runner's index space; ids index the entry list.
-                    let e = &base.born_lists.entries[dirty_ref[k] as usize];
-                    crate::lists::BornLists::run_entry(&base.sys, e, &mut out);
-                    out
-                },
-                &mut recovered,
-            );
-            let (spans, chunks) = self.splice_born_entries(&dirty, fresh);
-            (spans, chunks, dirty.len())
-        } else {
-            let nb = self.base.born_lists.n_chunks();
-            let mut bmask = vec![false; nb];
-            for &mi in &moved_m {
-                for &c in self.born_touch.chunks_for(mi) {
-                    bmask[c as usize] = true; // PANIC-OK: index built over exactly nb chunks.
-                }
-            }
-            let dirty: Vec<usize> = bmask
-                .iter()
-                .enumerate()
-                .filter_map(|(c, &d)| d.then_some(c))
-                .collect();
-            let poison = poison_at(dirty.len(), phase::INTEGRALS);
-            let base = &self.base;
-            let dirty_ref = &dirty;
-            let fresh = run_dirty_units(
-                pool,
-                dirty.len(),
-                poison,
-                // PANIC-OK: k < dirty.len() by the runner's index space.
-                |k| base.born_lists.run_chunk(&base.sys, dirty_ref[k]),
-                &mut recovered,
-            );
-            let entries: usize = dirty
-                .iter()
-                .map(|&c| self.base.born_lists.chunks[c].len()) // PANIC-OK: c < nb.
-                .sum();
-            let mut spans = Vec::with_capacity(dirty.len());
-            for (&c, v) in dirty.iter().zip(fresh) {
-                // PANIC-OK: c < nb — it came from the nb-length dirty mask.
-                spans.push((c as u32, 0u32, std::mem::replace(&mut self.born_outputs[c], v)));
-            }
-            let chunks = dirty.len();
-            (spans, chunks, entries)
-        };
+        let mut dirty: Vec<u32> = moved_m
+            .iter()
+            .flat_map(|&mi| self.born_entry_touch.chunks_for(mi))
+            .copied()
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        let poison = poison_at(dirty.len(), phase::INTEGRALS);
+        let base = &self.base;
+        let dirty_ref = &dirty;
+        let fresh: Vec<Vec<f64>> = run_dirty_units(
+            pool,
+            dirty.len(),
+            poison,
+            |k| {
+                let mut out = Vec::new();
+                // PANIC-OK: k < dirty.len() by the runner's index space; ids index the entry list.
+                let e = &base.born_lists.entries[dirty_ref[k] as usize];
+                crate::lists::BornLists::run_entry(&base.sys, e, &mut out);
+                out
+            },
+            &mut recovered,
+        );
+        let (undo_born_spans, born_chunks_redone) = self.splice_born_entries(&dirty, fresh);
+        let born_entries_redone = dirty.len();
 
         // ---- Phase B (Born): full serial fold over all chunks in
         // emission order — cached outputs for clean chunks, fresh for
@@ -846,22 +616,15 @@ impl DeltaEngine {
             .filter_map(|(mi, (a, b))| (a.to_bits() != b.to_bits()).then_some(mi))
             .collect();
 
-        // ---- Bin generation diff: rebuild (cheap, serial) and compare
-        // bitwise. A changed rr_table or bin count invalidates every
-        // far-bearing chunk; otherwise only chunks with a far entry on a
-        // node whose bin vector changed.
+        // ---- E_pol dirtiness: near entries reading a moved, recharged
+        // or re-radiused atom, plus far entries whose bins changed. The
+        // bin generation is rebuilt (cheap, serial) and compared bitwise:
+        // a changed rr_table or bin count invalidates every far entry;
+        // otherwise only far entries on a node whose bin vector changed.
         let new_bins = ChargeBins::build(&self.base.sys, &new_born, self.base.approx.eps_epol);
-        let ne = self.base.epol_lists.n_chunks();
-        let mut emask = vec![false; if entry_mode { 0 } else { ne }];
-        let mut dirty_epol_entries: Vec<u32> = Vec::new();
+        let mut dirty: Vec<u32> = Vec::new();
         for &mi in moved_m.iter().chain(&charged_m).chain(&born_changed) {
-            if entry_mode {
-                dirty_epol_entries.extend_from_slice(self.epol_entry_touch.chunks_for(mi));
-            } else {
-                for &c in self.epol_touch.chunks_for(mi) {
-                    emask[c as usize] = true; // PANIC-OK: index built over exactly ne chunks.
-                }
-            }
+            dirty.extend_from_slice(self.epol_entry_touch.chunks_for(mi));
         }
         let table_changed = new_bins.m_eps != self.bins.m_eps
             || new_bins.rr_table.len() != self.bins.rr_table.len()
@@ -871,13 +634,7 @@ impl DeltaEngine {
                 .zip(&self.bins.rr_table)
                 .any(|(a, b)| a.to_bits() != b.to_bits());
         if table_changed {
-            if entry_mode {
-                dirty_epol_entries.extend_from_slice(&self.epol_far_entries);
-            } else {
-                for &c in &self.epol_far_chunks {
-                    emask[c as usize] = true; // PANIC-OK: far-chunk list indexes the ne-chunk list.
-                }
-            }
+            dirty.extend_from_slice(&self.epol_far_entries);
         } else {
             let m = new_bins.m_eps.max(1);
             for (node, (a, b)) in new_bins
@@ -887,96 +644,58 @@ impl DeltaEngine {
                 .enumerate()
             {
                 if a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
-                    if entry_mode {
-                        dirty_epol_entries
-                            .extend_from_slice(self.epol_far_entry_nodes.chunks_for(node));
-                    } else {
-                        for &c in self.epol_far_nodes.chunks_for(node) {
-                            emask[c as usize] = true; // PANIC-OK: index built over exactly ne chunks.
-                        }
-                    }
+                    dirty.extend_from_slice(self.epol_far_entry_nodes.chunks_for(node));
                 }
             }
         }
+        dirty.sort_unstable();
+        dirty.dedup();
         let math = self.base.approx.math;
-        let (undo_epol_spans, epol_chunks_redone, epol_entries_redone) = if entry_mode {
-            let mut dirty = dirty_epol_entries;
-            dirty.sort_unstable();
-            dirty.dedup();
-            let poison = poison_at(dirty.len(), phase::EPOL);
-            let base = &self.base;
-            let dirty_ref = &dirty;
-            let fresh: Vec<f64> = match pool {
-                None => {
-                    // Serial fast path: one scratch reused across entries
-                    // (the kernels are write-before-read, so reuse cannot
-                    // change bits — see the stale-scratch kernel tests).
-                    let mut scratch = StillScratch::default();
-                    dirty
-                        .iter()
-                        .map(|&e| {
-                            crate::lists::EpolLists::run_entry(
-                                &base.sys,
-                                &new_bins,
-                                &new_born,
-                                math,
-                                // PANIC-OK: ids come from indexes built over this entry list.
-                                &base.epol_lists.entries[e as usize],
-                                &mut scratch,
-                            )
-                        })
-                        .collect()
-                }
-                Some(_) => run_dirty_units(
-                    pool,
-                    dirty.len(),
-                    poison,
-                    |k| {
-                        let mut scratch = StillScratch::default();
+        let poison = poison_at(dirty.len(), phase::EPOL);
+        let base = &self.base;
+        let dirty_ref = &dirty;
+        let fresh: Vec<f64> = match pool {
+            None => {
+                // Serial fast path: one scratch reused across entries
+                // (the kernels are write-before-read, so reuse cannot
+                // change bits — see the stale-scratch kernel tests).
+                let mut scratch = StillScratch::default();
+                dirty
+                    .iter()
+                    .map(|&e| {
                         crate::lists::EpolLists::run_entry(
                             &base.sys,
                             &new_bins,
                             &new_born,
                             math,
-                            // PANIC-OK: k < dirty.len(); ids index the entry list.
-                            &base.epol_lists.entries[dirty_ref[k] as usize],
+                            // PANIC-OK: ids come from indexes built over this entry list.
+                            &base.epol_lists.entries[e as usize],
                             &mut scratch,
                         )
-                    },
-                    &mut recovered,
-                ),
-            };
-            let (spans, chunks) = self.splice_epol_entries(&dirty, &fresh);
-            (spans, chunks, dirty.len())
-        } else {
-            let dirty: Vec<usize> = emask
-                .iter()
-                .enumerate()
-                .filter_map(|(c, &d)| d.then_some(c))
-                .collect();
-            let poison = poison_at(dirty.len(), phase::EPOL);
-            let base = &self.base;
-            let dirty_ref = &dirty;
-            let fresh = run_dirty_units(
+                    })
+                    .collect()
+            }
+            Some(_) => run_dirty_units(
                 pool,
                 dirty.len(),
                 poison,
-                // PANIC-OK: k < dirty.len() by the runner's index space.
-                |k| base.epol_lists.run_chunk(&base.sys, &new_bins, &new_born, math, dirty_ref[k]),
+                |k| {
+                    let mut scratch = StillScratch::default();
+                    crate::lists::EpolLists::run_entry(
+                        &base.sys,
+                        &new_bins,
+                        &new_born,
+                        math,
+                        // PANIC-OK: k < dirty.len(); ids index the entry list.
+                        &base.epol_lists.entries[dirty_ref[k] as usize],
+                        &mut scratch,
+                    )
+                },
                 &mut recovered,
-            );
-            let entries: usize = dirty
-                .iter()
-                .map(|&c| self.base.epol_lists.chunks[c].len()) // PANIC-OK: c < ne.
-                .sum();
-            let mut spans = Vec::with_capacity(dirty.len());
-            for (&c, v) in dirty.iter().zip(fresh) {
-                // PANIC-OK: c < ne — it came from the ne-length dirty mask.
-                spans.push((c as u32, 0u32, std::mem::replace(&mut self.epol_outputs[c], v)));
-            }
-            let chunks = dirty.len();
-            (spans, chunks, entries)
+            ),
         };
+        let (undo_epol_spans, epol_chunks_redone) = self.splice_epol_entries(&dirty, &fresh);
+        let epol_entries_redone = dirty.len();
 
         // ---- Phase B (E_pol): full sum-tree replay over all chunks.
         let raw = self.base.epol_lists.apply(&self.epol_outputs);
@@ -1209,27 +928,13 @@ impl DeltaEngine {
         self.base.born_lists.len() + self.base.epol_lists.len()
     }
 
-    /// The granularity the current scaffold actually runs at: the
-    /// requested [`DeltaParams::granularity`] unless the cache cap
-    /// forced the chunk fallback. Re-decided after every rebuild.
-    pub fn effective_granularity(&self) -> Granularity {
-        self.mode
-    }
-
-    /// The construction-time knobs.
-    pub fn params(&self) -> DeltaParams {
-        self.params
-    }
-
     /// Perturbations currently on the undo stack.
     pub fn pending_perturbations(&self) -> usize {
         self.undo.len()
     }
 
-    /// Resident bytes: the base engine plus the output caches, the
-    /// indexes of the effective granularity (the entry tables are
-    /// [`DeltaEngine::entry_cache_bytes`]; whichever mode is inactive
-    /// holds empty structures) and the bin generation.
+    /// Resident bytes: the base engine plus the output caches, the entry
+    /// tables ([`DeltaEngine::entry_cache_bytes`]) and the bin generation.
     pub fn memory_bytes(&self) -> usize {
         let outputs: usize = self
             .born_outputs
@@ -1239,16 +944,12 @@ impl DeltaEngine {
             .sum();
         self.base.memory_bytes()
             + outputs
-            + self.born_touch.memory_bytes()
-            + self.epol_touch.memory_bytes()
-            + self.epol_far_nodes.memory_bytes()
-            + self.epol_far_chunks.capacity() * std::mem::size_of::<u32>()
             + self.entry_cache_bytes()
             + self.bins.memory_bytes()
     }
 
     /// Test hook: additively corrupt every *cached* Phase-A Born output
-    /// (dirty chunks recomputed by the next query overwrite their slots,
+    /// (dirty entries recomputed by the next query overwrite their spans,
     /// so whatever stays cached stays corrupted). The golden recall test
     /// uses this to prove a stale cached chunk cannot survive the
     /// differential harness.
@@ -1289,18 +990,8 @@ impl DeltaEngine {
     pub fn debug_corrupt_cached_born_entry(&mut self, entry: usize, delta: f64) {
         let born = &self.base.born_lists;
         assert!(entry < born.len(), "entry {entry} out of range"); // PANIC-OK: test hook.
-        // Locate the entry's chunk and offset by scanning (works at
-        // either granularity; this is a test-only path).
-        let (c, range) = born
-            .chunks
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.contains(&entry))
-            .expect("chunks tile the entry list"); // PANIC-OK: test hook.
-        let mut off = 0usize;
-        for e in range.start..entry {
-            off += crate::lists::BornLists::entry_out_len(&self.base.sys, &born.entries[e]);
-        }
+        let c = self.born_entry_chunk[entry] as usize; // PANIC-OK: test hook; entry < len.
+        let off = self.born_entry_offset[entry] as usize; // PANIC-OK: test hook; entry < len.
         let len = crate::lists::BornLists::entry_out_len(&self.base.sys, &born.entries[entry]);
         for v in &mut self.born_outputs[c][off..off + len] {
             *v += delta;
@@ -1433,6 +1124,7 @@ mod tests {
         let ep = pooled.apply_perturbation(&p, Some(&pool));
         assert_eq!(es.raw.to_bits(), ep.raw.to_bits());
         assert_eq!(es.chunks_redone, ep.chunks_redone);
+        assert_eq!(ep.recovered_chunks, 0, "a healthy pool must not recover");
         assert_eq!(serial.born_digest(), pooled.born_digest());
     }
 
@@ -1462,71 +1154,6 @@ mod tests {
             raw.to_bits(),
             "a stale cached chunk must be visible to the harness"
         );
-    }
-
-    #[test]
-    fn chunk_mode_matches_entry_mode_bits() {
-        let approx = ApproxParams::default();
-        let skin = 1.0;
-        let m = mol(140, 19);
-        let mut entry = DeltaEngine::new(&m, &approx, skin);
-        let mut chunk = DeltaEngine::with_params(
-            &m,
-            &approx,
-            skin,
-            DeltaParams { granularity: Granularity::Chunk, ..DeltaParams::default() },
-        );
-        assert_eq!(entry.effective_granularity(), Granularity::Entry);
-        assert_eq!(chunk.effective_granularity(), Granularity::Chunk);
-        let p = Perturbation::default()
-            .move_atom(23, m.positions[23] + Vec3::new(0.2, -0.1, 0.15))
-            .set_charge(50, 1.75);
-        let ee = entry.apply_perturbation(&p, None);
-        let ec = chunk.apply_perturbation(&p, None);
-        // The granularity only decides how much clean work is redone:
-        // bits and chunk accounting are invariant, entry accounting is
-        // strictly finer (fewer entries redone).
-        assert_eq!(ee.raw.to_bits(), ec.raw.to_bits());
-        assert_eq!(ee.energy_kcal.to_bits(), ec.energy_kcal.to_bits());
-        assert_eq!(entry.born_digest(), chunk.born_digest());
-        assert_eq!(ee.chunks_redone, ec.chunks_redone);
-        assert_eq!(ee.born_chunks_redone, ec.born_chunks_redone);
-        assert!(
-            ee.entries_redone < ec.entries_redone,
-            "entry mode must redo strictly fewer entries ({} vs {})",
-            ee.entries_redone,
-            ec.entries_redone
-        );
-        assert_eq!(ee.total_entries, ec.total_entries);
-        // And both reverts restore the base bits.
-        assert!(entry.revert(None));
-        assert!(chunk.revert(None));
-        assert_eq!(entry.raw().to_bits(), chunk.raw().to_bits());
-    }
-
-    #[test]
-    fn cache_cap_falls_back_to_chunk_mode_bit_identically() {
-        let approx = ApproxParams::default();
-        let skin = 1.0;
-        let m = mol(120, 23);
-        // A 1-byte cap can never hold the entry tables.
-        let mut capped = DeltaEngine::with_params(
-            &m,
-            &approx,
-            skin,
-            DeltaParams { granularity: Granularity::Entry, max_cache_bytes: 1 },
-        );
-        assert_eq!(capped.effective_granularity(), Granularity::Chunk);
-        assert_eq!(capped.entry_cache_bytes(), 0, "entry tables must be dropped");
-        let mut entry = DeltaEngine::new(&m, &approx, skin);
-        let p = Perturbation::default().move_atom(7, m.positions[7] + Vec3::new(0.1, 0.2, -0.1));
-        let ec = capped.apply_perturbation(&p, None);
-        let ee = entry.apply_perturbation(&p, None);
-        assert_eq!(ec.raw.to_bits(), ee.raw.to_bits());
-        assert_eq!(ec.energy_kcal.to_bits(), ee.energy_kcal.to_bits());
-        assert_eq!(capped.born_digest(), entry.born_digest());
-        // The capped engine reports chunk-granular accounting.
-        assert!(ec.entries_redone > ee.entries_redone);
     }
 
     #[test]

@@ -168,6 +168,10 @@ pub enum DriverError {
     /// `index` is the offending atom's original input index (or the
     /// quadrature-point index, as stated by `what`).
     InvalidInput { index: usize, what: String },
+    /// The run configuration is unusable for this driver (zero threads
+    /// or ranks, a placement the driver does not model); `what` names
+    /// the offending setting.
+    InvalidConfig { what: String },
     /// The run failed: unrecovered faults, a dead root, or exhausted
     /// recovery retries.
     Failed { cause: String },
@@ -186,12 +190,24 @@ impl fmt::Display for DriverError {
             DriverError::InvalidInput { index, what } => {
                 write!(f, "invalid input at index {index}: {what}")
             }
+            DriverError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             DriverError::Failed { cause } => write!(f, "run failed: {cause}"),
         }
     }
 }
 
 impl std::error::Error for DriverError {}
+
+/// `Ok` when `ok` holds, otherwise [`DriverError::InvalidConfig`]
+/// carrying `what`. Drivers check their configuration with this before
+/// touching the system.
+pub(crate) fn require_config(ok: bool, what: &str) -> Result<(), DriverError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(DriverError::InvalidConfig { what: what.to_owned() })
+    }
+}
 
 /// Reject systems carrying NaN/∞ coordinates, charges, weights, or
 /// non-positive radii before any kernel runs. A single poisoned value
@@ -476,7 +492,7 @@ pub fn run_oct_cilk(
     cfg: &DriverConfig,
     threads: usize,
 ) -> Result<RunReport, DriverError> {
-    assert!(threads >= 1);
+    require_config(threads >= 1, "OCT_CILK needs at least one thread")?;
     validate_system(sys)?;
     let wall = Instant::now();
 
@@ -656,7 +672,7 @@ pub fn run_oct_threads_ft(
     threads: usize,
     plan: &FaultPlan,
 ) -> Result<RunReport, DriverError> {
-    assert!(threads >= 1);
+    require_config(threads >= 1, "the threads driver needs at least one thread")?;
     validate_system(sys)?;
     // Clone resets the one-shot fired flags, so one plan value can drive
     // many runs identically.
@@ -862,7 +878,7 @@ pub fn run_oct_threads_mol(
     cfg: &DriverConfig,
     threads: usize,
 ) -> Result<RunReport, DriverError> {
-    assert!(threads >= 1);
+    require_config(threads >= 1, "the threads driver needs at least one thread")?;
     let pool = WorkStealingPool::new(threads);
     let quad = surface_quadrature(mol, params.surface);
     let t = Instant::now();
@@ -891,10 +907,10 @@ pub fn run_oct_mpi_ft(
     workdiv: WorkDivision,
     ftc: &FtConfig,
 ) -> Result<RunReport, DriverError> {
-    assert_eq!(
-        cluster.placement.threads_per_process, 1,
-        "OCT_MPI is the pure distributed configuration"
-    );
+    require_config(
+        cluster.placement.threads_per_process == 1,
+        "OCT_MPI is the pure distributed configuration (one thread per rank)",
+    )?;
     run_fig4(sys, params, cfg, cluster, workdiv, "OCT_MPI", ftc)
 }
 
@@ -916,10 +932,10 @@ pub fn run_oct_hybrid_ft(
     cluster: &ClusterSpec,
     ftc: &FtConfig,
 ) -> Result<RunReport, DriverError> {
-    assert!(
+    require_config(
         cluster.placement.threads_per_process > 1,
-        "hybrid needs more than one thread per rank"
-    );
+        "OCT_MPI+CILK needs more than one thread per rank",
+    )?;
     run_fig4(
         sys,
         params,
@@ -1698,6 +1714,61 @@ mod tests {
         let mut sys = system(50, 1);
         sys.q_weight[11] = f64::NAN;
         assert!(run_naive(&sys, &params, &cfg).is_err());
+    }
+
+    fn assert_config_error(r: Result<RunReport, DriverError>) {
+        match r {
+            Err(DriverError::InvalidConfig { what }) => assert!(!what.is_empty()),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cilk_rejects_zero_threads() {
+        let sys = system(50, 1);
+        let r = run_oct_cilk(&sys, &ApproxParams::default(), &DriverConfig::default(), 0);
+        assert_config_error(r);
+    }
+
+    #[test]
+    fn threads_ft_rejects_zero_threads() {
+        let sys = system(50, 1);
+        let (params, cfg) = (ApproxParams::default(), DriverConfig::default());
+        assert_config_error(run_oct_threads_ft(&sys, &params, &cfg, 0, &FaultPlan::none()));
+    }
+
+    #[test]
+    fn threads_mol_rejects_zero_threads() {
+        let mol = synth::protein("p", 50, 1);
+        let (params, cfg) = (ApproxParams::default(), DriverConfig::default());
+        assert_config_error(run_oct_threads_mol(&mol, &params, &cfg, 0));
+    }
+
+    #[test]
+    fn mpi_ft_rejects_a_hybrid_placement() {
+        let sys = system(50, 1);
+        let (params, cfg) = (ApproxParams::default(), DriverConfig::default());
+        assert_config_error(run_oct_mpi_ft(
+            &sys,
+            &params,
+            &cfg,
+            &hybrid_cluster(12),
+            WorkDivision::NodeNode,
+            &FtConfig::default(),
+        ));
+    }
+
+    #[test]
+    fn hybrid_ft_rejects_one_thread_per_rank() {
+        let sys = system(50, 1);
+        let (params, cfg) = (ApproxParams::default(), DriverConfig::default());
+        assert_config_error(run_oct_hybrid_ft(
+            &sys,
+            &params,
+            &cfg,
+            &cluster(4),
+            &FtConfig::default(),
+        ));
     }
 
     #[test]

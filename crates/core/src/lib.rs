@@ -63,7 +63,7 @@ pub use drivers::{
     run_serial_mol, validate_system, DriverError,
     FtConfig, PhaseTimes, RecoveryMode, RunOutcome, RunReport, EPS_DEGRADED,
 };
-pub use delta::{DeltaEngine, DeltaEval, DeltaParams, Granularity, Perturbation};
+pub use delta::{DeltaEngine, DeltaEval, Perturbation};
 pub use error::{energy_error_pct, ErrorStats};
 pub use gb::{f_gb, COULOMB_KCAL};
 pub use lists::{BornLists, EngineEval, EpolLists, ListEngine, ListEntry, LIST_CHUNKS};

@@ -152,9 +152,6 @@ pub struct PerturbationScanParams {
     /// Revert each query after recording its energy (mutation-screening
     /// mode: every query is scored against the same base state).
     pub revert_each: bool,
-    /// Engine knobs (granularity / cache cap) — the energies are bitwise
-    /// independent of them, only the accounting and speed change.
-    pub delta: crate::delta::DeltaParams,
 }
 
 impl Default for PerturbationScanParams {
@@ -166,7 +163,6 @@ impl Default for PerturbationScanParams {
             amplitude: 0.15,
             seed: 1,
             revert_each: true,
-            delta: crate::delta::DeltaParams::default(),
         }
     }
 }
@@ -186,11 +182,7 @@ pub struct PerturbationScanReport {
     /// Queries served incrementally vs via scaffold rebuild.
     pub queries_incremental: u64,
     pub queries_rebuilt: u64,
-    /// List entries re-executed / served from cache across all queries
-    /// (the entry-granular accounting; under [`Granularity::Chunk`]
-    /// every entry of a dirty chunk counts as redone).
-    ///
-    /// [`Granularity::Chunk`]: crate::delta::Granularity::Chunk
+    /// List entries re-executed / served from cache across all queries.
     pub entries_redone: u64,
     pub entries_cached: u64,
     /// Entries per full evaluation (both lists).
@@ -228,7 +220,7 @@ pub fn run_perturbation_scan(
     let mut unit = move || (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
 
     let n = mol.len();
-    let mut engine = DeltaEngine::with_params(mol, approx, scan.skin, scan.delta);
+    let mut engine = DeltaEngine::new(mol, approx, scan.skin);
     let mut energies = Vec::with_capacity(scan.queries);
     let (mut redone, mut cached, mut reverted) = (0u64, 0u64, 0u64);
     let (mut e_redone, mut e_cached) = (0u64, 0u64);
@@ -272,132 +264,6 @@ pub fn run_perturbation_scan(
         total_entries: engine.total_entries(),
         delta_wall,
         reverted,
-        memory_bytes: engine.memory_bytes(),
-    }
-}
-
-/// Settings for [`run_perturbation_batch`].
-#[derive(Clone, Copy, Debug)]
-pub struct BatchScanParams {
-    /// Verlet skin handed to the underlying [`DeltaEngine`] (Å).
-    pub skin: f64,
-    /// Atoms moved per query (`k`).
-    pub moves_per_query: usize,
-    /// Charges mutated per query.
-    pub charges_per_query: usize,
-    /// Independent queries in the batch (`N`).
-    pub batch: usize,
-    /// Per-component displacement amplitude (Å); keep below `skin / 2`
-    /// so every query stays on the overlay path.
-    pub amplitude: f64,
-    /// Deterministic stream seed for atom choice and displacements.
-    pub seed: u64,
-    /// Engine knobs (granularity / cache cap).
-    pub delta: crate::delta::DeltaParams,
-}
-
-impl Default for BatchScanParams {
-    fn default() -> Self {
-        BatchScanParams {
-            skin: 0.8,
-            moves_per_query: 4,
-            charges_per_query: 1,
-            batch: 16,
-            amplitude: 0.15,
-            seed: 1,
-            delta: crate::delta::DeltaParams::default(),
-        }
-    }
-}
-
-/// Statistics from one [`run_perturbation_batch`] call.
-#[derive(Clone, Debug)]
-pub struct BatchScanReport {
-    /// Polarization energy of each query (kcal/mol), batch order.
-    pub energies: Vec<f64>,
-    /// Chunk accounting summed over the batch.
-    pub chunks_redone: u64,
-    pub chunks_cached: u64,
-    pub total_chunks: usize,
-    /// Entry accounting summed over the batch (per-query values are in
-    /// `per_query_entries_redone`).
-    pub entries_redone: u64,
-    pub entries_cached: u64,
-    pub total_entries: usize,
-    /// Entries re-executed by each query, batch order.
-    pub per_query_entries_redone: Vec<usize>,
-    /// Queries the engine served through the batch overlay path.
-    pub queries_batched: u64,
-    /// Wall time of the single `apply_batch` call.
-    pub batch_wall: std::time::Duration,
-    /// Bytes held by the delta engine after the batch.
-    pub memory_bytes: usize,
-}
-
-/// Drive [`DeltaEngine::apply_batch`]: build `N` deterministic mixed
-/// move/charge queries against one prepared base state and score them
-/// all in one batch call (no apply→revert churn). Each energy is
-/// bit-identical to what a sequential `apply_perturbation` + `revert`
-/// loop — or a fresh full run per query — would produce, at any pool
-/// width; the engine ends bit-identical to its base state.
-pub fn run_perturbation_batch(
-    mol: &Molecule,
-    approx: &ApproxParams,
-    scan: &BatchScanParams,
-    pool: Option<&polaroct_sched::WorkStealingPool>,
-) -> BatchScanReport {
-    // Same splitmix64 stream discipline as `run_perturbation_scan`.
-    let mut state = scan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut unit = move || (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-
-    let n = mol.len();
-    let mut engine = DeltaEngine::with_params(mol, approx, scan.skin, scan.delta);
-    let queries: Vec<Perturbation> = (0..scan.batch)
-        .map(|_| {
-            let mut p = Perturbation::default();
-            for _ in 0..scan.moves_per_query.min(n) {
-                let atom = (unit() * 0.5 + 0.5) * n as f64;
-                let atom = (atom as usize).min(n - 1);
-                let d = Vec3::new(
-                    unit() * scan.amplitude,
-                    unit() * scan.amplitude,
-                    unit() * scan.amplitude,
-                );
-                // PANIC-OK: atom < n by the clamp above.
-                p = p.move_atom(atom, engine.positions()[atom] + d);
-            }
-            for _ in 0..scan.charges_per_query.min(n) {
-                let atom = (unit() * 0.5 + 0.5) * n as f64;
-                let atom = (atom as usize).min(n - 1);
-                // PANIC-OK: atom < n by the clamp above.
-                p = p.set_charge(atom, engine.charges()[atom] + unit() * 0.5);
-            }
-            p
-        })
-        .collect();
-
-    let t0 = std::time::Instant::now();
-    let evals = engine.apply_batch(&queries, pool);
-    let batch_wall = t0.elapsed();
-
-    BatchScanReport {
-        energies: evals.iter().map(|e| e.energy_kcal).collect(),
-        chunks_redone: evals.iter().map(|e| e.chunks_redone as u64).sum(),
-        chunks_cached: evals.iter().map(|e| e.chunks_cached as u64).sum(),
-        total_chunks: engine.total_chunks(),
-        entries_redone: evals.iter().map(|e| e.entries_redone as u64).sum(),
-        entries_cached: evals.iter().map(|e| e.entries_cached as u64).sum(),
-        total_entries: engine.total_entries(),
-        per_query_entries_redone: evals.iter().map(|e| e.entries_redone).collect(),
-        queries_batched: engine.queries_batched,
-        batch_wall,
         memory_bytes: engine.memory_bytes(),
     }
 }
@@ -536,75 +402,6 @@ mod tests {
         );
         assert!(a.chunks_redone + a.chunks_cached == scan.queries as u64 * a.total_chunks as u64);
         assert!(a.memory_bytes > 0);
-    }
-
-    #[test]
-    fn perturbation_batch_matches_scan_energies_bitwise() {
-        // Same seed + same query-generation stream (batch draws extra
-        // charge mutations, so compare with charges_per_query: 0).
-        let mol = synth::protein("batch", 130, 31);
-        let approx = ApproxParams::default();
-        let scan = PerturbationScanParams {
-            queries: 8,
-            ..Default::default()
-        };
-        let batch = BatchScanParams {
-            batch: 8,
-            charges_per_query: 0,
-            ..Default::default()
-        };
-        let a = run_perturbation_scan(&mol, &approx, &scan, None);
-        let b = run_perturbation_batch(&mol, &approx, &batch, None);
-        assert_eq!(a.energies.len(), b.energies.len());
-        for (x, y) in a.energies.iter().zip(&b.energies) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "batch must score the same queries to the same bits"
-            );
-        }
-        assert_eq!(a.chunks_redone, b.chunks_redone);
-        assert_eq!(a.entries_redone, b.entries_redone);
-        assert_eq!(b.queries_batched, 8);
-        assert_eq!(b.per_query_entries_redone.len(), 8);
-        assert!(b.entries_redone + b.entries_cached == 8 * b.total_entries as u64);
-        assert!(b.memory_bytes > 0);
-    }
-
-    #[test]
-    fn perturbation_batch_pool_and_granularity_invariance() {
-        let mol = synth::protein("batch", 110, 37);
-        let approx = ApproxParams::default();
-        let batch = BatchScanParams {
-            batch: 6,
-            ..Default::default()
-        };
-        let serial = run_perturbation_batch(&mol, &approx, &batch, None);
-        let pool = polaroct_sched::WorkStealingPool::new(3);
-        let pooled = run_perturbation_batch(&mol, &approx, &batch, Some(&pool));
-        let chunked = run_perturbation_batch(
-            &mol,
-            &approx,
-            &BatchScanParams {
-                delta: crate::delta::DeltaParams {
-                    granularity: crate::delta::Granularity::Chunk,
-                    ..Default::default()
-                },
-                ..batch
-            },
-            None,
-        );
-        for (x, y) in serial.energies.iter().zip(&pooled.energies) {
-            assert_eq!(x.to_bits(), y.to_bits(), "pool must not change bits");
-        }
-        for (x, y) in serial.energies.iter().zip(&chunked.energies) {
-            assert_eq!(x.to_bits(), y.to_bits(), "granularity must not change bits");
-        }
-        assert_eq!(serial.chunks_redone, chunked.chunks_redone);
-        assert!(
-            serial.entries_redone < chunked.entries_redone,
-            "entry mode must redo strictly fewer entries"
-        );
     }
 
     #[test]

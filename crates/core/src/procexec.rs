@@ -20,8 +20,8 @@
 //! `transports_match` proptest pin this).
 
 use crate::drivers::{
-    classify_outcome, fig4_rank_body, validate_system, DriverConfig, DriverError, FtConfig,
-    PhaseTimes, RunReport,
+    classify_outcome, fig4_rank_body, require_config, validate_system, DriverConfig, DriverError,
+    FtConfig, PhaseTimes, RunReport,
 };
 use crate::params::ApproxParams;
 use crate::system::GbSystem;
@@ -413,7 +413,7 @@ mod imp {
         workdiv: WorkDivision,
         ftc: &FtConfig,
     ) -> Result<RunReport, DriverError> {
-        assert!(ranks >= 1);
+        require_config(ranks >= 1, "the process transport needs at least one rank")?;
         let sys = GbSystem::prepare(mol, params);
         validate_system(&sys)?;
         if ranks == 1 {
@@ -657,6 +657,21 @@ mod tests {
         let mut body = encode_job(&job(12, 5));
         body.push(0);
         assert!(decode_job(&body).is_err());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn proc_transport_rejects_zero_ranks() {
+        let j = job(20, 1);
+        let r = run_oct_mpi_proc_ft(
+            &j.molecule,
+            &j.params,
+            &j.cfg,
+            0,
+            WorkDivision::NodeNode,
+            &FtConfig::default(),
+        );
+        assert!(matches!(r, Err(DriverError::InvalidConfig { .. })), "{r:?}");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! stealing only changes *who* computes a leaf, never *what* is computed.
 
 use crate::born::{approx_integrals, push_integrals_to_atoms, BornAccumulators};
-use crate::drivers::{validate_system, DriverConfig, DriverError, RunOutcome, RunReport};
+use crate::drivers::{
+    require_config, validate_system, DriverConfig, DriverError, RunOutcome, RunReport,
+};
 use crate::epol::{approx_epol_leaf, ChargeBins};
 use crate::gb::epol_from_raw_sum;
 use crate::params::ApproxParams;
@@ -61,7 +63,10 @@ pub fn run_oct_mpi_steal(
     cfg: &DriverConfig,
     cluster: &ClusterSpec,
 ) -> Result<RunReport, DriverError> {
-    assert_eq!(cluster.placement.threads_per_process, 1);
+    require_config(
+        cluster.placement.threads_per_process == 1,
+        "OCT_MPI with leaf stealing needs one thread per rank",
+    )?;
     validate_system(sys)?;
     let wall = std::time::Instant::now();
     let p = cluster.placement.processes;
@@ -181,6 +186,16 @@ mod tests {
             ((static_run.energy_kcal - steal_run.energy_kcal) / static_run.energy_kcal).abs()
                 < 1e-12
         );
+    }
+
+    #[test]
+    fn stealing_rejects_a_hybrid_placement() {
+        let params = ApproxParams::default();
+        let sys = GbSystem::prepare(&synth::protein("p", 50, 1), &params);
+        let m = MachineSpec::lonestar4();
+        let hybrid = ClusterSpec::new(m, Placement::hybrid_per_socket(12, &m));
+        let r = run_oct_mpi_steal(&sys, &params, &DriverConfig::default(), &hybrid);
+        assert!(matches!(r, Err(DriverError::InvalidConfig { .. })), "{r:?}");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!
 //! On top of that: reverting a chain restores the original bits exactly,
 //! incremental queries with few moved atoms must actually skip work
-//! (`chunks_redone < total_chunks`), and the FT path (a poisoned dirty
-//! chunk recovered by serial re-execution) changes no bits either.
+//! (`chunks_redone < total_chunks`), a stale cached chunk or entry span
+//! is visible to the comparison, and the FT path (a poisoned dirty entry
+//! recovered by serial re-execution) changes no bits either.
 
 mod common;
 
@@ -170,6 +171,45 @@ fn stale_cached_chunk_is_caught() {
         raw,
         "corrupted cache produced the reference bits — the harness has no recall"
     );
+}
+
+/// Entry-level recall and repair: corrupt exactly one cached Born entry
+/// span. An identity query (nothing dirty) must show the corruption, and
+/// a query moving an atom inside that entry's node range must mark the
+/// entry dirty, recompute its span and bit-match an uncorrupted engine —
+/// dirtiness tracking at entry resolution, not just chunk resolution.
+#[test]
+fn stale_cached_entry_is_caught_and_recomputed() {
+    let approx = ApproxParams::default();
+    let skin = 1.0;
+    let mol = synth::protein("stale-entry", 130, 23);
+    let mut eng = DeltaEngine::new(&mol, &approx, skin);
+    let clean_raw = eng.raw().to_bits();
+    let (entry_id, probe_atom) = eng.debug_near_born_entry_probe();
+    eng.debug_corrupt_cached_born_entry(entry_id, 1e-3);
+
+    let stale = eng.apply_perturbation(&Perturbation::default(), None);
+    assert_ne!(
+        stale.raw.to_bits(),
+        clean_raw,
+        "a stale cached entry span must be visible to the harness"
+    );
+    assert!(eng.revert(None));
+
+    let q = Perturbation::default().move_atom(
+        probe_atom,
+        mol.positions[probe_atom] + Vec3::new(0.05, 0.0, 0.0),
+    );
+    let mut clean = DeltaEngine::new(&mol, &approx, skin);
+    let want = clean.apply_perturbation(&q, None);
+    let got = eng.apply_perturbation(&q, None);
+    assert_eq!(
+        got.raw.to_bits(),
+        want.raw.to_bits(),
+        "query moving atom {probe_atom} (inside entry {entry_id}'s node range) \
+         did not recompute the corrupted entry"
+    );
+    assert_eq!(eng.born_digest(), clean.born_digest());
 }
 
 /// FT: a worker panic poisoning one dirty Born chunk is contained by the

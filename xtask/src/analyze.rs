@@ -97,7 +97,6 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/cluster/src/transport.rs",
     "crates/cluster/src/wire.rs",
     "crates/core/src/delta.rs",
-    "crates/core/src/delta/batch.rs",
     "crates/core/src/drivers.rs",
     "crates/core/src/lists.rs",
     "crates/core/src/procexec.rs",
