@@ -231,6 +231,23 @@ pub fn push_integrals_to_atoms(
     ops
 }
 
+/// [`push_integrals_to_atoms`] for one atom segment, returning just the
+/// segment's radii: the unit the pooled push fans out and the Fig. 4
+/// gather regenerates. The push writes through a full-length slice, so
+/// this fills a scratch one; the O(n) zeroing is noise next to the
+/// kernel phases.
+pub(crate) fn push_segment(
+    sys: &GbSystem,
+    acc: &BornAccumulators,
+    range: Range<usize>,
+    math: MathMode,
+) -> (Vec<f64>, OpCounts) {
+    let mut full = vec![0.0; sys.n_atoms()];
+    let ops = push_integrals_to_atoms(sys, acc, range.clone(), math, &mut full);
+    // PANIC-OK: callers pass a block or rank segment of 0..n_atoms.
+    (full[range].to_vec(), ops)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn push_recurse(
     sys: &GbSystem,

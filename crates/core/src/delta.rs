@@ -75,7 +75,7 @@
 use crate::born::{push_integrals_to_atoms, BornAccumulators};
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
-use crate::lists::ListEngine;
+use crate::lists::{no_faults, recovering_map, ListEngine, ListSource, PhaseOutputs, Pipeline};
 use crate::params::ApproxParams;
 use crate::soa::StillScratch;
 use crate::system::GbSystem;
@@ -182,8 +182,7 @@ enum UndoRecord {
 pub struct DeltaEngine {
     base: ListEngine,
     /// Cached Phase-A outputs, one vector per chunk, for both lists.
-    born_outputs: Vec<Vec<f64>>,
-    epol_outputs: Vec<Vec<f64>>,
+    outputs: PhaseOutputs,
     /// Born entry id → owning chunk / offset of its span in that chunk's
     /// cached stream; E_pol entry id → owning chunk (its span is always
     /// one value at `entry - chunk.start`).
@@ -213,46 +212,6 @@ pub struct DeltaEngine {
     /// Queries served incrementally vs via full rebuild.
     pub queries_incremental: u64,
     pub queries_rebuilt: u64,
-}
-
-/// Execute `n` dirty work units (entries or whole chunks) through a pure
-/// kernel, optionally over a pool with one poisoned slot; a poisoned
-/// unit's panic is contained by `try_map` and the slot is re-executed
-/// serially by the same kernel (`recovered` counts them). Returns
-/// outputs in slot order.
-fn run_dirty_units<T, F>(
-    pool: Option<&WorkStealingPool>,
-    n: usize,
-    poison: Option<usize>,
-    f: F,
-    recovered: &mut u32,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match pool {
-        Some(p) => {
-            let (mut parts, _) = p.try_map(n, |k| {
-                if Some(k) == poison {
-                    // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-                    panic!("injected worker panic in delta work slot {k}");
-                }
-                f(k)
-            });
-            parts
-                .iter_mut()
-                .enumerate()
-                .map(|(k, slot)| {
-                    slot.take().unwrap_or_else(|| {
-                        *recovered += 1;
-                        f(k)
-                    })
-                })
-                .collect()
-        }
-        None => (0..n).map(&f).collect(),
-    }
 }
 
 impl ListEngine {
@@ -286,8 +245,7 @@ impl DeltaEngine {
         }
         let mut engine = DeltaEngine {
             base,
-            born_outputs: Vec::new(),
-            epol_outputs: Vec::new(),
+            outputs: PhaseOutputs::default(),
             born_entry_chunk: Vec::new(),
             born_entry_offset: Vec::new(),
             epol_entry_chunk: Vec::new(),
@@ -407,36 +365,14 @@ impl DeltaEngine {
         {
             *d = p.dist(*r);
         }
-        let nb = self.base.born_lists.n_chunks();
         let base = &self.base;
-        let mut recovered = 0u32;
-        self.born_outputs = run_dirty_units(
-            pool,
-            nb,
-            None,
-            |c| base.born_lists.run_chunk(&base.sys, c),
-            &mut recovered,
-        );
-        let n = self.base.sys.n_atoms();
-        let mut acc = BornAccumulators::zeros(&self.base.sys);
-        self.base.born_lists.apply(&self.base.sys, &self.born_outputs, &mut acc);
-        let mut born = vec![0.0; n];
-        push_integrals_to_atoms(&self.base.sys, &acc, 0..n, self.base.approx.math, &mut born);
-        self.bins = ChargeBins::build(&self.base.sys, &born, self.base.approx.eps_epol);
-
-        let ne = self.base.epol_lists.n_chunks();
-        let base = &self.base;
-        let (bins, math) = (&self.bins, self.base.approx.math);
-        self.epol_outputs = run_dirty_units(
-            pool,
-            ne,
-            None,
-            |c| base.epol_lists.run_chunk(&base.sys, bins, &born, math, c),
-            &mut recovered,
-        );
-        self.raw = self.base.epol_lists.apply(&self.epol_outputs);
-        self.energy_kcal = epol_from_raw_sum(self.raw, self.base.approx.eps_solvent);
-        self.base.born = born;
+        let lists = ListSource::Reuse(&base.born_lists, &base.epol_lists);
+        let Ok(ev) = Pipeline::new(&base.sys, &base.approx, pool, no_faults)
+            .run(lists, Some(&mut self.outputs));
+        self.bins = ev.bins;
+        self.raw = ev.raw;
+        self.energy_kcal = ev.energy_kcal;
+        self.base.born = ev.born;
     }
 
     /// Apply a perturbation and return the re-evaluated energy, bit-identical
@@ -583,7 +519,7 @@ impl DeltaEngine {
         let poison = poison_at(dirty.len(), phase::INTEGRALS);
         let base = &self.base;
         let dirty_ref = &dirty;
-        let fresh: Vec<Vec<f64>> = run_dirty_units(
+        let fresh: Vec<Vec<f64>> = recovering_map(
             pool,
             dirty.len(),
             poison,
@@ -604,7 +540,7 @@ impl DeltaEngine {
         // dirty — then the full push pass. Identical floats in identical
         // order to a fresh run.
         let mut acc = BornAccumulators::zeros(&self.base.sys);
-        self.base.born_lists.apply(&self.base.sys, &self.born_outputs, &mut acc);
+        self.base.born_lists.apply(&self.base.sys, &self.outputs.born, &mut acc);
         let mut new_born = vec![0.0; n];
         push_integrals_to_atoms(&self.base.sys, &acc, 0..n, self.base.approx.math, &mut new_born);
         let born_changed: Vec<usize> = self
@@ -675,7 +611,7 @@ impl DeltaEngine {
                     })
                     .collect()
             }
-            Some(_) => run_dirty_units(
+            Some(_) => recovering_map(
                 pool,
                 dirty.len(),
                 poison,
@@ -698,7 +634,7 @@ impl DeltaEngine {
         let epol_entries_redone = dirty.len();
 
         // ---- Phase B (E_pol): full sum-tree replay over all chunks.
-        let raw = self.base.epol_lists.apply(&self.epol_outputs);
+        let raw = self.base.epol_lists.apply(&self.outputs.epol);
         let energy_kcal = epol_from_raw_sum(raw, self.base.approx.eps_solvent);
 
         let old_born = std::mem::replace(&mut self.base.born, new_born);
@@ -758,7 +694,7 @@ impl DeltaEngine {
                 last_chunk = c;
             }
             // PANIC-OK: the entry's span lies inside its chunk's stream by construction.
-            let dst = &mut self.born_outputs[c as usize][off..off + v.len()];
+            let dst = &mut self.outputs.born[c as usize][off..off + v.len()];
             spans.push((c, off as u32, dst.to_vec()));
             dst.copy_from_slice(&v); // PANIC-OK: fresh output has the entry's fixed span length.
         }
@@ -780,7 +716,7 @@ impl DeltaEngine {
                 last_chunk = c;
             }
             // PANIC-OK: off < chunk len by construction.
-            let slot = &mut self.epol_outputs[c as usize][off];
+            let slot = &mut self.outputs.epol[c as usize][off];
             spans.push((c, off as u32, vec![*slot]));
             *slot = v;
         }
@@ -836,12 +772,12 @@ impl DeltaEngine {
                 for (c, off, old) in born_spans {
                     let off = off as usize;
                     // PANIC-OK: span saved from this engine's own streams.
-                    self.born_outputs[c as usize][off..off + old.len()].copy_from_slice(&old);
+                    self.outputs.born[c as usize][off..off + old.len()].copy_from_slice(&old);
                 }
                 for (c, off, old) in epol_spans {
                     let off = off as usize;
                     // PANIC-OK: span saved from this engine's own streams.
-                    self.epol_outputs[c as usize][off..off + old.len()].copy_from_slice(&old);
+                    self.outputs.epol[c as usize][off..off + old.len()].copy_from_slice(&old);
                 }
                 self.base.born = born;
                 self.bins = bins;
@@ -937,9 +873,10 @@ impl DeltaEngine {
     /// tables ([`DeltaEngine::entry_cache_bytes`]) and the bin generation.
     pub fn memory_bytes(&self) -> usize {
         let outputs: usize = self
-            .born_outputs
+            .outputs
+            .born
             .iter()
-            .chain(&self.epol_outputs)
+            .chain(&self.outputs.epol)
             .map(|v| v.capacity() * 8)
             .sum();
         self.base.memory_bytes()
@@ -955,7 +892,7 @@ impl DeltaEngine {
     /// differential harness.
     #[doc(hidden)]
     pub fn debug_corrupt_cached_born_outputs(&mut self, delta: f64) {
-        for out in &mut self.born_outputs {
+        for out in &mut self.outputs.born {
             for v in out.iter_mut() {
                 *v += delta;
             }
@@ -993,7 +930,7 @@ impl DeltaEngine {
         let c = self.born_entry_chunk[entry] as usize; // PANIC-OK: test hook; entry < len.
         let off = self.born_entry_offset[entry] as usize; // PANIC-OK: test hook; entry < len.
         let len = crate::lists::BornLists::entry_out_len(&self.base.sys, &born.entries[entry]);
-        for v in &mut self.born_outputs[c][off..off + len] {
+        for v in &mut self.outputs.born[c][off..off + len] {
             *v += delta;
         }
     }

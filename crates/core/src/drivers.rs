@@ -14,11 +14,12 @@
 //! and the §V.B memory-replication slowdown (see `polaroct-cluster`).
 
 use crate::born::{
-    approx_integrals, approx_integrals_clipped, push_integrals_to_atoms, BornAccumulators,
+    approx_integrals, approx_integrals_clipped, push_integrals_to_atoms, push_segment,
+    BornAccumulators,
 };
 use crate::epol::{approx_epol_leaf, approx_epol_leaf_clipped, ChargeBins};
 use crate::gb::epol_from_raw_sum;
-use crate::lists::{BornLists, EpolLists};
+use crate::lists::{ListSource, Pipeline, Traversal};
 use crate::naive::{born_radii_naive, epol_naive_raw};
 use crate::params::ApproxParams;
 use crate::system::GbSystem;
@@ -278,8 +279,8 @@ pub struct PhaseTimes {
     /// `APPROX-E_pol` over all atom leaves (Step 6).
     pub epol: f64,
     /// Interaction-list construction (the traversal passes of
-    /// `core::lists` — separate from `integrals`/`epol`, which now time
-    /// only the flat kernel sweeps). Zero for drivers that still
+    /// `core::lists` — separate from `integrals`/`epol`, which time only
+    /// the flat kernel sweeps and their folds). Zero for drivers that
     /// interleave traversal and kernels (naive, Fig. 4 cluster drivers).
     pub lists: f64,
 }
@@ -333,23 +334,48 @@ pub struct RunReport {
     /// recovered / degraded ranks, retry count, and — process transport
     /// only — captured worker OS exit statuses.
     pub ft: FtReport,
-    /// Evaluations served by previously built interaction lists (always
-    /// zero for the one-shot drivers; populated by MD via
-    /// [`crate::lists::ListEngine`]).
-    pub lists_reused: u64,
-    /// Interaction-list builds performed (1 for the list-based one-shot
-    /// drivers, 0 for drivers that do not build lists).
-    pub lists_rebuilt: u64,
 }
 
 impl RunReport {
+    /// The constructor every driver reports through: the energy from the
+    /// raw sum, the radii back in input order, the system replica's
+    /// bytes, and the wall clock since `wall`. The fields a driver
+    /// models itself start empty (zero times and ops, one core,
+    /// [`RunOutcome::Completed`]) and are set by the caller.
+    pub(crate) fn new(
+        name: &str,
+        sys: &GbSystem,
+        params: &ApproxParams,
+        raw: f64,
+        born: &[f64],
+        wall: Instant,
+    ) -> RunReport {
+        RunReport {
+            name: name.into(),
+            energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
+            born_radii: sys.to_original_atom_order(born),
+            time: 0.0,
+            compute: 0.0,
+            comm: 0.0,
+            wait: 0.0,
+            ops: OpCounts::default(),
+            memory_per_process: sys.memory_bytes(),
+            memory_arena_bytes: sys.arena_bytes(),
+            cores: 1,
+            wall_seconds: wall.elapsed().as_secs_f64(),
+            phases: PhaseTimes::default(),
+            outcome: RunOutcome::Completed,
+            ft: FtReport::default(),
+        }
+    }
+
     /// Speedup of this run over `other` (`other.time / self.time`).
     pub fn speedup_over(&self, other: &RunReport) -> f64 {
         other.time / self.time
     }
 }
 
-fn seconds(cfg: &DriverConfig, ops: &OpCounts, math: MathMode) -> f64 {
+pub(crate) fn seconds(cfg: &DriverConfig, ops: &OpCounts, math: MathMode) -> f64 {
     cfg.costs.seconds(ops, math == MathMode::Approx)
 }
 
@@ -370,27 +396,57 @@ pub fn run_naive(
     ops.add(&eops);
     let time = seconds(cfg, &ops, params.math);
     Ok(RunReport {
-        name: "Naive".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
         time,
         compute: time,
-        comm: 0.0,
-        wait: 0.0,
         ops,
-        memory_per_process: sys.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
-        cores: 1,
-        wall_seconds: wall.elapsed().as_secs_f64(),
         phases: PhaseTimes {
             integrals,
             epol,
             ..Default::default()
         },
-        outcome: RunOutcome::Completed,
-        ft: FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 0,
+        ..RunReport::new("Naive", sys, params, raw, &born, wall)
+    })
+}
+
+/// The one-process drivers' shared body: [`Pipeline::run`] over lists
+/// built with `traversal`, Phase A and the push over `pool` (serial when
+/// `None`), `plan`'s rank-0 faults fired at each phase start, and the
+/// modeled time from `model(ops)` plus any injected delay.
+#[allow(clippy::too_many_arguments)]
+fn run_one_process(
+    sys: &GbSystem,
+    params: &ApproxParams,
+    name: &str,
+    cores: usize,
+    traversal: Traversal,
+    pool: Option<&WorkStealingPool>,
+    plan: &FaultPlan,
+    model: impl FnOnce(&OpCounts) -> f64,
+) -> Result<RunReport, DriverError> {
+    validate_system(sys)?;
+    // Clone resets the one-shot fired flags, so one plan value can drive
+    // many runs identically.
+    let plan = plan.clone();
+    let wall = Instant::now();
+    let mut delay_s = 0.0;
+    let faults = |ph, slots| fire_threads_fault(&plan, ph, slots, &mut delay_s);
+    let ev = Pipeline::new(sys, params, pool, faults).run(ListSource::Build(traversal), None)?;
+    let time = model(&ev.ops) + delay_s;
+    Ok(RunReport {
+        time,
+        compute: time,
+        ops: ev.ops,
+        memory_per_process: sys.memory_bytes() + ev.bins.memory_bytes() + ev.list_bytes,
+        cores,
+        phases: ev.phases,
+        outcome: if ev.recovered > 0 {
+            RunOutcome::Recovered {
+                n_retries: ev.recovered,
+            }
+        } else {
+            RunOutcome::Completed
+        },
+        ..RunReport::new(name, sys, params, ev.raw, &ev.born, wall)
     })
 }
 
@@ -408,79 +464,9 @@ pub fn run_serial(
     params: &ApproxParams,
     cfg: &DriverConfig,
 ) -> Result<RunReport, DriverError> {
-    validate_system(sys)?;
-    let wall = Instant::now();
-    let math = params.math;
-
-    // ---- List traversal pass for APPROX-INTEGRALS (q-leaf sweep order).
-    let t = Instant::now();
-    let born_lists = BornLists::build_single(sys, params.eps_born);
-    let mut lists_t = t.elapsed().as_secs_f64();
-
-    // ---- APPROX-INTEGRALS: flat near/far sweep.
-    let t = Instant::now();
-    let mut acc = BornAccumulators::zeros(sys);
-    let mut ops = born_lists.execute(sys, None, &mut acc);
-    let integrals = t.elapsed().as_secs_f64();
-
-    // ---- PUSH-INTEGRALS-TO-ATOMS.
-    let t = Instant::now();
-    let mut born = vec![0.0; sys.n_atoms()];
-    ops.add(&push_integrals_to_atoms(
-        sys,
-        &acc,
-        0..sys.n_atoms(),
-        math,
-        &mut born,
-    ));
-    let push = t.elapsed().as_secs_f64();
-
-    // ---- Charge binning.
-    let t = Instant::now();
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
-    let bins_t = t.elapsed().as_secs_f64();
-
-    // ---- List traversal pass for APPROX-E_pol (atom-leaf sweep order).
-    let t = Instant::now();
-    let epol_lists = EpolLists::build_single(sys, &bins, params.eps_epol);
-    lists_t += t.elapsed().as_secs_f64();
-
-    // ---- APPROX-E_pol: flat near/far sweep + sum-tree replay.
-    let t = Instant::now();
-    let (raw, eops) = epol_lists.execute(sys, &bins, &born, math, None);
-    ops.add(&eops);
-    let epol = t.elapsed().as_secs_f64();
-
-    let time = seconds(cfg, &ops, math);
-    Ok(RunReport {
-        name: "OCT_serial".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
-        time,
-        compute: time,
-        comm: 0.0,
-        wait: 0.0,
-        ops,
-        memory_per_process: sys.memory_bytes()
-            + bins.memory_bytes()
-            + born_lists.memory_bytes()
-            + epol_lists.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
-        cores: 1,
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: PhaseTimes {
-            build: 0.0,
-            integrals,
-            push,
-            bins: bins_t,
-            epol,
-            lists: lists_t,
-        },
-        outcome: RunOutcome::Completed,
-        ft: FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 1,
-    })
+    let model = |ops: &OpCounts| seconds(cfg, ops, params.math);
+    let plan = FaultPlan::none();
+    run_one_process(sys, params, "OCT_serial", 1, Traversal::Single, None, &plan, model)
 }
 
 /// Shared-memory dual-tree run (`OCT_CILK`): one process, `p` threads,
@@ -493,38 +479,6 @@ pub fn run_oct_cilk(
     threads: usize,
 ) -> Result<RunReport, DriverError> {
     require_config(threads >= 1, "OCT_CILK needs at least one thread")?;
-    validate_system(sys)?;
-    let wall = Instant::now();
-
-    // Dual-tree interaction lists ([6]'s traversal, flattened): far
-    // entries may pair *internal* nodes of both trees. Execution is
-    // bit-identical to `born_radii_dual` / `epol_dual_raw`.
-    let t = Instant::now();
-    let born_lists = BornLists::build_dual(sys, params.eps_born);
-    let mut lists_t = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let mut acc = BornAccumulators::zeros(sys);
-    let mut ops = born_lists.execute(sys, None, &mut acc);
-    let mut born = vec![0.0; sys.n_atoms()];
-    ops.add(&push_integrals_to_atoms(
-        sys,
-        &acc,
-        0..sys.n_atoms(),
-        params.math,
-        &mut born,
-    ));
-    let integrals = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
-    let bins_t = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let epol_lists = EpolLists::build_dual(sys, &bins, params.eps_epol);
-    lists_t += t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let (raw, eops) = epol_lists.execute(sys, &bins, &born, params.math, None);
-    let epol = t.elapsed().as_secs_f64();
-    ops.add(&eops);
-
     // §V.A: cilk++ has no thread-affinity manager, so the working set is
     // not partitioned per core — each thread effectively streams the whole
     // replica. Model that as the one-core working-set slowdown.
@@ -538,43 +492,18 @@ pub fn run_oct_cilk(
     let slowdown = MemoryModel::new(sys.memory_bytes())
         .slowdown(&no_affinity)
         .powi(2);
-    let t1 = seconds(cfg, &ops, params.math) * cfg.cilk_efficiency * slowdown;
     let stats = sys.atoms.stats();
-    let time = fork_join_makespan(
-        t1,
-        stats.leaves,
-        stats.max_depth as u32,
-        threads,
-        cfg.steal_cost,
-    );
-    Ok(RunReport {
-        name: "OCT_CILK".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
-        time,
-        compute: time,
-        comm: 0.0,
-        wait: 0.0,
-        ops,
-        memory_per_process: sys.memory_bytes()
-            + bins.memory_bytes()
-            + born_lists.memory_bytes()
-            + epol_lists.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
-        cores: threads,
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: PhaseTimes {
-            integrals,
-            bins: bins_t,
-            epol,
-            lists: lists_t,
-            ..Default::default()
-        },
-        outcome: RunOutcome::Completed,
-        ft: FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 1,
-    })
+    let model = |ops: &OpCounts| {
+        let t1 = seconds(cfg, ops, params.math) * cfg.cilk_efficiency * slowdown;
+        let depth = stats.max_depth as u32;
+        fork_join_makespan(t1, stats.leaves, depth, threads, cfg.steal_cost)
+    };
+    // Dual-tree interaction lists ([6]'s traversal, flattened): far
+    // entries may pair *internal* nodes of both trees. Execution is
+    // bit-identical to `born_radii_dual` / `epol_dual_raw`; the `p`
+    // threads are modeled, the host runs them serially.
+    let plan = FaultPlan::none();
+    run_one_process(sys, params, "OCT_CILK", threads, Traversal::Dual, None, &plan, model)
 }
 
 /// Brent/Blumofe–Leiserson makespan for a fork-join computation of total
@@ -588,12 +517,6 @@ pub fn fork_join_makespan(t1: f64, n_tasks: usize, depth: u32, p: usize, steal_c
     let span = (t1 / n_tasks.max(1) as f64) * (depth as f64 + 1.0);
     t1 / p as f64 + span + steal_cost * p as f64 * (depth as f64 + 1.0)
 }
-
-/// Leaf blocks per parallel phase of [`run_oct_threads`]. Fixed — NOT a
-/// function of the worker count — so the block partition, and with it
-/// every floating-point reduction order, is identical for every `threads`
-/// value (see the determinism note on the driver).
-const THREAD_BLOCKS: usize = 64;
 
 /// Shared-memory single-tree run on *real* OS threads: builds the
 /// `core::lists` interaction lists once, then fans their cost-balanced
@@ -623,11 +546,11 @@ pub fn run_oct_threads(
     run_oct_threads_ft(sys, params, cfg, threads, &FaultPlan::none())
 }
 
-/// Fire a rank-0 execution fault at a threads-driver phase start.
-/// Returns the poisoned block id for a `PanicWorker` fault (the pool
-/// contains the panic and the driver re-executes the block); `Kill` and
-/// `PanicRank` fail the whole run — a single process has no peer to
-/// recover on.
+/// Fire a rank-0 execution fault at a one-process phase start (the
+/// [`Pipeline`] fault hook). Returns the poisoned slot for a
+/// `PanicWorker` fault (the pool contains the panic and the pipeline
+/// re-executes the slot); `Kill` and `PanicRank` fail the whole run — a
+/// single process has no peer to recover on.
 fn fire_threads_fault(
     plan: &FaultPlan,
     ph: u32,
@@ -673,173 +596,17 @@ pub fn run_oct_threads_ft(
     plan: &FaultPlan,
 ) -> Result<RunReport, DriverError> {
     require_config(threads >= 1, "the threads driver needs at least one thread")?;
-    validate_system(sys)?;
-    // Clone resets the one-shot fired flags, so one plan value can drive
-    // many runs identically.
-    let plan = plan.clone();
-    let wall = Instant::now();
-    let math = params.math;
-    let pool = WorkStealingPool::new(threads);
-    let mut recovered_blocks = 0u32;
-    let mut delay_s = 0.0;
-
-    // ---- List traversal pass for APPROX-INTEGRALS.
-    let t = Instant::now();
-    let born_lists = BornLists::build_single(sys, params.eps_born);
-    let mut lists_t = t.elapsed().as_secs_f64();
-
-    // ---- APPROX-INTEGRALS: cost-balanced list chunks fanned over the
-    // pool (Phase A: pure per-entry outputs, no shared accumulators).
-    let t = Instant::now();
-    let poison = fire_threads_fault(&plan, phase::INTEGRALS, born_lists.n_chunks(), &mut delay_s)?;
-    let (mut born_parts, _) = pool.try_map(born_lists.n_chunks(), |c| {
-        if Some(c) == poison {
-            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-            panic!("injected worker panic in integrals chunk {c}");
-        }
-        born_lists.run_chunk(sys, c)
-    });
-    // A panicked chunk's slot is `None` and is re-executed inline by the
-    // same pure function, so the apply pass below cannot observe any
-    // difference from the fault-free run.
-    let mut born_outputs: Vec<Vec<f64>> = Vec::with_capacity(born_parts.len());
-    for (c, slot) in born_parts.iter_mut().enumerate() {
-        born_outputs.push(match slot.take() {
-            Some(v) => v,
-            None => {
-                recovered_blocks += 1;
-                born_lists.run_chunk(sys, c)
-            }
-        });
-    }
-    // Phase B: serial fold in emission order — the determinism anchor.
-    let mut acc = BornAccumulators::zeros(sys);
-    let mut ops = OpCounts::default();
-    born_lists.apply(sys, &born_outputs, &mut acc);
-    ops.add(&born_lists.ops);
-    let integrals = t.elapsed().as_secs_f64();
-
-    // ---- PUSH-INTEGRALS-TO-ATOMS: disjoint atom chunks. Radii are
-    // written independently per atom, so this phase is order-free; the
-    // fixed chunking just bounds task-creation overhead.
-    let t = Instant::now();
-    let n = sys.n_atoms();
-    let push_blocks = THREAD_BLOCKS.min(n.max(1));
-    let poison = fire_threads_fault(&plan, phase::PUSH, push_blocks, &mut delay_s)?;
-    let push_block = |c: usize| {
-        let lo = c * n / push_blocks;
-        let hi = (c + 1) * n / push_blocks;
-        // The push API writes through a full-length slice; each task
-        // fills a scratch one and hands back only its segment. The
-        // O(n) zeroing per task is noise next to the kernel phases.
-        let mut full = vec![0.0; n];
-        let ops = push_integrals_to_atoms(sys, &acc, lo..hi, math, &mut full);
-        (lo..hi, full[lo..hi].to_vec(), ops)
-    };
-    let (mut push_parts, _) = pool.try_map(push_blocks, |c| {
-        if Some(c) == poison {
-            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-            panic!("injected worker panic in push block {c}");
-        }
-        push_block(c)
-    });
-    let mut born = vec![0.0; n];
-    for (c, slot) in push_parts.iter_mut().enumerate() {
-        let (range, seg, po) = match slot.take() {
-            Some(v) => v,
-            None => {
-                recovered_blocks += 1;
-                push_block(c)
-            }
-        };
-        // PANIC-OK: each block segment is rebuilt at exactly range.len() elements before install.
-        born[range].copy_from_slice(&seg);
-        ops.add(&po);
-    }
-    let push = t.elapsed().as_secs_f64();
-
-    // ---- Charge binning: serial (O(M·M_ε), negligible).
-    let t = Instant::now();
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
-    let bins_t = t.elapsed().as_secs_f64();
-
-    // ---- List traversal pass for APPROX-E_pol.
-    let t = Instant::now();
-    let epol_lists = EpolLists::build_single(sys, &bins, params.eps_epol);
-    lists_t += t.elapsed().as_secs_f64();
-
-    // ---- APPROX-E_pol: list chunks fanned over the pool.
-    let t = Instant::now();
-    let poison = fire_threads_fault(&plan, phase::EPOL, epol_lists.n_chunks(), &mut delay_s)?;
-    let (mut epol_parts, _) = pool.try_map(epol_lists.n_chunks(), |c| {
-        if Some(c) == poison {
-            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-            panic!("injected worker panic in epol chunk {c}");
-        }
-        epol_lists.run_chunk(sys, &bins, &born, math, c)
-    });
-    let mut epol_outputs: Vec<Vec<f64>> = Vec::with_capacity(epol_parts.len());
-    for (c, slot) in epol_parts.iter_mut().enumerate() {
-        epol_outputs.push(match slot.take() {
-            Some(v) => v,
-            None => {
-                recovered_blocks += 1;
-                epol_lists.run_chunk(sys, &bins, &born, math, c)
-            }
-        });
-    }
-    // Phase B: the sum-tree replay — serial, in emission order.
-    let raw = epol_lists.apply(&epol_outputs);
-    ops.add(&epol_lists.ops);
-    let epol = t.elapsed().as_secs_f64();
-
+    let stats = sys.atoms.stats();
     // Modeled fork-join makespan over the same work, for side-by-side
     // modeled-vs-measured reporting; injected straggler time rides on top.
-    let t1 = seconds(cfg, &ops, math);
-    let stats = sys.atoms.stats();
-    let time = fork_join_makespan(
-        t1,
-        stats.leaves,
-        stats.max_depth as u32,
-        threads,
-        cfg.steal_cost,
-    ) + delay_s;
-
-    Ok(RunReport {
-        name: "OCT_THREADS".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
-        time,
-        compute: time,
-        comm: 0.0,
-        wait: 0.0,
-        ops,
-        memory_per_process: sys.memory_bytes()
-            + bins.memory_bytes()
-            + born_lists.memory_bytes()
-            + epol_lists.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
-        cores: threads,
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: PhaseTimes {
-            build: 0.0,
-            integrals,
-            push,
-            bins: bins_t,
-            epol,
-            lists: lists_t,
-        },
-        outcome: if recovered_blocks > 0 {
-            RunOutcome::Recovered {
-                n_retries: recovered_blocks,
-            }
-        } else {
-            RunOutcome::Completed
-        },
-        ft: FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 1,
-    })
+    let model = |ops: &OpCounts| {
+        let t1 = seconds(cfg, ops, params.math);
+        let depth = stats.max_depth as u32;
+        fork_join_makespan(t1, stats.leaves, depth, threads, cfg.steal_cost)
+    };
+    let pool = Some(WorkStealingPool::new(threads));
+    let name = "OCT_THREADS";
+    run_one_process(sys, params, name, threads, Traversal::Single, pool.as_ref(), plan, model)
 }
 
 /// Fold an octree-construction time into a report produced from a
@@ -951,7 +718,7 @@ pub fn run_oct_hybrid_ft(
 /// pass *and* by recovery regeneration: re-executing it for a lost rank
 /// with the same ε yields a bit-identical partial, because the partition
 /// is static and leaves are visited in leaf-id order.
-fn step2_partial(
+pub(crate) fn step2_partial(
     sys: &GbSystem,
     workdiv: WorkDivision,
     size: usize,
@@ -982,25 +749,10 @@ fn step2_partial(
     (acc, task_ops)
 }
 
-/// Fig. 4 Step 4 for one rank's atom segment, returning just the
-/// segment's radii. Deterministic and mode-independent (there is no
-/// approximation to relax in the push), so recovered radii are always
-/// exact.
-fn step4_segment(
-    sys: &GbSystem,
-    acc: &BornAccumulators,
-    range: std::ops::Range<usize>,
-    math: MathMode,
-) -> (Vec<f64>, OpCounts) {
-    let mut full = vec![0.0; sys.n_atoms()];
-    let ops = push_integrals_to_atoms(sys, acc, range.clone(), math, &mut full);
-    (full[range].to_vec(), ops)
-}
-
 /// Fig. 4 Step 6 for one rank's static share (see [`step2_partial`] for
 /// the bit-identity argument).
 #[allow(clippy::too_many_arguments)]
-fn step6_partial(
+pub(crate) fn step6_partial(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
@@ -1036,6 +788,18 @@ fn step6_partial(
         }
     }
     (raw, task_ops)
+}
+
+/// A collective's recovery: regenerate lost shares with `regenerate`,
+/// first in `prefer` mode, or no recovery at all.
+fn recovery(
+    prefer: Option<RecoverMode>,
+    regenerate: &mut dyn FnMut(usize, RecoverMode) -> Vec<f64>,
+) -> Recovery<'_> {
+    match prefer {
+        None => Recovery::Disabled,
+        Some(prefer) => Recovery::Enabled { regenerate, prefer },
+    }
 }
 
 /// Crude widened-error-bar estimate for a degraded run: each degraded
@@ -1141,14 +905,8 @@ pub(crate) fn fig4_rank_body(
             }
             lost_acc.to_flat()
         };
-        let recovery = match prefer {
-            None => Recovery::Disabled,
-            Some(p) => Recovery::Enabled {
-                regenerate: &mut regenerate,
-                prefer: p,
-            },
-        };
         let mut flat = acc.to_flat();
+        let recovery = recovery(prefer, &mut regenerate);
         let report = ctx.comm.allreduce_sum_ft(&mut flat, &mut clock, recovery)?;
         acc.from_flat(&flat);
         summary.merge(&report);
@@ -1196,20 +954,13 @@ pub(crate) fn fig4_rank_body(
     let born = {
         let mut rec_ops = OpCounts::default();
         let mut regenerate = |lost: usize, _mode: RecoverMode| {
-            let (seg, ops) = step4_segment(sys, &acc, atom_ranges[lost].clone(), math);
+            let (seg, ops) = push_segment(sys, &acc, atom_ranges[lost].clone(), math);
             rec_ops.add(&ops);
             seg
         };
-        let recovery = match prefer {
-            None => Recovery::Disabled,
-            Some(p) => Recovery::Enabled {
-                regenerate: &mut regenerate,
-                prefer: p,
-            },
-        };
-        let (full, report) = ctx
-            .comm
-            .allgatherv_ft(&born[my_atoms.clone()], &mut clock, recovery)?;
+        let recovery = recovery(prefer, &mut regenerate);
+        let mine = &born[my_atoms.clone()];
+        let (full, report) = ctx.comm.allgatherv_ft(mine, &mut clock, recovery)?;
         summary.merge(&report);
         rank_ops.add(&rec_ops);
         charge_recovery(&mut clock, &rec_ops);
@@ -1273,13 +1024,7 @@ pub(crate) fn fig4_rank_body(
             }
             vec![r]
         };
-        let recovery = match prefer {
-            None => Recovery::Disabled,
-            Some(p) => Recovery::Enabled {
-                regenerate: &mut regenerate,
-                prefer: p,
-            },
-        };
+        let recovery = recovery(prefer, &mut regenerate);
         let (v, report) = ctx.comm.reduce_sum_scalar_ft(raw, &mut clock, recovery)?;
         summary.merge(&report);
         rank_ops.add(&rec_ops);
@@ -1291,11 +1036,9 @@ pub(crate) fn fig4_rank_body(
     Ok((total_raw.unwrap_or(0.0), born, rank_ops, summary))
 }
 
-/// Fold a run's merged [`FtReport`] into its [`RunOutcome`] — shared by
-/// the in-process and process-transport drivers so both label identical
-/// fault histories identically (one leg of the cross-transport
-/// bit-identity contract).
-pub(crate) fn classify_outcome(sys: &GbSystem, summary: &FtReport, processes: usize) -> RunOutcome {
+/// Fold a run's merged [`FtReport`] into its [`RunOutcome`] (see
+/// [`fig4_report`], which both transports report through).
+fn classify_outcome(sys: &GbSystem, summary: &FtReport, processes: usize) -> RunOutcome {
     if summary.clean() {
         RunOutcome::Completed
     } else if summary.degraded.is_empty() {
@@ -1338,7 +1081,7 @@ fn run_fig4(
 
     // Root rank (0) holds the final energy and the authoritative
     // fault-tolerance summary; if the root itself failed, the run failed.
-    let (raw, born_sorted, summary) = match &res.per_rank[0] {
+    let (raw, born, summary) = match &res.per_rank[0] {
         Ok((raw, born, _, summary)) => (*raw, born.clone(), summary.clone()),
         Err(_) => {
             let cause = res
@@ -1354,43 +1097,48 @@ fn run_fig4(
     for out in res.per_rank.iter().flatten() {
         ops.add(&out.2);
     }
-    // Time aggregates run over *surviving* ranks (a dead rank's clock
-    // stopped when it died).
-    let survivors: Vec<&SimClock> = res
+    let survivors: Vec<SimClock> = res
         .per_rank
         .iter()
         .zip(&res.clocks)
         .filter(|(r, _)| r.is_ok())
-        .map(|(_, c)| c)
+        .map(|(_, c)| *c)
         .collect();
-    let time = res.parallel_time();
-    let compute = survivors.iter().map(|c| c.compute).fold(0.0, f64::max);
-    let comm = survivors.iter().map(|c| c.comm).fold(0.0, f64::max);
-    let wait = survivors.iter().map(|c| c.wait).fold(0.0, f64::max);
+    let root = (raw, born, ops, summary);
+    Ok(fig4_report(name, sys, params, cluster, root, &survivors, wall))
+}
 
-    let outcome = classify_outcome(sys, &summary, cluster.placement.processes);
-
-    Ok(RunReport {
-        name: name.into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born_sorted),
-        time,
-        compute,
-        comm,
-        wait,
+/// The report of a Fig. 4 run over either transport: `root` is rank 0's
+/// `(raw, born, ops, ft)` with `ops` summed over the surviving ranks, and
+/// `survivors` their final clocks. Time aggregates run over survivors
+/// only (a dead rank's clock stopped when it died), and the outcome is
+/// classified from the root's ledger — so identical fault histories get
+/// identical reports on both transports.
+pub(crate) fn fig4_report(
+    name: &str,
+    sys: &GbSystem,
+    params: &ApproxParams,
+    cluster: &ClusterSpec,
+    root: (f64, Vec<f64>, OpCounts, FtReport),
+    survivors: &[SimClock],
+    wall: Instant,
+) -> RunReport {
+    let (raw, born, ops, ft) = root;
+    let max = |f: fn(&SimClock) -> f64| survivors.iter().map(f).fold(0.0, f64::max);
+    RunReport {
+        time: max(SimClock::total),
+        compute: max(|c| c.compute),
+        comm: max(|c| c.comm),
+        wait: max(|c| c.wait),
         ops,
-        memory_per_process: sys.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
         cores: cluster.placement.total_cores(),
-        wall_seconds: wall.elapsed().as_secs_f64(),
         // Ranks run sequentially on the host with phases interleaved, so
-        // a per-phase host clock would be meaningless here.
-        phases: PhaseTimes::default(),
-        outcome,
-        ft: summary,
-        lists_reused: 0,
-        lists_rebuilt: 0,
-    })
+        // a per-phase host clock would be meaningless here: `phases`
+        // stays zero.
+        outcome: classify_outcome(sys, &ft, cluster.placement.processes),
+        ft,
+        ..RunReport::new(name, sys, params, raw, &born, wall)
+    }
 }
 
 #[cfg(test)]
@@ -1584,17 +1332,24 @@ mod tests {
         let sys = system(200, 5);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
+        // Every one-process driver runs the same timed pipeline.
         for r in [
             run_serial(&sys, &params, &cfg).unwrap(),
+            run_oct_cilk(&sys, &params, &cfg, 1).unwrap(),
+            run_oct_threads(&sys, &params, &cfg, 1).unwrap(),
             run_oct_threads(&sys, &params, &cfg, 2).unwrap(),
         ] {
             assert!(r.wall_seconds > 0.0, "{}: wall clock not measured", r.name);
-            assert!(
-                r.phases.integrals > 0.0,
-                "{}: integrals phase empty",
-                r.name
-            );
-            assert!(r.phases.epol > 0.0, "{}: epol phase empty", r.name);
+            let p = r.phases;
+            for (phase, t) in [
+                ("integrals", p.integrals),
+                ("push", p.push),
+                ("bins", p.bins),
+                ("epol", p.epol),
+                ("lists", p.lists),
+            ] {
+                assert!(t > 0.0, "{}: {phase} phase empty", r.name);
+            }
             assert!(
                 r.phases.total() <= r.wall_seconds,
                 "{}: phases {} exceed wall {}",

@@ -40,23 +40,28 @@
 //! evaluations then pay only kernel cost; the octrees and lists are
 //! rebuilt only when the tracked max displacement crosses the boundary.
 
-use crate::born::{push_integrals_to_atoms, BornAccumulators};
+use crate::born::{push_segment, BornAccumulators};
+use crate::drivers::PhaseTimes;
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
 use crate::params::ApproxParams;
 use crate::soa::StillScratch;
 use crate::system::GbSystem;
+use polaroct_cluster::fault::phase;
 use polaroct_cluster::simtime::OpCounts;
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
 use polaroct_octree::NodeId;
 use polaroct_sched::{partition_by_cost, WorkStealingPool};
+use std::borrow::Cow;
+use std::convert::Infallible;
 use std::ops::Range;
+use std::time::Instant;
 
-/// Chunks per list for cost-balanced parallel execution. Fixed — not a
-/// function of the worker count — mirroring `drivers::THREAD_BLOCKS`, so
-/// the partition is identical at every pool width. (With the two-phase
+/// Chunks per list for cost-balanced parallel execution, and atom blocks
+/// of a pooled push. Fixed — not a function of the worker count — so the
+/// partition is identical at every pool width. (With the two-phase
 /// executor the chunking cannot affect energies at all; the fixed count
 /// keeps scheduling behavior reproducible too.)
 pub const LIST_CHUNKS: usize = 64;
@@ -277,10 +282,8 @@ impl BornLists {
         pool: Option<&WorkStealingPool>,
         acc: &mut BornAccumulators,
     ) -> OpCounts {
-        let outputs: Vec<Vec<f64>> = match pool {
-            Some(p) => p.map(self.n_chunks(), |c| self.run_chunk(sys, c)),
-            None => (0..self.n_chunks()).map(|c| self.run_chunk(sys, c)).collect(),
-        };
+        let n = self.n_chunks();
+        let outputs = recovering_map(pool, n, None, |c| self.run_chunk(sys, c), &mut 0);
         self.apply(sys, &outputs, acc);
         self.ops
     }
@@ -535,12 +538,13 @@ impl EpolLists {
         math: MathMode,
         pool: Option<&WorkStealingPool>,
     ) -> (f64, OpCounts) {
-        let outputs: Vec<Vec<f64>> = match pool {
-            Some(p) => p.map(self.n_chunks(), |c| self.run_chunk(sys, bins, born, math, c)),
-            None => (0..self.n_chunks())
-                .map(|c| self.run_chunk(sys, bins, born, math, c))
-                .collect(),
-        };
+        let outputs = recovering_map(
+            pool,
+            self.n_chunks(),
+            None,
+            |c| self.run_chunk(sys, bins, born, math, c),
+            &mut 0,
+        );
         (self.apply(&outputs), self.ops)
     }
 }
@@ -663,8 +667,277 @@ fn build_epol_dual(
 }
 
 // ---------------------------------------------------------------------------
+// The one-process evaluation pipeline
+// ---------------------------------------------------------------------------
+
+/// Map `f` over `0..n`: over `pool` when given, serially otherwise. The
+/// `poison`ed slot panics inside the pool (fault injection); `try_map`
+/// contains the panic, and every slot the pool lost is re-executed
+/// serially by the same pure `f` before the caller sees the outputs, so
+/// they are bitwise those of a clean run. `recovered` counts the
+/// re-executed slots.
+pub(crate) fn recovering_map<T, F>(
+    pool: Option<&WorkStealingPool>,
+    n: usize,
+    poison: Option<usize>,
+    f: F,
+    recovered: &mut u32,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let Some(pool) = pool else {
+        return (0..n).map(f).collect();
+    };
+    let (slots, _) = pool.try_map(n, |k| {
+        if Some(k) == poison {
+            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
+            panic!("injected worker panic in slot {k}");
+        }
+        f(k)
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(k, slot)| {
+            slot.unwrap_or_else(|| {
+                *recovered += 1;
+                f(k)
+            })
+        })
+        .collect()
+}
+
+/// Traversal variant of the lists a one-shot run builds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Traversal {
+    /// The Fig. 2/3 single-tree recursions.
+    Single,
+    /// [6]'s dual-tree recursions (`OCT_CILK`).
+    Dual,
+}
+
+/// Where a [`Pipeline::run`] takes its interaction lists from.
+#[derive(Clone, Copy)]
+pub(crate) enum ListSource<'l> {
+    /// Build both lists inside the run (one-shot drivers); the build
+    /// passes are timed as `phases.lists`.
+    Build(Traversal),
+    /// Prebuilt lists, reused as they are ([`ListEngine`], `core::delta`).
+    Reuse(&'l BornLists, &'l EpolLists),
+}
+
+impl<'l> ListSource<'l> {
+    fn born(self, sys: &GbSystem, eps: f64) -> Cow<'l, BornLists> {
+        match self {
+            ListSource::Build(Traversal::Single) => Cow::Owned(BornLists::build_single(sys, eps)),
+            ListSource::Build(Traversal::Dual) => Cow::Owned(BornLists::build_dual(sys, eps)),
+            ListSource::Reuse(born, _) => Cow::Borrowed(born),
+        }
+    }
+
+    fn epol(self, sys: &GbSystem, bins: &ChargeBins, eps: f64) -> Cow<'l, EpolLists> {
+        match self {
+            ListSource::Build(Traversal::Single) => {
+                Cow::Owned(EpolLists::build_single(sys, bins, eps))
+            }
+            ListSource::Build(Traversal::Dual) => Cow::Owned(EpolLists::build_dual(sys, bins, eps)),
+            ListSource::Reuse(_, epol) => Cow::Borrowed(epol),
+        }
+    }
+}
+
+/// Phase-A outputs of both lists, one vector per chunk: what `core::delta`
+/// caches and splices.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PhaseOutputs {
+    pub born: Vec<Vec<f64>>,
+    pub epol: Vec<Vec<f64>>,
+}
+
+/// What one [`Pipeline::run`] produced.
+pub(crate) struct Evaluation {
+    /// Born radii, Morton order.
+    pub born: Vec<f64>,
+    pub bins: ChargeBins,
+    /// Raw ordered-pair E_pol sum and the energy (kcal/mol) it gives.
+    pub raw: f64,
+    pub energy_kcal: f64,
+    pub ops: OpCounts,
+    /// Measured phase times (`build` stays zero).
+    pub phases: PhaseTimes,
+    /// Heap bytes of the two interaction lists the run used.
+    pub list_bytes: usize,
+    /// Slots re-executed after a lost (poisoned) pool task.
+    pub recovered: u32,
+}
+
+/// The fault hook of a run that injects none.
+pub(crate) fn no_faults(_phase: u32, _slots: usize) -> Result<Option<usize>, Infallible> {
+    Ok(None)
+}
+
+/// The one-process evaluation sequence of Fig. 4, shared by `run_serial`,
+/// `run_oct_cilk`, `run_oct_threads_ft`, [`ListEngine`] and `core::delta`:
+/// APPROX-INTEGRALS Phase A/B → push → [`ChargeBins`] → APPROX-E_pol
+/// Phase A/B, with every phase timed. Callers differ only in where the
+/// lists come from ([`ListSource`]), the pool Phase A and the push fan
+/// over (serial when `None`), and the fault hook.
+///
+/// `faults(phase, slots)` runs at the start of each parallel phase
+/// (`INTEGRALS`, `PUSH`, `EPOL`, with that phase's slot count). It
+/// returns the slot to poison, or the error that ends the run.
+pub(crate) struct Pipeline<'a, F> {
+    sys: &'a GbSystem,
+    approx: &'a ApproxParams,
+    pool: Option<&'a WorkStealingPool>,
+    faults: F,
+    ops: OpCounts,
+    phases: PhaseTimes,
+    recovered: u32,
+}
+
+impl<'a, E, F> Pipeline<'a, F>
+where
+    F: FnMut(u32, usize) -> Result<Option<usize>, E>,
+{
+    pub(crate) fn new(
+        sys: &'a GbSystem,
+        approx: &'a ApproxParams,
+        pool: Option<&'a WorkStealingPool>,
+        faults: F,
+    ) -> Self {
+        Pipeline {
+            sys,
+            approx,
+            pool,
+            faults,
+            ops: OpCounts::default(),
+            phases: PhaseTimes::default(),
+            recovered: 0,
+        }
+    }
+
+    /// Born radii (Morton order): APPROX-INTEGRALS Phase A (poisoned
+    /// slots re-executed) and Phase B, then the push — [`LIST_CHUNKS`]
+    /// atom blocks with a pool, one range without. Radii are written
+    /// independently per atom, so the blocking cannot change them; only
+    /// `nodes_visited` grows with the shared ancestors each block
+    /// re-walks. Phase-A outputs go to `keep` when given.
+    pub(crate) fn born_radii(
+        &mut self,
+        lists: &BornLists,
+        keep: Option<&mut Vec<Vec<f64>>>,
+    ) -> Result<Vec<f64>, E> {
+        let (sys, math, n) = (self.sys, self.approx.math, self.sys.n_atoms());
+        let t = Instant::now();
+        let poison = (self.faults)(phase::INTEGRALS, lists.n_chunks())?;
+        let outputs = recovering_map(
+            self.pool,
+            lists.n_chunks(),
+            poison,
+            |c| lists.run_chunk(sys, c),
+            &mut self.recovered,
+        );
+        let mut acc = BornAccumulators::zeros(sys);
+        lists.apply(sys, &outputs, &mut acc);
+        self.ops.add(&lists.ops);
+        self.phases.integrals += t.elapsed().as_secs_f64();
+        match keep {
+            Some(keep) => *keep = outputs,
+            None => drop(outputs),
+        }
+
+        let t = Instant::now();
+        let blocks = if self.pool.is_some() { LIST_CHUNKS.min(n.max(1)) } else { 1 };
+        let poison = (self.faults)(phase::PUSH, blocks)?;
+        let segments = recovering_map(
+            self.pool,
+            blocks,
+            poison,
+            |c| push_segment(sys, &acc, c * n / blocks..(c + 1) * n / blocks, math),
+            &mut self.recovered,
+        );
+        let mut born = Vec::with_capacity(n);
+        for (seg, ops) in segments {
+            born.extend_from_slice(&seg);
+            self.ops.add(&ops);
+        }
+        self.phases.push += t.elapsed().as_secs_f64();
+        Ok(born)
+    }
+
+    /// The whole sequence. Phase-A outputs go to `keep` when given and
+    /// are dropped after their Phase B otherwise.
+    pub(crate) fn run(
+        mut self,
+        lists: ListSource<'_>,
+        mut keep: Option<&mut PhaseOutputs>,
+    ) -> Result<Evaluation, E> {
+        let (sys, approx) = (self.sys, self.approx);
+        let t = Instant::now();
+        let born_lists = lists.born(sys, approx.eps_born);
+        self.phases.lists += t.elapsed().as_secs_f64();
+        let born = self.born_radii(&born_lists, keep.as_deref_mut().map(|k| &mut k.born))?;
+
+        let t = Instant::now();
+        let bins = ChargeBins::build(sys, &born, approx.eps_epol);
+        self.phases.bins += t.elapsed().as_secs_f64();
+
+        let t = Instant::now();
+        let epol_lists = lists.epol(sys, &bins, approx.eps_epol);
+        self.phases.lists += t.elapsed().as_secs_f64();
+
+        let t = Instant::now();
+        let poison = (self.faults)(phase::EPOL, epol_lists.n_chunks())?;
+        let outputs = recovering_map(
+            self.pool,
+            epol_lists.n_chunks(),
+            poison,
+            |c| epol_lists.run_chunk(sys, &bins, &born, approx.math, c),
+            &mut self.recovered,
+        );
+        let raw = epol_lists.apply(&outputs);
+        self.ops.add(&epol_lists.ops);
+        self.phases.epol += t.elapsed().as_secs_f64();
+        if let Some(keep) = keep {
+            keep.epol = outputs;
+        }
+
+        Ok(Evaluation {
+            born,
+            bins,
+            raw,
+            energy_kcal: epol_from_raw_sum(raw, approx.eps_solvent),
+            ops: self.ops,
+            phases: self.phases,
+            list_bytes: born_lists.memory_bytes() + epol_lists.memory_bytes(),
+            recovered: self.recovered,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Verlet-skin MD engine
 // ---------------------------------------------------------------------------
+
+/// A [`ListEngine`]'s scaffold at `mol`'s geometry: the prepared system
+/// with every node radius inflated by `skin`, and both single-tree lists.
+fn scaffold(mol: &Molecule, approx: &ApproxParams, skin: f64) -> (GbSystem, BornLists, EpolLists) {
+    let mut sys = GbSystem::prepare(mol, approx);
+    if skin > 0.0 {
+        sys.atoms.inflate_radii(skin);
+        sys.qtree.inflate_radii(skin);
+    }
+    let born_lists = BornLists::build_single(&sys, approx.eps_born);
+    // The E_pol traversal is pure geometry; bins only feed the op
+    // report. Build them from intrinsic radii here — the energy path
+    // always executes with the current step's real bins.
+    let bins = ChargeBins::build(&sys, &sys.radius, approx.eps_epol);
+    let epol_lists = EpolLists::build_single(&sys, &bins, approx.eps_epol);
+    (sys, born_lists, epol_lists)
+}
 
 /// Result of one [`ListEngine::evaluate`] call.
 #[derive(Clone, Debug)]
@@ -719,31 +992,23 @@ impl ListEngine {
     /// first rebuild. `skin` is the Verlet margin in Å (`>= 0`).
     pub fn new(mol: &Molecule, approx: &ApproxParams, skin: f64) -> ListEngine {
         assert!(skin >= 0.0 && skin.is_finite(), "skin must be a finite non-negative margin");
-        let work = mol.clone();
-        let mut engine = ListEngine {
-            approx: *approx,
-            skin,
-            // Placeholder fields; `rebuild` fills them all in.
-            sys: GbSystem::prepare(&work, approx),
-            born_lists: BornLists { entries: Vec::new(), chunks: Vec::new(), ops: OpCounts::default() },
-            epol_lists: EpolLists { entries: Vec::new(), chunks: Vec::new(), ops: OpCounts::default() },
-            born: Vec::new(),
-            reference: mol.positions.clone(),
-            work,
-            lists_reused: 0,
-            lists_rebuilt: 0,
-        };
-        let positions = mol.positions.clone();
-        engine.rebuild(&positions);
-        engine.lists_rebuilt = 1;
+        let (sys, born_lists, epol_lists) = scaffold(mol, approx, skin);
         // Populate Born radii at the build geometry so force kernels can
         // run before the first `evaluate` call.
-        let mut acc = BornAccumulators::zeros(&engine.sys);
-        engine.born_lists.execute(&engine.sys, None, &mut acc);
-        let mut born = vec![0.0; engine.sys.n_atoms()];
-        push_integrals_to_atoms(&engine.sys, &acc, 0..engine.sys.n_atoms(), approx.math, &mut born);
-        engine.born = born;
-        engine
+        let mut pipeline = Pipeline::new(&sys, approx, None, no_faults);
+        let Ok(born) = pipeline.born_radii(&born_lists, None);
+        ListEngine {
+            approx: *approx,
+            skin,
+            sys,
+            born_lists,
+            epol_lists,
+            born,
+            reference: mol.positions.clone(),
+            work: mol.clone(),
+            lists_reused: 0,
+            lists_rebuilt: 1,
+        }
     }
 
     /// The system snapshot (inflated trees, positions as of the last
@@ -773,17 +1038,8 @@ impl ListEngine {
     pub(crate) fn rebuild(&mut self, positions: &[Vec3]) {
         // PANIC-OK: rebuild always receives positions for the same molecule (same atom count).
         self.work.positions.copy_from_slice(positions);
-        self.sys = GbSystem::prepare(&self.work, &self.approx);
-        if self.skin > 0.0 {
-            self.sys.atoms.inflate_radii(self.skin);
-            self.sys.qtree.inflate_radii(self.skin);
-        }
-        self.born_lists = BornLists::build_single(&self.sys, self.approx.eps_born);
-        // The E_pol traversal is pure geometry; bins only feed the op
-        // report. Build them from intrinsic radii here — the energy path
-        // always executes with the current step's real bins.
-        let bins = ChargeBins::build(&self.sys, &self.sys.radius.clone(), self.approx.eps_epol);
-        self.epol_lists = EpolLists::build_single(&self.sys, &bins, self.approx.eps_epol);
+        (self.sys, self.born_lists, self.epol_lists) =
+            scaffold(&self.work, &self.approx, self.skin);
         self.reference = positions.to_vec();
     }
 
@@ -809,25 +1065,15 @@ impl ListEngine {
             self.sys.refresh_atom_positions(positions);
             self.lists_reused += 1;
         }
-        let math = self.approx.math;
-        let n = self.sys.n_atoms();
-
-        let mut acc = BornAccumulators::zeros(&self.sys);
-        let mut ops = self.born_lists.execute(&self.sys, None, &mut acc);
-        let mut born = vec![0.0; n];
-        ops.add(&push_integrals_to_atoms(&self.sys, &acc, 0..n, math, &mut born));
-
-        let bins = ChargeBins::build(&self.sys, &born, self.approx.eps_epol);
-        let (raw, eops) = self.epol_lists.execute(&self.sys, &bins, &born, math, None);
-        ops.add(&eops);
-        self.born = born;
-
+        let lists = ListSource::Reuse(&self.born_lists, &self.epol_lists);
+        let Ok(ev) = Pipeline::new(&self.sys, &self.approx, None, no_faults).run(lists, None);
+        self.born = ev.born;
         EngineEval {
-            energy_kcal: epol_from_raw_sum(raw, self.approx.eps_solvent),
-            raw,
+            energy_kcal: ev.energy_kcal,
+            raw: ev.raw,
             rebuilt,
             max_disp,
-            ops,
+            ops: ev.ops,
         }
     }
 }
@@ -835,7 +1081,7 @@ impl ListEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::born::born_radii_octree;
+    use crate::born::{born_radii_octree, push_integrals_to_atoms};
     use crate::dual::{born_radii_dual, epol_dual_raw};
     use crate::epol::epol_octree_raw;
     use crate::naive::born_radii_naive;

@@ -20,8 +20,8 @@
 //! `transports_match` proptest pin this).
 
 use crate::drivers::{
-    classify_outcome, fig4_rank_body, require_config, validate_system, DriverConfig, DriverError,
-    FtConfig, PhaseTimes, RunReport,
+    fig4_rank_body, fig4_report, require_config, validate_system, DriverConfig, DriverError,
+    FtConfig, RunReport,
 };
 use crate::params::ApproxParams;
 use crate::system::GbSystem;
@@ -566,31 +566,8 @@ mod imp {
         }
         summary.exits.sort_by_key(|(r, _)| *r);
 
-        let time = clocks.iter().map(|c| c.total()).fold(0.0, f64::max);
-        let compute = clocks.iter().map(|c| c.compute).fold(0.0, f64::max);
-        let comm = clocks.iter().map(|c| c.comm).fold(0.0, f64::max);
-        let wait = clocks.iter().map(|c| c.wait).fold(0.0, f64::max);
-        let outcome = classify_outcome(&sys, &summary, ranks);
-
-        Ok(RunReport {
-            name: "OCT_MPI_PROC".into(),
-            energy_kcal: crate::gb::epol_from_raw_sum(raw, params.eps_solvent),
-            born_radii: sys.to_original_atom_order(&born_sorted),
-            time,
-            compute,
-            comm,
-            wait,
-            ops,
-            memory_per_process: sys.memory_bytes(),
-            memory_arena_bytes: sys.arena_bytes(),
-            cores: cluster.placement.total_cores(),
-            wall_seconds: wall.elapsed().as_secs_f64(),
-            phases: PhaseTimes::default(),
-            outcome,
-            ft: summary,
-            lists_reused: 0,
-            lists_rebuilt: 0,
-        })
+        let root = (raw, born_sorted, ops, summary);
+        Ok(fig4_report("OCT_MPI_PROC", &sys, params, &cluster, root, &clocks, wall))
     }
 
 }

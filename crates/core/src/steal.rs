@@ -17,19 +17,19 @@
 //! Energies are bit-identical to `run_oct_mpi` with node-node division:
 //! stealing only changes *who* computes a leaf, never *what* is computed.
 
-use crate::born::{approx_integrals, push_integrals_to_atoms, BornAccumulators};
+use crate::born::push_integrals_to_atoms;
 use crate::drivers::{
-    require_config, validate_system, DriverConfig, DriverError, RunOutcome, RunReport,
+    require_config, seconds, step2_partial, step6_partial, validate_system, DriverConfig,
+    DriverError, RunReport,
 };
-use crate::epol::{approx_epol_leaf, ChargeBins};
-use crate::gb::epol_from_raw_sum;
+use crate::epol::ChargeBins;
 use crate::params::ApproxParams;
 use crate::system::GbSystem;
+use crate::workdiv::WorkDivision;
 use polaroct_cluster::costmodel::CommCostModel;
 use polaroct_cluster::machine::ClusterSpec;
 use polaroct_cluster::memory::MemoryModel;
 use polaroct_cluster::simtime::OpCounts;
-use polaroct_geom::fastmath::MathMode;
 
 /// Greedy LPT makespan over `ranks` machines; returns (makespan,
 /// migrations) where `migrations` counts tasks placed on a rank other
@@ -73,20 +73,18 @@ pub fn run_oct_mpi_steal(
     let mem = MemoryModel::new(sys.memory_bytes());
     let slowdown = mem.slowdown(cluster);
     let comm_model = CommCostModel::for_cluster(cluster);
-    let approx_math = params.math == MathMode::Exact;
-    let secs = |o: &OpCounts| cfg.costs.seconds(o, !approx_math) * slowdown;
+    let secs = |o: &OpCounts| seconds(cfg, o, params.math) * slowdown;
 
     let mut total_ops = OpCounts::default();
     let mut time = 0.0;
 
-    // ---- Phase 2: Born integrals, per-q-leaf costs.
-    let mut acc = BornAccumulators::zeros(sys);
+    // ---- Phase 2: Born integrals, per-q-leaf costs: Fig. 4 Step 2 as
+    // one rank owning every leaf, in leaf-id order.
+    let (acc, q_ops) = step2_partial(sys, WorkDivision::NodeNode, 1, 0, params.eps_born);
     let q_static = static_owners(&sys.qtree.partition_leaves(p), sys.qtree.leaf_count());
-    let mut q_costs = Vec::with_capacity(sys.qtree.leaf_count());
-    for &q in &sys.qtree.leaf_ids {
-        let ops = approx_integrals(sys, q, params.eps_born, &mut acc);
-        q_costs.push(secs(&ops));
-        total_ops.add(&ops);
+    let q_costs: Vec<f64> = q_ops.iter().map(secs).collect();
+    for o in &q_ops {
+        total_ops.add(o);
     }
     let (span2, steals2) = lpt_makespan(&q_costs, &q_static, p);
     time += span2 + steals2 as f64 * comm_model.p2p(16);
@@ -101,16 +99,24 @@ pub fn run_oct_mpi_steal(
     // Step 5 allgather.
     time += comm_model.allgatherv(sys.n_atoms() * 8);
 
-    // ---- Phase 6: E_pol, per-atom-leaf costs.
+    // ---- Phase 6: E_pol, per-atom-leaf costs (Step 6 as one rank; the
+    // node division reads no atom ranges).
     let bins = ChargeBins::build(sys, &born, params.eps_epol);
     let a_static = static_owners(&sys.atoms.partition_leaves(p), sys.atoms.leaf_count());
-    let mut raw = 0.0;
-    let mut a_costs = Vec::with_capacity(sys.atoms.leaf_count());
-    for &v in &sys.atoms.leaf_ids {
-        let (r, ops) = approx_epol_leaf(sys, &bins, &born, v, params.eps_epol, params.math);
-        raw += r;
-        a_costs.push(secs(&ops));
-        total_ops.add(&ops);
+    let (raw, a_ops) = step6_partial(
+        sys,
+        &bins,
+        &born,
+        WorkDivision::NodeNode,
+        &[],
+        1,
+        0,
+        params.eps_epol,
+        params.math,
+    );
+    let a_costs: Vec<f64> = a_ops.iter().map(secs).collect();
+    for o in &a_ops {
+        total_ops.add(o);
     }
     let (span6, steals6) = lpt_makespan(&a_costs, &a_static, p);
     time += span6 + steals6 as f64 * comm_model.p2p(16);
@@ -118,23 +124,12 @@ pub fn run_oct_mpi_steal(
     time += comm_model.reduce(8);
 
     Ok(RunReport {
-        name: "OCT_MPI+STEAL".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
         time,
         compute: span2 + span6,
         comm: time - span2 - span6,
-        wait: 0.0,
         ops: total_ops,
-        memory_per_process: sys.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
         cores: p,
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: crate::drivers::PhaseTimes::default(),
-        outcome: RunOutcome::Completed,
-        ft: polaroct_cluster::FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 0,
+        ..RunReport::new("OCT_MPI+STEAL", sys, params, raw, &born, wall)
     })
 }
 
