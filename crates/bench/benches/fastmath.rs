@@ -2,7 +2,7 @@
 //! scalar level).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use polaroct_geom::fastmath::{exp_fast, invcbrt_fast, rsqrt_fast};
+use polaroct_geom::fastmath::{exp_fast, invcbrt_fast, rsqrt_fast, MathMode};
 use std::hint::black_box;
 
 fn bench_scalars(c: &mut Criterion) {
@@ -21,6 +21,15 @@ fn bench_scalars(c: &mut Criterion) {
     let mut g = c.benchmark_group("exp");
     g.bench_function("std", |b| {
         b.iter(|| es.iter().map(|&x| black_box(x).exp()).sum::<f64>())
+    });
+    // The exact exp the kernels run: glibc's algorithm over a slice.
+    let mut buf = es.clone();
+    g.bench_function("exact_slice", |b| {
+        b.iter(|| {
+            buf.copy_from_slice(black_box(&es));
+            MathMode::Exact.exp_slice(&mut buf);
+            buf.iter().sum::<f64>()
+        })
     });
     g.bench_function("fast", |b| {
         b.iter(|| es.iter().map(|&x| exp_fast(black_box(x))).sum::<f64>())
@@ -43,7 +52,6 @@ fn bench_scalars(c: &mut Criterion) {
 
 fn bench_gb_kernel(c: &mut Criterion) {
     use polaroct_core::gb::inv_f_gb;
-    use polaroct_geom::fastmath::MathMode;
     let pairs: Vec<(f64, f64, f64)> = (0..1000)
         .map(|i| (1.0 + i as f64 * 0.1, 1.5, 2.0))
         .collect();

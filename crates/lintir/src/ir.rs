@@ -263,6 +263,8 @@ struct Parser<'a> {
     fns: Vec<FnIr>,
     kind_consts: Vec<KindConst>,
     hash_vars: Vec<String>,
+    /// File-level `const`/`static` arrays with a literal length.
+    const_arrays: Vec<(String, u64)>,
 }
 
 impl<'a> Parser<'a> {
@@ -560,7 +562,7 @@ impl<'a> Parser<'a> {
             idx += 1;
         }
         f.body = body;
-        analyze_body(&mut f);
+        analyze_body(&mut f, &self.const_arrays);
         self.fns.push(f);
         body_close + 1
     }
@@ -692,7 +694,7 @@ fn lhs_base(body: &[T], end: usize) -> Option<String> {
 
 /// Extract calls, facts, loops, parallel sites, and accumulations from
 /// a parsed body.
-fn analyze_body(f: &mut FnIr) {
+fn analyze_body(f: &mut FnIr, const_arrays: &[(String, u64)]) {
     let body = &f.body;
     let n = body.len();
 
@@ -914,7 +916,17 @@ fn analyze_body(f: &mut FnIr) {
                 let inner: Vec<&str> =
                     body[i + 1..close].iter().map(|x| x.text.as_str()).collect();
                 let full_range = inner.iter().all(|s| *s == ".");
-                if !full_range && close > i {
+                // `TAB[e & M]` into a file-level array longer than M
+                // cannot panic either.
+                let field =
+                    i.checked_sub(2).and_then(|j| body.get(j)).is_some_and(|t| t.text == ".");
+                let bound = body.get(i + 1..close).and_then(masked_bound);
+                let in_range = prev.kind == Tok::Ident
+                    && !field
+                    && const_arrays
+                        .iter()
+                        .any(|(name, len)| name == &prev.text && bound.is_some_and(|m| m < *len));
+                if !full_range && !in_range && close > i {
                     f.facts.push(Fact::Panic {
                         kind: PanicKind::SliceIndex,
                         line: t.line,
@@ -983,10 +995,96 @@ fn analyze_body(f: &mut FnIr) {
         f.accums.iter().any(|a| f.float_mut_params.contains(&a.lhs));
 }
 
+/// `const`/`static` items typed `[…; LEN]` with a literal `LEN`, as
+/// `(name, LEN)` — the arrays a masked index is checked against.
+fn const_arrays(toks: &[T]) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != Tok::Ident || (t.text != "const" && t.text != "static") {
+            continue;
+        }
+        let (Some(name), Some(colon), Some(open)) =
+            (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3))
+        else {
+            continue;
+        };
+        if name.kind != Tok::Ident || colon.text != ":" || open.text != "[" {
+            continue;
+        }
+        let close = matching(toks, i + 3, "[", "]");
+        let Some([_, .., semi, len, _]) = toks.get(i + 3..=close) else { continue };
+        if let (";", Some(len)) = (semi.text.as_str(), int_literal(len)) {
+            out.push((name.text.clone(), len));
+        }
+    }
+    out
+}
+
+/// Value of an integer literal token (`127`, `0x7f`, `1_000usize`).
+fn int_literal(t: &T) -> Option<u64> {
+    if t.kind != Tok::Num {
+        return None;
+    }
+    let s = t.text.replace('_', "");
+    let (digits, radix) = [("0x", 16), ("0o", 8), ("0b", 2)]
+        .into_iter()
+        .find_map(|(prefix, radix)| Some((s.strip_prefix(prefix)?, radix)))
+        .unwrap_or((s.as_str(), 10));
+    let (num, suffix) =
+        digits.split_at(digits.find(|c: char| !c.is_digit(radix)).unwrap_or(digits.len()));
+    if !(suffix.is_empty() || INT_TYPES.contains(&suffix)) {
+        return None; // a float literal
+    }
+    u64::from_str_radix(num, radix).ok()
+}
+
+/// Upper bound `M` of an index expression `e & M` or `(e & M) as <int>`
+/// with `M` an integer literal. `&` binds looser than every arithmetic,
+/// shift and cast operator, so unless a looser one (`|`, `^`, a range
+/// `..`) sits at the top level the whole expression is `(…) & M ≤ M`.
+fn masked_bound(toks: &[T]) -> Option<u64> {
+    if let [inner @ .., kw, ty] = toks {
+        if kw.text == "as" && INT_TYPES.contains(&ty.text.as_str()) {
+            return masked_bound(inner);
+        }
+    }
+    if let [open, inner @ .., _] = toks {
+        if open.text == "(" && matching(toks, 0, "(", ")") == toks.len() - 1 {
+            return masked_bound(inner);
+        }
+    }
+    let [lhs @ .., lhs_end, amp, mask] = toks else { return None };
+    // A binary `&`: its left operand ends in a value token.
+    let value_end =
+        matches!(lhs_end.kind, Tok::Ident | Tok::Num) || matches!(lhs_end.text.as_str(), ")" | "]");
+    if amp.text != "&" || !value_end {
+        return None;
+    }
+    let mut depth = 0usize;
+    let mut prev_dot = false;
+    for t in lhs.iter().chain([lhs_end]) {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth = depth.saturating_sub(1),
+            "|" | "^" if depth == 0 => return None,
+            "." if depth == 0 && prev_dot => return None,
+            _ => {}
+        }
+        prev_dot = t.text == ".";
+    }
+    int_literal(mask)
+}
+
 /// Parse one file into its IR.
 pub fn parse_file(rel: &str, src: &str) -> FileIr {
     let toks = significant(src);
-    let mut p = Parser { toks: &toks, fns: Vec::new(), kind_consts: Vec::new(), hash_vars: Vec::new() };
+    let mut p = Parser {
+        toks: &toks,
+        fns: Vec::new(),
+        kind_consts: Vec::new(),
+        hash_vars: Vec::new(),
+        const_arrays: const_arrays(&toks),
+    };
     p.parse();
     // Also collect fn-local hash vars into the file set (name-based,
     // matching the legacy rule's file-wide scope).
@@ -1098,6 +1196,32 @@ mod tests {
             .facts
             .iter()
             .any(|ft| matches!(ft, Fact::Panic { kind: PanicKind::SliceIndex, .. })));
+    }
+
+    #[test]
+    fn masked_index_into_a_longer_const_array_is_not_a_fact() {
+        let index_facts = |body: &str| {
+            let src = format!(
+                "const TAB: [[u64; 2]; 128] = [[0; 2]; 128];\n\
+                 fn f(k: u64, xs: &[u64]) -> u64 {{ {body} }}"
+            );
+            let ir = parse_file("t.rs", &src);
+            ir.fns[0]
+                .facts
+                .iter()
+                .filter(|ft| matches!(ft, Fact::Panic { kind: PanicKind::SliceIndex, .. }))
+                .count()
+        };
+        assert_eq!(index_facts("TAB[(k & 127) as usize][0]"), 1); // only the inner `[0]`
+        assert_eq!(index_facts("let [a, _] = TAB[(k >> 3 & 0x7f) as usize]; a"), 0);
+        assert_eq!(index_facts("TAB[k as usize & 127_usize][1]"), 1);
+        // Mask too wide, bound broken by a looser operator, or not a const array.
+        assert_eq!(index_facts("TAB[(k & 128) as usize][0]"), 2);
+        assert_eq!(index_facts("TAB[(k & 127) as usize + 1][0]"), 2);
+        assert_eq!(index_facts("TAB[(k as usize) | 1 & 127][0]"), 2);
+        assert_eq!(index_facts("TAB[(k as usize)..1 & 127][0][0]"), 3);
+        assert_eq!(index_facts("xs[(k & 127) as usize]"), 1);
+        assert_eq!(index_facts("s.TAB[(k & 127) as usize][0]"), 2);
     }
 
     #[test]

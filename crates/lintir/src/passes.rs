@@ -49,6 +49,7 @@ impl Default for Config {
                 "crates/core/src/procexec.rs",
                 "crates/core/src/soa.rs",
                 "crates/core/src/system.rs",
+                "crates/geom/src/fastmath.rs",
                 "crates/octree/src/build.rs",
                 "crates/octree/src/parallel.rs",
             ]),

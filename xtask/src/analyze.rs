@@ -102,6 +102,7 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/procexec.rs",
     "crates/core/src/soa.rs",
     "crates/core/src/system.rs",
+    "crates/geom/src/fastmath.rs",
     "crates/octree/src/build.rs",
     "crates/octree/src/parallel.rs",
 ];
