@@ -12,10 +12,17 @@
 //! * **arena_lanes** — the current hot path: zero-copy views into the
 //!   persistent Morton-ordered arenas, lane-batched kernels.
 //!
+//! STILL has a third variant, **paired**: the list executor's Phase A,
+//! which evaluates a near entry and its mirror entry from one shared
+//! tile ([`still_pair_block`]). It computes each mirrored leaf pair
+//! once, but its ns figure still divides by every *listed* interaction,
+//! so it is directly comparable with the other two rows.
+//!
 //! Blocking gates (any mode, quick or full): the arena path must match
 //! the gather+scalar path **bit-for-bit** — per-atom Born accumulators
-//! and the raw E_pol sum at every frame — and the lane kernels must
-//! match the scalar reference at every swept width and chunk size.
+//! and the raw E_pol sum at every frame — and so must the paired path
+//! (per entry, and the raw sum folded entry by entry); the lane kernels
+//! must match the scalar reference at every swept width and chunk size.
 //! Timing (ns/interaction per kernel × MathMode × variant, and the
 //! combined Approx-mode per-step walls with their speedup) is reported
 //! in `BENCH_kernels.json`; far-field entries cost the same in both
@@ -30,7 +37,8 @@ use polaroct_core::born::born_radii_octree;
 use polaroct_core::epol::ChargeBins;
 use polaroct_core::lists::{BornLists, EpolLists};
 use polaroct_core::soa::{
-    born_term_lanes, still_term_lanes, AtomSoa, AtomView, QLeafSoa, QView, StillScratch, CHUNK,
+    born_term_lanes, still_pair_block, still_term_lanes, AtomSoa, AtomView, QLeafSoa, QView,
+    StillScratch, CHUNK,
 };
 use polaroct_core::{ApproxParams, GbSystem};
 use polaroct_geom::fastmath::MathMode;
@@ -131,6 +139,69 @@ fn still_sweep_arena(sys: &GbSystem, lists: &EpolLists, born: &[f64], math: Math
             }
             base += m;
         }
+    }
+    raw
+}
+
+/// Per-entry raw STILL values, seed style (gather + scalar kernel, each
+/// entry folded from 0.0), far entries 0.0: the reference of the paired
+/// variant, whose values are per entry too.
+fn still_entries_gather(
+    sys: &GbSystem,
+    lists: &EpolLists,
+    born: &[f64],
+    math: MathMode,
+) -> Vec<f64> {
+    let mut scratch = AtomSoa::default();
+    let mut out = vec![0.0f64; lists.len()];
+    for (o, e) in out.iter_mut().zip(&lists.entries).filter(|(_, e)| !e.far) {
+        scratch.gather(sys, born, sys.atoms.node(e.b).range());
+        let u = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
+        for (((&x, &y), &z), (&q, &r)) in u.x.iter().zip(u.y).zip(u.z).zip(u.q.iter().zip(u.r)) {
+            *o += q * still_term_scalar(scratch.view(), Vec3::new(x, y, z), r, math);
+        }
+    }
+    out
+}
+
+/// Per-entry raw STILL values the way the list executor's Phase A makes
+/// them: a mirrored pair's lower-indexed entry evaluates the shared tile
+/// and writes both values; an unpaired entry runs the unpaired block.
+fn still_entries_paired(
+    sys: &GbSystem,
+    lists: &EpolLists,
+    born: &[f64],
+    math: MathMode,
+) -> Vec<f64> {
+    let mut scratch = StillScratch::default();
+    let mut out = vec![0.0f64; lists.len()];
+    for (i, e) in lists.entries.iter().enumerate().filter(|(_, e)| !e.far) {
+        let ur = sys.atoms.node(e.a).range();
+        let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
+        let (own, mirror) = match e.mirror() {
+            Some(p) if p < i => continue,
+            Some(p) => {
+                let uv = sys.atom_arena.view(born, ur);
+                let (own, theirs) = still_pair_block(uv, vv, math, &mut scratch);
+                (own, Some((p, theirs)))
+            }
+            None => (sys.still_block_raw(born, ur, vv, math, &mut scratch), None),
+        };
+        if let Some(o) = out.get_mut(i) {
+            *o = own;
+        }
+        if let Some((o, v)) = mirror.and_then(|(p, v)| out.get_mut(p).zip(Some(v))) {
+            *o = v;
+        }
+    }
+    out
+}
+
+/// Raw sum of per-entry values, folded in entry order.
+fn entry_sum(vals: &[f64]) -> f64 {
+    let mut raw = 0.0;
+    for &v in vals {
+        raw += v;
     }
     raw
 }
@@ -286,6 +357,15 @@ fn main() {
                 raw_g.to_bits() == raw_a.to_bits(),
                 "still arena path diverged from gather+scalar ({mode:?}): {raw_g} vs {raw_a}"
             );
+            // Blocking gate 2c: the paired path, per entry and summed.
+            let want = still_entries_gather(&sys, &epol_lists, &born, mode);
+            let got = still_entries_paired(&sys, &epol_lists, &born, mode);
+            let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
+            let (raw_w, raw_p) = (entry_sum(&want), entry_sum(&got));
+            assert!(
+                same && want.len() == got.len() && raw_w.to_bits() == raw_p.to_bits(),
+                "still paired path diverged from gather+scalar ({mode:?}): {raw_w} vs {raw_p}"
+            );
         }
     }
     eprintln!("[kernel_throughput] variant bitwise gate: {frames} frames checked");
@@ -296,6 +376,7 @@ fn main() {
     for (mi, mode) in [MathMode::Exact, MathMode::Approx].into_iter().enumerate() {
         let mode_name = if mi == 0 { "Exact" } else { "Approx" };
         let mut walls = [[f64::INFINITY; 2]; 2]; // [kernel][variant] min over reps
+        let mut paired_wall = f64::INFINITY;
         for _ in 0..reps {
             let mut acc = vec![0.0f64; n];
 
@@ -327,6 +408,13 @@ fn main() {
             }
             walls[1][1] = walls[1][1].min(t.elapsed().as_secs_f64());
 
+            let t = Instant::now();
+            for frame in &traj {
+                sys.refresh_atom_positions(frame);
+                sink += entry_sum(&still_entries_paired(&sys, &epol_lists, &born, mode));
+            }
+            paired_wall = paired_wall.min(t.elapsed().as_secs_f64());
+
             sink += acc[0];
         }
         for (ki, kernel) in ["born_r6", "still"].into_iter().enumerate() {
@@ -342,6 +430,13 @@ fn main() {
                 per_step[mi][vi] += walls[ki][vi];
             }
         }
+        rows.push(KernelRow {
+            kernel: "still",
+            mode: mode_name,
+            variant: "paired",
+            interactions: still_pairs * frames as u64,
+            wall: paired_wall,
+        });
     }
     assert!(sink.is_finite(), "benchmark accumulator overflowed");
 

@@ -45,14 +45,14 @@ use crate::drivers::PhaseTimes;
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
 use crate::params::ApproxParams;
-use crate::soa::StillScratch;
+use crate::soa::{still_pair_block, StillScratch};
 use crate::system::GbSystem;
 use polaroct_cluster::fault::phase;
 use polaroct_cluster::simtime::OpCounts;
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
-use polaroct_octree::NodeId;
+use polaroct_octree::{NodeId, Octree};
 use polaroct_sched::{partition_by_cost, WorkStealingPool};
 use std::borrow::Cow;
 use std::convert::Infallible;
@@ -75,23 +75,51 @@ pub const LIST_CHUNKS: usize = 64;
 /// entry's value, and after adding it pops/folds one level per close —
 /// exactly the `raw += child` left-fold the recursion performs. Born
 /// lists leave both at zero (Born accumulates into per-node / per-atom
-/// slots, so emission order alone fixes every add).
+/// slots, so emission order alone fixes every add). Both fit a `u8`: an
+/// octree is at most `morton::BITS_PER_AXIS` = 21 levels deep (enforced
+/// by `octree::try_build`), so a single-tree entry opens or closes at
+/// most 22 frames and a dual-tree entry at most 2·21 + 1.
+///
+/// `partner` links a near E_pol entry `(u, v)` to its mirror `(v, u)` in
+/// the same list ([`ListEntry::NO_PARTNER`] when there is none, and
+/// always for Born, far and diagonal entries): Phase A evaluates the
+/// pair's STILL tile once for both (DESIGN.md §11.7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ListEntry {
     /// Atoms-tree node id.
     pub a: NodeId,
     /// Source node id (q-tree for Born, atoms tree for E_pol).
     pub b: NodeId,
+    /// Index of the mirror entry, or [`ListEntry::NO_PARTNER`].
+    pub partner: u32,
     /// Far (node-level approximation) vs near (exact leaf×leaf block).
     pub far: bool,
     /// Sum-tree frames that open at this entry (E_pol only).
-    pub opens: u32,
+    pub opens: u8,
     /// Sum-tree frames that close after this entry (E_pol only).
-    pub closes: u32,
+    pub closes: u8,
+}
+
+impl ListEntry {
+    /// `partner` of an entry without a mirror.
+    pub const NO_PARTNER: u32 = u32::MAX;
+
+    fn new(a: NodeId, b: NodeId, far: bool, opens: u8) -> ListEntry {
+        ListEntry { a, b, partner: Self::NO_PARTNER, far, opens, closes: 0 }
+    }
+
+    /// Index of the mirror entry, if this entry has one.
+    #[inline]
+    pub fn mirror(&self) -> Option<usize> {
+        (self.partner != Self::NO_PARTNER).then_some(self.partner as usize)
+    }
 }
 
 /// Per-entry cost for the balanced chunking: `len_a · len_b` for a near
-/// (leaf×leaf) block, 1 for a far approximation.
+/// (leaf×leaf) block, 1 for a far approximation. A mirrored pair is
+/// charged in full on both entries, although the lower-indexed one does
+/// the pair's work: the partition is pinned by the delta goldens'
+/// chunk counters, so pairing leaves it as it was.
 fn entry_cost(sys: &GbSystem, e: &ListEntry, q_side: bool) -> u64 {
     if e.far {
         return 1;
@@ -105,9 +133,19 @@ fn entry_cost(sys: &GbSystem, e: &ListEntry, q_side: bool) -> u64 {
     la * lb
 }
 
-fn chunk_entries(sys: &GbSystem, entries: &[ListEntry], q_side: bool) -> Vec<Range<usize>> {
+/// The fixed chunk partition of a finished list. Also trims the entry
+/// vector (grown by pushes) and the partition to their lengths, so the
+/// resident list is what `memory_bytes` reports and no more.
+fn chunk_entries(
+    sys: &GbSystem,
+    entries: &mut Vec<ListEntry>,
+    q_side: bool,
+) -> Vec<Range<usize>> {
+    entries.shrink_to_fit();
     let costs: Vec<u64> = entries.iter().map(|e| entry_cost(sys, e, q_side)).collect();
-    partition_by_cost(&costs, LIST_CHUNKS.min(entries.len()).max(1))
+    let mut chunks = partition_by_cost(&costs, LIST_CHUNKS.min(entries.len()).max(1));
+    chunks.shrink_to_fit();
+    chunks
 }
 
 /// `(θ+1)/(θ−1)` with `θ = 1+ε` — must match `born.rs` /
@@ -161,7 +199,7 @@ impl BornLists {
             build_born_single(sys, 0, q, mac, &mut entries, &mut ops);
         }
         sort_by_atom_node(&mut entries);
-        let chunks = chunk_entries(sys, &entries, true);
+        let chunks = chunk_entries(sys, &mut entries, true);
         BornLists { entries, chunks, ops }
     }
 
@@ -173,7 +211,7 @@ impl BornLists {
         let mut ops = OpCounts::default();
         build_born_dual(sys, 0, 0, mac, &mut entries, &mut ops);
         sort_by_atom_node(&mut entries);
-        let chunks = chunk_entries(sys, &entries, true);
+        let chunks = chunk_entries(sys, &mut entries, true);
         BornLists { entries, chunks, ops }
     }
 
@@ -190,8 +228,8 @@ impl BornLists {
         self.entries.is_empty()
     }
 
-    /// Heap bytes held by the list structure (capacity-based — the entry
-    /// vector is grown by pushes, so its reserved tail is resident too).
+    /// Heap bytes held by the list structure (capacity-based; the build
+    /// trims both vectors to their lengths).
     pub fn memory_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<ListEntry>()
             + self.chunks.capacity() * std::mem::size_of::<Range<usize>>()
@@ -307,12 +345,12 @@ fn build_born_single(
     let r2 = d.norm2();
     let sep = (a.radius + q.radius) * mac;
     if r2 > sep * sep && r2 > 0.0 {
-        entries.push(ListEntry { a: a_id, b: q_id, far: true, opens: 0, closes: 0 });
+        entries.push(ListEntry::new(a_id, q_id, true, 0));
         ops.born_far += 1;
         return;
     }
     if a.is_leaf() {
-        entries.push(ListEntry { a: a_id, b: q_id, far: false, opens: 0, closes: 0 });
+        entries.push(ListEntry::new(a_id, q_id, false, 0));
         ops.born_near += (a.len() * q.len()) as u64;
         return;
     }
@@ -338,13 +376,13 @@ fn build_born_dual(
     let r2 = d.norm2();
     let sep = (a.radius + q.radius) * mac;
     if r2 > sep * sep && r2 > 0.0 {
-        entries.push(ListEntry { a: a_id, b: q_id, far: true, opens: 0, closes: 0 });
+        entries.push(ListEntry::new(a_id, q_id, true, 0));
         ops.born_far += 1;
         return;
     }
     match (a.is_leaf(), q.is_leaf()) {
         (true, true) => {
-            entries.push(ListEntry { a: a_id, b: q_id, far: false, opens: 0, closes: 0 });
+            entries.push(ListEntry::new(a_id, q_id, false, 0));
             ops.born_near += (a.len() * q.len()) as u64;
         }
         (true, false) => {
@@ -396,10 +434,11 @@ impl EpolLists {
         let mut entries = Vec::new();
         let mut ops = OpCounts::default();
         for &v in &sys.atoms.leaf_ids {
-            let mut pending = 0u32;
+            let mut pending = 0u8;
             build_epol_single(sys, bins, 0, v, mac, &mut pending, &mut entries, &mut ops);
         }
-        let chunks = chunk_entries(sys, &entries, false);
+        pair_mirrors(&sys.atoms, &mut entries);
+        let chunks = chunk_entries(sys, &mut entries, false);
         EpolLists { entries, chunks, ops }
     }
 
@@ -409,9 +448,10 @@ impl EpolLists {
         let mac = 1.0 + 2.0 / eps_epol;
         let mut entries = Vec::new();
         let mut ops = OpCounts::default();
-        let mut pending = 0u32;
+        let mut pending = 0u8;
         build_epol_dual(sys, bins, 0, 0, mac, &mut pending, &mut entries, &mut ops);
-        let chunks = chunk_entries(sys, &entries, false);
+        pair_mirrors(&sys.atoms, &mut entries);
+        let chunks = chunk_entries(sys, &mut entries, false);
         EpolLists { entries, chunks, ops }
     }
 
@@ -478,10 +518,15 @@ impl EpolLists {
         }
     }
 
-    /// Phase A for one chunk: one scalar per entry, in entry order. Near
+    /// Phase A for one chunk: one scalar per entry, in entry order, plus
+    /// `(entry, value)` for mirrors that lie in a later chunk. Near
     /// entries evaluate the exact SoA STILL block (the same internal fold
     /// as the recursion's leaf case) over a zero-copy slice of the
-    /// persistent atom arena; far entries the binned kernel.
+    /// persistent atom arena; far entries the binned kernel. The
+    /// lower-indexed entry of a mirrored pair evaluates the shared tile
+    /// and emits both values; the higher one is filled from it, here when
+    /// it lies in this chunk and by [`EpolLists::run_phase_a`] otherwise.
+    /// Pure, like [`EpolLists::run_entry`].
     pub fn run_chunk(
         &self,
         sys: &GbSystem,
@@ -489,13 +534,66 @@ impl EpolLists {
         born: &[f64],
         math: MathMode,
         c: usize,
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.chunks[c].len());
+    ) -> (Vec<f64>, Vec<(usize, f64)>) {
+        let range = self.chunks[c].clone();
+        let mut out = Vec::with_capacity(range.len());
+        let mut mirrors = Vec::new();
         let mut scratch = StillScratch::default();
-        for e in &self.entries[self.chunks[c].clone()] {
-            out.push(Self::run_entry(sys, bins, born, math, e, &mut scratch));
+        for (i, e) in range.clone().zip(&self.entries[range.clone()]) {
+            let val = match e.mirror() {
+                None => Self::run_entry(sys, bins, born, math, e, &mut scratch),
+                Some(p) if p > i => {
+                    // Both values bit-equal `run_entry`'s (DESIGN.md §12.4).
+                    let uv = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
+                    let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
+                    let (own, mirror) = still_pair_block(uv, vv, math, &mut scratch);
+                    mirrors.push((p, mirror));
+                    own
+                }
+                // Written by the lower-indexed owner of the pair.
+                Some(_) => 0.0,
+            };
+            out.push(val);
         }
-        out
+        // `p > i >= range.start`, so the offset cannot underflow.
+        mirrors.retain(|&(p, v)| match out.get_mut(p - range.start) {
+            Some(slot) => {
+                *slot = v;
+                false
+            }
+            None => true,
+        });
+        (out, mirrors)
+    }
+
+    /// Phase A over every chunk: over `pool` when given (a `poison`ed slot
+    /// is lost and re-executed, see [`recovering_map`]), serially
+    /// otherwise. One serial pass then writes the mirror values each chunk
+    /// handed on into their chunks, so every per-chunk vector is complete
+    /// before [`EpolLists::apply`]. Each chunk is a pure function, so the
+    /// outputs are the same bits at every pool width.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_phase_a(
+        &self,
+        sys: &GbSystem,
+        bins: &ChargeBins,
+        born: &[f64],
+        math: MathMode,
+        pool: Option<&WorkStealingPool>,
+        poison: Option<usize>,
+        recovered: &mut u32,
+    ) -> Vec<Vec<f64>> {
+        let run = |c| self.run_chunk(sys, bins, born, math, c);
+        let parts = recovering_map(pool, self.n_chunks(), poison, run, recovered);
+        let (mut outputs, handed_on): (Vec<Vec<f64>>, Vec<_>) = parts.into_iter().unzip();
+        for (p, v) in handed_on.into_iter().flatten() {
+            let c = self.chunks.partition_point(|r| r.end <= p);
+            let chunk = self.chunks.get(c).zip(outputs.get_mut(c));
+            if let Some(slot) = chunk.and_then(|(r, out)| out.get_mut(p - r.start)) {
+                *slot = v;
+            }
+        }
+        outputs
     }
 
     /// Phase B: replay the recursion's sum tree. The stack starts with
@@ -538,14 +636,93 @@ impl EpolLists {
         math: MathMode,
         pool: Option<&WorkStealingPool>,
     ) -> (f64, OpCounts) {
-        let outputs = recovering_map(
-            pool,
-            self.n_chunks(),
-            None,
-            |c| self.run_chunk(sys, bins, born, math, c),
-            &mut 0,
-        );
+        let outputs = self.run_phase_a(sys, bins, born, math, pool, None, &mut 0);
         (self.apply(&outputs), self.ops)
+    }
+}
+
+/// Link every near entry `(u, v)` to its mirror `(v, u)` when the list
+/// holds both (DESIGN.md §11.7). One pass for single- and dual-tree
+/// lists, linear in the near entries:
+///
+/// 1. rank the leaves by range start (Morton order);
+/// 2. bucket the near entries by target leaf, stably (a counting sort);
+/// 3. walk the buckets in rank order. For each entry `(u, v)` with
+///    `rank(u) > rank(v)`, advance a per-bucket cursor through `u`'s
+///    bucket to source `v`; a match is the mirror.
+///
+/// Both traversals emit a target leaf's sources in depth-first order,
+/// so source ranks rise strictly within a bucket. And each bucket is
+/// queried with rising source ranks, so every cursor only moves
+/// forward. Should an order ever not hold, a mirror is missed, which is
+/// slower but never wrong: only an exact `(v, u)` match is linked.
+fn pair_mirrors(tree: &Octree, entries: &mut [ListEntry]) {
+    if entries.len() >= ListEntry::NO_PARTNER as usize {
+        return;
+    }
+    let mut leaves = tree.leaf_ids.clone();
+    leaves.sort_unstable_by_key(|&l| tree.node(l).begin);
+    let mut rank = vec![usize::MAX; tree.nodes.len()];
+    for (r, &l) in leaves.iter().enumerate() {
+        if let Some(slot) = rank.get_mut(l as usize) {
+            *slot = r;
+        }
+    }
+    let rank_of = |id: NodeId| rank.get(id as usize).copied().unwrap_or(usize::MAX);
+
+    // `start[r]..start[r + 1]` is leaf r's bucket in `order`.
+    let mut start = vec![0usize; leaves.len() + 1];
+    for e in entries.iter().filter(|e| !e.far) {
+        if let Some(n) = rank_of(e.b).checked_add(1).and_then(|k| start.get_mut(k)) {
+            *n += 1;
+        }
+    }
+    let mut total = 0;
+    for n in start.iter_mut() {
+        total += *n;
+        *n = total;
+    }
+    let mut order = vec![0u32; total];
+    let mut next = start.clone();
+    for (i, e) in entries.iter().enumerate().filter(|(_, e)| !e.far) {
+        if let Some(n) = next.get_mut(rank_of(e.b)) {
+            if let Some(slot) = order.get_mut(*n) {
+                *slot = i as u32;
+            }
+            *n += 1;
+        }
+    }
+
+    let mut cursor = start.clone();
+    for (b, w) in start.windows(2).enumerate() {
+        let &[lo, hi] = w else { continue };
+        for &i in order.get(lo..hi).unwrap_or(&[]) {
+            let Some(&e) = entries.get(i as usize) else { continue };
+            let a = rank_of(e.a);
+            if a <= b || a == usize::MAX {
+                continue;
+            }
+            let (Some(cur), Some(&end)) = (cursor.get_mut(a), start.get(a + 1)) else {
+                continue;
+            };
+            while *cur < end {
+                let Some(&j) = order.get(*cur) else { break };
+                let src = entries.get(j as usize).map_or(usize::MAX, |m| rank_of(m.a));
+                if src < b {
+                    *cur += 1;
+                    continue;
+                }
+                if src == b {
+                    if let Some(m) = entries.get_mut(j as usize) {
+                        m.partner = i;
+                    }
+                    if let Some(m) = entries.get_mut(i as usize) {
+                        m.partner = j;
+                    }
+                }
+                break;
+            }
+        }
     }
 }
 
@@ -566,7 +743,7 @@ fn build_epol_single(
     u_id: NodeId,
     v_id: NodeId,
     mac: f64,
-    pending: &mut u32,
+    pending: &mut u8,
     entries: &mut Vec<ListEntry>,
     ops: &mut OpCounts,
 ) {
@@ -575,7 +752,7 @@ fn build_epol_single(
     ops.nodes_visited += 1;
     if u.is_leaf() {
         let opens = std::mem::take(pending);
-        entries.push(ListEntry { a: u_id, b: v_id, far: false, opens, closes: 0 });
+        entries.push(ListEntry::new(u_id, v_id, false, opens));
         ops.epol_near += (u.len() * v.len()) as u64;
         return;
     }
@@ -583,7 +760,7 @@ fn build_epol_single(
     let sep = (u.radius + v.radius) * mac;
     if r2 > sep * sep {
         let opens = std::mem::take(pending);
-        entries.push(ListEntry { a: u_id, b: v_id, far: true, opens, closes: 0 });
+        entries.push(ListEntry::new(u_id, v_id, true, opens));
         ops.epol_far += far_pairs(bins, u_id, v_id);
         return;
     }
@@ -608,7 +785,7 @@ fn build_epol_dual(
     u_id: NodeId,
     v_id: NodeId,
     mac: f64,
-    pending: &mut u32,
+    pending: &mut u8,
     entries: &mut Vec<ListEntry>,
     ops: &mut OpCounts,
 ) {
@@ -619,14 +796,14 @@ fn build_epol_dual(
     let sep = (u.radius + v.radius) * mac;
     if sep > 0.0 && r2 > sep * sep {
         let opens = std::mem::take(pending);
-        entries.push(ListEntry { a: u_id, b: v_id, far: true, opens, closes: 0 });
+        entries.push(ListEntry::new(u_id, v_id, true, opens));
         ops.epol_far += far_pairs(bins, u_id, v_id);
         return;
     }
     match (u.is_leaf(), v.is_leaf()) {
         (true, true) => {
             let opens = std::mem::take(pending);
-            entries.push(ListEntry { a: u_id, b: v_id, far: false, opens, closes: 0 });
+            entries.push(ListEntry::new(u_id, v_id, false, opens));
             ops.epol_near += (u.len() * v.len()) as u64;
             return;
         }
@@ -891,11 +1068,13 @@ where
 
         let t = Instant::now();
         let poison = (self.faults)(phase::EPOL, epol_lists.n_chunks())?;
-        let outputs = recovering_map(
+        let outputs = epol_lists.run_phase_a(
+            sys,
+            &bins,
+            &born,
+            approx.math,
             self.pool,
-            epol_lists.n_chunks(),
             poison,
-            |c| epol_lists.run_chunk(sys, &bins, &born, approx.math, c),
             &mut self.recovered,
         );
         let raw = epol_lists.apply(&outputs);
@@ -1085,7 +1264,7 @@ mod tests {
     use crate::dual::{born_radii_dual, epol_dual_raw};
     use crate::epol::epol_octree_raw;
     use crate::naive::born_radii_naive;
-    use polaroct_molecule::synth;
+    use polaroct_molecule::{synth, Atom, Element};
 
     fn system(n: usize, seed: u64) -> GbSystem {
         GbSystem::prepare(&synth::protein("p", n, seed), &ApproxParams::default())
@@ -1275,6 +1454,118 @@ mod tests {
         let fresh_eval = fresh.evaluate(&pos);
         assert_eq!(eval.raw.to_bits(), fresh_eval.raw.to_bits());
         assert_eq!(eval.energy_kcal.to_bits(), fresh_eval.energy_kcal.to_bits());
+    }
+
+    /// Number of near entries `(a, b)`, `a ≠ b`, whose mirror `(b, a)` is
+    /// also a near entry — counted by brute force.
+    fn mirrored_near_entries(entries: &[ListEntry]) -> usize {
+        use std::collections::HashSet;
+        let near: HashSet<(NodeId, NodeId)> =
+            entries.iter().filter(|e| !e.far).map(|e| (e.a, e.b)).collect();
+        entries
+            .iter()
+            .filter(|e| !e.far && e.a != e.b && near.contains(&(e.b, e.a)))
+            .count()
+    }
+
+    /// The partner relation is an involution between near entries with
+    /// swapped ends, and it links every mirrored entry.
+    fn assert_pairing_complete(entries: &[ListEntry]) {
+        let mut paired = 0;
+        for (i, e) in entries.iter().enumerate() {
+            let Some(p) = e.mirror() else { continue };
+            paired += 1;
+            let m = entries[p];
+            assert!(!e.far && !m.far, "entry {i}: far entries never pair");
+            assert_ne!(p, i, "entry {i} paired with itself");
+            assert_eq!((m.a, m.b), (e.b, e.a), "entry {i}: partner is not the mirror");
+            assert_eq!(m.mirror(), Some(i), "entry {i}: partner relation not an involution");
+        }
+        assert_eq!(paired, mirrored_near_entries(entries), "a mirrored entry went unpaired");
+        assert!(paired > 0, "no mirrored entries to exercise");
+    }
+
+    #[test]
+    fn pairing_links_every_mirror_single_dual_and_skinned() {
+        let sys = system(500, 19);
+        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
+        for eps in [0.9, 0.3] {
+            let bins = ChargeBins::build(&sys, &born, eps);
+            assert_pairing_complete(&EpolLists::build_single(&sys, &bins, eps).entries);
+            assert_pairing_complete(&EpolLists::build_dual(&sys, &bins, eps).entries);
+        }
+        let engine = ListEngine::new(&synth::protein("skin", 400, 23), &ApproxParams::default(), 1.0);
+        assert_pairing_complete(&engine.epol_lists.entries);
+        assert!(engine.born_lists.entries.iter().all(|e| e.mirror().is_none()));
+    }
+
+    #[test]
+    fn list_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<ListEntry>(), 16);
+    }
+
+    #[test]
+    fn depth_21_tree_stays_within_the_u8_frame_bound() {
+        // Leaf capacity 1 and atoms at 50·2^-i Å: every halving opens one
+        // more octree level, until the Morton resolution caps the depth.
+        let mut mol = Molecule::with_capacity("deep", 32);
+        for i in 0..28 {
+            let x = 50.0 * 0.5f64.powi(i);
+            let q = if i % 2 == 0 { 0.4 } else { -0.3 };
+            mol.push(Atom::of_element(Element::C, Vec3::new(x, 0.1 * x, 0.0), q));
+        }
+        mol.push(Atom::of_element(Element::O, Vec3::new(-50.0, 3.0, 1.0), -0.5));
+        let approx = ApproxParams { leaf_cap_atoms: 1, ..ApproxParams::default() };
+        let sys = GbSystem::prepare(&mol, &approx);
+        let depth = sys.atoms.nodes.iter().map(|n| n.depth).max();
+        assert_eq!(depth, Some(21), "the tree must reach the Morton resolution");
+        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
+        let bins = ChargeBins::build(&sys, &born, 0.3);
+        let (single_ref, _) = epol_octree_raw(&sys, &bins, &born, 0.3, MathMode::Exact);
+        let (dual_ref, _) = epol_dual_raw(&sys, &bins, &born, 0.3, MathMode::Exact);
+        for (lists, reference, bound) in [
+            (EpolLists::build_single(&sys, &bins, 0.3), single_ref, 22),
+            (EpolLists::build_dual(&sys, &bins, 0.3), dual_ref, 2 * 21 + 1),
+        ] {
+            let most = lists.entries.iter().map(|e| e.opens.max(e.closes)).max();
+            assert!(most.is_some_and(|m| m >= 20 && m <= bound), "{most:?} vs {bound}");
+            let (raw, _) = lists.execute(&sys, &bins, &born, MathMode::Exact, None);
+            assert_eq!(raw.to_bits(), reference.to_bits(), "{raw} vs {reference}");
+        }
+    }
+
+    #[test]
+    fn paired_phase_a_matches_run_entry_at_every_width_and_after_a_lost_slot() {
+        let sys = system(450, 31);
+        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
+        for math in [MathMode::Exact, MathMode::Approx] {
+            let bins = ChargeBins::build(&sys, &born, 0.6);
+            for lists in [
+                EpolLists::build_single(&sys, &bins, 0.6),
+                EpolLists::build_dual(&sys, &bins, 0.6),
+            ] {
+                let mut scratch = StillScratch::default();
+                let want: Vec<u64> = lists
+                    .entries
+                    .iter()
+                    .map(|e| EpolLists::run_entry(&sys, &bins, &born, math, e, &mut scratch))
+                    .map(f64::to_bits)
+                    .collect();
+                let check = |pool: Option<&WorkStealingPool>, poison: Option<usize>| {
+                    let mut recovered = 0;
+                    let out =
+                        lists.run_phase_a(&sys, &bins, &born, math, pool, poison, &mut recovered);
+                    assert_eq!(recovered, u32::from(poison.is_some()));
+                    let got: Vec<u64> = out.iter().flatten().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{math:?} pool {:?} poison {poison:?}", pool.map(|_| ()));
+                };
+                check(None, None);
+                for w in [1usize, 2, 5, 8] {
+                    check(Some(&WorkStealingPool::new(w)), None);
+                }
+                check(Some(&WorkStealingPool::new(3)), Some(lists.n_chunks() / 2));
+            }
+        }
     }
 
     #[test]

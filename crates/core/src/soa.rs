@@ -102,13 +102,21 @@ pub struct AtomView<'a> {
     pub r: &'a [f64],
 }
 
-impl AtomView<'_> {
+impl<'a> AtomView<'a> {
     pub fn len(&self) -> usize {
         self.x.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.x.is_empty()
+    }
+
+    /// Consecutive sub-views of at most `n ≥ 1` atoms, in index order.
+    fn blocks(self, n: usize) -> impl Iterator<Item = AtomView<'a>> {
+        let lanes = self.x.chunks(n).zip(self.y.chunks(n)).zip(self.z.chunks(n));
+        lanes
+            .zip(self.q.chunks(n).zip(self.r.chunks(n)))
+            .map(|(((x, y), z), (q, r))| AtomView { x, y, z, q, r })
     }
 
     /// Exact STILL sum of one source atom `(x_u, R_u)` against this range:
@@ -261,6 +269,8 @@ pub struct StillScratch {
     d2: Vec<f64>,
     rr: Vec<f64>,
     e: Vec<f64>,
+    /// Column accumulators of [`still_pair_block`], one per target atom.
+    col: Vec<f64>,
 }
 
 impl StillScratch {
@@ -369,6 +379,102 @@ pub fn still_block_lanes<const W: usize>(
         }
         base += m;
     }
+}
+
+/// Both orientations of one leaf pair from a single STILL tile:
+/// `(raw_uv, raw_vu)` where `raw_uv = Σ_k q_u[k] · Σ_j q_v[j] · t[k][j]`
+/// is `GbSystem::still_block_raw` of `u` against `v` and `raw_vu` that of
+/// `v` against `u`, bit for bit (DESIGN.md §12.4).
+///
+/// The element `t[k][j]` is the same float in both orientations: the
+/// swapped coordinate differences are exact negations, so `d²` is equal;
+/// `R_u·R_v` commutes exactly; `exp`/`rsqrt` are element-wise. What is
+/// left is to reproduce both folds. The tile is walked in u-blocks of at
+/// most [`CHUNK`] atoms, each against v-chunks of at most `CHUNK` atoms
+/// (so the scratch stays bounded for any leaf size):
+///
+/// * a row accumulator per source atom, carried across v-chunks
+///   (`0.0 + Σ_j q_v[j]·t[k][j]` in j order), folded into `raw_uv` in k
+///   order at the end of its u-block — the `u → v` block kernel's order;
+/// * a column accumulator per target atom, carried across u-blocks
+///   (`0.0 + Σ_k q_u[k]·t[k][j]` in k order, an axpy over j), folded
+///   into `raw_vu` in j order at the end — the `v → u` order.
+///
+/// Rust never contracts `a*b + c` into an FMA, so the plain `+=` loops
+/// are exactly the adds the unpaired kernel performs. Staging is
+/// write-before-read, so a reused (stale) scratch gives the same bits.
+pub fn still_pair_block(
+    u: AtomView<'_>,
+    v: AtomView<'_>,
+    math: MathMode,
+    scratch: &mut StillScratch,
+) -> (f64, f64) {
+    let (nu, nv) = (u.len(), v.len());
+    debug_assert!(u.y.len() == nu && u.z.len() == nu && u.q.len() == nu && u.r.len() == nu);
+    debug_assert!(v.y.len() == nv && v.z.len() == nv && v.q.len() == nv && v.r.len() == nv);
+    let tile_cap = CHUNK.min(nu) * CHUNK.min(nv);
+    scratch.ensure(tile_cap);
+    let StillScratch { d2, rr, e, col } = scratch;
+    col.clear();
+    col.resize(nv, 0.0);
+    let mut raw_uv = 0.0;
+    for ub in u.blocks(CHUNK) {
+        let mut rows = [0.0f64; CHUNK];
+        for (vb, colb) in v.blocks(CHUNK).zip(col.chunks_mut(CHUNK)) {
+            let m = vb.len();
+            let tile = ub.len() * m;
+            // PANIC-OK: `ensure(tile_cap)` grew every lane to ≥ CHUNK-capped u × v ≥ tile.
+            let (d2t, rrt, et) = (&mut d2[..tile], &mut rr[..tile], &mut e[..tile]);
+            // Stage row k (source atom k × this v-chunk) at tile offset
+            // k·m: the expressions of `still_block_lanes`, element for
+            // element.
+            let rows_out = d2t.chunks_exact_mut(m).zip(rrt.chunks_exact_mut(m));
+            let src = ub.x.iter().zip(ub.y).zip(ub.z.iter().zip(ub.r));
+            for (((d2r, rrr), er), ((&pux, &puy), (&puz, &ru))) in
+                rows_out.zip(et.chunks_exact_mut(m)).zip(src)
+            {
+                let out = d2r.iter_mut().zip(rrr.iter_mut()).zip(er.iter_mut());
+                let tgt = vb.x.iter().zip(vb.y).zip(vb.z.iter().zip(vb.r));
+                for (((d2o, rro), eo), ((&x, &y), (&z, &rv))) in out.zip(tgt) {
+                    let dx = x - pux;
+                    let dy = y - puy;
+                    let dz = z - puz;
+                    let d2 = dx * dx + dy * dy + dz * dz;
+                    let rr = ru * rv;
+                    *d2o = d2;
+                    *rro = rr;
+                    *eo = -d2 / (4.0 * rr);
+                }
+            }
+            math.exp_slice(et);
+            for ((t, &d2), &rr) in et.iter_mut().zip(d2t.iter()).zip(rrt.iter()) {
+                *t = d2 + rr * *t;
+            }
+            math.rsqrt_slice(et);
+            // Row folds (u → v), carried across v-chunks.
+            for (acc_out, tr) in rows.iter_mut().zip(et.chunks_exact(m)) {
+                let mut acc = *acc_out;
+                for (&q, &t) in vb.q.iter().zip(tr) {
+                    acc += q * t;
+                }
+                *acc_out = acc;
+            }
+            // Column folds (v → u), carried across u-blocks.
+            for (&q, tr) in ub.q.iter().zip(et.chunks_exact(m)) {
+                for (c, &t) in colb.iter_mut().zip(tr) {
+                    *c += q * t;
+                }
+            }
+        }
+        for (&q, &r) in ub.q.iter().zip(&rows) {
+            raw_uv += q * r;
+        }
+    }
+    let mut raw_vu = 0.0;
+    for (&q, &c) in v.q.iter().zip(col.iter()) {
+        raw_vu += q * c;
+    }
+    (raw_uv, raw_vu)
 }
 
 /// Persistent flat arena over *all* quadrature points in Morton order:

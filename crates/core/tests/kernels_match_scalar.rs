@@ -16,8 +16,8 @@
 mod common;
 
 use polaroct_core::soa::{
-    born_block_lanes, born_term_lanes, still_block_lanes, still_term_lanes, AtomView, QView,
-    StillScratch, CHUNK,
+    born_block_lanes, born_term_lanes, still_block_lanes, still_pair_block, still_term_lanes,
+    AtomView, QView, StillScratch, CHUNK,
 };
 use polaroct_core::{ApproxParams, ListEngine};
 use polaroct_geom::fastmath::MathMode;
@@ -216,5 +216,49 @@ proptest! {
         prop_assert_eq!(e0.raw.to_bits(), e2.raw.to_bits());
         prop_assert_eq!(engine.lists_reused, 3);
         prop_assert_eq!(engine.lists_rebuilt, 1);
+    }
+}
+
+/// The paired kernel returns both orientations of a leaf pair from one
+/// tile: `(raw_uv, raw_vu)` must equal `still_block_raw(u → v)` and
+/// `still_block_raw(v → u)` bit for bit. Block sizes 1…200 cover one
+/// tile, exactly one CHUNK, and CHUNK blocking on both axes (u-blocks
+/// carry the column accumulators, v-chunks the row accumulators); the
+/// charges include zeros and negatives; one scratch serves every call,
+/// including a large tile before small ones, so stale staging must not
+/// leak into the results.
+#[test]
+fn paired_kernel_matches_two_unpaired_blocks() {
+    let (_mol, _params, mut sys) = common::prepared_protein("paired", 520, 77);
+    for i in (0..sys.n_atoms()).step_by(5) {
+        sys.set_atom_charge(i, 0.0);
+    }
+    for i in (3..sys.n_atoms()).step_by(7) {
+        sys.set_atom_charge(i, -0.75);
+    }
+    let born = &sys.radius;
+    let sizes = [1usize, 7, 63, CHUNK, CHUNK + 1, 200];
+    let mut paired_scratch = StillScratch::default();
+    let mut scratch = StillScratch::default();
+    for math in [MathMode::Exact, MathMode::Approx] {
+        for (si, &lu) in sizes.iter().enumerate().rev() {
+            for &lv in &sizes {
+                // Disjoint ranges, plus the diagonal block when sizes agree.
+                let ur = 3 * si..3 * si + lu;
+                let vr = if lu == lv { ur.clone() } else { 300..300 + lv };
+                for (ur, vr) in [(ur.clone(), vr.clone()), (vr, ur)] {
+                    let uv = sys.atom_arena.view(born, ur.clone());
+                    let vv = sys.atom_arena.view(born, vr.clone());
+                    let (got_uv, got_vu) = still_pair_block(uv, vv, math, &mut paired_scratch);
+                    let want_uv = sys.still_block_raw(born, ur.clone(), vv, math, &mut scratch);
+                    let want_vu = sys.still_block_raw(born, vr.clone(), uv, math, &mut scratch);
+                    assert_eq!(
+                        (got_uv.to_bits(), got_vu.to_bits()),
+                        (want_uv.to_bits(), want_vu.to_bits()),
+                        "{math:?} u {ur:?} v {vr:?}: ({got_uv}, {got_vu}) vs ({want_uv}, {want_vu})"
+                    );
+                }
+            }
+        }
     }
 }
