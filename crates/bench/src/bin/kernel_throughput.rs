@@ -22,7 +22,8 @@
 //! the gather+scalar path **bit-for-bit** — per-atom Born accumulators
 //! and the raw E_pol sum at every frame — and so must the paired path
 //! (per entry, and the raw sum folded entry by entry); the lane kernels
-//! must match the scalar reference at every swept width and chunk size.
+//! must match the scalar reference at every swept width and chunk size,
+//! the Born kernel also in block form over whole atom leaves.
 //! Timing (ns/interaction per kernel × MathMode × variant, and the
 //! combined Approx-mode per-step walls with their speedup) is reported
 //! in `BENCH_kernels.json`; far-field entries cost the same in both
@@ -37,8 +38,8 @@ use polaroct_core::born::born_radii_octree;
 use polaroct_core::epol::ChargeBins;
 use polaroct_core::lists::{BornLists, EpolLists};
 use polaroct_core::soa::{
-    born_term_lanes, still_pair_block, still_term_lanes, AtomSoa, AtomView, QLeafSoa, QView,
-    StillScratch, CHUNK,
+    born_block_lanes, born_term_lanes, still_pair_block, still_term_lanes, AtomSoa, AtomView,
+    QLeafSoa, QView, StillScratch, CHUNK,
 };
 use polaroct_core::{ApproxParams, GbSystem};
 use polaroct_geom::fastmath::MathMode;
@@ -272,6 +273,25 @@ fn main() {
             assert!(born_term_lanes::<16>(qv, xa).to_bits() == want, "born W=16 diverged");
             widths_checked += 5;
         }
+        // Block form over the whole atom leaf: the lanes run over the
+        // atom axis, so this is the call shape the list executor makes.
+        let ar = a.range();
+        let want: Vec<u64> = ar
+            .clone()
+            .map(|ai| born_term_scalar(qv, sys.atom_arena.position(ai)).to_bits())
+            .collect();
+        let (ax, ay, az) = sys.atom_arena.pos_slices(ar);
+        let mut out = vec![f64::NAN; want.len()];
+        macro_rules! gate_born_block {
+            ($($w:literal),+) => {$(
+                out.fill(f64::NAN);
+                born_block_lanes::<$w>(qv, ax, ay, az, &mut out);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "born block W={} diverged", $w);
+                widths_checked += 1;
+            )+};
+        }
+        gate_born_block!(1, 2, 4, 8, 16);
     }
     for mode in [MathMode::Exact, MathMode::Approx] {
         for e in epol_lists.entries.iter().filter(|e| !e.far).take(16) {

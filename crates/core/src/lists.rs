@@ -160,16 +160,16 @@ fn born_mac(eps: f64) -> f64 {
 // Born lists
 // ---------------------------------------------------------------------------
 
-/// Stable-sort Born entries by their atoms-tree node. Bit-neutral:
-/// Phase B folds each entry into slots owned by exactly `e.a` (the
-/// per-atom slots of a near leaf, or `acc.node[e.a]` for a far entry),
-/// and a stable sort preserves the relative order of entries sharing an
-/// `e.a` — so every accumulator slot sees the same floats in the same
-/// order as the raw traversal emission. What it buys: atom locality per
-/// cost-balanced chunk, which is what lets `core::delta` mark only a
-/// handful of chunks dirty when a few atoms move (the raw single-tree
-/// order is q-leaf-major, which scatters one atom's entries across
-/// nearly every chunk).
+/// Stable-sort Born entries by their atoms-tree node: the order
+/// [`BornLists::build_single`] emits by construction, restored here for
+/// the dual-tree emission (whose recursion refines the q side too).
+/// Bit-neutral: Phase B folds each entry into slots owned by exactly
+/// `e.a` (the per-atom slots of a near leaf, or `acc.node[e.a]` for a far
+/// entry), and a stable sort preserves the relative order of entries
+/// sharing an `e.a` — so every accumulator slot sees the same floats in
+/// the same order as the raw traversal emission. What it buys: atom
+/// locality per cost-balanced chunk, which is what lets `core::delta`
+/// mark only a handful of chunks dirty when a few atoms move.
 fn sort_by_atom_node(entries: &mut [ListEntry]) {
     entries.sort_by_key(|e| e.a);
 }
@@ -189,16 +189,13 @@ pub struct BornLists {
 
 impl BornLists {
     /// Lists for the single-tree traversal (`born.rs::recurse` swept over
-    /// every quadrature leaf in leaf-id order — the `run_serial` /
-    /// `run_oct_threads` emission order).
+    /// every quadrature leaf in leaf-id order), emitted atoms-node-major:
+    /// the entries of each atoms node are contiguous, nodes in id order,
+    /// and within a node in q-leaf order. That is exactly the q-major
+    /// recursion's emission stably sorted by atoms node, with the same
+    /// op counts, but built without a sort (see `emit_born_single`).
     pub fn build_single(sys: &GbSystem, eps_born: f64) -> BornLists {
-        let mac = born_mac(eps_born);
-        let mut entries = Vec::new();
-        let mut ops = OpCounts::default();
-        for &q in &sys.qtree.leaf_ids {
-            build_born_single(sys, 0, q, mac, &mut entries, &mut ops);
-        }
-        sort_by_atom_node(&mut entries);
+        let (mut entries, ops) = emit_born_single(sys, born_mac(eps_born));
         let chunks = chunk_entries(sys, &mut entries, true);
         BornLists { entries, chunks, ops }
     }
@@ -327,36 +324,59 @@ impl BornLists {
     }
 }
 
-/// Mirror of `born.rs::recurse` for a whole quadrature leaf: identical
-/// floats, identical branch order (far test with the `r2 > 0` guard
-/// first, then leaf, else descend the atoms side).
-fn build_born_single(
-    sys: &GbSystem,
-    a_id: NodeId,
-    q_id: NodeId,
-    mac: f64,
-    entries: &mut Vec<ListEntry>,
-    ops: &mut OpCounts,
-) {
-    let a = sys.atoms.node(a_id);
-    let q = sys.qtree.node(q_id);
-    ops.nodes_visited += 1;
-    let d = q.center - a.center;
-    let r2 = d.norm2();
-    let sep = (a.radius + q.radius) * mac;
-    if r2 > sep * sep && r2 > 0.0 {
-        entries.push(ListEntry::new(a_id, q_id, true, 0));
-        ops.born_far += 1;
-        return;
+/// The single-tree Born emission, atoms-node-major, in one pass over
+/// the atoms tree in node-id order.
+///
+/// Each atoms node tests its *candidate* q-leaves — those its parent
+/// tested and did not find far, all of `leaf_ids` at the root — in
+/// candidate order, with `born.rs::recurse`'s branch order: far test
+/// (with the `r2 > 0` guard) first, then a near entry at a leaf, else
+/// the q-leaf passes down to every child. Pass-down lists
+/// live in one flat id vector, a span per node, written when the parent
+/// is processed. That span is ready in time because `octree::build`
+/// numbers every child after its parent (`Octree::check_invariants`
+/// checks it), and candidates stay in `leaf_ids` order at every level.
+/// So each node's entries are the recursion's for that node in q-leaf
+/// order, and the same `(a, q)` pairs are tested: the output equals the
+/// q-major recursion stably sorted by atoms node, entry for entry, with
+/// the same op counts.
+fn emit_born_single(sys: &GbSystem, mac: f64) -> (Vec<ListEntry>, OpCounts) {
+    let mut entries = Vec::new();
+    let mut ops = OpCounts::default();
+    let mut pass: Vec<NodeId> = sys.qtree.leaf_ids.clone();
+    let mut span: Vec<Range<usize>> = vec![0..0; sys.atoms.nodes.len()];
+    if let Some(root) = span.first_mut() {
+        *root = 0..pass.len();
     }
-    if a.is_leaf() {
-        entries.push(ListEntry::new(a_id, q_id, false, 0));
-        ops.born_near += (a.len() * q.len()) as u64;
-        return;
+    for (a_id, a) in (0..).zip(&sys.atoms.nodes) {
+        let cand = span.get(a_id as usize).cloned().unwrap_or_default();
+        let down = pass.len();
+        for i in cand {
+            let Some(&q_id) = pass.get(i) else { break };
+            let q = sys.qtree.node(q_id);
+            ops.nodes_visited += 1;
+            let d = q.center - a.center;
+            let r2 = d.norm2();
+            let sep = (a.radius + q.radius) * mac;
+            if r2 > sep * sep && r2 > 0.0 {
+                entries.push(ListEntry::new(a_id, q_id, true, 0));
+                ops.born_far += 1;
+            } else if a.is_leaf() {
+                entries.push(ListEntry::new(a_id, q_id, false, 0));
+                ops.born_near += (a.len() * q.len()) as u64;
+            } else {
+                pass.push(q_id);
+            }
+        }
+        if pass.len() > down {
+            for c in a.children() {
+                if let Some(s) = span.get_mut(c as usize) {
+                    *s = down..pass.len();
+                }
+            }
+        }
     }
-    for c in a.children() {
-        build_born_single(sys, c, q_id, mac, entries, ops);
-    }
+    (entries, ops)
 }
 
 /// Mirror of `dual::born_recurse`: far first (same guard), then the
@@ -1270,6 +1290,88 @@ mod tests {
         GbSystem::prepare(&synth::protein("p", n, seed), &ApproxParams::default())
     }
 
+    /// The q-major emission [`BornLists::build_single`] replaced, kept as
+    /// its oracle: [`build_born_single`] swept over every quadrature leaf
+    /// in leaf-id order, then the stable sort by atoms node.
+    fn born_single_q_major(sys: &GbSystem, eps_born: f64) -> (Vec<ListEntry>, OpCounts) {
+        let mac = born_mac(eps_born);
+        let mut entries = Vec::new();
+        let mut ops = OpCounts::default();
+        for &q in &sys.qtree.leaf_ids {
+            build_born_single(sys, 0, q, mac, &mut entries, &mut ops);
+        }
+        sort_by_atom_node(&mut entries);
+        (entries, ops)
+    }
+
+    /// Mirror of `born.rs::recurse` for a whole quadrature leaf: identical
+    /// floats, identical branch order (far test with the `r2 > 0` guard
+    /// first, then leaf, else descend the atoms side).
+    fn build_born_single(
+        sys: &GbSystem,
+        a_id: NodeId,
+        q_id: NodeId,
+        mac: f64,
+        entries: &mut Vec<ListEntry>,
+        ops: &mut OpCounts,
+    ) {
+        let a = sys.atoms.node(a_id);
+        let q = sys.qtree.node(q_id);
+        ops.nodes_visited += 1;
+        let d = q.center - a.center;
+        let r2 = d.norm2();
+        let sep = (a.radius + q.radius) * mac;
+        if r2 > sep * sep && r2 > 0.0 {
+            entries.push(ListEntry::new(a_id, q_id, true, 0));
+            ops.born_far += 1;
+            return;
+        }
+        if a.is_leaf() {
+            entries.push(ListEntry::new(a_id, q_id, false, 0));
+            ops.born_near += (a.len() * q.len()) as u64;
+            return;
+        }
+        for c in a.children() {
+            build_born_single(sys, c, q_id, mac, entries, ops);
+        }
+    }
+
+    fn assert_matches_q_major(sys: &GbSystem, eps: f64, lists: &BornLists, what: &str) {
+        let (entries, ops) = born_single_q_major(sys, eps);
+        assert!(entries.iter().any(|e| !e.far), "{what}: no near entries to exercise");
+        assert_eq!(lists.entries.len(), entries.len(), "{what}: entry count");
+        assert!(lists.entries == entries, "{what}: entries differ");
+        assert_eq!(lists.ops, ops, "{what}: op counts");
+    }
+
+    #[test]
+    fn single_born_build_equals_q_major_emission_plus_stable_sort() {
+        for eps in [0.3, 0.9] {
+            let approx = ApproxParams { eps_born: eps, ..ApproxParams::default() };
+            for mol in [synth::ligand("lig", 70, 4), synth::protein("prot", 600, 8)] {
+                let sys = GbSystem::prepare(&mol, &approx);
+                let what = format!("{} eps {eps}", mol.name);
+                assert_matches_q_major(&sys, eps, &BornLists::build_single(&sys, eps), &what);
+                for skin in [0.0, 1.0] {
+                    let engine = ListEngine::new(&mol, &approx, skin);
+                    let what = format!("{what} skin {skin}");
+                    assert_matches_q_major(engine.system(), eps, &engine.born_lists, &what);
+                }
+            }
+
+            let sys = GbSystem::prepare(&synth::ligand("leaf", 6, 2), &approx);
+            assert_eq!(sys.atoms.nodes.len(), 1, "the atoms tree must be a single leaf");
+            let what = format!("single leaf eps {eps}");
+            assert_matches_q_major(&sys, eps, &BornLists::build_single(&sys, eps), &what);
+
+            let deep = ApproxParams { leaf_cap_atoms: 1, ..approx };
+            let sys = GbSystem::prepare(&deep_molecule(), &deep);
+            assert_eq!(sys.atoms.nodes.iter().map(|n| n.depth).max(), Some(21));
+            let what = format!("depth 21 eps {eps}");
+            assert_matches_q_major(&sys, eps, &BornLists::build_single(&sys, eps), &what);
+        }
+    }
+
     #[test]
     fn single_born_lists_match_recursion_bits() {
         let sys = system(400, 3);
@@ -1504,10 +1606,9 @@ mod tests {
         assert_eq!(std::mem::size_of::<ListEntry>(), 16);
     }
 
-    #[test]
-    fn depth_21_tree_stays_within_the_u8_frame_bound() {
-        // Leaf capacity 1 and atoms at 50·2^-i Å: every halving opens one
-        // more octree level, until the Morton resolution caps the depth.
+    /// Atoms at 50·2^-i Å: at leaf capacity 1 every halving opens one
+    /// more octree level, until the Morton resolution caps the depth.
+    fn deep_molecule() -> Molecule {
         let mut mol = Molecule::with_capacity("deep", 32);
         for i in 0..28 {
             let x = 50.0 * 0.5f64.powi(i);
@@ -1515,8 +1616,13 @@ mod tests {
             mol.push(Atom::of_element(Element::C, Vec3::new(x, 0.1 * x, 0.0), q));
         }
         mol.push(Atom::of_element(Element::O, Vec3::new(-50.0, 3.0, 1.0), -0.5));
+        mol
+    }
+
+    #[test]
+    fn depth_21_tree_stays_within_the_u8_frame_bound() {
         let approx = ApproxParams { leaf_cap_atoms: 1, ..ApproxParams::default() };
-        let sys = GbSystem::prepare(&mol, &approx);
+        let sys = GbSystem::prepare(&deep_molecule(), &approx);
         let depth = sys.atoms.nodes.iter().map(|n| n.depth).max();
         assert_eq!(depth, Some(21), "the tree must reach the Morton resolution");
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);

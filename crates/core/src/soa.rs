@@ -20,13 +20,16 @@
 //!   purpose: LLVM's loop vectorizer turns the former into packed `pd`
 //!   instructions, while hand-unrolled fixed-width blocks get scalarized
 //!   (measured on the seed host — see `bench/bin/kernel_throughput`).
-//!   Crucially the final accumulator fold stays **scalar and in gathered
-//!   index order** — the per-element terms are staged into a buffer first,
-//!   then summed one at a time. Per element the arithmetic is unchanged
-//!   (same operations, same order), and a sequential in-order sum is the
-//!   same float reduction regardless of how the terms were produced, so
-//!   both kernels are bit-identical to the pre-lane scalar loops at every
-//!   `W` (the width only moves the lane/tail boundary).
+//!   Crucially every accumulator still folds **in gathered index
+//!   order**, one term at a time. STILL stages the per-element terms into
+//!   a buffer and sums them with a scalar loop; the r⁶ block kernel puts
+//!   its lanes on the atom axis instead, so each atom's sum is its own
+//!   in-order add chain and the chains of neighbouring atoms share
+//!   vector lanes. Per element the arithmetic is unchanged (same
+//!   operations, same order), and a sequential in-order sum is the same
+//!   float reduction regardless of how the terms were produced, so both
+//!   kernels are bit-identical to the pre-lane scalar loops at every `W`
+//!   (the width only moves the lane/tail boundary).
 //!
 //! * **Persistent arenas** ([`QArena`], [`AtomArena`]): because the linear
 //!   octree stores points in Morton order and every leaf owns a contiguous
@@ -142,16 +145,12 @@ impl<'a> AtomView<'a> {
     }
 }
 
-/// Lane-batched r⁶ surface kernel over an explicit width `W`.
-///
-/// Stages diffs, `1/d²` and the weighted dot product through chunk-sized
-/// stack buffers as independent elementwise loops over the lane-covered
-/// prefix (`m - m % W`; the remainder uses the identical expressions in
-/// scalar form), then folds the term buffer with a scalar in-order sum.
+/// Lane-batched r⁶ surface kernel over an explicit width `W`: the
+/// one-atom case of [`born_block_lanes`], so a single atom is all tail.
 /// Per element this is exactly the historical scalar loop
-/// (`d² = dx²+dy²+dz²`, `inv2 = 1/d²`, `term = (w·d)·inv2³`), and the
-/// fold adds the same terms in the same order — so the result is
-/// bit-identical to the scalar kernel for every `W ≥ 1`.
+/// (`d² = dx²+dy²+dz²`, `inv2 = 1/d²`, `term = (w·d)·inv2³`), folded
+/// from `0.0` in q index order — bit-identical to the scalar kernel for
+/// every `W ≥ 1`.
 #[inline]
 pub fn born_term_lanes<const W: usize>(q: QView<'_>, xa: Vec3) -> f64 {
     let mut out = [0.0f64];
@@ -162,13 +161,16 @@ pub fn born_term_lanes<const W: usize>(q: QView<'_>, xa: Vec3) -> f64 {
 /// Block form of the r⁶ surface kernel: the term of the whole q-range at
 /// *each* atom of a position block, `out[k]` for atom `k`.
 ///
-/// Per atom this executes exactly the [`born_term_lanes`] sequence (same
-/// expressions, same chunking, same scalar in-order fold), so the block
-/// form is bit-identical to calling the per-atom kernel in a loop. What
-/// it changes is overhead: the chunk staging buffer, the bounds checks
-/// and the call prologue are paid once per leaf×leaf block instead of
-/// once per atom — which dominates at the 8–32-element leaves the octree
-/// produces (measured ~1.6× on the STILL sweep at 200 atoms).
+/// The lanes run over the **atom** axis: for each q point in index
+/// order, one elementwise loop updates every atom of the block,
+/// `out[k] += (w·d)·inv2³`, over the lane-covered prefix
+/// `na - na % W` and then the scalar tail with the identical
+/// expression. Each `out[k]` starts at `0.0` and receives its terms in
+/// q index order, so every atom's sum is the same float sequence as
+/// [`born_term_lanes`] at that atom, at every `W` (the width only moves
+/// the lane/tail boundary). What the swap buys: the per-atom sums are
+/// independent add chains that share vector lanes, instead of one
+/// serial add chain per atom.
 pub fn born_block_lanes<const W: usize>(
     q: QView<'_>,
     ax: &[f64],
@@ -177,52 +179,39 @@ pub fn born_block_lanes<const W: usize>(
     out: &mut [f64],
 ) {
     let na = out.len();
-    let n = q.len();
     debug_assert!(W >= 1);
     debug_assert!(ax.len() == na && ay.len() == na && az.len() == na);
-    debug_assert!(q.y.len() == n && q.z.len() == n);
-    debug_assert!(q.wnx.len() == n && q.wny.len() == n && q.wnz.len() == n);
-    let mut tb = [0.0f64; CHUNK];
-    for k in 0..na {
-        let (pax, pay, paz) = (ax[k], ay[k], az[k]);
-        let mut s = 0.0;
-        let mut base = 0;
-        while base < n {
-            let m = CHUNK.min(n - base);
-            let mb = m - m % W;
-            let xs = &q.x[base..base + m];
-            let ys = &q.y[base..base + m];
-            let zs = &q.z[base..base + m];
-            let wx = &q.wnx[base..base + m];
-            let wy = &q.wny[base..base + m];
-            let wz = &q.wnz[base..base + m];
-            // One elementwise loop over the lane-covered prefix: the body
-            // has no cross-iteration dependency, so the loop vectorizer
-            // packs the whole thing (subs, the d² FMA chain, the divide,
-            // the weighted dot) W/vector-width lanes at a time.
-            for j in 0..mb {
-                let dx = xs[j] - pax;
-                let dy = ys[j] - pay;
-                let dz = zs[j] - paz;
-                let inv2 = 1.0 / (dx * dx + dy * dy + dz * dz);
-                tb[j] = (wx[j] * dx + wy[j] * dy + wz[j] * dz) * (inv2 * inv2 * inv2);
-            }
-            for j in mb..m {
-                let dx = xs[j] - pax;
-                let dy = ys[j] - pay;
-                let dz = zs[j] - paz;
-                let inv2 = 1.0 / (dx * dx + dy * dy + dz * dz);
-                tb[j] = (wx[j] * dx + wy[j] * dy + wz[j] * dz) * (inv2 * inv2 * inv2);
-            }
-            // Scalar in-order fold: this is the only stage whose shape
-            // affects the reduction, and it is byte-for-byte the
-            // historical `s += term`.
-            for &t in &tb[..m] {
-                s += t;
-            }
-            base += m;
+    debug_assert!(q.y.len() == q.len() && q.z.len() == q.len());
+    debug_assert!(q.wnx.len() == q.len() && q.wny.len() == q.len() && q.wnz.len() == q.len());
+    out.fill(0.0);
+    let lanes = na - na % W;
+    let (out_l, out_t) = out.split_at_mut(lanes);
+    let (ax_l, ax_t) = ax.split_at(lanes.min(ax.len()));
+    let (ay_l, ay_t) = ay.split_at(lanes.min(ay.len()));
+    let (az_l, az_t) = az.split_at(lanes.min(az.len()));
+    let pos = q.x.iter().zip(q.y).zip(q.z);
+    let wn = q.wnx.iter().zip(q.wny).zip(q.wnz);
+    for (((&qx, &qy), &qz), ((&wx, &wy), &wz)) in pos.zip(wn) {
+        // One elementwise loop over the lane-covered prefix: no
+        // cross-iteration dependency, so the loop vectorizer packs the
+        // subs, the d² chain, the divide, the weighted dot and the add
+        // W/vector-width atoms at a time.
+        let lane = out_l.iter_mut().zip(ax_l).zip(ay_l).zip(az_l);
+        for (((o, &pax), &pay), &paz) in lane {
+            let dx = qx - pax;
+            let dy = qy - pay;
+            let dz = qz - paz;
+            let inv2 = 1.0 / (dx * dx + dy * dy + dz * dz);
+            *o += (wx * dx + wy * dy + wz * dz) * (inv2 * inv2 * inv2);
         }
-        out[k] = s;
+        let tail = out_t.iter_mut().zip(ax_t).zip(ay_t).zip(az_t);
+        for (((o, &pax), &pay), &paz) in tail {
+            let dx = qx - pax;
+            let dy = qy - pay;
+            let dz = qz - paz;
+            let inv2 = 1.0 / (dx * dx + dy * dy + dz * dz);
+            *o += (wx * dx + wy * dy + wz * dz) * (inv2 * inv2 * inv2);
+        }
     }
 }
 

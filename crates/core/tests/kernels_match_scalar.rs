@@ -17,7 +17,7 @@ mod common;
 
 use polaroct_core::soa::{
     born_block_lanes, born_term_lanes, still_block_lanes, still_pair_block, still_term_lanes,
-    AtomView, QView, StillScratch, CHUNK,
+    AtomSoa, AtomView, QLeafSoa, QView, StillScratch, CHUNK,
 };
 use polaroct_core::{ApproxParams, ListEngine};
 use polaroct_geom::fastmath::MathMode;
@@ -261,4 +261,55 @@ fn paired_kernel_matches_two_unpaired_blocks() {
             }
         }
     }
+}
+
+/// The atom-lane block kernel at every width, over atom blocks around
+/// the lane and CHUNK boundaries and q ranges from empty to several
+/// CHUNKs: every `out[k]` must equal the longhand scalar kernel at atom
+/// `k`, through arena views and through gathered copies alike. `out`
+/// starts as NaN, so a slot the kernel fails to overwrite shows.
+#[test]
+fn born_block_matches_scalar_at_every_width_and_block_shape() {
+    let (_mol, _params, sys) = common::prepared_protein("born-block", 300, 41);
+    let (alo, qlo) = (5, 11);
+    assert!(sys.n_atoms() >= alo + 64 && sys.q_arena.len() >= qlo + 200);
+    let mut qsoa = QLeafSoa::default();
+    let mut asoa = AtomSoa::default();
+    let mut checked = 0;
+    for na in [1usize, 7, 8, 9, 31, 32, 33, 64] {
+        let ar = alo..alo + na;
+        asoa.gather(&sys, &sys.radius, ar.clone());
+        let (bx, by, bz) = sys.atom_arena.pos_slices(ar.clone());
+        for nq in [0usize, 1, 7, 63, 64, 65, 200] {
+            let qr = qlo..qlo + nq;
+            let qv = sys.q_arena.view(qr.clone());
+            qsoa.gather(&sys, qr);
+            let want: Vec<u64> = ar
+                .clone()
+                .map(|ai| born_term_scalar(qv, sys.atom_arena.position(ai)).to_bits())
+                .collect();
+            let views = [
+                ("arena", qv, (bx, by, bz)),
+                ("gather", qsoa.view(), (&asoa.x[..], &asoa.y[..], &asoa.z[..])),
+            ];
+            for (path, q, (x, y, z)) in views {
+                macro_rules! check {
+                    ($w:literal) => {
+                        let mut out = vec![f64::NAN; na];
+                        born_block_lanes::<$w>(q, x, y, z, &mut out);
+                        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "{path} W={} atoms {na} q {nq}", $w);
+                        checked += 1;
+                    };
+                }
+                check!(1);
+                check!(2);
+                check!(3);
+                check!(4);
+                check!(8);
+                check!(16);
+            }
+        }
+    }
+    assert_eq!(checked, 8 * 7 * 2 * 6);
 }

@@ -294,6 +294,12 @@ impl Octree {
             if !n.is_leaf() {
                 let mut cursor = n.begin;
                 for cid in n.children() {
+                    // Parents precede their children: `build` numbers a
+                    // child block at split time, after its parent, and
+                    // the atoms-major Born list walk relies on it.
+                    if cid as usize <= id {
+                        return Err(format!("node {id}: child {cid} numbered before its parent"));
+                    }
                     let c = self
                         .nodes
                         .get(cid as usize)
@@ -353,6 +359,55 @@ mod tests {
             let t = tree(n, n as u64, cap);
             t.check_invariants().unwrap();
         }
+    }
+
+    /// `t` with node ids relabelled by `new_of[old]`, which must move
+    /// whole child blocks so that every other invariant still holds.
+    fn relabel(t: &Octree, new_of: &[NodeId]) -> Octree {
+        let mut nodes = t.nodes.clone();
+        for (old, n) in t.nodes.iter().enumerate() {
+            let mut m = *n;
+            if !n.is_leaf() {
+                m.first_child = new_of[n.first_child as usize];
+            }
+            nodes[new_of[old] as usize] = m;
+        }
+        let leaf_ids =
+            (0..nodes.len() as NodeId).filter(|&i| nodes[i as usize].is_leaf()).collect();
+        Octree { nodes, leaf_ids, ..t.clone() }
+    }
+
+    #[test]
+    fn children_are_numbered_after_their_parent_by_both_builders() {
+        let pool = polaroct_sched::WorkStealingPool::new(3);
+        for (n, cap) in [(1usize, 8usize), (10, 2), (500, 8), (3000, 32), (4000, 1)] {
+            let pts = cloud(n, 7 * n as u64);
+            let params = BuildParams { leaf_capacity: cap, ..Default::default() };
+            let serial = build(&pts, params);
+            let par = build(&pts, BuildParams { pool: Some(&pool), ..params });
+            for t in [&serial, &par] {
+                t.check_invariants().unwrap();
+                for (id, node) in t.nodes.iter().enumerate() {
+                    assert!(node.children().all(|c| c as usize > id), "n {n}: node {id}");
+                }
+            }
+        }
+
+        // Swap the root's child block with the first grandchild block:
+        // ranges, depths and leaves stay valid, only the numbering breaks.
+        let t = tree(500, 3, 8);
+        let k = t.root().child_count as usize;
+        let c = t.root().children().find(|&c| t.node(c).first_child as usize == 1 + k).unwrap();
+        let g = t.node(c).child_count as usize;
+        let new_of: Vec<NodeId> = (0..t.nodes.len())
+            .map(|old| match old {
+                o if (1..1 + k).contains(&o) => o + g,
+                o if (1 + k..1 + k + g).contains(&o) => o - k,
+                o => o,
+            } as NodeId)
+            .collect();
+        let err = relabel(&t, &new_of).check_invariants().unwrap_err();
+        assert!(err.contains("numbered before its parent"), "{err}");
     }
 
     #[test]
