@@ -32,7 +32,7 @@ use std::ops::Range;
 
 /// Partial-integral accumulators: `node[id]` is Fig. 2's `s_A`, `atom[i]`
 /// is `s_a` (Morton atom order). Allreduced across ranks in Step 3.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BornAccumulators {
     pub node: Vec<f64>,
     pub atom: Vec<f64>,

@@ -1,15 +1,13 @@
 //! Incremental ΔE_pol perturbation engine: recompute only what changed.
 //!
-//! PR 5's [`ListEngine`] already separates traversal from execution and
-//! reuses lists while nothing moved past the Verlet skin — but every
-//! `evaluate` still re-runs *all* Phase-A chunks. For mutation /
+//! [`ListEngine`] reuses lists while nothing moved past the Verlet skin,
+//! but every `evaluate` still re-runs *all* Phase-A chunks. For mutation /
 //! perturbation scans (ROADMAP item 3) that is the wrong cost model:
-//! moving k atoms should cost O(k · affected-lists), not a full
+//! moving k atoms should cost what those atoms touch, not a full
 //! re-execution.
 //!
-//! [`DeltaEngine`] upgrades a [`ListEngine`] with per-chunk output
-//! caches for both lists and an entry-granular dirtiness protocol
-//! (DESIGN.md §15–16):
+//! [`DeltaEngine`] upgrades a [`ListEngine`] with cached phase state and
+//! an entry-granular dirtiness protocol (DESIGN.md §15–16):
 //!
 //! * **Inverted indexes** ([`polaroct_sched::CoverageIndex`], built once
 //!   per scaffold): Morton atom → the Born entries whose near records
@@ -19,36 +17,31 @@
 //!   charges through the O(k) subset-refresh paths
 //!   ([`GbSystem::refresh_atom_subset`] / [`GbSystem::set_atom_charge`]),
 //!   marks dirty entries from the indexes, and re-executes **only
-//!   those** through the same pure Phase-A kernels
-//!   ([`crate::lists::BornLists::run_entry`] /
-//!   [`crate::lists::EpolLists::run_entry`], which `run_chunk` itself
-//!   loops over). The E_pol list is why the unit is the entry and not
-//!   the chunk: its entries cannot be sorted by atom (Phase B replays
-//!   the recursion's sum tree in emission order), so one moved atom
-//!   touches a few entries in *most* chunks.
-//! * Recomputed outputs are **spliced in place** into the cached
-//!   per-chunk streams (each entry owns a fixed `[offset, offset+len)`
-//!   span of its chunk's stream — [`crate::lists::BornLists::entry_out_len`]
-//!   values
-//!   for Born, exactly one for E_pol), and Phase B then replays the
-//!   serial fold over **all** chunks in emission order. A clean entry's
-//!   cached span is bitwise equal to what a fresh execution would
-//!   produce (its operands read only unchanged inputs — that is what
-//!   "clean" means), so the fold consumes identical floats in identical
-//!   order and the perturbed energy is **bit-identical to a fresh full
-//!   run by construction**.
-//!
-//! Scoring N independent candidates against one base state is an
-//! apply → [`DeltaEngine::revert`] loop; revert restores the replaced
-//! spans directly, so the loop pays no recomputation for the undo.
-//!
-//! Two global couplings need care (both are diffed, not assumed):
-//!
-//! * Born radii: recomputed for every atom each query (the serial
-//!   apply + push pass is O(M·depth), far below kernel cost). Changed
-//!   radii are detected *bitwise* against the previous vector and feed
-//!   the E_pol near-entry dirtiness set — no reliance on the "only
-//!   moved atoms change" theorem, though it holds for this kernel.
+//!   those** through the same pure kernels the full pipeline runs.
+//! * **Born, per moved atom.** The engine caches the Born Phase-B
+//!   accumulators: the far node sums and every atom's near integral. A
+//!   dirty Born entry evaluates only the rows of the moved atoms in its
+//!   range ([`GbSystem::born_block_terms`] over the span from the first
+//!   to the last of them). Each atom's term starts at `0.0` and takes its
+//!   q-points in order whatever block it sits in, so these rows are the
+//!   whole entry's bits for those atoms. Each moved atom's integral
+//!   restarts at `0.0` and adds its fresh terms in ascending entry order:
+//!   exactly the adds a full Phase B gives that slot. Far records are
+//!   never dirty, and an unmoved atom's integral reads only its own
+//!   position, frozen q-points and frozen far sums, so only the moved
+//!   atoms are pushed to radii; the *born-changed* set is the moved atoms
+//!   whose radius bits changed.
+//! * **E_pol, per pair.** Each entry's Phase-A output is one value at
+//!   `entry - chunk.start` of its chunk's cached stream, written in
+//!   place. A dirty entry whose mirror is dirty too shares one STILL
+//!   tile with it ([`crate::soa::still_pair_block`], the lower-indexed
+//!   entry evaluates it), as in the full Phase A. Phase B then replays
+//!   the serial sum tree over **all** chunks in emission order. A clean
+//!   entry's cached value is bitwise what a fresh execution would produce
+//!   (its operands read only unchanged inputs — that is what "clean"
+//!   means), so the fold consumes identical floats in identical order
+//!   and the perturbed energy is **bit-identical to a fresh full run by
+//!   construction**.
 //! * [`ChargeBins`]: the bin layout derives from the *global* Born-radius
 //!   extremes, so one changed radius can relabel every node's bins.
 //!   The engine rebuilds bins every query (O(M·M_ε), serial) and diffs
@@ -61,29 +54,34 @@
 //! same resulting state, as [`ListEngine::evaluate`].
 //!
 //! [`DeltaEngine::revert`] pops the last perturbation: an incremental
-//! query is undone by restoring the saved positions/charges, chunk
-//! outputs, Born vector, bins and totals directly (bit-exact, no
-//! recomputation); a rebuilt query is undone by deterministically
-//! rebuilding the previous scaffold and re-executing (prepare is a pure
-//! function, so the restored state is bit-identical too).
+//! query is undone by restoring the saved positions/charges, the moved
+//! atoms' integrals and radii, the replaced E_pol values, the bins and
+//! the totals directly (bit-exact, no recomputation); a rebuilt query is
+//! undone by deterministically rebuilding the previous scaffold and
+//! re-executing (prepare is a pure function, so the restored state is
+//! bit-identical too). Scoring N independent candidates against one base
+//! state is therefore an apply → revert loop.
 //!
-//! The FT story is the list engine's, unchanged: dirty entries fan out
-//! over [`WorkStealingPool::try_map`], a poisoned entry's panic is
+//! The FT story is the list engine's, unchanged: dirty units fan out
+//! over [`WorkStealingPool::try_map`], a poisoned unit's panic is
 //! contained, and the lost slot is re-executed serially by the same pure
-//! kernel before the apply pass ([`DeltaEngine::apply_perturbation_ft`]).
+//! kernel before the fold ([`DeltaEngine::apply_perturbation_ft`]).
 
-use crate::born::{push_integrals_to_atoms, BornAccumulators};
+use crate::born::push_integrals_to_atoms;
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
-use crate::lists::{no_faults, recovering_map, ListEngine, ListSource, PhaseOutputs, Pipeline};
+use crate::lists::{
+    no_faults, recovering_map, EpolLists, ListEngine, ListEntry, ListSource, PhaseOutputs, Pipeline,
+};
 use crate::params::ApproxParams;
-use crate::soa::StillScratch;
+use crate::soa::{still_pair_block, StillScratch};
 use crate::system::GbSystem;
 use polaroct_cluster::comm::checksum;
 use polaroct_cluster::fault::{phase, FaultKind, FaultPlan};
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
 use polaroct_sched::{CoverageIndex, WorkStealingPool};
+use std::ops::Range;
 
 /// One perturbation query: absolute new positions for k moved atoms and
 /// absolute new charges for mutated atoms, both in the molecule's
@@ -125,32 +123,29 @@ pub struct DeltaEval {
     pub rebuilt: bool,
     /// Max cumulative displacement from the scaffold geometry (Å).
     pub max_disp: f64,
-    /// Born chunks holding at least one re-executed entry.
+    /// Born chunks holding at least one dirty entry.
     pub born_chunks_redone: usize,
-    /// E_pol chunks holding at least one re-executed entry.
+    /// E_pol chunks holding at least one dirty entry.
     pub epol_chunks_redone: usize,
     /// Total chunks touched (`born + epol`; equals `total_chunks` on a
     /// rebuild).
     pub chunks_redone: usize,
-    /// Chunks none of whose entries were re-executed.
+    /// Chunks holding no dirty entry.
     pub chunks_cached: usize,
     /// Total chunks across both lists.
     pub total_chunks: usize,
-    /// Dirty list entries re-executed by this query (both lists).
+    /// Dirty list entries re-executed by this query (both lists). A
+    /// dirty Born entry evaluates only the rows of its moved atoms.
     pub entries_redone: usize,
-    /// List entries whose cached output spans were served as-is.
+    /// List entries not re-executed: their cached contributions were
+    /// served as they are.
     pub entries_cached: usize,
     /// Total entries across both lists
     /// (`entries_redone + entries_cached`).
     pub total_entries: usize,
-    /// Poisoned dirty entries recovered by serial re-execution (FT
-    /// path).
+    /// Poisoned dirty units recovered by serial re-execution (FT path).
     pub recovered_chunks: u32,
 }
-
-/// One replaced span of a cached Phase-A stream: `(chunk, offset, old
-/// values)` — exactly one spliced entry's span.
-type UndoSpan = (u32, u32, Vec<f64>);
 
 /// Undo record for one applied perturbation (LIFO).
 enum UndoRecord {
@@ -160,9 +155,11 @@ enum UndoRecord {
         moves: Vec<(usize, Vec3)>,
         /// Original-order `(atom, old_charge)`, in application order.
         charges: Vec<(usize, f64)>,
-        born_spans: Vec<UndoSpan>,
-        epol_spans: Vec<UndoSpan>,
-        born: Vec<f64>,
+        /// `(Morton atom, old near integral, old Born radius)` for every
+        /// moved atom.
+        born: Vec<(usize, f64, f64)>,
+        /// `(chunk, offset, old value)` for every re-executed E_pol entry.
+        epol: Vec<(u32, u32, f64)>,
         bins: ChargeBins,
         raw: f64,
         energy_kcal: f64,
@@ -181,14 +178,9 @@ enum UndoRecord {
 /// argument.
 pub struct DeltaEngine {
     base: ListEngine,
-    /// Cached Phase-A outputs, one vector per chunk, for both lists.
+    /// Cached Born Phase-B accumulators and E_pol Phase-A outputs (one
+    /// vector per chunk).
     outputs: PhaseOutputs,
-    /// Born entry id → owning chunk / offset of its span in that chunk's
-    /// cached stream; E_pol entry id → owning chunk (its span is always
-    /// one value at `entry - chunk.start`).
-    born_entry_chunk: Vec<u32>,
-    born_entry_offset: Vec<u32>,
-    epol_entry_chunk: Vec<u32>,
     /// Morton atom → Born entries with a near record reading it.
     born_entry_touch: CoverageIndex,
     /// Morton atom → E_pol entries with a near record reading it.
@@ -216,9 +208,9 @@ pub struct DeltaEngine {
 
 impl ListEngine {
     /// Upgrade this engine into the incremental perturbation engine
-    /// (`core::delta`): caches every Phase-A chunk output, builds the
-    /// dirtiness indexes, and serves [`DeltaEngine::apply_perturbation`]
-    /// / [`DeltaEngine::revert`] queries from then on.
+    /// (`core::delta`): caches the phase state, builds the dirtiness
+    /// indexes, and serves [`DeltaEngine::apply_perturbation`] /
+    /// [`DeltaEngine::revert`] queries from then on.
     pub fn into_delta(self) -> DeltaEngine {
         DeltaEngine::from_engine(self)
     }
@@ -226,14 +218,15 @@ impl ListEngine {
 
 impl DeltaEngine {
     /// Build a fresh engine at the molecule's geometry (counts as the
-    /// first rebuild, like [`ListEngine::new`]).
+    /// first rebuild, like [`ListEngine::new`]). Pays one Born pass: the
+    /// scaffold is built without radii and executed in full once.
     pub fn new(mol: &Molecule, approx: &ApproxParams, skin: f64) -> DeltaEngine {
-        ListEngine::new(mol, approx, skin).into_delta()
+        DeltaEngine::from_engine(ListEngine::scaffold_only(mol, approx, skin))
     }
 
     /// Adopt a prepared [`ListEngine`]: recover its current positions
     /// from the Morton snapshot, then execute one full pass to populate
-    /// the chunk caches.
+    /// the caches.
     pub fn from_engine(base: ListEngine) -> DeltaEngine {
         let n = base.sys.n_atoms();
         let mut positions = vec![Vec3::ZERO; n];
@@ -246,9 +239,6 @@ impl DeltaEngine {
         let mut engine = DeltaEngine {
             base,
             outputs: PhaseOutputs::default(),
-            born_entry_chunk: Vec::new(),
-            born_entry_offset: Vec::new(),
-            epol_entry_chunk: Vec::new(),
             born_entry_touch: CoverageIndex::default(),
             epol_entry_touch: CoverageIndex::default(),
             epol_far_entry_nodes: CoverageIndex::default(),
@@ -270,8 +260,7 @@ impl DeltaEngine {
     }
 
     /// Rebuild the scaffold-derived caches after a prepare: the inverse
-    /// permutation, the entry → chunk/offset splice maps and the
-    /// entry-level coverage indexes.
+    /// permutation and the entry-level coverage indexes.
     fn rebuild_caches(&mut self) {
         let n = self.base.sys.n_atoms();
         let mut inv = vec![0u32; n];
@@ -283,16 +272,6 @@ impl DeltaEngine {
 
         let sys = &self.base.sys;
         let born = &self.base.born_lists;
-        self.born_entry_chunk = polaroct_sched::chunk_lookup(&born.chunks, born.len());
-        let mut offsets = vec![0u32; born.len()];
-        for range in &born.chunks {
-            let mut off = 0u32;
-            for e in range.clone() {
-                offsets[e] = off; // PANIC-OK: chunks tile 0..len() by construction.
-                off += crate::lists::BornLists::entry_out_len(sys, &born.entries[e]) as u32;
-            }
-        }
-        self.born_entry_offset = offsets;
         self.born_entry_touch = CoverageIndex::build(
             n,
             born.entries
@@ -303,7 +282,6 @@ impl DeltaEngine {
         );
 
         let epol = &self.base.epol_lists;
-        self.epol_entry_chunk = polaroct_sched::chunk_lookup(&epol.chunks, epol.len());
         self.epol_entry_touch = CoverageIndex::build(
             n,
             epol.entries
@@ -339,14 +317,10 @@ impl DeltaEngine {
             .collect();
     }
 
-    /// Resident bytes of the entry-granular tables alone (splice maps
-    /// and coverage indexes).
+    /// Resident bytes of the entry-granular tables alone (the coverage
+    /// indexes and the far-entry list).
     pub fn entry_cache_bytes(&self) -> usize {
-        (self.born_entry_chunk.capacity()
-            + self.born_entry_offset.capacity()
-            + self.epol_entry_chunk.capacity()
-            + self.epol_far_entries.capacity())
-            * std::mem::size_of::<u32>()
+        self.epol_far_entries.capacity() * std::mem::size_of::<u32>()
             + self.born_entry_touch.memory_bytes()
             + self.epol_entry_touch.memory_bytes()
             + self.epol_far_entry_nodes.memory_bytes()
@@ -377,7 +351,7 @@ impl DeltaEngine {
 
     /// Apply a perturbation and return the re-evaluated energy, bit-identical
     /// to a fresh full run (see the module docs for the exact contract).
-    /// Dirty chunks run over `pool` when given, serially otherwise — the
+    /// Dirty units run over `pool` when given, serially otherwise — the
     /// result is bitwise the same either way.
     pub fn apply_perturbation(
         &mut self,
@@ -389,9 +363,9 @@ impl DeltaEngine {
 
     /// [`DeltaEngine::apply_perturbation`] under fault injection: a
     /// `PanicWorker` entry at [`phase::INTEGRALS`] / [`phase::EPOL`]
-    /// poisons one dirty chunk of the corresponding list; the pool
-    /// contains the panic and the chunk is re-executed serially before
-    /// the apply pass, so the query result is still bit-identical
+    /// poisons one dirty unit of the corresponding list; the pool
+    /// contains the panic and the unit is re-executed serially before
+    /// the fold, so the query result is still bit-identical
     /// (`recovered_chunks` reports the retries).
     pub fn apply_perturbation_ft(
         &mut self,
@@ -509,7 +483,10 @@ impl DeltaEngine {
             })
         };
         let mut recovered = 0u32;
-        let mut dirty: Vec<u32> = moved_m
+        let mut moved = moved_m.clone();
+        moved.sort_unstable();
+        moved.dedup();
+        let mut dirty: Vec<u32> = moved
             .iter()
             .flat_map(|&mi| self.born_entry_touch.chunks_for(mi))
             .copied()
@@ -517,47 +494,18 @@ impl DeltaEngine {
         dirty.sort_unstable();
         dirty.dedup();
         let poison = poison_at(dirty.len(), phase::INTEGRALS);
-        let base = &self.base;
-        let dirty_ref = &dirty;
-        let fresh: Vec<Vec<f64>> = recovering_map(
-            pool,
-            dirty.len(),
-            poison,
-            |k| {
-                let mut out = Vec::new();
-                // PANIC-OK: k < dirty.len() by the runner's index space; ids index the entry list.
-                let e = &base.born_lists.entries[dirty_ref[k] as usize];
-                crate::lists::BornLists::run_entry(&base.sys, e, &mut out);
-                out
-            },
-            &mut recovered,
-        );
-        let (undo_born_spans, born_chunks_redone) = self.splice_born_entries(&dirty, fresh);
+        let (born_undo, born_changed) =
+            self.born_per_atom(&moved, &dirty, pool, poison, &mut recovered);
+        let born_chunks_redone = chunks_touched(&self.base.born_lists.chunks, &dirty, |_, _, _| {});
         let born_entries_redone = dirty.len();
-
-        // ---- Phase B (Born): full serial fold over all chunks in
-        // emission order — cached outputs for clean chunks, fresh for
-        // dirty — then the full push pass. Identical floats in identical
-        // order to a fresh run.
-        let mut acc = BornAccumulators::zeros(&self.base.sys);
-        self.base.born_lists.apply(&self.base.sys, &self.outputs.born, &mut acc);
-        let mut new_born = vec![0.0; n];
-        push_integrals_to_atoms(&self.base.sys, &acc, 0..n, self.base.approx.math, &mut new_born);
-        let born_changed: Vec<usize> = self
-            .base
-            .born
-            .iter()
-            .zip(&new_born)
-            .enumerate()
-            .filter_map(|(mi, (a, b))| (a.to_bits() != b.to_bits()).then_some(mi))
-            .collect();
 
         // ---- E_pol dirtiness: near entries reading a moved, recharged
         // or re-radiused atom, plus far entries whose bins changed. The
         // bin generation is rebuilt (cheap, serial) and compared bitwise:
         // a changed rr_table or bin count invalidates every far entry;
         // otherwise only far entries on a node whose bin vector changed.
-        let new_bins = ChargeBins::build(&self.base.sys, &new_born, self.base.approx.eps_epol);
+        let new_bins =
+            ChargeBins::build(&self.base.sys, &self.base.born, self.base.approx.eps_epol);
         let mut dirty: Vec<u32> = Vec::new();
         for &mi in moved_m.iter().chain(&charged_m).chain(&born_changed) {
             dirty.extend_from_slice(self.epol_entry_touch.chunks_for(mi));
@@ -586,67 +534,35 @@ impl DeltaEngine {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        let math = self.base.approx.math;
-        let poison = poison_at(dirty.len(), phase::EPOL);
-        let base = &self.base;
-        let dirty_ref = &dirty;
-        let fresh: Vec<f64> = match pool {
-            None => {
-                // Serial fast path: one scratch reused across entries
-                // (the kernels are write-before-read, so reuse cannot
-                // change bits — see the stale-scratch kernel tests).
-                let mut scratch = StillScratch::default();
-                dirty
-                    .iter()
-                    .map(|&e| {
-                        crate::lists::EpolLists::run_entry(
-                            &base.sys,
-                            &new_bins,
-                            &new_born,
-                            math,
-                            // PANIC-OK: ids come from indexes built over this entry list.
-                            &base.epol_lists.entries[e as usize],
-                            &mut scratch,
-                        )
-                    })
-                    .collect()
-            }
-            Some(_) => recovering_map(
-                pool,
-                dirty.len(),
-                poison,
-                |k| {
-                    let mut scratch = StillScratch::default();
-                    crate::lists::EpolLists::run_entry(
-                        &base.sys,
-                        &new_bins,
-                        &new_born,
-                        math,
-                        // PANIC-OK: k < dirty.len(); ids index the entry list.
-                        &base.epol_lists.entries[dirty_ref[k] as usize],
-                        &mut scratch,
-                    )
-                },
-                &mut recovered,
-            ),
-        };
-        let (undo_epol_spans, epol_chunks_redone) = self.splice_epol_entries(&dirty, &fresh);
+        let old_bins = std::mem::replace(&mut self.bins, new_bins);
+        let units = mirror_units(&self.base.epol_lists.entries, &dirty);
+        let poison = poison_at(units.len(), phase::EPOL);
+        let fresh = self.epol_fresh(&dirty, &units, pool, poison, &mut recovered);
+
+        // ---- Write the fresh values in place, saving the old ones.
+        let mut epol_undo = Vec::with_capacity(dirty.len());
+        let outputs = &mut self.outputs.epol;
+        let epol_chunks_redone =
+            chunks_touched(&self.base.epol_lists.chunks, &dirty, |c, off, k| {
+                let slot = outputs.get_mut(c).and_then(|out| out.get_mut(off));
+                if let (Some(slot), Some(&v)) = (slot, fresh.get(k)) {
+                    epol_undo.push((c as u32, off as u32, *slot));
+                    *slot = v;
+                }
+            });
         let epol_entries_redone = dirty.len();
 
         // ---- Phase B (E_pol): full sum-tree replay over all chunks.
         let raw = self.base.epol_lists.apply(&self.outputs.epol);
         let energy_kcal = epol_from_raw_sum(raw, self.base.approx.eps_solvent);
 
-        let old_born = std::mem::replace(&mut self.base.born, new_born);
-        let old_bins = std::mem::replace(&mut self.bins, new_bins);
         let old_raw = std::mem::replace(&mut self.raw, raw);
         let old_energy = std::mem::replace(&mut self.energy_kcal, energy_kcal);
         self.undo.push(UndoRecord::Incremental {
             moves: old_moves,
             charges: old_charges,
-            born_spans: undo_born_spans,
-            epol_spans: undo_epol_spans,
-            born: old_born,
+            born: born_undo,
+            epol: epol_undo,
             bins: old_bins,
             raw: old_raw,
             energy_kcal: old_energy,
@@ -673,54 +589,115 @@ impl DeltaEngine {
         }
     }
 
-    /// Splice freshly recomputed Born entry outputs into the cached
-    /// per-chunk streams in place, returning the replaced spans (for
-    /// undo) and the number of distinct chunks touched. `dirty` must be
-    /// sorted — entry ids within a chunk are contiguous, so the touched
-    /// chunk ids are non-decreasing and counted by a single scan.
-    fn splice_born_entries(
+    /// The Born half of a query, per moved atom: re-evaluate the moved
+    /// atoms' rows of the sorted `dirty` entries (over `pool`, a
+    /// `poison`ed slot re-executed serially), restart each moved
+    /// integral at `0.0` and fold its fresh terms in ascending entry
+    /// order, then push the moved atoms to radii. `moved` is sorted and
+    /// deduplicated. Returns the undo record
+    /// `(atom, old integral, old radius)` and the moved atoms whose
+    /// radius bits changed.
+    fn born_per_atom(
         &mut self,
+        moved: &[usize],
         dirty: &[u32],
-        fresh: Vec<Vec<f64>>,
-    ) -> (Vec<UndoSpan>, usize) {
-        let mut spans = Vec::with_capacity(dirty.len());
-        let mut chunks = 0usize;
-        let mut last_chunk = u32::MAX;
-        for (&e, v) in dirty.iter().zip(fresh) {
-            let c = self.born_entry_chunk[e as usize]; // PANIC-OK: ids index the entry list.
-            let off = self.born_entry_offset[e as usize] as usize; // PANIC-OK: same length.
-            if c != last_chunk {
-                chunks += 1;
-                last_chunk = c;
-            }
-            // PANIC-OK: the entry's span lies inside its chunk's stream by construction.
-            let dst = &mut self.outputs.born[c as usize][off..off + v.len()];
-            spans.push((c, off as u32, dst.to_vec()));
-            dst.copy_from_slice(&v); // PANIC-OK: fresh output has the entry's fixed span length.
+        pool: Option<&WorkStealingPool>,
+        poison: Option<usize>,
+        recovered: &mut u32,
+    ) -> (Vec<(usize, f64, f64)>, Vec<usize>) {
+        let (sys, lists) = (&self.base.sys, &self.base.born_lists);
+        let entry = |k: usize| {
+            // PANIC-OK: dirty ids come from an index built over this entry list.
+            &lists.entries[dirty[k] as usize]
+        };
+        let fresh = recovering_map(
+            pool,
+            dirty.len(),
+            poison,
+            |k| moved_rows(sys, entry(k), moved),
+            recovered,
+        );
+
+        let acc = &mut self.outputs.born.atom;
+        let mut undo = Vec::with_capacity(moved.len());
+        for &mi in moved {
+            // PANIC-OK: moved atoms are Morton indices < n; both vectors are n-length.
+            undo.push((mi, acc[mi], self.base.born[mi]));
+            acc[mi] = 0.0; // PANIC-OK: same index.
         }
-        (spans, chunks)
+        for (k, terms) in fresh.iter().enumerate() {
+            let atoms = moved_in(moved, sys.atoms.node(entry(k).a).range());
+            for (&mi, &t) in atoms.iter().zip(terms) {
+                acc[mi] += t; // PANIC-OK: moved atoms are Morton indices < n.
+            }
+        }
+
+        let math = self.base.approx.math;
+        let mut changed = Vec::new();
+        for &(mi, _, old) in &undo {
+            push_integrals_to_atoms(sys, &self.outputs.born, mi..mi + 1, math, &mut self.base.born);
+            // PANIC-OK: mi < n, the radius vector's length.
+            if self.base.born[mi].to_bits() != old.to_bits() {
+                changed.push(mi);
+            }
+        }
+        (undo, changed)
     }
 
-    /// [`DeltaEngine::splice_born_entries`] for the E_pol list, where
-    /// every entry's span is exactly one value at `entry - chunk.start`.
-    fn splice_epol_entries(&mut self, dirty: &[u32], fresh: &[f64]) -> (Vec<UndoSpan>, usize) {
-        let mut spans = Vec::with_capacity(dirty.len());
-        let mut chunks = 0usize;
-        let mut last_chunk = u32::MAX;
-        for (&e, &v) in dirty.iter().zip(fresh) {
-            let c = self.epol_entry_chunk[e as usize]; // PANIC-OK: ids index the entry list.
-            // PANIC-OK: entry e lives in chunk c, so e >= chunk.start.
-            let off = e as usize - self.base.epol_lists.chunks[c as usize].start;
-            if c != last_chunk {
-                chunks += 1;
-                last_chunk = c;
+    /// E_pol Phase A for the sorted `dirty` entries under the current
+    /// bins and radii: one value per entry, aligned with `dirty`. `units`
+    /// is [`mirror_units`]`(dirty)`: a dirty entry whose mirror is dirty
+    /// too shares one STILL tile with it, and both values equal
+    /// [`EpolLists::run_entry`]'s bits (DESIGN.md §12.4). Units run over
+    /// `pool` when given (a `poison`ed unit is re-executed serially),
+    /// serially with one reused scratch otherwise.
+    fn epol_fresh(
+        &self,
+        dirty: &[u32],
+        units: &[(usize, Option<usize>)],
+        pool: Option<&WorkStealingPool>,
+        poison: Option<usize>,
+        recovered: &mut u32,
+    ) -> Vec<f64> {
+        let (sys, bins, born) = (&self.base.sys, &self.bins, &self.base.born[..]);
+        let (entries, math) = (&self.base.epol_lists.entries, self.base.approx.math);
+        let run = |&(k, mirror): &(usize, Option<usize>), scratch: &mut StillScratch| {
+            // PANIC-OK: unit positions index `dirty`, whose ids index the entry list.
+            let e = &entries[dirty[k] as usize];
+            match mirror {
+                Some(_) => {
+                    let uv = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
+                    let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
+                    still_pair_block(uv, vv, math, scratch)
+                }
+                None => (EpolLists::run_entry(sys, bins, born, math, e, scratch), 0.0),
             }
-            // PANIC-OK: off < chunk len by construction.
-            let slot = &mut self.outputs.epol[c as usize][off];
-            spans.push((c, off as u32, vec![*slot]));
-            *slot = v;
+        };
+        let vals: Vec<(f64, f64)> = match pool {
+            None => {
+                // One scratch serves every unit: the kernels are
+                // write-before-read, so reuse cannot change bits (see
+                // the stale-scratch kernel tests).
+                let mut scratch = StillScratch::default();
+                units.iter().map(|u| run(u, &mut scratch)).collect()
+            }
+            Some(_) => recovering_map(
+                pool,
+                units.len(),
+                poison,
+                // PANIC-OK: i < units.len() by the runner's index space.
+                |i| run(&units[i], &mut StillScratch::default()),
+                recovered,
+            ),
+        };
+        let mut fresh = vec![0.0; dirty.len()];
+        for (&(k, mirror), (own, other)) in units.iter().zip(vals) {
+            fresh[k] = own; // PANIC-OK: unit positions index `dirty`.
+            if let Some(j) = mirror {
+                fresh[j] = other; // PANIC-OK: same.
+            }
         }
-        (spans, chunks)
+        fresh
     }
 
     /// Undo the most recent perturbation; returns `false` when none is
@@ -735,9 +712,8 @@ impl DeltaEngine {
             UndoRecord::Incremental {
                 moves,
                 charges,
-                born_spans,
-                epol_spans,
                 born,
+                epol,
                 bins,
                 raw,
                 energy_kcal,
@@ -767,19 +743,17 @@ impl DeltaEngine {
                     // PANIC-OK: saved from a validated query; disp/reference are n-length.
                     self.disp[oi] = self.positions[oi].dist(self.base.reference[oi]);
                 }
-                // Spans within one record are disjoint (distinct dirty
-                // units), so restore order is immaterial.
-                for (c, off, old) in born_spans {
-                    let off = off as usize;
-                    // PANIC-OK: span saved from this engine's own streams.
-                    self.outputs.born[c as usize][off..off + old.len()].copy_from_slice(&old);
+                // Saved slots within one record are distinct (moved atoms
+                // deduplicated, dirty entries deduplicated), so restore
+                // order is immaterial.
+                for (mi, integral, radius) in born {
+                    self.outputs.born.atom[mi] = integral; // PANIC-OK: saved from this engine.
+                    self.base.born[mi] = radius; // PANIC-OK: saved from this engine.
                 }
-                for (c, off, old) in epol_spans {
-                    let off = off as usize;
-                    // PANIC-OK: span saved from this engine's own streams.
-                    self.outputs.epol[c as usize][off..off + old.len()].copy_from_slice(&old);
+                for (c, off, old) in epol {
+                    // PANIC-OK: slot saved from this engine's own streams.
+                    self.outputs.epol[c as usize][off as usize] = old;
                 }
-                self.base.born = born;
                 self.bins = bins;
                 self.raw = raw;
                 self.energy_kcal = energy_kcal;
@@ -869,45 +843,52 @@ impl DeltaEngine {
         self.undo.len()
     }
 
-    /// Resident bytes: the base engine plus the output caches, the entry
-    /// tables ([`DeltaEngine::entry_cache_bytes`]) and the bin generation.
+    /// Resident bytes: the base engine plus the cached Born accumulators
+    /// and E_pol outputs, the entry tables
+    /// ([`DeltaEngine::entry_cache_bytes`]) and the bin generation.
     pub fn memory_bytes(&self) -> usize {
-        let outputs: usize = self
-            .outputs
-            .born
-            .iter()
-            .chain(&self.outputs.epol)
-            .map(|v| v.capacity() * 8)
-            .sum();
+        let acc = &self.outputs.born;
+        let floats = acc.node.capacity()
+            + acc.atom.capacity()
+            + self.outputs.epol.iter().map(Vec::capacity).sum::<usize>();
         self.base.memory_bytes()
-            + outputs
+            + floats * std::mem::size_of::<f64>()
             + self.entry_cache_bytes()
             + self.bins.memory_bytes()
     }
 
-    /// Test hook: additively corrupt every *cached* Phase-A Born output
-    /// (dirty entries recomputed by the next query overwrite their spans,
-    /// so whatever stays cached stays corrupted). The golden recall test
-    /// uses this to prove a stale cached chunk cannot survive the
-    /// differential harness.
+    /// Test hook: additively corrupt every cached Born far sum. Far sums
+    /// are never recomputed by a query, so the corruption reaches the
+    /// radius of every atom a later query moves (an identity query reads
+    /// no Born state at all). The golden recall test uses this to prove
+    /// a stale far sum cannot survive the differential harness.
     #[doc(hidden)]
     pub fn debug_corrupt_cached_born_outputs(&mut self, delta: f64) {
-        for out in &mut self.outputs.born {
-            for v in out.iter_mut() {
-                *v += delta;
-            }
+        for v in &mut self.outputs.born.node {
+            *v += delta;
         }
     }
 
-    /// Test hook: locate one near Born entry and an original-order atom
-    /// inside its node range — moving that atom must dirty exactly that
+    /// Test hook: additively corrupt every cached E_pol Phase-A output
+    /// (dirty entries recomputed by the next query overwrite their
+    /// values, so whatever stays cached stays corrupted).
+    #[doc(hidden)]
+    pub fn debug_corrupt_cached_epol_outputs(&mut self, delta: f64) {
+        for v in self.outputs.epol.iter_mut().flatten() {
+            *v += delta;
+        }
+    }
+
+    /// Test hook: locate one near E_pol entry and an original-order atom
+    /// inside its source node range — moving that atom must dirty that
     /// entry (plus whatever else covers the atom). The entry-granular
     /// recall harness pairs this with
-    /// [`DeltaEngine::debug_corrupt_cached_born_entry`].
+    /// [`DeltaEngine::debug_corrupt_cached_epol_entry`].
     #[doc(hidden)]
-    pub fn debug_near_born_entry_probe(&self) -> (usize, usize) {
-        let born = &self.base.born_lists;
-        let (i, e) = born
+    pub fn debug_near_epol_entry_probe(&self) -> (usize, usize) {
+        let (i, e) = self
+            .base
+            .epol_lists
             .entries
             .iter()
             .enumerate()
@@ -918,28 +899,99 @@ impl DeltaEngine {
         (i, oi)
     }
 
-    /// Test hook: additively corrupt exactly one cached Born *entry*'s
-    /// output span (entry-granular recall test — proves a single stale
-    /// entry span, the smallest corruptible unit the entry-granular
-    /// cache manages, cannot survive the differential harness unless a
-    /// query marks that very entry dirty).
+    /// Test hook: additively corrupt exactly one cached E_pol *entry*'s
+    /// value (entry-granular recall test — proves a single stale entry,
+    /// the smallest unit the cache manages, cannot survive the
+    /// differential harness unless a query marks that very entry dirty).
     #[doc(hidden)]
-    pub fn debug_corrupt_cached_born_entry(&mut self, entry: usize, delta: f64) {
-        let born = &self.base.born_lists;
-        assert!(entry < born.len(), "entry {entry} out of range"); // PANIC-OK: test hook.
-        let c = self.born_entry_chunk[entry] as usize; // PANIC-OK: test hook; entry < len.
-        let off = self.born_entry_offset[entry] as usize; // PANIC-OK: test hook; entry < len.
-        let len = crate::lists::BornLists::entry_out_len(&self.base.sys, &born.entries[entry]);
-        for v in &mut self.outputs.born[c][off..off + len] {
-            *v += delta;
+    pub fn debug_corrupt_cached_epol_entry(&mut self, entry: usize, delta: f64) {
+        let chunks = &self.base.epol_lists.chunks;
+        let c = chunks.partition_point(|r| r.end <= entry);
+        let slot = chunks
+            .get(c)
+            .zip(self.outputs.epol.get_mut(c))
+            .and_then(|(r, out)| out.get_mut(entry.checked_sub(r.start)?));
+        *slot.expect("entry in range") += delta; // PANIC-OK: test hook.
+    }
+}
+
+/// The sorted, deduplicated `moved` atoms that lie in `range`.
+fn moved_in(moved: &[usize], range: Range<usize>) -> &[usize] {
+    let lo = moved.partition_point(|&m| m < range.start);
+    let hi = moved.partition_point(|&m| m < range.end);
+    moved.get(lo..hi).unwrap_or_default()
+}
+
+/// The near Born terms of entry `e` for the moved atoms in its atom
+/// range, in index order: one [`GbSystem::born_block_terms`] pass over
+/// the span from the first to the last of them, keeping their rows. An
+/// atom's term starts at `0.0` and takes the q-points in order whatever
+/// block it sits in, so these are the bits a whole-entry pass gives
+/// those atoms. Dirty entries are near records, never far ones.
+fn moved_rows(sys: &GbSystem, e: &ListEntry, moved: &[usize]) -> Vec<f64> {
+    let atoms = moved_in(moved, sys.atoms.node(e.a).range());
+    let mut out = Vec::with_capacity(atoms.len());
+    if let (Some(&first), Some(&last)) = (atoms.first(), atoms.last()) {
+        let qv = sys.q_arena.view(sys.qtree.node(e.b).range());
+        let mut next = atoms.iter().peekable();
+        sys.born_block_terms(qv, first..last + 1, |ai, t| {
+            if next.next_if_eq(&&ai).is_some() {
+                out.push(t);
+            }
+        });
+    }
+    out
+}
+
+/// Re-execution units for the sorted dirty E_pol entries, as positions
+/// in `dirty`: `(k, Some(j))` when entry `dirty[k]`'s mirror is
+/// `dirty[j]` with `j > k` (the lower-indexed entry evaluates the shared
+/// tile for both), `(k, None)` for an entry with no dirty mirror.
+fn mirror_units(entries: &[ListEntry], dirty: &[u32]) -> Vec<(usize, Option<usize>)> {
+    let mut units = Vec::with_capacity(dirty.len());
+    for (k, &e) in dirty.iter().enumerate() {
+        let mirror = entries
+            .get(e as usize)
+            .and_then(ListEntry::mirror)
+            .and_then(|p| dirty.binary_search(&(p as u32)).ok());
+        match mirror {
+            // The lower-indexed mirror's unit covers this entry.
+            Some(j) if j < k => {}
+            _ => units.push((k, mirror)),
         }
     }
+    units
+}
+
+/// Walk the sorted entry `ids` with one cursor over `chunks` (a
+/// partition tiling the entry list in order), calling
+/// `f(chunk, offset in chunk, position in ids)` for each. Returns the
+/// number of distinct chunks holding an id.
+fn chunks_touched(
+    chunks: &[Range<usize>],
+    ids: &[u32],
+    mut f: impl FnMut(usize, usize, usize),
+) -> usize {
+    let (mut c, mut touched, mut last) = (0usize, 0usize, usize::MAX);
+    for (k, &e) in ids.iter().enumerate() {
+        let e = e as usize;
+        while chunks.get(c).is_some_and(|r| r.end <= e) {
+            c += 1;
+        }
+        let Some(r) = chunks.get(c) else { break };
+        if c != last {
+            touched += 1;
+            last = c;
+        }
+        f(c, e - r.start, k);
+    }
+    touched
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polaroct_molecule::synth;
+    use polaroct_molecule::{synth, Atom, Element};
 
     fn mol(n: usize, seed: u64) -> Molecule {
         synth::protein("delta", n, seed)
@@ -949,10 +1001,20 @@ mod tests {
     /// independent ListEngine prepared at the scaffold with the current
     /// charges, evaluated (full, all chunks) at the current positions.
     fn fresh_reference(eng: &DeltaEngine, approx: &ApproxParams, skin: f64) -> (f64, f64, u64) {
+        fresh_reference_from(eng, &mol(eng.positions().len(), 0), approx, skin)
+    }
+
+    /// [`fresh_reference`] with the non-geometric fields of `template`.
+    fn fresh_reference_from(
+        eng: &DeltaEngine,
+        template: &Molecule,
+        approx: &ApproxParams,
+        skin: f64,
+    ) -> (f64, f64, u64) {
         let mut m = Molecule {
             positions: eng.reference_positions().to_vec(),
             charges: eng.charges().to_vec(),
-            ..mol(eng.positions().len(), 0)
+            ..template.clone()
         };
         m.radii = eng
             .system()
@@ -1082,7 +1144,7 @@ mod tests {
         let approx = ApproxParams::default();
         let skin = 1.0;
         let mut eng = DeltaEngine::new(&mol(110, 17), &approx, skin);
-        eng.debug_corrupt_cached_born_outputs(1e-3);
+        eng.debug_corrupt_cached_epol_outputs(1e-3);
         // An identity query replays Phase B over the (corrupted) cache.
         let eval = eng.apply_perturbation(&Perturbation::default(), None);
         let (raw, _, _) = fresh_reference(&eng, &approx, skin);
@@ -1107,5 +1169,179 @@ mod tests {
         let mut eng = DeltaEngine::new(&mol(40, 1), &ApproxParams::default(), 0.5);
         let p = Perturbation::default().move_atom(40, Vec3::ZERO);
         let _ = eng.apply_perturbation(&p, None);
+    }
+    /// Applies `p` and asserts the result is incremental and bit-equal to
+    /// a fresh `ListEngine` (built from `template`'s non-geometric
+    /// fields) at the perturbed state.
+    fn assert_query_matches_fresh(
+        eng: &mut DeltaEngine,
+        template: &Molecule,
+        p: &Perturbation,
+        approx: &ApproxParams,
+        skin: f64,
+    ) -> DeltaEval {
+        let eval = eng.apply_perturbation(p, None);
+        assert!(!eval.rebuilt, "test queries stay inside the skin");
+        let (raw, energy, digest) = fresh_reference_from(eng, template, approx, skin);
+        assert_eq!(eval.raw.to_bits(), raw.to_bits());
+        assert_eq!(eval.energy_kcal.to_bits(), energy.to_bits());
+        assert_eq!(eng.born_digest(), digest);
+        eval
+    }
+
+    #[test]
+    fn far_sum_corruption_shows_only_where_a_query_reads_it() {
+        let approx = ApproxParams::default();
+        let skin = 1.0;
+        let mut eng = DeltaEngine::new(&mol(110, 17), &approx, skin);
+        let (raw0, digest0) = (eng.raw(), eng.born_digest());
+        eng.debug_corrupt_cached_born_outputs(1e-3);
+        // An identity query reads no Born state: the old bits stand.
+        let eval = eng.apply_perturbation(&Perturbation::default(), None);
+        assert_eq!(eval.raw.to_bits(), raw0.to_bits());
+        assert_eq!(eng.born_digest(), digest0);
+        // A moved atom's radius is pushed from the (corrupted) far sums.
+        let p = Perturbation::default().move_atom(40, eng.positions()[40] + Vec3::new(0.1, 0.0, -0.1));
+        let eval = eng.apply_perturbation(&p, None);
+        let (raw, _, digest) = fresh_reference(&eng, &approx, skin);
+        assert_ne!(eng.born_digest(), digest, "a stale far sum must reach the moved radius");
+        assert_ne!(eval.raw.to_bits(), raw.to_bits(), "a stale far sum must reach the energy");
+    }
+
+    #[test]
+    fn two_moved_atoms_in_one_leaf_match_fresh_bits() {
+        let approx = ApproxParams::default();
+        let skin = 1.0;
+        let m = mol(200, 21);
+        let mut eng = DeltaEngine::new(&m, &approx, skin);
+        let sys = eng.system();
+        let leaf = sys
+            .atoms
+            .leaf_ids
+            .iter()
+            .map(|&l| sys.atoms.node(l).range())
+            .find(|r| r.len() >= 3)
+            .expect("a leaf holds three atoms");
+        // The first and third atom: the span between them holds an
+        // unmoved row that must not be folded.
+        let (a, b) = (
+            sys.atoms.point_order[leaf.start] as usize,
+            sys.atoms.point_order[leaf.start + 2] as usize,
+        );
+        let p = Perturbation::default()
+            .move_atom(a, eng.positions()[a] + Vec3::new(0.12, -0.05, 0.08))
+            .move_atom(b, eng.positions()[b] + Vec3::new(-0.07, 0.1, 0.02));
+        let eval = assert_query_matches_fresh(&mut eng, &m, &p, &approx, skin);
+        assert!(eval.born_chunks_redone > 0);
+    }
+
+    #[test]
+    fn atom_listed_twice_matches_fresh_bits_and_reverts() {
+        let approx = ApproxParams::default();
+        let skin = 1.0;
+        let m = mol(150, 8);
+        let mut eng = DeltaEngine::new(&m, &approx, skin);
+        let (raw0, digest0) = (eng.raw(), eng.born_digest());
+        let p = Perturbation::default()
+            .move_atom(31, m.positions[31] + Vec3::new(0.2, 0.1, 0.0))
+            .move_atom(31, m.positions[31] + Vec3::new(-0.1, 0.15, 0.05));
+        assert_query_matches_fresh(&mut eng, &m, &p, &approx, skin);
+        assert_eq!(eng.positions()[31], m.positions[31] + Vec3::new(-0.1, 0.15, 0.05));
+        assert!(eng.revert(None));
+        assert_eq!(eng.raw().to_bits(), raw0.to_bits());
+        assert_eq!(eng.born_digest(), digest0);
+        assert_eq!(eng.positions()[31], m.positions[31]);
+    }
+
+    #[test]
+    fn moved_atom_without_near_born_entry_matches_fresh_bits() {
+        // A dense 7×7×7 grid with small leaves and a coarse Born ε: the
+        // buried atoms see every surface leaf as far, so their leaves
+        // hold no near Born record and their integrals are far sums only.
+        let side = 7usize;
+        let atoms = (0..side * side * side).map(|i| {
+            let (x, y, z) = (i % side, i / side % side, i / side / side);
+            Atom {
+                pos: Vec3::new(x as f64, y as f64, z as f64) * 1.6,
+                radius: 1.7,
+                charge: if i % 2 == 0 { 0.5 } else { -0.5 },
+                element: Element::C,
+            }
+        });
+        let m = Molecule::from_atoms("grid", atoms);
+        let approx = ApproxParams {
+            leaf_cap_atoms: 4,
+            leaf_cap_qpoints: 8,
+            ..ApproxParams::default()
+        }
+        .with_eps(5.0, 0.5);
+        let skin = 1.0;
+        let mut eng = DeltaEngine::new(&m, &approx, skin);
+        let mi = (0..m.len())
+            .find(|&mi| eng.born_entry_touch.chunks_for(mi).is_empty())
+            .expect("a buried atom has no near Born entry");
+        let oi = eng.system().atoms.point_order[mi] as usize;
+        let p = Perturbation::default().move_atom(oi, m.positions[oi] + Vec3::new(0.1, 0.1, -0.1));
+        let eval = assert_query_matches_fresh(&mut eng, &m, &p, &approx, skin);
+        assert_eq!(eval.born_chunks_redone, 0);
+    }
+
+    #[test]
+    fn sixty_four_moves_on_300_atoms_match_fresh_bits() {
+        let approx = ApproxParams::default();
+        let skin = 1.0;
+        let m = mol(300, 6);
+        let mut eng = DeltaEngine::new(&m, &approx, skin);
+        let (raw0, digest0) = (eng.raw(), eng.born_digest());
+        let mut p = Perturbation::default();
+        for k in 0..64usize {
+            let oi = (k * 37 + 5) % 300;
+            let s = (k % 7) as f64 / 7.0 - 0.5;
+            p = p.move_atom(oi, m.positions[oi] + Vec3::new(0.3 * s, -0.2 * s, 0.25));
+        }
+        assert_query_matches_fresh(&mut eng, &m, &p, &approx, skin);
+        assert!(eng.revert(None));
+        assert_eq!(eng.raw().to_bits(), raw0.to_bits());
+        assert_eq!(eng.born_digest(), digest0);
+    }
+
+    #[test]
+    fn paired_epol_reexecution_matches_run_entry_per_entry() {
+        let approx = ApproxParams::default();
+        let eng = DeltaEngine::new(&mol(300, 3), &approx, 1.0);
+        let entries = &eng.base.epol_lists.entries;
+        // A pseudo-random two thirds of the entries: most mirrors are
+        // dirty together, some entries lose theirs, far entries ride along.
+        let dirty: Vec<u32> = (0..entries.len() as u32)
+            .filter(|e| e.wrapping_mul(0x9e37_79b9) >> 29 < 5)
+            .collect();
+        let units = mirror_units(entries, &dirty);
+        assert!(units.iter().any(|u| u.1.is_some()), "no pair units");
+        assert!(
+            units.iter().any(|&(k, m)| m.is_none() && entries[dirty[k] as usize].mirror().is_some()),
+            "no entry with a clean mirror"
+        );
+        let mut scratch = StillScratch::default();
+        let want: Vec<u64> = dirty
+            .iter()
+            .map(|&e| {
+                let (sys, math) = (&eng.base.sys, approx.math);
+                let e = &entries[e as usize];
+                EpolLists::run_entry(sys, &eng.bins, &eng.base.born, math, e, &mut scratch).to_bits()
+            })
+            .collect();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut recovered = 0;
+        assert_eq!(bits(eng.epol_fresh(&dirty, &units, None, None, &mut recovered)), want);
+        for width in [1, 3] {
+            let pool = WorkStealingPool::new(width);
+            assert_eq!(bits(eng.epol_fresh(&dirty, &units, Some(&pool), None, &mut recovered)), want);
+        }
+        assert_eq!(recovered, 0);
+        let pool = WorkStealingPool::new(3);
+        let poison = Some(units.len() / 2);
+        let poisoned = eng.epol_fresh(&dirty, &units, Some(&pool), poison, &mut recovered);
+        assert_eq!(bits(poisoned), want);
+        assert_eq!(recovered, 1, "exactly the poisoned unit re-executes");
     }
 }

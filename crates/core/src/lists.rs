@@ -234,8 +234,7 @@ impl BornLists {
 
     /// Number of Phase-A output slots one entry produces: `len(a)` for a
     /// near entry (one per atom slot, in range order), one for a far
-    /// entry. This is the stride `core::delta`'s entry-granular cache
-    /// uses to splice a recomputed entry back into its chunk's stream.
+    /// entry.
     #[inline]
     pub fn entry_out_len(sys: &GbSystem, e: &ListEntry) -> usize {
         if e.far {
@@ -945,11 +944,12 @@ impl<'l> ListSource<'l> {
     }
 }
 
-/// Phase-A outputs of both lists, one vector per chunk: what `core::delta`
-/// caches and splices.
+/// What `core::delta` keeps of a run: the Born Phase-B accumulators (the
+/// far node sums and every atom's near integral) and the E_pol Phase-A
+/// outputs, one vector per chunk.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhaseOutputs {
-    pub born: Vec<Vec<f64>>,
+    pub born: BornAccumulators,
     pub epol: Vec<Vec<f64>>,
 }
 
@@ -1021,11 +1021,11 @@ where
     /// atom blocks with a pool, one range without. Radii are written
     /// independently per atom, so the blocking cannot change them; only
     /// `nodes_visited` grows with the shared ancestors each block
-    /// re-walks. Phase-A outputs go to `keep` when given.
+    /// re-walks. The Phase-B accumulators go to `keep` when given.
     pub(crate) fn born_radii(
         &mut self,
         lists: &BornLists,
-        keep: Option<&mut Vec<Vec<f64>>>,
+        keep: Option<&mut BornAccumulators>,
     ) -> Result<Vec<f64>, E> {
         let (sys, math, n) = (self.sys, self.approx.math, self.sys.n_atoms());
         let t = Instant::now();
@@ -1041,10 +1041,7 @@ where
         lists.apply(sys, &outputs, &mut acc);
         self.ops.add(&lists.ops);
         self.phases.integrals += t.elapsed().as_secs_f64();
-        match keep {
-            Some(keep) => *keep = outputs,
-            None => drop(outputs),
-        }
+        drop(outputs);
 
         let t = Instant::now();
         let blocks = if self.pool.is_some() { LIST_CHUNKS.min(n.max(1)) } else { 1 };
@@ -1062,11 +1059,14 @@ where
             self.ops.add(&ops);
         }
         self.phases.push += t.elapsed().as_secs_f64();
+        if let Some(keep) = keep {
+            *keep = acc;
+        }
         Ok(born)
     }
 
-    /// The whole sequence. Phase-A outputs go to `keep` when given and
-    /// are dropped after their Phase B otherwise.
+    /// The whole sequence. What `core::delta` caches goes to `keep` when
+    /// given ([`PhaseOutputs`]); it is dropped after its use otherwise.
     pub(crate) fn run(
         mut self,
         lists: ListSource<'_>,
@@ -1190,19 +1190,28 @@ impl ListEngine {
     /// Build the engine at the molecule's current geometry. Counts as the
     /// first rebuild. `skin` is the Verlet margin in Å (`>= 0`).
     pub fn new(mol: &Molecule, approx: &ApproxParams, skin: f64) -> ListEngine {
-        assert!(skin >= 0.0 && skin.is_finite(), "skin must be a finite non-negative margin");
-        let (sys, born_lists, epol_lists) = scaffold(mol, approx, skin);
+        let mut engine = ListEngine::scaffold_only(mol, approx, skin);
         // Populate Born radii at the build geometry so force kernels can
         // run before the first `evaluate` call.
-        let mut pipeline = Pipeline::new(&sys, approx, None, no_faults);
-        let Ok(born) = pipeline.born_radii(&born_lists, None);
+        let mut pipeline = Pipeline::new(&engine.sys, approx, None, no_faults);
+        let Ok(born) = pipeline.born_radii(&engine.born_lists, None);
+        engine.born = born;
+        engine
+    }
+
+    /// [`ListEngine::new`] without the Born pass: the scaffold and lists
+    /// only, with no radii yet. For `core::delta`, which executes both
+    /// lists in full right after and would otherwise pay the pass twice.
+    pub(crate) fn scaffold_only(mol: &Molecule, approx: &ApproxParams, skin: f64) -> ListEngine {
+        assert!(skin >= 0.0 && skin.is_finite(), "skin must be a finite non-negative margin");
+        let (sys, born_lists, epol_lists) = scaffold(mol, approx, skin);
         ListEngine {
             approx: *approx,
             skin,
             sys,
             born_lists,
             epol_lists,
-            born,
+            born: Vec::new(),
             reference: mol.positions.clone(),
             work: mol.clone(),
             lists_reused: 0,

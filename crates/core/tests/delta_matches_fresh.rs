@@ -153,7 +153,7 @@ proptest! {
 }
 
 /// A deliberately stale cached chunk cannot survive the harness: corrupt
-/// every cached Phase-A Born output, run an identity query (nothing is
+/// every cached Phase-A E_pol output, run an identity query (nothing is
 /// dirty, so nothing is recomputed), and the result must *differ* from
 /// the fresh reference — proving the differential comparison has recall,
 /// not just precision.
@@ -163,7 +163,7 @@ fn stale_cached_chunk_is_caught() {
     let skin = 1.0;
     let mol = synth::protein("stale", 130, 23);
     let mut eng = DeltaEngine::new(&mol, &approx, skin);
-    eng.debug_corrupt_cached_born_outputs(1e-3);
+    eng.debug_corrupt_cached_epol_outputs(1e-3);
     let eval = eng.apply_perturbation(&Perturbation::default(), None);
     let (raw, _, _) = fresh_reference(&eng, &mol, &approx, skin);
     assert_ne!(
@@ -173,8 +173,8 @@ fn stale_cached_chunk_is_caught() {
     );
 }
 
-/// Entry-level recall and repair: corrupt exactly one cached Born entry
-/// span. An identity query (nothing dirty) must show the corruption, and
+/// Entry-level recall and repair: corrupt exactly one cached E_pol entry
+/// value. An identity query (nothing dirty) must show the corruption, and
 /// a query moving an atom inside that entry's node range must mark the
 /// entry dirty, recompute its span and bit-match an uncorrupted engine —
 /// dirtiness tracking at entry resolution, not just chunk resolution.
@@ -185,8 +185,8 @@ fn stale_cached_entry_is_caught_and_recomputed() {
     let mol = synth::protein("stale-entry", 130, 23);
     let mut eng = DeltaEngine::new(&mol, &approx, skin);
     let clean_raw = eng.raw().to_bits();
-    let (entry_id, probe_atom) = eng.debug_near_born_entry_probe();
-    eng.debug_corrupt_cached_born_entry(entry_id, 1e-3);
+    let (entry_id, probe_atom) = eng.debug_near_epol_entry_probe();
+    eng.debug_corrupt_cached_epol_entry(entry_id, 1e-3);
 
     let stale = eng.apply_perturbation(&Perturbation::default(), None);
     assert_ne!(

@@ -52,25 +52,6 @@ pub fn partition_by_cost(costs: &[u64], parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Dense item → chunk lookup for a contiguous range partition (the
-/// output shape of [`partition_by_cost`]): `lookup[i]` is the index of
-/// the range containing item `i`. Empty trailing ranges claim nothing.
-/// Items not covered by any range (only possible for malformed inputs)
-/// are left at `u32::MAX`.
-///
-/// `core::delta`'s entry-granular cache uses this to splice a
-/// recomputed entry's output back into its chunk's cached stream
-/// without a per-query binary search.
-pub fn chunk_lookup(ranges: &[Range<usize>], n_items: usize) -> Vec<u32> {
-    let mut lookup = vec![u32::MAX; n_items];
-    for (c, r) in ranges.iter().enumerate() {
-        for slot in lookup.get_mut(r.clone()).unwrap_or(&mut []) {
-            *slot = c as u32;
-        }
-    }
-    lookup
-}
-
 /// Inverted index from integer keys (atom or node ids) to the chunks
 /// whose entries cover them.
 ///
@@ -191,22 +172,6 @@ mod tests {
         let a = partition_by_cost(&costs, 64);
         let b = partition_by_cost(&costs, 64);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn chunk_lookup_inverts_a_partition() {
-        let costs: Vec<u64> = (0..100).map(|i| 1 + (i * 7919) % 23).collect();
-        let ranges = partition_by_cost(&costs, 7);
-        let lookup = chunk_lookup(&ranges, costs.len());
-        for (c, r) in ranges.iter().enumerate() {
-            for i in r.clone() {
-                assert_eq!(lookup[i], c as u32);
-            }
-        }
-        // Fewer items than parts: trailing empty ranges claim nothing.
-        let ranges = partition_by_cost(&[5, 5], 4);
-        let lookup = chunk_lookup(&ranges, 2);
-        assert!(lookup.iter().all(|&c| (c as usize) < ranges.len()));
     }
 
     #[test]

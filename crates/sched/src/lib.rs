@@ -46,7 +46,7 @@ pub mod sim;
 mod slice;
 pub mod sync;
 
-pub use chunk::{chunk_lookup, partition_by_cost, CoverageIndex};
+pub use chunk::{partition_by_cost, CoverageIndex};
 pub use pool::{PoolMetrics, WorkStealingPool};
 pub use radix::par_sort_pairs;
 pub use sim::{SimOutcome, StealSimParams, StealSimulator};

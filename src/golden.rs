@@ -122,9 +122,10 @@ pub fn snapshot_delta(name: &str, mol: &Molecule) -> String {
 }
 
 /// [`snapshot_delta`] with an optional cache corruption injected before
-/// the script runs — the recall test uses this to prove a deliberately
-/// stale cached chunk changes the snapshot (and would therefore be
-/// caught by the committed-file diff).
+/// the script runs — the recall test uses this to prove deliberately
+/// stale cached Born far sums change the snapshot (the script moves
+/// atoms, whose radii read them), and would therefore be caught by the
+/// committed-file diff.
 #[doc(hidden)]
 pub fn snapshot_delta_impl(name: &str, mol: &Molecule, corrupt: Option<f64>) -> String {
     snapshot_delta_with(name, mol, |eng| {
@@ -134,14 +135,14 @@ pub fn snapshot_delta_impl(name: &str, mol: &Molecule, corrupt: Option<f64>) -> 
     })
 }
 
-/// [`snapshot_delta`] with exactly one cached Born *entry* span
+/// [`snapshot_delta`] with exactly one cached E_pol *entry* value
 /// corrupted — the entry-granular recall test uses this to prove the
 /// committed-file diff catches staleness at the smallest unit the
 /// entry-granular cache manages.
 #[doc(hidden)]
 pub fn snapshot_delta_entry_impl(name: &str, mol: &Molecule, entry: usize, delta: f64) -> String {
     snapshot_delta_with(name, mol, |eng| {
-        eng.debug_corrupt_cached_born_entry(entry, delta);
+        eng.debug_corrupt_cached_epol_entry(entry, delta);
     })
 }
 
