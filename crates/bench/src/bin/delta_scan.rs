@@ -3,7 +3,7 @@
 //! A mutation/perturbation screen asks: move `k` atoms, what is the new
 //! polarization energy? PR 5's list engine answers by re-running every
 //! Phase-A chunk; `core::delta` answers by re-running only the list
-//! entries whose operands read a moved atom (DESIGN.md §15–16), with a
+//! entries whose operands read a moved atom (DESIGN.md §14–15), with a
 //! result that is bit-identical **by construction**. This bench
 //! measures what that buys, and gates that it costs nothing in
 //! correctness:

@@ -7,7 +7,7 @@
 //! re-execution.
 //!
 //! [`DeltaEngine`] upgrades a [`ListEngine`] with cached phase state and
-//! an entry-granular dirtiness protocol (DESIGN.md §15–16):
+//! an entry-granular dirtiness protocol (DESIGN.md §14–15):
 //!
 //! * **Inverted indexes** ([`polaroct_sched::CoverageIndex`], built once
 //!   per scaffold): Morton atom → the Born entries whose near records
@@ -648,7 +648,7 @@ impl DeltaEngine {
     /// bins and radii: one value per entry, aligned with `dirty`. `units`
     /// is [`mirror_units`]`(dirty)`: a dirty entry whose mirror is dirty
     /// too shares one STILL tile with it, and both values equal
-    /// [`EpolLists::run_entry`]'s bits (DESIGN.md §12.4). Units run over
+    /// [`EpolLists::run_entry`]'s bits (DESIGN.md §11.4). Units run over
     /// `pool` when given (a `poison`ed unit is re-executed serially),
     /// serially with one reused scratch otherwise.
     fn epol_fresh(
@@ -1111,20 +1111,41 @@ mod tests {
     #[test]
     fn pooled_queries_match_serial_bits() {
         let approx = ApproxParams::default();
-        let skin = 1.0;
-        let m = mol(140, 11);
-        let mut serial = DeltaEngine::new(&m, &approx, skin);
-        let mut pooled = DeltaEngine::new(&m, &approx, skin);
         let pool = WorkStealingPool::new(3);
-        let p = Perturbation::default()
+        let m = mol(140, 11);
+        let two_moves = Perturbation::default()
             .move_atom(10, m.positions[10] + Vec3::new(0.2, 0.1, 0.0))
             .move_atom(77, m.positions[77] + Vec3::new(0.0, -0.2, 0.1));
-        let es = serial.apply_perturbation(&p, None);
-        let ep = pooled.apply_perturbation(&p, Some(&pool));
-        assert_eq!(es.raw.to_bits(), ep.raw.to_bits());
-        assert_eq!(es.chunks_redone, ep.chunks_redone);
-        assert_eq!(ep.recovered_chunks, 0, "a healthy pool must not recover");
-        assert_eq!(serial.born_digest(), pooled.born_digest());
+        // A screen on one engine: six 4-atom queries, each reverted, so
+        // pooled reverts run between pooled queries.
+        let s = mol(120, 8);
+        let screen: Vec<Perturbation> = (0..6)
+            .map(|q| {
+                (0..4).fold(Perturbation::default(), |p, k| {
+                    let atom = (37 * q + 53 * k + 5) % s.len();
+                    let sign = if (q + k) % 2 == 0 { 1.0 } else { -1.0 };
+                    let d = Vec3::new(0.15, -0.1, 0.05 * k as f64) * sign;
+                    p.move_atom(atom, s.positions[atom] + d)
+                })
+            })
+            .collect();
+        for (m, skin, queries) in [(&m, 1.0, vec![two_moves]), (&s, 0.8, screen)] {
+            let mut serial = DeltaEngine::new(m, &approx, skin);
+            let mut pooled = DeltaEngine::new(m, &approx, skin);
+            for p in &queries {
+                let es = serial.apply_perturbation(p, None);
+                let ep = pooled.apply_perturbation(p, Some(&pool));
+                assert!(!es.rebuilt, "the screen must stay incremental");
+                assert_eq!(es.raw.to_bits(), ep.raw.to_bits());
+                assert_eq!(es.chunks_redone, ep.chunks_redone);
+                assert_eq!(ep.recovered_chunks, 0, "a healthy pool must not recover");
+                assert_eq!(serial.born_digest(), pooled.born_digest());
+                assert!(serial.revert(None));
+                assert!(pooled.revert(Some(&pool)));
+                assert_eq!(serial.raw().to_bits(), pooled.raw().to_bits());
+                assert_eq!(serial.born_digest(), pooled.born_digest());
+            }
+        }
     }
 
     #[test]

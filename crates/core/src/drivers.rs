@@ -34,9 +34,7 @@ use polaroct_cluster::{
     simtime::{OpCounts, SimClock},
 };
 use polaroct_geom::fastmath::MathMode;
-use polaroct_molecule::Molecule;
 use polaroct_sched::{StealSimParams, StealSimulator, WorkStealingPool};
-use polaroct_surface::surface_quadrature;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -265,11 +263,6 @@ pub fn validate_system(sys: &GbSystem) -> Result<(), DriverError> {
 /// which is *simulated* from op counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Octree construction (Step 1). Populated by the `_mol` driver
-    /// entry points, which build the trees themselves ([`run_serial_mol`],
-    /// [`run_oct_threads_mol`]); zero when the caller supplied a prebuilt
-    /// [`GbSystem`] and construction happened outside the measured run.
-    pub build: f64,
     /// `APPROX-INTEGRALS` over all quadrature leaves (Step 2).
     pub integrals: f64,
     /// `PUSH-INTEGRALS-TO-ATOMS` (Step 4).
@@ -288,7 +281,7 @@ pub struct PhaseTimes {
 impl PhaseTimes {
     /// Sum of the phase times (excludes setup not covered by a phase).
     pub fn total(&self) -> f64 {
-        self.build + self.integrals + self.push + self.bins + self.epol + self.lists
+        self.integrals + self.push + self.bins + self.epol + self.lists
     }
 }
 
@@ -508,9 +501,8 @@ pub fn run_oct_cilk(
 
 /// Brent/Blumofe–Leiserson makespan for a fork-join computation of total
 /// work `t1`, about `n_tasks` leaf tasks and spawn-tree depth `depth` on
-/// `p` workers. Public so benches can print the modeled speedup next to a
-/// measured one (see `measured_speedup`).
-pub fn fork_join_makespan(t1: f64, n_tasks: usize, depth: u32, p: usize, steal_cost: f64) -> f64 {
+/// `p` workers.
+fn fork_join_makespan(t1: f64, n_tasks: usize, depth: u32, p: usize, steal_cost: f64) -> f64 {
     if p <= 1 {
         return t1;
     }
@@ -607,51 +599,6 @@ pub fn run_oct_threads_ft(
     let pool = Some(WorkStealingPool::new(threads));
     let name = "OCT_THREADS";
     run_one_process(sys, params, name, threads, Traversal::Single, pool.as_ref(), plan, model)
-}
-
-/// Fold an octree-construction time into a report produced from a
-/// freshly built system: Step 1 joins the measured phase breakdown and
-/// the wall clock grows by the same amount, preserving the
-/// `phases.total() <= wall_seconds` contract.
-fn with_build_time(mut report: RunReport, build_seconds: f64) -> RunReport {
-    report.phases.build = build_seconds;
-    report.wall_seconds += build_seconds;
-    report
-}
-
-/// [`run_serial`] starting from the molecule: samples the surface, then
-/// builds both octrees serially *inside* the measured run, reporting the
-/// construction cost (Step 1) in [`PhaseTimes::build`].
-pub fn run_serial_mol(
-    mol: &Molecule,
-    params: &ApproxParams,
-    cfg: &DriverConfig,
-) -> Result<RunReport, DriverError> {
-    let quad = surface_quadrature(mol, params.surface);
-    let t = Instant::now();
-    let sys = GbSystem::prepare_with_surface(mol, &quad, params);
-    let build = t.elapsed().as_secs_f64();
-    Ok(with_build_time(run_serial(&sys, params, cfg)?, build))
-}
-
-/// [`run_oct_threads`] starting from the molecule: octree construction
-/// runs on a work-stealing pool of the same width as the kernel phases
-/// (`polaroct_octree::parallel`), so Step 1 stops being the one serial
-/// phase. The trees — and therefore all downstream energies and radii —
-/// are byte-identical to [`run_serial_mol`]'s at any thread count.
-pub fn run_oct_threads_mol(
-    mol: &Molecule,
-    params: &ApproxParams,
-    cfg: &DriverConfig,
-    threads: usize,
-) -> Result<RunReport, DriverError> {
-    require_config(threads >= 1, "the threads driver needs at least one thread")?;
-    let pool = WorkStealingPool::new(threads);
-    let quad = surface_quadrature(mol, params.surface);
-    let t = Instant::now();
-    let sys = GbSystem::prepare_with_surface_pooled(mol, &quad, params, Some(&pool));
-    let build = t.elapsed().as_secs_f64();
-    Ok(with_build_time(run_oct_threads(&sys, params, cfg, threads)?, build))
 }
 
 /// Distributed run (`OCT_MPI`): Fig. 4 with one thread per rank.
@@ -1364,79 +1311,10 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_system_drivers_report_zero_build_phase() {
-        // Construction happened outside the measured run, so Step 1 must
-        // not be attributed to it.
-        let sys = system(150, 9);
-        let params = ApproxParams::default();
-        let cfg = DriverConfig::default();
-        for r in [
-            run_serial(&sys, &params, &cfg).unwrap(),
-            run_oct_threads(&sys, &params, &cfg, 2).unwrap(),
-        ] {
-            assert_eq!(r.phases.build, 0.0, "{}", r.name);
-        }
-    }
-
-    #[test]
-    fn mol_drivers_populate_build_phase_within_wall() {
-        let mol = synth::protein("p", 250, 5);
-        let params = ApproxParams::default();
-        let cfg = DriverConfig::default();
-        for r in [
-            run_serial_mol(&mol, &params, &cfg).unwrap(),
-            run_oct_threads_mol(&mol, &params, &cfg, 2).unwrap(),
-        ] {
-            assert!(r.phases.build > 0.0, "{}: build phase empty", r.name);
-            assert!(
-                r.phases.total() <= r.wall_seconds,
-                "{}: phases {} exceed wall {}",
-                r.name,
-                r.phases.total(),
-                r.wall_seconds
-            );
-        }
-    }
-
-    #[test]
-    fn phase_total_includes_build() {
-        let p = PhaseTimes {
-            build: 1.0,
-            integrals: 2.0,
-            push: 3.0,
-            bins: 4.0,
-            epol: 5.0,
-            lists: 6.0,
-        };
-        assert_eq!(p.total(), 21.0);
+    fn phase_total_sums_every_phase() {
+        let p = PhaseTimes { integrals: 2.0, push: 3.0, bins: 4.0, epol: 5.0, lists: 6.0 };
+        assert_eq!(p.total(), 20.0);
         assert_eq!(PhaseTimes::default().total(), 0.0);
-    }
-
-    #[test]
-    fn threads_mol_driver_matches_serial_mol_bits_across_widths() {
-        // The parallel octree build is byte-identical to the serial one,
-        // and the threads kernels are bit-reproducible across widths — so
-        // the full molecule-to-energy pipeline must be too.
-        let mol = synth::protein("p", 300, 7);
-        let params = ApproxParams::default();
-        let cfg = DriverConfig::default();
-        let e1 = run_oct_threads_mol(&mol, &params, &cfg, 1).unwrap();
-        for threads in [2usize, 4] {
-            let e = run_oct_threads_mol(&mol, &params, &cfg, threads).unwrap();
-            assert_eq!(
-                e.energy_kcal.to_bits(),
-                e1.energy_kcal.to_bits(),
-                "threads={threads}"
-            );
-            for (a, b) in e.born_radii.iter().zip(&e1.born_radii) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-        // And against the serial driver on the serially-built system:
-        // identical trees, reduction-roundoff-level energy agreement.
-        let s = run_serial_mol(&mol, &params, &cfg).unwrap();
-        let rel = ((s.energy_kcal - e1.energy_kcal) / s.energy_kcal).abs();
-        assert!(rel < 1e-12, "serial vs threads_mol relative error {rel}");
     }
 
     #[test]
@@ -1490,13 +1368,6 @@ mod tests {
         let sys = system(50, 1);
         let (params, cfg) = (ApproxParams::default(), DriverConfig::default());
         assert_config_error(run_oct_threads_ft(&sys, &params, &cfg, 0, &FaultPlan::none()));
-    }
-
-    #[test]
-    fn threads_mol_rejects_zero_threads() {
-        let mol = synth::protein("p", 50, 1);
-        let (params, cfg) = (ApproxParams::default(), DriverConfig::default());
-        assert_config_error(run_oct_threads_mol(&mol, &params, &cfg, 0));
     }
 
     #[test]

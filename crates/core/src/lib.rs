@@ -38,8 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub mod born;
-pub mod born_r4;
-pub mod data_dist;
 pub mod delta;
 pub mod drivers;
 pub mod dual;
@@ -53,15 +51,13 @@ pub mod naive;
 pub mod params;
 pub mod procexec;
 pub mod soa;
-pub mod steal;
 pub mod system;
 pub mod workdiv;
 
 pub use drivers::{
-    fork_join_makespan, run_naive, run_oct_cilk, run_oct_hybrid, run_oct_hybrid_ft, run_oct_mpi,
-    run_oct_mpi_ft, run_oct_threads, run_oct_threads_ft, run_oct_threads_mol, run_serial,
-    run_serial_mol, validate_system, DriverError,
-    FtConfig, PhaseTimes, RecoveryMode, RunOutcome, RunReport, EPS_DEGRADED,
+    run_naive, run_oct_cilk, run_oct_hybrid, run_oct_hybrid_ft, run_oct_mpi, run_oct_mpi_ft,
+    run_oct_threads, run_oct_threads_ft, run_serial, validate_system, DriverError, FtConfig,
+    PhaseTimes, RecoveryMode, RunOutcome, RunReport, EPS_DEGRADED,
 };
 pub use delta::{DeltaEngine, DeltaEval, Perturbation};
 pub use error::{energy_error_pct, ErrorStats};

@@ -15,7 +15,7 @@
 //! 2. an **execution pass** that sweeps the list through the `soa.rs`
 //!    lane-batched kernels, reading straight from the persistent flat
 //!    leaf arenas in [`GbSystem`] (zero gather traffic — every leaf is a
-//!    slice of the Morton-ordered arenas, DESIGN.md §12), in two phases:
+//!    slice of the Morton-ordered arenas, DESIGN.md §11), in two phases:
 //!    * **Phase A** (parallelizable): every entry's kernel output is a
 //!      *pure function* of the system — a per-atom vector for Born near
 //!      entries, one scalar otherwise — computed over cost-balanced
@@ -28,7 +28,7 @@
 //!
 //! Because Phase A is pure and Phase B replays the serial recursion's
 //! every floating-point add in order, list execution is **bit-identical
-//! to the recursive traversal at any thread count** (see DESIGN.md §11
+//! to the recursive traversal at any thread count** (see DESIGN.md §10
 //! for the full argument, and `tests/lists_match_recursion.rs` for the
 //! proptest).
 //!
@@ -83,7 +83,7 @@ pub const LIST_CHUNKS: usize = 64;
 /// `partner` links a near E_pol entry `(u, v)` to its mirror `(v, u)` in
 /// the same list ([`ListEntry::NO_PARTNER`] when there is none, and
 /// always for Born, far and diagonal entries): Phase A evaluates the
-/// pair's STILL tile once for both (DESIGN.md §11.7).
+/// pair's STILL tile once for both (DESIGN.md §10.7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ListEntry {
     /// Atoms-tree node id.
@@ -562,7 +562,7 @@ impl EpolLists {
             let val = match e.mirror() {
                 None => Self::run_entry(sys, bins, born, math, e, &mut scratch),
                 Some(p) if p > i => {
-                    // Both values bit-equal `run_entry`'s (DESIGN.md §12.4).
+                    // Both values bit-equal `run_entry`'s (DESIGN.md §11.4).
                     let uv = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
                     let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
                     let (own, mirror) = still_pair_block(uv, vv, math, &mut scratch);
@@ -661,7 +661,7 @@ impl EpolLists {
 }
 
 /// Link every near entry `(u, v)` to its mirror `(v, u)` when the list
-/// holds both (DESIGN.md §11.7). One pass for single- and dual-tree
+/// holds both (DESIGN.md §10.7). One pass for single- and dual-tree
 /// lists, linear in the near entries:
 ///
 /// 1. rank the leaves by range start (Morton order);

@@ -13,9 +13,8 @@
 //! [`crate::lists::ListEngine`]: octrees and interaction lists are built
 //! with node bounds inflated by [`MdParams::skin`] and reused across
 //! steps, rebuilt only when the tracked max displacement from the build
-//! geometry exceeds `skin / 2` (the Verlet-list protocol, DESIGN.md §11).
+//! geometry exceeds `skin / 2` (the Verlet-list protocol, DESIGN.md §10).
 
-use crate::delta::{DeltaEngine, Perturbation};
 use crate::forces::forces_cutoff;
 use crate::lists::ListEngine;
 use crate::params::ApproxParams;
@@ -134,140 +133,6 @@ pub fn run_md(mol: &Molecule, approx: &ApproxParams, md: &MdParams, steps: usize
     }
 }
 
-/// Settings for [`run_perturbation_scan`].
-#[derive(Clone, Copy, Debug)]
-pub struct PerturbationScanParams {
-    /// Verlet skin handed to the underlying [`DeltaEngine`] (Å).
-    pub skin: f64,
-    /// Atoms moved per query (`k`).
-    pub moves_per_query: usize,
-    /// Number of perturbation queries.
-    pub queries: usize,
-    /// Per-component displacement amplitude (Å). Keep below `skin / 2`
-    /// to stay on the incremental path; larger amplitudes exercise the
-    /// rebuild fallback.
-    pub amplitude: f64,
-    /// Deterministic stream seed for atom choice and displacements.
-    pub seed: u64,
-    /// Revert each query after recording its energy (mutation-screening
-    /// mode: every query is scored against the same base state).
-    pub revert_each: bool,
-}
-
-impl Default for PerturbationScanParams {
-    fn default() -> Self {
-        PerturbationScanParams {
-            skin: 0.8,
-            moves_per_query: 4,
-            queries: 16,
-            amplitude: 0.15,
-            seed: 1,
-            revert_each: true,
-        }
-    }
-}
-
-/// Scan statistics returned by [`run_perturbation_scan`] — the delta
-/// analog of [`MdReport`]'s list-reuse accounting.
-#[derive(Clone, Debug)]
-pub struct PerturbationScanReport {
-    /// Polarization energy after each query (kcal/mol).
-    pub energies: Vec<f64>,
-    /// Chunks re-executed across all queries.
-    pub chunks_redone: u64,
-    /// Chunks served from the Phase-A output cache across all queries.
-    pub chunks_cached: u64,
-    /// Chunks per full evaluation (both lists).
-    pub total_chunks: usize,
-    /// Queries served incrementally vs via scaffold rebuild.
-    pub queries_incremental: u64,
-    pub queries_rebuilt: u64,
-    /// List entries re-executed / served from cache across all queries.
-    pub entries_redone: u64,
-    pub entries_cached: u64,
-    /// Entries per full evaluation (both lists).
-    pub total_entries: usize,
-    /// Wall time spent inside `apply_perturbation` (excludes setup and
-    /// reverts).
-    pub delta_wall: std::time::Duration,
-    /// Reverts performed (= queries when `revert_each`).
-    pub reverted: u64,
-    /// Bytes held by the delta engine at the end of the scan.
-    pub memory_bytes: usize,
-}
-
-/// Drive a [`DeltaEngine`] through a deterministic random perturbation
-/// scan: each query moves `k` atoms by up to `amplitude` per component,
-/// re-evaluates incrementally (bit-identical to a full run by the
-/// engine's contract) and optionally reverts. `pool` parallelizes the
-/// dirty-chunk re-execution; the energies are bitwise independent of it.
-pub fn run_perturbation_scan(
-    mol: &Molecule,
-    approx: &ApproxParams,
-    scan: &PerturbationScanParams,
-    pool: Option<&polaroct_sched::WorkStealingPool>,
-) -> PerturbationScanReport {
-    // splitmix64: deterministic, dependency-free stream.
-    let mut state = scan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    // Uniform in [-1, 1).
-    let mut unit = move || (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-
-    let n = mol.len();
-    let mut engine = DeltaEngine::new(mol, approx, scan.skin);
-    let mut energies = Vec::with_capacity(scan.queries);
-    let (mut redone, mut cached, mut reverted) = (0u64, 0u64, 0u64);
-    let (mut e_redone, mut e_cached) = (0u64, 0u64);
-    let mut delta_wall = std::time::Duration::ZERO;
-
-    for _ in 0..scan.queries {
-        let mut p = Perturbation::default();
-        for _ in 0..scan.moves_per_query.min(n) {
-            let atom = (unit() * 0.5 + 0.5) * n as f64;
-            let atom = (atom as usize).min(n - 1);
-            let d = Vec3::new(
-                unit() * scan.amplitude,
-                unit() * scan.amplitude,
-                unit() * scan.amplitude,
-            );
-            // PANIC-OK: atom < n by the clamp above.
-            p = p.move_atom(atom, engine.positions()[atom] + d);
-        }
-        let t0 = std::time::Instant::now();
-        let eval = engine.apply_perturbation(&p, pool);
-        delta_wall += t0.elapsed();
-        redone += eval.chunks_redone as u64;
-        cached += eval.chunks_cached as u64;
-        e_redone += eval.entries_redone as u64;
-        e_cached += eval.entries_cached as u64;
-        energies.push(eval.energy_kcal);
-        if scan.revert_each && engine.revert(pool) {
-            reverted += 1;
-        }
-    }
-
-    PerturbationScanReport {
-        energies,
-        chunks_redone: redone,
-        chunks_cached: cached,
-        total_chunks: engine.total_chunks(),
-        queries_incremental: engine.queries_incremental,
-        queries_rebuilt: engine.queries_rebuilt,
-        entries_redone: e_redone,
-        entries_cached: e_cached,
-        total_entries: engine.total_entries(),
-        delta_wall,
-        reverted,
-        memory_bytes: engine.memory_bytes(),
-    }
-}
-
 /// GB forces at `pos` (approximating with the radii/octree snapshot from
 /// the last refresh) plus the harmonic restraint.
 fn force_field(
@@ -377,48 +242,6 @@ mod tests {
             report.lists_reused,
             report.lists_rebuilt
         );
-    }
-
-    #[test]
-    fn perturbation_scan_is_deterministic_and_incremental() {
-        let mol = synth::protein("scan", 140, 21);
-        let approx = ApproxParams::default();
-        let scan = PerturbationScanParams::default();
-        let a = run_perturbation_scan(&mol, &approx, &scan, None);
-        let b = run_perturbation_scan(&mol, &approx, &scan, None);
-        assert_eq!(a.energies.len(), scan.queries);
-        for (x, y) in a.energies.iter().zip(&b.energies) {
-            assert_eq!(x.to_bits(), y.to_bits(), "scan must be deterministic");
-        }
-        // 0.15 Å amplitude against a 0.8 Å skin stays incremental.
-        assert_eq!(a.queries_rebuilt, 0);
-        assert_eq!(a.queries_incremental, scan.queries as u64);
-        assert_eq!(a.reverted, scan.queries as u64);
-        assert!(
-            a.chunks_redone < scan.queries as u64 * a.total_chunks as u64,
-            "redone {} of {} available",
-            a.chunks_redone,
-            scan.queries * a.total_chunks
-        );
-        assert!(a.chunks_redone + a.chunks_cached == scan.queries as u64 * a.total_chunks as u64);
-        assert!(a.memory_bytes > 0);
-    }
-
-    #[test]
-    fn perturbation_scan_pool_matches_serial_bits() {
-        let mol = synth::protein("scan", 120, 8);
-        let approx = ApproxParams::default();
-        let scan = PerturbationScanParams {
-            queries: 6,
-            ..Default::default()
-        };
-        let serial = run_perturbation_scan(&mol, &approx, &scan, None);
-        let pool = polaroct_sched::WorkStealingPool::new(3);
-        let pooled = run_perturbation_scan(&mol, &approx, &scan, Some(&pool));
-        for (x, y) in serial.energies.iter().zip(&pooled.energies) {
-            assert_eq!(x.to_bits(), y.to_bits(), "pool must not change bits");
-        }
-        assert_eq!(serial.chunks_redone, pooled.chunks_redone);
     }
 
     #[test]

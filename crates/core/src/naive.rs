@@ -98,37 +98,6 @@ pub fn born_radii_naive(sys: &GbSystem, math: MathMode) -> (Vec<f64>, OpCounts) 
     (radii, ops)
 }
 
-/// Exact r⁴ Born radii (Eq. 3) — the alternative approximation the paper
-/// mentions; r⁶ "shows better accuracy for spherical solutes".
-/// `1/R = (1/4π) Σ w (n·d)/|d|⁴  ⇒  R = 4π / s`.
-pub fn born_radii_naive_r4(sys: &GbSystem, _math: MathMode) -> (Vec<f64>, OpCounts) {
-    let m = sys.n_atoms();
-    let n = sys.n_qpoints();
-    let four_pi = 4.0 * std::f64::consts::PI;
-    let mut radii = Vec::with_capacity(m);
-    for a in 0..m {
-        let xa = sys.atoms.points[a];
-        let mut s = 0.0;
-        for k in 0..n {
-            let d = sys.qtree.points[k] - xa;
-            let d2 = d.norm2();
-            let inv2 = 1.0 / d2;
-            s += sys.q_weight[k] * sys.q_normal[k].dot(d) * inv2 * inv2;
-        }
-        let r = if s <= 0.0 {
-            BORN_RADIUS_MAX
-        } else {
-            four_pi / s
-        };
-        radii.push(r.clamp(sys.radius[a], BORN_RADIUS_MAX));
-    }
-    let ops = OpCounts {
-        born_near: (m * n) as u64,
-        ..Default::default()
-    };
-    (radii, ops)
-}
-
 /// Exact E_pol (Eq. 2 / Fig. 3 convention): returns the raw ordered-pair
 /// sum `Σ_{i,j} q_i q_j / f_GB` (convert with
 /// [`crate::gb::epol_from_raw_sum`]) and op counts.
@@ -205,13 +174,6 @@ mod tests {
             assert!((radii[0] - r).abs() < 1e-9, "r={r}: got {}", radii[0]);
             assert_eq!(ops.born_near as usize, sys.n_qpoints());
         }
-    }
-
-    #[test]
-    fn isolated_atom_r4_also_recovers_radius() {
-        let sys = one_ion(1.5, 1.0);
-        let (radii, _) = born_radii_naive_r4(&sys, MathMode::Exact);
-        assert!((radii[0] - 1.5).abs() < 1e-9);
     }
 
     #[test]

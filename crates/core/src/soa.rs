@@ -8,7 +8,7 @@
 //! auto-vectorization: the lanes are interleaved in memory and the
 //! transcendentals (`exp`, `rsqrt`) are emitted one call at a time.
 //!
-//! Two layers fix that (DESIGN.md §12):
+//! Two layers fix that (DESIGN.md §11):
 //!
 //! * **Lane-batched kernels** ([`born_term_lanes`], [`still_term_lanes`]):
 //!   every element-wise stage (coordinate diffs, `d²`, reciprocals, dot
@@ -373,7 +373,7 @@ pub fn still_block_lanes<const W: usize>(
 /// Both orientations of one leaf pair from a single STILL tile:
 /// `(raw_uv, raw_vu)` where `raw_uv = Σ_k q_u[k] · Σ_j q_v[j] · t[k][j]`
 /// is `GbSystem::still_block_raw` of `u` against `v` and `raw_vu` that of
-/// `v` against `u`, bit for bit (DESIGN.md §12.4).
+/// `v` against `u`, bit for bit (DESIGN.md §11.4).
 ///
 /// The element `t[k][j]` is the same float in both orientations: the
 /// swapped coordinate differences are exact negations, so `d²` is equal;

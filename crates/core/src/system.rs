@@ -6,7 +6,6 @@ use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
 use polaroct_octree::{build, BuildParams, Octree};
-use polaroct_sched::WorkStealingPool;
 use polaroct_surface::{surface_quadrature, QuadratureSet};
 use std::ops::Range;
 
@@ -46,20 +45,8 @@ pub struct GbSystem {
 impl GbSystem {
     /// Sample the surface and build both octrees.
     pub fn prepare(mol: &Molecule, params: &ApproxParams) -> GbSystem {
-        Self::prepare_pooled(mol, params, None)
-    }
-
-    /// [`GbSystem::prepare`] with the octree builds optionally routed
-    /// over a work-stealing pool. The trees (and therefore every
-    /// downstream energy) are byte-identical with or without a pool at
-    /// any width — parallel construction is a pure performance knob.
-    pub fn prepare_pooled(
-        mol: &Molecule,
-        params: &ApproxParams,
-        pool: Option<&WorkStealingPool>,
-    ) -> GbSystem {
         let quad = surface_quadrature(mol, params.surface);
-        Self::prepare_with_surface_pooled(mol, &quad, params, pool)
+        Self::prepare_with_surface(mol, &quad, params)
     }
 
     /// Build from an externally supplied surface (lets tests craft exact
@@ -69,17 +56,6 @@ impl GbSystem {
         quad: &QuadratureSet,
         params: &ApproxParams,
     ) -> GbSystem {
-        Self::prepare_with_surface_pooled(mol, quad, params, None)
-    }
-
-    /// [`GbSystem::prepare_with_surface`] with optionally-pooled octree
-    /// builds (see [`GbSystem::prepare_pooled`]).
-    pub fn prepare_with_surface_pooled(
-        mol: &Molecule,
-        quad: &QuadratureSet,
-        params: &ApproxParams,
-        pool: Option<&WorkStealingPool>,
-    ) -> GbSystem {
         assert!(!mol.is_empty(), "empty molecule");
         assert!(!quad.is_empty(), "empty surface");
 
@@ -87,7 +63,6 @@ impl GbSystem {
             &mol.positions,
             BuildParams {
                 leaf_capacity: params.leaf_cap_atoms,
-                pool,
                 ..Default::default()
             },
         );
@@ -98,7 +73,6 @@ impl GbSystem {
             &quad.positions,
             BuildParams {
                 leaf_capacity: params.leaf_cap_qpoints,
-                pool,
                 ..Default::default()
             },
         );
@@ -110,13 +84,15 @@ impl GbSystem {
         let mut q_node_normal = Vec::with_capacity(qtree.nodes.len());
         for node in &qtree.nodes {
             let mut s = Vec3::ZERO;
-            for i in node.range() {
-                s += q_normal[i] * q_weight[i];
+            let normals = q_normal.get(node.range()).unwrap_or_default();
+            let weights = q_weight.get(node.range()).unwrap_or_default();
+            for (&n, &w) in normals.iter().zip(weights) {
+                s += n * w;
             }
             q_node_normal.push(s);
         }
 
-        // Flat leaf arenas (DESIGN.md §12): built once per prepare from
+        // Flat leaf arenas (DESIGN.md §11): built once per prepare from
         // the already-permuted payloads, so list execution slices them
         // directly instead of re-gathering per chunk.
         let q_arena = QArena::build(&qtree.points, &q_normal, &q_weight);
@@ -140,7 +116,7 @@ impl GbSystem {
     /// octree's Morton-ordered point copies *and* the flat atom arena
     /// from original-order positions. Topology, node bounds, `point_order`
     /// and every q-surface payload stay frozen — exactly the state a
-    /// within-skin step is allowed to reuse (DESIGN.md §11).
+    /// within-skin step is allowed to reuse (DESIGN.md §10).
     pub fn refresh_atom_positions(&mut self, positions: &[Vec3]) {
         self.atoms.refresh_positions(positions);
         self.atom_arena.refresh_positions(&self.atoms.points);
@@ -328,29 +304,6 @@ mod tests {
                     "node {id} normal sum mismatch"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pooled_prepare_is_bit_identical_to_serial() {
-        let mol = synth::protein("p", 400, 11);
-        let params = ApproxParams::default();
-        let serial = GbSystem::prepare(&mol, &params);
-        for width in [1, 2, 4] {
-            let pool = WorkStealingPool::new(width);
-            let pooled = GbSystem::prepare_pooled(&mol, &params, Some(&pool));
-            assert_eq!(
-                serial.atoms.content_digest(),
-                pooled.atoms.content_digest(),
-                "atom tree differs at width {width}"
-            );
-            assert_eq!(
-                serial.qtree.content_digest(),
-                pooled.qtree.content_digest(),
-                "q-point tree differs at width {width}"
-            );
-            assert_eq!(serial.charge, pooled.charge);
-            assert_eq!(serial.q_weight, pooled.q_weight);
         }
     }
 

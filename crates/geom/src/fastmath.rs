@@ -217,7 +217,7 @@ pub fn exp_fast(x: f64) -> f64 {
 // is one such fusion in that binary and every plain `*`/`+` is one GCC
 // left unfused. `f64::mul_add` is a single correctly rounded FMA on every
 // target, so these bits no longer depend on which variant a host's glibc
-// would have chosen (DESIGN.md §17).
+// would have chosen (DESIGN.md §16).
 
 /// N/ln2 with N = 128.
 const EXP_INV_LN2_N: f64 = f64::from_bits(0x4067_1547_652b_82fe);

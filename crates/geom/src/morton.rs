@@ -101,16 +101,6 @@ impl MortonQuantizer {
         let (x, y, z) = self.cell_of(p);
         encode_cells(x, y, z)
     }
-
-    /// Morton codes of a batch of points, in input order.
-    ///
-    /// Each code depends only on its own point, so callers may encode
-    /// disjoint sub-slices concurrently and concatenate: the octree's
-    /// parallel builder maps this over point chunks on its pool and
-    /// gets bit-identical codes to a single serial call.
-    pub fn codes_of(&self, points: &[Vec3]) -> Vec<u64> {
-        points.iter().map(|&p| self.code_of(p)).collect()
-    }
 }
 
 /// The child octant (0..8) selected by a Morton code at tree `level`
@@ -181,24 +171,6 @@ mod tests {
         for (code, i) in codes {
             assert_eq!(child_index_at_level(code, 0), i);
         }
-    }
-
-    #[test]
-    fn batch_codes_match_pointwise_and_concatenate() {
-        let domain = Aabb::new(Vec3::ZERO, Vec3::splat(32.0));
-        let q = MortonQuantizer::new(&domain);
-        let pts: Vec<Vec3> = (0..37)
-            .map(|i| Vec3::new(i as f64 * 0.7, (i * 3 % 11) as f64, 31.0 - i as f64 * 0.5))
-            .collect();
-        let whole = q.codes_of(&pts);
-        assert_eq!(whole, pts.iter().map(|&p| q.code_of(p)).collect::<Vec<_>>());
-        // Chunked encoding concatenates to the same codes (the parallel
-        // builder's contract).
-        let mut chunked = Vec::new();
-        for chunk in pts.chunks(5) {
-            chunked.extend_from_slice(&q.codes_of(chunk));
-        }
-        assert_eq!(whole, chunked);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! conservative toward *extern*: an unresolvable call is treated as a
 //! call into std/vendored code, which the passes assume non-panicking
 //! and bounded. The heuristics and their caveats are documented in
-//! DESIGN.md §14.
+//! DESIGN.md §13.
 
 use crate::ir::{parse_file, FileIr, FnIr};
 use std::collections::{HashMap, VecDeque};

@@ -6,7 +6,7 @@
 //! sites, and the **facts** the passes consume — may-panic sites,
 //! blocking primitives, timeout setters, accumulation ops, loops,
 //! parallel-closure regions. Extraction is token-driven (no AST): the
-//! soundness caveats this buys are documented per-pass in DESIGN.md §14.
+//! soundness caveats this buys are documented per-pass in DESIGN.md §13.
 
 use crate::lex::{lex, Tok};
 

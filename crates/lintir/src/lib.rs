@@ -18,7 +18,7 @@
 //! - [`diag`] — diagnostics, JSON rendering, and the line-number-free
 //!   ratchet baseline.
 //!
-//! The engine is consumed by `cargo xtask analyze`; DESIGN.md §14
+//! The engine is consumed by `cargo xtask analyze`; DESIGN.md §13
 //! documents the soundness model and per-pass caveats.
 
 #![forbid(unsafe_code)]

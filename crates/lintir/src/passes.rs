@@ -7,7 +7,7 @@
 //! | WP0xx | wire-protocol totality    | `// WIRE-OK:`       |
 //! | DT0xx | determinism dataflow      | `// DETERMINISM-OK:`|
 //!
-//! Each pass is name- and token-driven; DESIGN.md §14 documents what
+//! Each pass is name- and token-driven; DESIGN.md §13 documents what
 //! each one over- and under-approximates.
 
 use crate::diag::Diagnostic;

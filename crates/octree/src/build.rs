@@ -4,24 +4,15 @@
 //! cost analysis. The recursion never copies points: each node is carved
 //! out of the sorted array by binary-searching octant boundaries in the
 //! Morton codes.
-//!
-//! Construction comes in two flavors with **bit-identical** output: the
-//! serial path below, and [`crate::parallel`] (selected by
-//! [`BuildParams::pool`]), which runs Morton encoding, the sort, and
-//! subtree emission on a work-stealing pool. Identity holds because the
-//! sort key `(code, original index)` is a total order (unique result)
-//! and the node array layout is a pure function of the sorted codes
-//! (DESIGN.md §10).
 
 use crate::node::{Node, NodeId, NO_CHILD};
 use crate::tree::Octree;
 use polaroct_geom::morton::{self, MortonQuantizer};
 use polaroct_geom::{Aabb, Vec3};
-use polaroct_sched::WorkStealingPool;
 
 /// Construction parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct BuildParams<'p> {
+pub struct BuildParams {
     /// Maximum points per leaf. The paper's kernels do exact `O(|A|·|Q|)`
     /// work at leaf pairs, so this bounds the exact-interaction tile size.
     pub leaf_capacity: usize,
@@ -32,15 +23,11 @@ pub struct BuildParams<'p> {
     /// Padding added around the point cloud when the cubical domain is
     /// derived (Å). Avoids boundary-cell degeneracies.
     pub domain_pad: f64,
-    /// When set, construction runs on this pool ([`crate::parallel`]);
-    /// the output is byte-identical to the serial builder at any pool
-    /// width, so this is a pure performance knob.
-    pub pool: Option<&'p WorkStealingPool>,
 }
 
-impl Default for BuildParams<'_> {
+impl Default for BuildParams {
     fn default() -> Self {
-        BuildParams { leaf_capacity: 32, max_depth: 21, domain_pad: 1.0, pool: None }
+        BuildParams { leaf_capacity: 32, max_depth: 21, domain_pad: 1.0 }
     }
 }
 
@@ -83,7 +70,7 @@ impl std::error::Error for BuildError {}
 /// Returns an [`Octree`] whose `points` are a Morton-sorted copy;
 /// `point_order[i]` is the index in the *original* slice of sorted point
 /// `i`, so callers can permute per-point payloads to match.
-pub fn build(points: &[Vec3], params: BuildParams<'_>) -> Octree {
+pub fn build(points: &[Vec3], params: BuildParams) -> Octree {
     match try_build(points, params) {
         Ok(tree) => tree,
         // Fallible callers use `try_build` instead.
@@ -94,7 +81,7 @@ pub fn build(points: &[Vec3], params: BuildParams<'_>) -> Octree {
 
 /// Build an octree over `points`, rejecting invalid parameters as a
 /// [`BuildError`] instead of panicking.
-pub fn try_build(points: &[Vec3], params: BuildParams<'_>) -> Result<Octree, BuildError> {
+pub fn try_build(points: &[Vec3], params: BuildParams) -> Result<Octree, BuildError> {
     if points.is_empty() {
         return Err(BuildError::EmptyInput);
     }
@@ -104,31 +91,17 @@ pub fn try_build(points: &[Vec3], params: BuildParams<'_>) -> Result<Octree, Bui
     if params.max_depth as u32 > morton::BITS_PER_AXIS {
         return Err(BuildError::DepthExceedsMortonResolution { max_depth: params.max_depth });
     }
-    Ok(match params.pool {
-        Some(pool) => crate::parallel::build_parallel(points, &params, pool),
-        None => build_serial(points, &params),
-    })
+    Ok(build_serial(points, &params))
 }
 
-/// Derive the cubical Morton domain and its quantizer from the cloud.
-/// Order-insensitive over `points` (min/max folds), so serial and
-/// parallel builders can share it verbatim.
-pub(crate) fn domain_and_quantizer(points: &[Vec3], pad: f64) -> (Aabb, MortonQuantizer) {
-    let tight = Aabb::from_points(points.iter().copied());
-    let domain = Aabb::cube_containing(tight, pad);
-    let quant = MortonQuantizer::new(&domain);
-    (domain, quant)
-}
-
-/// The split predicate shared (verbatim) by the serial DFS, the parallel
-/// frontier scan, and the parallel subtree builder — a node over
-/// `sorted_codes[b..e]` at `depth` becomes internal iff this holds.
-pub(crate) fn can_split(
+/// A node over `sorted_codes[b..e]` at `depth` becomes internal iff this
+/// holds.
+fn can_split(
     sorted_codes: &[u64],
     b: usize,
     e: usize,
     depth: u8,
-    params: &BuildParams<'_>,
+    params: &BuildParams,
 ) -> bool {
     e - b > params.leaf_capacity
         && depth < params.max_depth
@@ -137,9 +110,8 @@ pub(crate) fn can_split(
 }
 
 /// Visit the non-empty octant runs of `sorted_codes[b..e]` at tree
-/// `level` in octant order, calling `emit(lo, hi)` for each run. Both
-/// builders derive child ranges exclusively through this function.
-pub(crate) fn for_each_octant_run(
+/// `level` in octant order, calling `emit(lo, hi)` for each run.
+fn for_each_octant_run(
     sorted_codes: &[u64],
     b: usize,
     e: usize,
@@ -158,14 +130,15 @@ pub(crate) fn for_each_octant_run(
     }
 }
 
-fn build_serial(points: &[Vec3], params: &BuildParams<'_>) -> Octree {
-    let (domain, quant) = domain_and_quantizer(points, params.domain_pad);
+fn build_serial(points: &[Vec3], params: &BuildParams) -> Octree {
+    let tight = Aabb::from_points(points.iter().copied());
+    let domain = Aabb::cube_containing(tight, params.domain_pad);
+    let quant = MortonQuantizer::new(&domain);
 
     // Morton-sort the point indices by `(code, original index)` — a
-    // total order with a unique result, which is what lets the parallel
-    // builder reproduce it bit-for-bit.
+    // total order with a unique result.
     let mut order: Vec<u32> = (0..points.len() as u32).collect();
-    let codes_by_orig: Vec<u64> = quant.codes_of(points);
+    let codes_by_orig: Vec<u64> = points.iter().map(|&p| quant.code_of(p)).collect();
     order.sort_unstable_by_key(|&i| (codes_by_orig[i as usize], i));
 
     let sorted_points: Vec<Vec3> = order.iter().map(|&i| points[i as usize]).collect();
@@ -206,7 +179,7 @@ fn build_serial(points: &[Vec3], params: &BuildParams<'_>) -> Octree {
 
 /// Number of leading elements of `slice` satisfying `pred` (the slice must
 /// be partitioned: all satisfying elements first).
-pub(crate) fn upper_bound<T, F: Fn(&T) -> bool>(slice: &[T], pred: F) -> usize {
+fn upper_bound<T, F: Fn(&T) -> bool>(slice: &[T], pred: F) -> usize {
     let mut lo = 0usize;
     let mut hi = slice.len();
     while lo < hi {
@@ -221,9 +194,8 @@ pub(crate) fn upper_bound<T, F: Fn(&T) -> bool>(slice: &[T], pred: F) -> usize {
 }
 
 /// Materialize the node over `points[begin..end]`: sequential centroid
-/// fold, then the max-distance radius. Both builders call this on the
-/// same globally-sorted slice, so the float results agree bit-for-bit.
-pub(crate) fn make_node(points: &[Vec3], begin: u32, end: u32, depth: u8) -> Node {
+/// fold, then the max-distance radius.
+fn make_node(points: &[Vec3], begin: u32, end: u32, depth: u8) -> Node {
     let slice = &points[begin as usize..end as usize];
     let mut c = Vec3::ZERO;
     for &p in slice {
@@ -282,7 +254,7 @@ mod tests {
     #[test]
     fn duplicate_codes_sort_by_original_index() {
         // Equal Morton codes must tie-break on the original index — the
-        // canonical order both builders reproduce.
+        // canonical order.
         let pts = vec![Vec3::new(2.0, 2.0, 2.0); 7];
         let t = build(&pts, BuildParams::default());
         assert_eq!(t.point_order, (0..7).collect::<Vec<u32>>());

@@ -31,7 +31,6 @@
 
 pub mod build;
 pub mod node;
-pub mod parallel;
 pub mod query;
 pub mod stats;
 pub mod tree;

@@ -58,8 +58,8 @@ impl Octree {
     /// FNV-1a digest over the tree's complete content — domain, every
     /// node field (float *bits*, not values), sorted points,
     /// `point_order`, `leaf_ids`. Two trees digest equal iff they are
-    /// byte-identical; benches and tests use this to compare the serial
-    /// and parallel builders without holding both trees.
+    /// byte-identical; tests use this to compare two trees without
+    /// holding both.
     pub fn content_digest(&self) -> u64 {
         fn mix(h: &mut u64, bytes: &[u8]) {
             for &b in bytes {
@@ -378,18 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn children_are_numbered_after_their_parent_by_both_builders() {
-        let pool = polaroct_sched::WorkStealingPool::new(3);
+    fn children_are_numbered_after_their_parent() {
         for (n, cap) in [(1usize, 8usize), (10, 2), (500, 8), (3000, 32), (4000, 1)] {
             let pts = cloud(n, 7 * n as u64);
-            let params = BuildParams { leaf_capacity: cap, ..Default::default() };
-            let serial = build(&pts, params);
-            let par = build(&pts, BuildParams { pool: Some(&pool), ..params });
-            for t in [&serial, &par] {
-                t.check_invariants().unwrap();
-                for (id, node) in t.nodes.iter().enumerate() {
-                    assert!(node.children().all(|c| c as usize > id), "n {n}: node {id}");
-                }
+            let t = build(&pts, BuildParams { leaf_capacity: cap, ..Default::default() });
+            t.check_invariants().unwrap();
+            for (id, node) in t.nodes.iter().enumerate() {
+                assert!(node.children().all(|c| c as usize > id), "n {n}: node {id}");
             }
         }
 

@@ -40,7 +40,6 @@
 
 pub mod chunk;
 pub mod pool;
-pub mod radix;
 pub mod reduce;
 pub mod sim;
 mod slice;
@@ -48,5 +47,4 @@ pub mod sync;
 
 pub use chunk::{partition_by_cost, CoverageIndex};
 pub use pool::{PoolMetrics, WorkStealingPool};
-pub use radix::par_sort_pairs;
 pub use sim::{SimOutcome, StealSimParams, StealSimulator};

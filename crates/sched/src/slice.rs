@@ -1,19 +1,15 @@
 //! `SyncSlice`: the crate's one shared-mutation primitive.
 //!
 //! A Send+Sync wrapper allowing pool workers to write *disjoint* slots
-//! of one output buffer with no per-slot synchronization. Both
-//! [`crate::pool`] (result collection for `try_map`) and
-//! [`crate::radix`] (the scatter phase of the parallel radix sort)
-//! build on it; each call site documents why its index sets are
-//! disjoint.
+//! of one output buffer with no per-slot synchronization.
+//! [`crate::pool`] builds on it for `try_map`'s result collection and
+//! documents why its index sets are disjoint.
 //!
 //! The write-once/disjointness protocol this type relies on is verified
 //! two ways beyond code review: the interleaving explorer in
 //! `crates/modelcheck` checks it exhaustively on small configurations
-//! (`tests/syncslice_model.rs` for the try_map partition,
-//! `tests/radix_model.rs` for the histogram/prefix-sum scatter
-//! partition), and the `sched` unit tests run the real thing under Miri
-//! in the nightly CI job.
+//! (`tests/syncslice_model.rs`), and the `sched` unit tests run the real
+//! thing under Miri in the nightly CI job.
 
 pub(crate) struct SyncSlice<T>(*mut T, usize);
 

@@ -60,10 +60,9 @@ pub mod prelude {
     pub use polaroct_cluster::machine::{ClusterSpec, MachineSpec, Placement};
     pub use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
     pub use polaroct_core::drivers::{
-        fork_join_makespan, run_naive, run_oct_cilk, run_oct_hybrid, run_oct_hybrid_ft,
-        run_oct_mpi, run_oct_mpi_ft, run_oct_threads, run_oct_threads_ft, run_serial,
-        validate_system, DriverConfig, DriverError, FtConfig, PhaseTimes, RecoveryMode,
-        RunOutcome, RunReport,
+        run_naive, run_oct_cilk, run_oct_hybrid, run_oct_hybrid_ft, run_oct_mpi, run_oct_mpi_ft,
+        run_oct_threads, run_oct_threads_ft, run_serial, validate_system, DriverConfig,
+        DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome, RunReport,
     };
     pub use polaroct_core::{ApproxParams, GbSystem, WorkDivision};
     pub use polaroct_geom::fastmath::MathMode;
