@@ -4,12 +4,15 @@
 //! Protocol from §V.E: ε_Born fixed at 0.9; ε_Epol swept 0.1..0.9;
 //! approximate math OFF; OCT_MPI+CILK over the whole suite; report
 //! avg ± std of the % error w.r.t. naive, plus the mean running time.
+//! The paper's far rule is pinned ([`EpolFar::Binned`]): under it ε is
+//! the E_pol MAC as well as the bin width, as in Fig. 3. The default
+//! far rule is swept by the `workprec` bench instead.
 
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{hybrid_cluster, std_config, suite, Table};
 use polaroct_core::{
-    energy_error_pct, run_naive, run_oct_hybrid, ApproxParams, ErrorStats, GbSystem,
+    energy_error_pct, run_naive, run_oct_hybrid, ApproxParams, EpolFar, ErrorStats, GbSystem,
 };
 
 fn main() {
@@ -43,7 +46,9 @@ fn main() {
 
     for k in 1..=9 {
         let eps = k as f64 / 10.0;
-        let params = ApproxParams::default().with_eps(0.9, eps);
+        let params = ApproxParams::default()
+            .with_eps(0.9, eps)
+            .with_epol_far(EpolFar::Binned);
         let mut errors = Vec::with_capacity(prepared.len());
         let mut total_time = 0.0;
         for (name, sys, e_naive) in &prepared {

@@ -4,13 +4,14 @@
 //! Expected shape (§V.C): OCT_CILK fastest below ~2,500 atoms (no MPI
 //! overhead, dual-tree does less work); OCT_MPI pulls ahead for larger
 //! molecules; OCT_MPI and OCT_MPI+CILK converge beyond ~7,500 atoms.
-//! Approximation parameters 0.9/0.9, approximate math ON (as in §V.C).
+//! Approximation parameters 0.9/0.9, approximate math ON, and the
+//! paper's binned E_pol far rule (as in §V.C).
 
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{fmt_time, hybrid_cluster, mpi_cluster, std_config, suite, Table};
 use polaroct_core::{
-    run_oct_cilk, run_oct_hybrid, run_oct_mpi, ApproxParams, GbSystem, WorkDivision,
+    run_oct_cilk, run_oct_hybrid, run_oct_mpi, ApproxParams, EpolFar, GbSystem, WorkDivision,
 };
 use polaroct_geom::fastmath::MathMode;
 
@@ -23,7 +24,9 @@ struct Row {
 }
 
 fn main() {
-    let params = ApproxParams::default().with_math(MathMode::Approx);
+    let params = ApproxParams::default()
+        .with_math(MathMode::Approx)
+        .with_epol_far(EpolFar::Binned);
     let cfg = std_config();
     let mut rows: Vec<Row> = Vec::new();
 

@@ -44,10 +44,13 @@
 //!   construction**.
 //! * [`ChargeBins`]: the bin layout derives from the *global* Born-radius
 //!   extremes, so one changed radius can relabel every node's bins.
-//!   The engine rebuilds bins every query (O(M·M_ε), serial) and diffs
-//!   the per-node bin vectors and the `rr_table` bitwise against the
-//!   cached generation; far entries are dirty exactly where their
-//!   endpoints' bins (or the shared table) changed.
+//!   The engine rebuilds bins and node moments every query (O(M·M_ε),
+//!   serial) and diffs the per-node bin vectors, the per-node moments
+//!   and the `rr_table` bitwise against the cached generation; far
+//!   entries are dirty exactly where their endpoints' bins or moments
+//!   (or the shared table) changed. A node's moments read its atoms'
+//!   positions and charges, so a move or a charge change dirties the far
+//!   entries of every ancestor of the touched atom (DESIGN.md §10.8).
 //!
 //! Queries whose cumulative displacement exceeds `skin/2` fall back to a
 //! full rebuild at the perturbed geometry — the same boundary, and the
@@ -171,6 +174,11 @@ enum UndoRecord {
         /// The scaffold (reference geometry) that was discarded.
         scaffold: Vec<Vec3>,
     },
+}
+
+/// Whether two float slices hold the same bits (and length).
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Incremental perturbation engine over a prepared [`ListEngine`]. See
@@ -500,35 +508,28 @@ impl DeltaEngine {
         let born_entries_redone = dirty.len();
 
         // ---- E_pol dirtiness: near entries reading a moved, recharged
-        // or re-radiused atom, plus far entries whose bins changed. The
-        // bin generation is rebuilt (cheap, serial) and compared bitwise:
-        // a changed rr_table or bin count invalidates every far entry;
-        // otherwise only far entries on a node whose bin vector changed.
+        // or re-radiused atom, plus far entries whose far operands
+        // changed. The bin generation (bins and moments) is rebuilt
+        // (cheap, serial) and compared bitwise: a changed rr_table or bin
+        // count invalidates every far entry; otherwise only far entries
+        // on a node whose bin vector or moments changed — for a move,
+        // that includes every ancestor of the moved atom's leaf.
         let new_bins =
-            ChargeBins::build(&self.base.sys, &self.base.born, self.base.approx.eps_epol);
+            ChargeBins::for_params(&self.base.sys, &self.base.born, &self.base.approx);
         let mut dirty: Vec<u32> = Vec::new();
         for &mi in moved_m.iter().chain(&charged_m).chain(&born_changed) {
             dirty.extend_from_slice(self.epol_entry_touch.chunks_for(mi));
         }
         let table_changed = new_bins.m_eps != self.bins.m_eps
-            || new_bins.rr_table.len() != self.bins.rr_table.len()
-            || new_bins
-                .rr_table
-                .iter()
-                .zip(&self.bins.rr_table)
-                .any(|(a, b)| a.to_bits() != b.to_bits());
+            || !bits_equal(&new_bins.rr_table, &self.bins.rr_table);
         if table_changed {
             dirty.extend_from_slice(&self.epol_far_entries);
         } else {
-            let m = new_bins.m_eps.max(1);
-            for (node, (a, b)) in new_bins
-                .per_node
-                .chunks(m)
-                .zip(self.bins.per_node.chunks(m))
-                .enumerate()
-            {
-                if a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
-                    dirty.extend_from_slice(self.epol_far_entry_nodes.chunks_for(node));
+            for node in 0..self.base.sys.atoms.nodes.len() as u32 {
+                if !bits_equal(new_bins.of(node), self.bins.of(node))
+                    || !bits_equal(new_bins.moments_of(node), self.bins.moments_of(node))
+                {
+                    dirty.extend_from_slice(self.epol_far_entry_nodes.chunks_for(node as usize));
                 }
             }
         }
@@ -992,6 +993,7 @@ fn chunks_touched(
 mod tests {
     use super::*;
     use polaroct_molecule::{synth, Atom, Element};
+    use polaroct_octree::NodeId;
 
     fn mol(n: usize, seed: u64) -> Molecule {
         synth::protein("delta", n, seed)
@@ -1039,6 +1041,76 @@ mod tests {
         let (raw, energy, digest) = fresh_reference(&eng, &approx, skin);
         assert_eq!(eval.raw.to_bits(), raw.to_bits());
         assert_eq!(eval.energy_kcal.to_bits(), energy.to_bits());
+        assert_eq!(eng.born_digest(), digest);
+    }
+
+    /// A small move can leave every bin vector and the `rr_table` as they
+    /// were and change only node moments. The far entries of the moved
+    /// atom's ancestors must then be redone, or the cached far values go
+    /// stale.
+    #[test]
+    fn moment_only_change_redoes_the_ancestors_far_entries() {
+        let approx = ApproxParams::default();
+        let skin = 0.4;
+        let m = mol(1_200, 11);
+        let mut eng = DeltaEngine::new(&m, &approx, skin);
+        let (raw0, digest0) = (eng.raw(), eng.born_digest());
+        let before = eng.bins.clone();
+        // Far entries on a node holding Morton atom `mi`: the moved
+        // atom's leaf and its ancestors.
+        let far_on = |eng: &DeltaEngine, mi: usize| -> Vec<usize> {
+            let (sys, lists) = (&eng.base.sys, &eng.base.epol_lists);
+            let holds = |id: NodeId| sys.atoms.node(id).range().contains(&mi);
+            (0..lists.len())
+                .filter(|&i| {
+                    let e = &lists.entries[i];
+                    e.far && (holds(e.a) || holds(e.b))
+                })
+                .collect()
+        };
+        let mut found = None;
+        for oi in 0..m.len() {
+            let mi = eng.inv_order[oi] as usize;
+            if far_on(&eng, mi).is_empty() {
+                continue;
+            }
+            let p = Perturbation::default()
+                .move_atom(oi, m.positions[oi] + Vec3::new(0.05, -0.03, 0.04));
+            let eval = eng.apply_perturbation(&p, None);
+            let bins = &eng.bins;
+            if bits_equal(&bins.per_node, &before.per_node)
+                && bits_equal(&bins.rr_table, &before.rr_table)
+                && !bits_equal(&bins.moments, &before.moments)
+            {
+                found = Some((mi, eval));
+                break;
+            }
+            assert!(eng.revert(None));
+        }
+        let (mi, eval) = found.expect("some move changes only the moments");
+        assert!(!eval.rebuilt);
+        let (raw, energy, digest) = fresh_reference(&eng, &approx, skin);
+        assert_eq!(eval.raw.to_bits(), raw.to_bits());
+        assert_eq!(eval.energy_kcal.to_bits(), energy.to_bits());
+        assert_eq!(eng.born_digest(), digest);
+
+        let Some(UndoRecord::Incremental { epol, .. }) = eng.undo.last() else {
+            panic!("the query must be incremental");
+        };
+        let chunks = &eng.base.epol_lists.chunks;
+        let redone: std::collections::HashSet<usize> = epol
+            .iter()
+            .map(|&(c, off, _)| chunks[c as usize].start + off as usize)
+            .collect();
+        let stale = far_on(&eng, mi).into_iter().filter(|i| !redone.contains(i)).count();
+        assert_eq!(stale, 0, "far entries on the moved atom's ancestors went stale");
+
+        assert!(eng.revert(None));
+        assert_eq!(eng.raw().to_bits(), raw0.to_bits());
+        assert_eq!(eng.born_digest(), digest0);
+        let (raw, energy, digest) = fresh_reference(&eng, &approx, skin);
+        assert_eq!(eng.raw().to_bits(), raw.to_bits());
+        assert_eq!(eng.energy_kcal().to_bits(), energy.to_bits());
         assert_eq!(eng.born_digest(), digest);
     }
 

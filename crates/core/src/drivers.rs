@@ -21,7 +21,7 @@ use crate::epol::{approx_epol_leaf, approx_epol_leaf_clipped, ChargeBins};
 use crate::gb::epol_from_raw_sum;
 use crate::lists::{ListSource, Pipeline, Traversal};
 use crate::naive::{born_radii_naive, epol_naive_raw};
-use crate::params::ApproxParams;
+use crate::params::{ApproxParams, EpolFar};
 use crate::system::GbSystem;
 use crate::workdiv::WorkDivision;
 use polaroct_cluster::{
@@ -74,8 +74,9 @@ impl Default for DriverConfig {
 
 /// Relaxed ε used when a lost contribution is regenerated in *degraded*
 /// mode: the multipole-acceptance multiplier collapses to
-/// `(2+ε)/ε = 1.25`, so almost every interaction takes the cheap
-/// far-field path. The result is a fast, biased approximation — the run
+/// `(2+ε)/ε = 1.25` (E_pol under the paper's [`EpolFar::Binned`] rule,
+/// whatever the run's far rule), so almost every interaction takes the
+/// cheap far-field path. The result is a fast, biased approximation — the run
 /// reports [`RunOutcome::Degraded`] with widened error bars instead of
 /// silently mixing it into an "exact" energy.
 pub const EPS_DEGRADED: f64 = 8.0;
@@ -707,7 +708,6 @@ pub(crate) fn step6_partial(
     atom_ranges: &[std::ops::Range<usize>],
     size: usize,
     rank: usize,
-    eps_epol: f64,
     math: MathMode,
 ) -> (f64, Vec<OpCounts>) {
     let mut raw = 0.0;
@@ -716,7 +716,7 @@ pub(crate) fn step6_partial(
         WorkDivision::NodeNode => {
             let ranges = sys.atoms.partition_leaves(size);
             for &v in &sys.atoms.leaf_ids[ranges[rank].clone()] {
-                let (r, o) = approx_epol_leaf(sys, bins, born, v, eps_epol, math);
+                let (r, o) = approx_epol_leaf(sys, bins, born, v, math);
                 raw += r;
                 task_ops.push(o);
             }
@@ -728,7 +728,7 @@ pub(crate) fn step6_partial(
                 if node.end as usize <= my.start || node.begin as usize >= my.end {
                     continue;
                 }
-                let (r, o) = approx_epol_leaf_clipped(sys, bins, born, v, my, eps_epol, math);
+                let (r, o) = approx_epol_leaf_clipped(sys, bins, born, v, my, math);
                 raw += r;
                 task_ops.push(o);
             }
@@ -917,7 +917,7 @@ pub(crate) fn fig4_rank_body(
 
     // Charge binning: O(M·M_ε) on every rank, tiny next to the
     // kernels, charged as node visits.
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
+    let bins = ChargeBins::for_params(sys, &born, params);
     let bin_ops = OpCounts {
         nodes_visited: sys.n_atoms() as u64,
         ..Default::default()
@@ -928,17 +928,8 @@ pub(crate) fn fig4_rank_body(
     // ---- Step 6: partial energies for this rank's share of atom
     // leaves / atoms.
     ctx.fault_point(phase::EPOL)?;
-    let (raw, epol_tasks) = step6_partial(
-        sys,
-        &bins,
-        &born,
-        workdiv,
-        &atom_ranges,
-        size,
-        rank,
-        params.eps_epol,
-        math,
-    );
+    let (raw, epol_tasks) =
+        step6_partial(sys, &bins, &born, workdiv, &atom_ranges, size, rank, math);
     for o in &epol_tasks {
         rank_ops.add(o);
     }
@@ -950,22 +941,16 @@ pub(crate) fn fig4_rank_body(
     ctx.fault_point(phase::REDUCE_EPOL)?;
     let total_raw = {
         let mut rec_ops = OpCounts::default();
+        let mut degraded_bins = None;
         let mut regenerate = |lost: usize, mode: RecoverMode| {
-            let eps = match mode {
-                RecoverMode::Exact => params.eps_epol,
-                RecoverMode::Degraded => EPS_DEGRADED,
+            let bins = match mode {
+                RecoverMode::Exact => &bins,
+                RecoverMode::Degraded => &*degraded_bins.get_or_insert_with(|| {
+                    ChargeBins::build_far(sys, &born, EPS_DEGRADED, EpolFar::Binned)
+                }),
             };
-            let (r, ops) = step6_partial(
-                sys,
-                &bins,
-                &born,
-                workdiv,
-                &atom_ranges,
-                size,
-                lost,
-                eps,
-                math,
-            );
+            let (r, ops) =
+                step6_partial(sys, bins, &born, workdiv, &atom_ranges, size, lost, math);
             for o in &ops {
                 rec_ops.add(o);
             }

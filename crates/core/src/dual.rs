@@ -10,7 +10,7 @@
 //! the leaf-segment form). Implementing both lets Fig. 7 compare them.
 
 use crate::born::BornAccumulators;
-use crate::epol::ChargeBins;
+use crate::epol::{far_pairs, far_value, ChargeBins};
 use crate::naive::born_radius_from_integral;
 use crate::soa::StillScratch;
 use crate::system::GbSystem;
@@ -95,19 +95,19 @@ fn born_recurse(
 
 /// Dual-tree raw E_pol: simultaneous `T_A` × `T_A` traversal from
 /// `(root, root)`, covering every *ordered* atom pair exactly once
-/// (including the diagonal), with binned far-field interactions between
-/// internal node pairs.
+/// (including the diagonal), with far-field interactions
+/// ([`far_value`]) between internal node pairs. `eps_epol` is the ε
+/// `bins` were built with; the MAC is the bins' own.
 pub fn epol_dual_raw(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
-    eps_epol: f64,
+    _eps_epol: f64,
     math: MathMode,
 ) -> (f64, OpCounts) {
-    let mac = 1.0 + 2.0 / eps_epol;
     let mut ops = OpCounts::default();
     let mut scratch = StillScratch::default();
-    let raw = epol_recurse(sys, bins, born, 0, 0, mac, math, &mut scratch, &mut ops);
+    let raw = epol_recurse(sys, bins, born, 0, 0, math, &mut scratch, &mut ops);
     (raw, ops)
 }
 
@@ -118,7 +118,6 @@ fn epol_recurse(
     born: &[f64],
     u_id: NodeId,
     v_id: NodeId,
-    mac: f64,
     math: MathMode,
     scratch: &mut StillScratch,
     ops: &mut OpCounts,
@@ -128,33 +127,15 @@ fn epol_recurse(
     ops.nodes_visited += 1;
 
     let r2 = u.center.dist2(v.center);
-    let sep = (u.radius + v.radius) * mac;
+    let sep = (u.radius + v.radius) * bins.mac;
     // `sep > 0` excludes pairs of point-like (single-atom) nodes: those
     // would otherwise count as "far" for every ε, and the binned kernel's
     // resolution is capped (see `ChargeBins::build`) — evaluating the one
     // exact pair is just as cheap and keeps tiny-ε traversals exact.
     if sep > 0.0 && r2 > sep * sep {
-        // Far: bin × bin (both sides may be internal nodes).
-        let qu = bins.of(u_id);
-        let qv = bins.of(v_id);
-        let mut raw = 0.0;
-        let mut pairs = 0u64;
-        for (i, &qi) in qu.iter().enumerate() {
-            if qi == 0.0 {
-                continue;
-            }
-            for (j, &qj) in qv.iter().enumerate() {
-                if qj == 0.0 {
-                    continue;
-                }
-                let rr = bins.rr_table[i + j];
-                let inner = r2 + rr * math.exp(-r2 / (4.0 * rr));
-                raw += qi * qj * math.rsqrt(inner);
-                pairs += 1;
-            }
-        }
-        ops.epol_far += pairs;
-        return raw;
+        // Far: both sides may be internal nodes.
+        ops.epol_far += far_pairs(bins.of(u_id), bins.of(v_id));
+        return far_value(bins, &bins.side(sys, u_id), &bins.side(sys, v_id), math);
     }
 
     match (u.is_leaf(), v.is_leaf()) {
@@ -171,14 +152,14 @@ fn epol_recurse(
         (true, false) => {
             let mut raw = 0.0;
             for vc in v.children() {
-                raw += epol_recurse(sys, bins, born, u_id, vc, mac, math, scratch, ops);
+                raw += epol_recurse(sys, bins, born, u_id, vc, math, scratch, ops);
             }
             raw
         }
         (false, true) => {
             let mut raw = 0.0;
             for uc in u.children() {
-                raw += epol_recurse(sys, bins, born, uc, v_id, mac, math, scratch, ops);
+                raw += epol_recurse(sys, bins, born, uc, v_id, math, scratch, ops);
             }
             raw
         }
@@ -189,20 +170,20 @@ fn epol_recurse(
                 let mut raw = 0.0;
                 for uc in u.children() {
                     for vc in v.children() {
-                        raw += epol_recurse(sys, bins, born, uc, vc, mac, math, scratch, ops);
+                        raw += epol_recurse(sys, bins, born, uc, vc, math, scratch, ops);
                     }
                 }
                 raw
             } else if u.radius >= v.radius {
                 let mut raw = 0.0;
                 for uc in u.children() {
-                    raw += epol_recurse(sys, bins, born, uc, v_id, mac, math, scratch, ops);
+                    raw += epol_recurse(sys, bins, born, uc, v_id, math, scratch, ops);
                 }
                 raw
             } else {
                 let mut raw = 0.0;
                 for vc in v.children() {
-                    raw += epol_recurse(sys, bins, born, u_id, vc, mac, math, scratch, ops);
+                    raw += epol_recurse(sys, bins, born, u_id, vc, math, scratch, ops);
                 }
                 raw
             }
@@ -223,7 +204,7 @@ mod tests {
     use crate::born::born_radii_octree;
     use crate::epol::epol_octree_raw;
     use crate::naive::{born_radii_naive, epol_naive_raw};
-    use crate::params::ApproxParams;
+    use crate::params::{ApproxParams, EpolFar};
     use polaroct_molecule::synth;
 
     fn system(n: usize, seed: u64) -> GbSystem {
@@ -277,12 +258,24 @@ mod tests {
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         let (naive_raw, _) = epol_naive_raw(&sys, &born, MathMode::Exact);
         let eps = 1e-9;
-        let bins = ChargeBins::build(&sys, &born, eps);
+        let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
         let (raw, ops) = epol_dual_raw(&sys, &bins, &born, eps, MathMode::Exact);
         assert!(
             ((raw - naive_raw) / naive_raw).abs() < 1e-9,
             "{raw} vs {naive_raw}"
         );
+        assert_eq!(ops.epol_near, (sys.n_atoms() * sys.n_atoms()) as u64);
+        assert_eq!(ops.epol_far, 0);
+    }
+
+    #[test]
+    fn dual_epol_taylor2_exact_when_every_pair_is_near() {
+        let sys = system(130, 5);
+        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
+        let (naive_raw, _) = epol_naive_raw(&sys, &born, MathMode::Exact);
+        let bins = ChargeBins::build_far(&sys, &born, 0.9, EpolFar::Taylor2 { mac: 1e9 });
+        let (raw, ops) = epol_dual_raw(&sys, &bins, &born, 0.9, MathMode::Exact);
+        assert!(((raw - naive_raw) / naive_raw).abs() < 1e-12, "{raw} vs {naive_raw}");
         assert_eq!(ops.epol_near, (sys.n_atoms() * sys.n_atoms()) as u64);
         assert_eq!(ops.epol_far, 0);
     }

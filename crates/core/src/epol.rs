@@ -9,24 +9,46 @@
 //!
 //! For a leaf `V` and node `U`:
 //! * **leaf `U`**: exact `Σ_{u,v} q_u q_v / f_GB(r_uv², R_u, R_v)`;
-//! * **far** (`r_UV > (r_U + r_V)(1 + 2/ε)`): the binned approximation
-//!   `Σ_{i,j} q_U[i] q_V[j] / f_GB(r_UV², ·)` with `R_u R_v ≈
-//!   R_min²(1+ε)^{i+j}`;
+//! * **far** (`r_UV > (r_U + r_V) · mac`): [`far_value`], the binned
+//!   approximation `Σ_{i,j} q_U[i] q_V[j] / f_GB(r_UV², ·)` with
+//!   `R_u R_v ≈ R_min²(1+ε)^{i+j}`, plus, under [`EpolFar::Taylor2`],
+//!   the second-order Taylor correction from the nodes' dipoles and
+//!   second moments (DESIGN.md §10.8);
 //! * otherwise recurse into `U`'s children.
+//!
+//! The far rule and its MAC travel inside [`ChargeBins`]: Fig. 3's
+//! `1 + 2/ε` under [`EpolFar::Binned`], the rule's own MAC under
+//! `Taylor2`. The `eps_epol` arguments of [`epol_octree_raw`] and the
+//! list builders are the ε the bins were built with; the MAC is read
+//! from the bins.
 //!
 //! All functions return the **raw** ordered-pair sum; drivers convert via
 //! [`crate::gb::epol_from_raw_sum`].
 
+use crate::params::{ApproxParams, EpolFar};
 use crate::soa::{AtomView, StillScratch};
 use crate::system::GbSystem;
 use polaroct_cluster::simtime::OpCounts;
 use polaroct_geom::fastmath::MathMode;
+use polaroct_geom::Vec3;
 use polaroct_octree::NodeId;
 use std::ops::Range;
 
-/// Per-node binned charges.
+/// Values per node in [`ChargeBins::moments`]: the dipole
+/// `p = Σ q (x − c)` and the second moment `Θ = Σ q (x − c)(x − c)ᵀ`
+/// about the node centre `c`, as
+/// `[p_x, p_y, p_z, Θ_xx, Θ_xy, Θ_xz, Θ_yy, Θ_yz, Θ_zz]`.
+pub const MOMENTS: usize = 9;
+
+/// Per-node binned charges, the far rule, and (under
+/// [`EpolFar::Taylor2`]) per-node moments.
 #[derive(Clone, Debug, Default)]
 pub struct ChargeBins {
+    /// The far rule every traversal, list and delta query of these bins
+    /// evaluates far pairs with.
+    pub far: EpolFar,
+    /// The far-field MAC multiplier in effect ([`EpolFar::mac`]).
+    pub mac: f64,
     /// Number of radius bins `M_ε` (≥ 1).
     pub m_eps: usize,
     /// Smallest Born radius.
@@ -39,11 +61,27 @@ pub struct ChargeBins {
     pub rr_table: Vec<f64>,
     /// Per-atom bin index (Morton order).
     pub atom_bin: Vec<u16>,
+    /// `moments[id * MOMENTS..]`: node `id`'s dipole and second moment
+    /// about its centre (see [`MOMENTS`]). Empty under
+    /// [`EpolFar::Binned`], which does not read them.
+    pub moments: Vec<f64>,
 }
 
 impl ChargeBins {
-    /// Bin the atoms' charges by Born radius and roll up per node.
+    /// Bin the atoms' charges by Born radius and roll up per node, for
+    /// the default far rule ([`EpolFar::default`]).
     pub fn build(sys: &GbSystem, born: &[f64], eps_epol: f64) -> ChargeBins {
+        ChargeBins::build_far(sys, born, eps_epol, EpolFar::default())
+    }
+
+    /// [`ChargeBins::build`] for the ε and far rule of `params`.
+    pub fn for_params(sys: &GbSystem, born: &[f64], params: &ApproxParams) -> ChargeBins {
+        ChargeBins::build_far(sys, born, params.eps_epol, params.epol_far)
+    }
+
+    /// Bin the atoms' charges by Born radius and roll up per node, plus
+    /// the per-node moments when `far` reads them.
+    pub fn build_far(sys: &GbSystem, born: &[f64], eps_epol: f64, far: EpolFar) -> ChargeBins {
         // PANIC-OK: precondition assert — born must be per-atom; a mismatch is a caller bug.
         assert_eq!(born.len(), sys.n_atoms());
         // PANIC-OK: precondition assert — non-finite Born radii mean the upstream solve already failed.
@@ -90,13 +128,33 @@ impl ChargeBins {
             rr *= 1.0 + eps_epol;
         }
 
+        // Moments by the same direct range sums, about each node's own
+        // centre: a node's moments read only its own atoms, so a delta
+        // query changes exactly the moved atoms' ancestors.
+        let moments = match far {
+            EpolFar::Binned => Vec::new(),
+            EpolFar::Taylor2 { .. } => {
+                let mut moments = Vec::with_capacity(sys.atoms.nodes.len() * MOMENTS);
+                for node in &sys.atoms.nodes {
+                    let r = node.range();
+                    let points = sys.atoms.points.get(r.clone()).unwrap_or(&[]);
+                    let charges = sys.charge.get(r).unwrap_or(&[]);
+                    moments.extend_from_slice(&moments_about(node.center, points, charges));
+                }
+                moments
+            }
+        };
+
         ChargeBins {
+            far,
+            mac: far.mac(eps_epol),
             m_eps,
             r_min,
             inv_log1e,
             per_node,
             rr_table,
             atom_bin,
+            moments,
         }
     }
 
@@ -113,68 +171,172 @@ impl ChargeBins {
         &self.per_node[id as usize * self.m_eps..(id as usize + 1) * self.m_eps]
     }
 
+    /// A node's [`MOMENTS`] values; empty when the far rule keeps none.
+    #[inline]
+    pub fn moments_of(&self, id: NodeId) -> &[f64] {
+        let at = id as usize * MOMENTS;
+        self.moments.get(at..at + MOMENTS).unwrap_or(&[])
+    }
+
+    /// Node `id` of the atoms tree as a far-field operand.
+    #[inline]
+    pub fn side<'a>(&'a self, sys: &GbSystem, id: NodeId) -> FarSide<'a> {
+        FarSide {
+            center: sys.atoms.node(id).center,
+            bins: self.of(id),
+            moments: self.moments_of(id),
+        }
+    }
+
     /// Heap bytes (the binning's memory is O(nodes · M_ε), still
     /// ε-independent in the paper's sense: it does not grow with the
     /// interaction range). Capacity-based like the other accountings.
     pub fn memory_bytes(&self) -> usize {
-        self.per_node.capacity() * 8 + self.rr_table.capacity() * 8 + self.atom_bin.capacity() * 2
+        (self.per_node.capacity() + self.rr_table.capacity() + self.moments.capacity()) * 8
+            + self.atom_bin.capacity() * 2
+    }
+}
+
+/// Dipole and second moment of point charges about `c` (see [`MOMENTS`]),
+/// accumulated in point order.
+fn moments_about(c: Vec3, points: &[Vec3], charges: &[f64]) -> [f64; MOMENTS] {
+    let mut m = [0.0; MOMENTS];
+    for (&x, &q) in points.iter().zip(charges) {
+        let d = x - c;
+        let (qx, qy, qz) = (q * d.x, q * d.y, q * d.z);
+        m[0] += qx;
+        m[1] += qy;
+        m[2] += qz;
+        m[3] += qx * d.x;
+        m[4] += qx * d.y;
+        m[5] += qx * d.z;
+        m[6] += qy * d.y;
+        m[7] += qy * d.z;
+        m[8] += qz * d.z;
+    }
+    m
+}
+
+/// One side of a far pair: the centre the expansion is about, the
+/// binned charges and the moments (empty under [`EpolFar::Binned`]).
+#[derive(Clone, Copy, Debug)]
+pub struct FarSide<'a> {
+    /// The centre the moments are taken about.
+    pub center: Vec3,
+    /// `q[k]`, the charge in radius bin `k`.
+    pub bins: &'a [f64],
+    /// [`MOMENTS`] values, or empty.
+    pub moments: &'a [f64],
+}
+
+/// The one E_pol far-pair kernel: every traversal, list entry and delta
+/// query evaluates far pairs here, so all paths give the same bits.
+///
+/// The binned GB monopole of Fig. 3 (bin × bin, zero-charge rows and
+/// columns skipped, folded in index order), plus — when both sides carry
+/// moments — the second-order Taylor correction of the Coulomb kernel
+/// `K = 1/r` about `d = c_V − c_U` (DESIGN.md §10.8):
+///
+/// `(Q_U p_V − Q_V p_U)·∇K + ½(Q_U H:Θ_V + Q_V H:Θ_U) − p_Uᵀ H p_V`,
+///
+/// with `∇K = −d/r³` and `H = (3ddᵀ − r²I)/r⁵`.
+pub fn far_value(bins: &ChargeBins, u: &FarSide, v: &FarSide, math: MathMode) -> f64 {
+    let d = v.center - u.center;
+    let r2 = d.norm2();
+    let mut raw = 0.0;
+    for (i, &qi) in u.bins.iter().enumerate() {
+        if qi == 0.0 {
+            continue;
+        }
+        for (j, &qj) in v.bins.iter().enumerate() {
+            if qj == 0.0 {
+                continue;
+            }
+            // PANIC-OK: i + j < 2·m_eps by the bins' table construction.
+            let rr = bins.rr_table[i + j];
+            let inner = r2 + rr * math.exp(-r2 / (4.0 * rr));
+            raw += qi * qj * math.rsqrt(inner);
+        }
+    }
+    match (u.moments, v.moments) {
+        (&[pux, puy, puz, ref tu @ ..], &[pvx, pvy, pvz, ref tv @ ..]) => {
+            let (pu, pv) = (Vec3::new(pux, puy, puz), Vec3::new(pvx, pvy, pvz));
+            let (qu, qv) = (u.bins.iter().sum::<f64>(), v.bins.iter().sum::<f64>());
+            let inv_r2 = 1.0 / r2;
+            let inv_r3 = inv_r2 / r2.sqrt();
+            // `H:Θ · r⁵ = 3 dᵀΘd − r² tr Θ`, Θ packed as in `MOMENTS`.
+            let h_theta = |t: &[f64]| match *t {
+                [xx, xy, xz, yy, yz, zz] => {
+                    let dtd = d.x * (xx * d.x + 2.0 * (xy * d.y + xz * d.z))
+                        + d.y * (yy * d.y + 2.0 * yz * d.z)
+                        + zz * d.z * d.z;
+                    3.0 * dtd - r2 * (xx + yy + zz)
+                }
+                _ => 0.0,
+            };
+            let (pud, pvd) = (pu.dot(d), pv.dot(d));
+            let dipole = (qv * pud - qu * pvd) * inv_r3;
+            let second = 0.5 * (qu * h_theta(tv) + qv * h_theta(tu))
+                - (3.0 * pud * pvd - r2 * pu.dot(pv));
+            raw + dipole + second * inv_r3 * inv_r2
+        }
+        _ => raw,
     }
 }
 
 /// Raw E_pol contribution of leaf `V` against the whole atoms tree
 /// (Fig. 4 Step 6 assigns each rank a segment of such leaves). The leaf's
 /// SoA image is a zero-copy slice of the persistent atom arena — no
-/// gather, no scratch buffer.
+/// gather, no scratch buffer. The MAC is the bins' own.
 pub fn approx_epol_leaf(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
     v_leaf: NodeId,
-    eps_epol: f64,
     math: MathMode,
 ) -> (f64, OpCounts) {
     let mut ops = OpCounts::default();
-    let mac = 1.0 + 2.0 / eps_epol;
     let v = VLeafView::whole(sys, bins, born, v_leaf);
     let mut scratch = StillScratch::default();
-    let raw = epol_recurse(sys, bins, born, 0, &v, mac, math, &mut scratch, &mut ops);
+    let raw = epol_recurse(sys, bins, born, 0, &v, math, &mut scratch, &mut ops);
     (raw, ops)
 }
 
 /// Raw E_pol of the atoms `clip ∩ V` against the whole tree — the
 /// atom-based work division (§IV.A), whose error drifts with the division
-/// boundaries because partial leaves get partial bin sums.
+/// boundaries because partial leaves get partial bin sums (and moments
+/// about their own centroid).
 pub fn approx_epol_leaf_clipped(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
     v_leaf: NodeId,
     clip: &Range<usize>,
-    eps_epol: f64,
     math: MathMode,
 ) -> (f64, OpCounts) {
     let mut ops = OpCounts::default();
-    let mac = 1.0 + 2.0 / eps_epol;
     match VLeafView::clipped(sys, bins, born, v_leaf, clip) {
         Some(v) => {
             let mut scratch = StillScratch::default();
-            let raw = epol_recurse(sys, bins, born, 0, &v, mac, math, &mut scratch, &mut ops);
+            let raw = epol_recurse(sys, bins, born, 0, &v, math, &mut scratch, &mut ops);
             (raw, ops)
         }
         None => (0.0, ops),
     }
 }
 
-/// A (possibly clipped) target leaf with its bin sums and the flat SoA
-/// view of its atoms (positions, charges, Born radii) for the exact
-/// kernel. Both whole and clipped ranges are contiguous in Morton order,
-/// so the view is always a plain arena slice.
+/// A (possibly clipped) target leaf with its bin sums, moments and the
+/// flat SoA view of its atoms (positions, charges, Born radii) for the
+/// exact kernel. Both whole and clipped ranges are contiguous in Morton
+/// order, so the view is always a plain arena slice.
 struct VLeafView<'a> {
-    center: polaroct_geom::Vec3,
+    center: Vec3,
     radius: f64,
     range: Range<usize>,
     /// `q_V[k]`; borrowed for whole leaves, recomputed for clipped ones.
     bins: Vec<f64>,
+    /// Moments about `center`, likewise (empty under `Binned`).
+    moments: Vec<f64>,
     view: AtomView<'a>,
 }
 
@@ -191,6 +353,7 @@ impl<'a> VLeafView<'a> {
             radius: n.radius,
             range: n.range(),
             bins: bins.of(leaf).to_vec(),
+            moments: bins.moments_of(leaf).to_vec(),
             view: sys.atom_arena.view(born, n.range()),
         }
     }
@@ -211,7 +374,7 @@ impl<'a> VLeafView<'a> {
         if lo == n.range().start && hi == n.range().end {
             return Some(VLeafView::whole(sys, bins, born, leaf));
         }
-        let mut c = polaroct_geom::Vec3::ZERO;
+        let mut c = Vec3::ZERO;
         for i in lo..hi {
             c += sys.atoms.points[i];
         }
@@ -222,14 +385,38 @@ impl<'a> VLeafView<'a> {
             r2 = r2.max(c.dist2(sys.atoms.points[i]));
             qv[bins.atom_bin[i] as usize] += sys.charge[i];
         }
+        let moments = match bins.far {
+            EpolFar::Binned => Vec::new(),
+            EpolFar::Taylor2 { .. } => {
+                let points = sys.atoms.points.get(lo..hi).unwrap_or(&[]);
+                moments_about(c, points, sys.charge.get(lo..hi).unwrap_or(&[])).to_vec()
+            }
+        };
         Some(VLeafView {
             center: c,
             radius: r2.sqrt(),
             range: lo..hi,
             bins: qv,
+            moments,
             view: sys.atom_arena.view(born, lo..hi),
         })
     }
+
+    fn side(&self) -> FarSide<'_> {
+        FarSide {
+            center: self.center,
+            bins: &self.bins,
+            moments: &self.moments,
+        }
+    }
+}
+
+/// Bin pairs the far kernel's monopole evaluates for `(qu, qv)` — the
+/// `epol_far` op count, shared by the recursions and the list builders.
+pub(crate) fn far_pairs(qu: &[f64], qv: &[f64]) -> u64 {
+    let nu = qu.iter().filter(|&&q| q != 0.0).count() as u64;
+    let nv = qv.iter().filter(|&&q| q != 0.0).count() as u64;
+    nu * nv
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -239,7 +426,6 @@ fn epol_recurse(
     born: &[f64],
     u_id: NodeId,
     v: &VLeafView,
-    mac: f64,
     math: MathMode,
     scratch: &mut StillScratch,
     ops: &mut OpCounts,
@@ -258,33 +444,15 @@ fn epol_recurse(
     }
 
     let r2 = u.center.dist2(v.center);
-    let sep = (u.radius + v.radius) * mac;
+    let sep = (u.radius + v.radius) * bins.mac;
     if r2 > sep * sep {
-        // Far: binned pseudo-charge interaction.
-        let qu = bins.of(u_id);
-        let mut raw = 0.0;
-        let mut pairs = 0u64;
-        for (i, &qi) in qu.iter().enumerate() {
-            if qi == 0.0 {
-                continue;
-            }
-            for (j, &qj) in v.bins.iter().enumerate() {
-                if qj == 0.0 {
-                    continue;
-                }
-                let rr = bins.rr_table[i + j];
-                let inner = r2 + rr * math.exp(-r2 / (4.0 * rr));
-                raw += qi * qj * math.rsqrt(inner);
-                pairs += 1;
-            }
-        }
-        ops.epol_far += pairs;
-        return raw;
+        ops.epol_far += far_pairs(bins.of(u_id), &v.bins);
+        return far_value(bins, &bins.side(sys, u_id), &v.side(), math);
     }
 
     let mut raw = 0.0;
     for c in u.children() {
-        raw += epol_recurse(sys, bins, born, c, v, mac, math, scratch, ops);
+        raw += epol_recurse(sys, bins, born, c, v, math, scratch, ops);
     }
     raw
 }
@@ -295,13 +463,13 @@ pub fn epol_octree_raw(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
-    eps_epol: f64,
+    _eps_epol: f64,
     math: MathMode,
 ) -> (f64, OpCounts) {
     let mut raw = 0.0;
     let mut ops = OpCounts::default();
     for &v in &sys.atoms.leaf_ids {
-        let (r, o) = approx_epol_leaf(sys, bins, born, v, eps_epol, math);
+        let (r, o) = approx_epol_leaf(sys, bins, born, v, math);
         raw += r;
         ops.add(&o);
     }
@@ -376,11 +544,12 @@ mod tests {
 
     #[test]
     fn error_decreases_with_eps() {
+        // Fig. 3 semantics: under the paper's rule ε is the MAC too.
         let (sys, born) = sys_and_born(400, 5);
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
         let err = |eps: f64| {
-            let bins = ChargeBins::build(&sys, &born, eps);
+            let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
             let (raw, _) = epol_octree_raw(&sys, &bins, &born, eps, math);
             ((raw - naive_raw) / naive_raw).abs()
         };
@@ -395,10 +564,70 @@ mod tests {
         let (sys, born) = sys_and_born(400, 5);
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let near = |eps: f64| {
-            let bins = ChargeBins::build(&sys, &born, eps);
+            let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
             epol_octree_raw(&sys, &bins, &born, eps, math).1.epol_near
         };
         assert!(near(0.9) <= near(0.1), "looser ε must do less exact work");
+    }
+
+    #[test]
+    fn taylor2_work_decreases_with_mac() {
+        let (sys, born) = sys_and_born(1_200, 5);
+        let math = polaroct_geom::fastmath::MathMode::Exact;
+        let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
+        let run = |mac: f64| {
+            let bins = ChargeBins::build_far(&sys, &born, 0.9, EpolFar::Taylor2 { mac });
+            let (raw, ops) = epol_octree_raw(&sys, &bins, &born, 0.9, math);
+            (((raw - naive_raw) / naive_raw).abs(), ops.epol_near)
+        };
+        let (strict_err, strict_near) = run(1.0 + 2.0 / 0.9);
+        let (loose_err, loose_near) = run(2.0);
+        assert!(loose_near < strict_near, "a looser MAC must do less exact work");
+        assert!(strict_err < 1e-3 && loose_err < 1e-3, "{strict_err} / {loose_err}");
+    }
+
+    #[test]
+    fn taylor2_exact_when_every_pair_is_near() {
+        let (sys, born) = sys_and_born(150, 17);
+        let math = polaroct_geom::fastmath::MathMode::Exact;
+        let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
+        let bins = ChargeBins::build_far(&sys, &born, 0.9, EpolFar::Taylor2 { mac: 1e9 });
+        let (raw, ops) = epol_octree_raw(&sys, &bins, &born, 0.9, math);
+        assert_eq!(ops.epol_far, 0);
+        assert!(((raw - naive_raw) / naive_raw).abs() < 1e-12, "{raw} vs {naive_raw}");
+    }
+
+    /// Two well-separated clusters with one radius bin, far enough that
+    /// the GB kernel is Coulomb: the second-order term must take most of
+    /// the monopole's error away.
+    #[test]
+    fn taylor2_far_value_beats_the_monopole_on_a_far_pair() {
+        let (sys, _) = sys_and_born(300, 4);
+        let born = vec![1.5; sys.n_atoms()];
+        let math = polaroct_geom::fastmath::MathMode::Exact;
+        let root = sys.atoms.node(0);
+        let kids: Vec<NodeId> = root.children().collect();
+        let (a, b) = (kids[0], kids[kids.len() - 1]);
+        let (na, nb) = (sys.atoms.node(a), sys.atoms.node(b));
+        // Shift b's atoms far away along x by translating the centre only:
+        // the far value sees centres, the reference sees atoms.
+        let shift = Vec3::new(20.0 * (na.radius + nb.radius), 0.0, 0.0);
+        let mut exact = 0.0;
+        for i in na.range() {
+            for j in nb.range() {
+                let r = sys.atoms.points[i].dist(sys.atoms.points[j] + shift);
+                exact += sys.charge[i] * sys.charge[j] / r;
+            }
+        }
+        let value = |far: EpolFar| {
+            let bins = ChargeBins::build_far(&sys, &born, 0.9, far);
+            let mut v = bins.side(&sys, b);
+            v.center += shift;
+            far_value(&bins, &bins.side(&sys, a), &v, math)
+        };
+        let mono = (value(EpolFar::Binned) - exact).abs();
+        let second = (value(EpolFar::Taylor2 { mac: 2.0 }) - exact).abs();
+        assert!(second < 0.1 * mono, "Taylor2 error {second} vs monopole {mono}");
     }
 
     #[test]
@@ -413,7 +642,7 @@ mod tests {
         let mut sum = 0.0;
         for r in ranges {
             for &v in &sys.atoms.leaf_ids[r] {
-                sum += approx_epol_leaf(&sys, &bins, &born, v, 0.9, math).0;
+                sum += approx_epol_leaf(&sys, &bins, &born, v, math).0;
             }
         }
         assert!((total - sum).abs() < 1e-9 * total.abs().max(1.0));
@@ -467,13 +696,13 @@ mod tests {
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
         let eps = 1e-6; // forces exact everywhere
-        let bins = ChargeBins::build(&sys, &born, eps);
+        let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
         let m = sys.n_atoms();
         let mid = m / 3;
         let mut raw = 0.0;
         for &v in &sys.atoms.leaf_ids {
-            raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(0..mid), eps, math).0;
-            raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(mid..m), eps, math).0;
+            raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(0..mid), math).0;
+            raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(mid..m), math).0;
         }
         assert!(
             ((raw - naive_raw) / naive_raw).abs() < 1e-9,
@@ -501,7 +730,7 @@ mod tests {
             let mut lo = 0;
             for &c in cuts.iter().chain(std::iter::once(&m)) {
                 for &v in &sys.atoms.leaf_ids {
-                    raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(lo..c), eps, math).0;
+                    raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(lo..c), math).0;
                 }
                 lo = c;
             }

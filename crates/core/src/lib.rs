@@ -63,7 +63,7 @@ pub use delta::{DeltaEngine, DeltaEval, Perturbation};
 pub use error::{energy_error_pct, ErrorStats};
 pub use gb::{f_gb, COULOMB_KCAL};
 pub use lists::{BornLists, EngineEval, EpolLists, ListEngine, ListEntry, LIST_CHUNKS};
-pub use params::ApproxParams;
+pub use params::{ApproxParams, EpolFar};
 #[cfg(unix)]
 pub use procexec::run_oct_mpi_proc_ft;
 pub use procexec::maybe_worker;

@@ -42,7 +42,7 @@
 
 use crate::born::{push_segment, BornAccumulators};
 use crate::drivers::PhaseTimes;
-use crate::epol::ChargeBins;
+use crate::epol::{far_pairs, far_value, ChargeBins};
 use crate::gb::epol_from_raw_sum;
 use crate::params::ApproxParams;
 use crate::soa::{still_pair_block, StillScratch};
@@ -445,16 +445,16 @@ pub struct EpolLists {
 impl EpolLists {
     /// Lists for the single-tree traversal (`epol.rs::epol_recurse` swept
     /// over every atoms leaf in leaf-id order, with the driver's
-    /// `raw += leaf` fold as the outermost frame). `bins` is only
-    /// consulted to count far-field bin pairs for the op report; the
-    /// traversal itself is pure geometry.
-    pub fn build_single(sys: &GbSystem, bins: &ChargeBins, eps_epol: f64) -> EpolLists {
-        let mac = 1.0 + 2.0 / eps_epol;
+    /// `raw += leaf` fold as the outermost frame). The traversal is pure
+    /// geometry at the bins' MAC ([`ChargeBins::mac`], the far rule's);
+    /// the bin values are only consulted to count far-field bin pairs
+    /// for the op report. `eps_epol` is the ε `bins` were built with.
+    pub fn build_single(sys: &GbSystem, bins: &ChargeBins, _eps_epol: f64) -> EpolLists {
         let mut entries = Vec::new();
         let mut ops = OpCounts::default();
         for &v in &sys.atoms.leaf_ids {
             let mut pending = 0u8;
-            build_epol_single(sys, bins, 0, v, mac, &mut pending, &mut entries, &mut ops);
+            build_epol_single(sys, bins, 0, v, &mut pending, &mut entries, &mut ops);
         }
         pair_mirrors(&sys.atoms, &mut entries);
         let chunks = chunk_entries(sys, &mut entries, false);
@@ -462,13 +462,13 @@ impl EpolLists {
     }
 
     /// Lists for the dual-tree traversal (`dual::epol_recurse` from the
-    /// root pair, ordered child-pair expansion on the diagonal).
-    pub fn build_dual(sys: &GbSystem, bins: &ChargeBins, eps_epol: f64) -> EpolLists {
-        let mac = 1.0 + 2.0 / eps_epol;
+    /// root pair, ordered child-pair expansion on the diagonal), at the
+    /// bins' MAC like [`EpolLists::build_single`].
+    pub fn build_dual(sys: &GbSystem, bins: &ChargeBins, _eps_epol: f64) -> EpolLists {
         let mut entries = Vec::new();
         let mut ops = OpCounts::default();
         let mut pending = 0u8;
-        build_epol_dual(sys, bins, 0, 0, mac, &mut pending, &mut entries, &mut ops);
+        build_epol_dual(sys, bins, 0, 0, &mut pending, &mut entries, &mut ops);
         pair_mirrors(&sys.atoms, &mut entries);
         let chunks = chunk_entries(sys, &mut entries, false);
         EpolLists { entries, chunks, ops }
@@ -494,10 +494,10 @@ impl EpolLists {
     }
 
     /// Phase A for one entry: the scalar [`EpolLists::run_chunk`] would
-    /// emit for it — the binned far kernel or the exact SoA STILL block.
-    /// Pure (the scratch is write-before-read workspace, see the
-    /// stale-scratch-reuse kernel tests), so any number of entries may
-    /// run concurrently with private scratches.
+    /// emit for it — the recursions' far kernel ([`far_value`]) or the
+    /// exact SoA STILL block. Pure (the scratch is write-before-read
+    /// workspace, see the stale-scratch-reuse kernel tests), so any
+    /// number of entries may run concurrently with private scratches.
     #[inline]
     pub fn run_entry(
         sys: &GbSystem,
@@ -507,33 +507,12 @@ impl EpolLists {
         e: &ListEntry,
         scratch: &mut StillScratch,
     ) -> f64 {
-        let u = sys.atoms.node(e.a);
-        let v = sys.atoms.node(e.b);
         if e.far {
-            // Identical to the recursions' far branch: bin × bin with
-            // zero-charge rows/columns skipped, folded in index order.
-            let r2 = u.center.dist2(v.center);
-            let qu = bins.of(e.a);
-            let qv = bins.of(e.b);
-            let mut raw = 0.0;
-            for (i, &qi) in qu.iter().enumerate() {
-                if qi == 0.0 {
-                    continue;
-                }
-                for (j, &qj) in qv.iter().enumerate() {
-                    if qj == 0.0 {
-                        continue;
-                    }
-                    // PANIC-OK: i + j < 2·m_eps by the bins' table construction.
-                    let rr = bins.rr_table[i + j];
-                    let inner = r2 + rr * math.exp(-r2 / (4.0 * rr));
-                    raw += qi * qj * math.rsqrt(inner);
-                }
-            }
-            raw
+            far_value(bins, &bins.side(sys, e.a), &bins.side(sys, e.b), math)
         } else {
-            let vv = sys.atom_arena.view(born, v.range());
-            sys.still_block_raw(born, u.range(), vv, math, scratch)
+            let uv = sys.atoms.node(e.a).range();
+            let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
+            sys.still_block_raw(born, uv, vv, math, scratch)
         }
     }
 
@@ -745,14 +724,6 @@ fn pair_mirrors(tree: &Octree, entries: &mut [ListEntry]) {
     }
 }
 
-/// Count the far-field bin pairs the binned kernel would evaluate (for
-/// op reporting — matches the recursions' `pairs` counter).
-fn far_pairs(bins: &ChargeBins, u: NodeId, v: NodeId) -> u64 {
-    let nu = bins.of(u).iter().filter(|&&q| q != 0.0).count() as u64;
-    let nv = bins.of(v).iter().filter(|&&q| q != 0.0).count() as u64;
-    nu * nv
-}
-
 /// Mirror of `epol.rs::epol_recurse` (leaf test **first**, then the far
 /// test without a `r2 > 0` guard, else descend the `u` side).
 #[allow(clippy::too_many_arguments)]
@@ -761,7 +732,6 @@ fn build_epol_single(
     bins: &ChargeBins,
     u_id: NodeId,
     v_id: NodeId,
-    mac: f64,
     pending: &mut u8,
     entries: &mut Vec<ListEntry>,
     ops: &mut OpCounts,
@@ -776,16 +746,16 @@ fn build_epol_single(
         return;
     }
     let r2 = u.center.dist2(v.center);
-    let sep = (u.radius + v.radius) * mac;
+    let sep = (u.radius + v.radius) * bins.mac;
     if r2 > sep * sep {
         let opens = std::mem::take(pending);
         entries.push(ListEntry::new(u_id, v_id, true, opens));
-        ops.epol_far += far_pairs(bins, u_id, v_id);
+        ops.epol_far += far_pairs(bins.of(u_id), bins.of(v_id));
         return;
     }
     *pending += 1;
     for c in u.children() {
-        build_epol_single(sys, bins, c, v_id, mac, pending, entries, ops);
+        build_epol_single(sys, bins, c, v_id, pending, entries, ops);
     }
     // Every call emits at least one entry, so the frame that just
     // finished closes after the most recently emitted one.
@@ -803,7 +773,6 @@ fn build_epol_dual(
     bins: &ChargeBins,
     u_id: NodeId,
     v_id: NodeId,
-    mac: f64,
     pending: &mut u8,
     entries: &mut Vec<ListEntry>,
     ops: &mut OpCounts,
@@ -812,11 +781,11 @@ fn build_epol_dual(
     let v = sys.atoms.node(v_id);
     ops.nodes_visited += 1;
     let r2 = u.center.dist2(v.center);
-    let sep = (u.radius + v.radius) * mac;
+    let sep = (u.radius + v.radius) * bins.mac;
     if sep > 0.0 && r2 > sep * sep {
         let opens = std::mem::take(pending);
         entries.push(ListEntry::new(u_id, v_id, true, opens));
-        ops.epol_far += far_pairs(bins, u_id, v_id);
+        ops.epol_far += far_pairs(bins.of(u_id), bins.of(v_id));
         return;
     }
     match (u.is_leaf(), v.is_leaf()) {
@@ -829,13 +798,13 @@ fn build_epol_dual(
         (true, false) => {
             *pending += 1;
             for vc in v.children() {
-                build_epol_dual(sys, bins, u_id, vc, mac, pending, entries, ops);
+                build_epol_dual(sys, bins, u_id, vc, pending, entries, ops);
             }
         }
         (false, true) => {
             *pending += 1;
             for uc in u.children() {
-                build_epol_dual(sys, bins, uc, v_id, mac, pending, entries, ops);
+                build_epol_dual(sys, bins, uc, v_id, pending, entries, ops);
             }
         }
         (false, false) => {
@@ -843,16 +812,16 @@ fn build_epol_dual(
             if u_id == v_id {
                 for uc in u.children() {
                     for vc in v.children() {
-                        build_epol_dual(sys, bins, uc, vc, mac, pending, entries, ops);
+                        build_epol_dual(sys, bins, uc, vc, pending, entries, ops);
                     }
                 }
             } else if u.radius >= v.radius {
                 for uc in u.children() {
-                    build_epol_dual(sys, bins, uc, v_id, mac, pending, entries, ops);
+                    build_epol_dual(sys, bins, uc, v_id, pending, entries, ops);
                 }
             } else {
                 for vc in v.children() {
-                    build_epol_dual(sys, bins, u_id, vc, mac, pending, entries, ops);
+                    build_epol_dual(sys, bins, u_id, vc, pending, entries, ops);
                 }
             }
         }
@@ -1079,7 +1048,7 @@ where
         let born = self.born_radii(&born_lists, keep.as_deref_mut().map(|k| &mut k.born))?;
 
         let t = Instant::now();
-        let bins = ChargeBins::build(sys, &born, approx.eps_epol);
+        let bins = ChargeBins::for_params(sys, &born, approx);
         self.phases.bins += t.elapsed().as_secs_f64();
 
         let t = Instant::now();
@@ -1130,10 +1099,11 @@ fn scaffold(mol: &Molecule, approx: &ApproxParams, skin: f64) -> (GbSystem, Born
         sys.qtree.inflate_radii(skin);
     }
     let born_lists = BornLists::build_single(&sys, approx.eps_born);
-    // The E_pol traversal is pure geometry; bins only feed the op
-    // report. Build them from intrinsic radii here — the energy path
-    // always executes with the current step's real bins.
-    let bins = ChargeBins::build(&sys, &sys.radius, approx.eps_epol);
+    // The E_pol traversal is pure geometry at the far rule's MAC; bin
+    // values only feed the op report. Build them from intrinsic radii
+    // here — the energy path always executes with the current step's
+    // real bins.
+    let bins = ChargeBins::for_params(&sys, &sys.radius, approx);
     let epol_lists = EpolLists::build_single(&sys, &bins, approx.eps_epol);
     (sys, born_lists, epol_lists)
 }

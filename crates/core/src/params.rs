@@ -6,9 +6,51 @@
 //! sweep varying ε_Epol over 0.1..0.9. The space usage is *independent* of
 //! these parameters (octrees, unlike nblists, don't grow with the
 //! effective interaction range).
+//!
+//! The E_pol far-field rule is a separate knob ([`EpolFar`]): the
+//! paper's binned monopole at MAC `1 + 2/ε`, or (the default) the same
+//! monopole plus a second-order Taylor correction at a fixed, looser MAC.
 
 use polaroct_geom::fastmath::MathMode;
 use polaroct_surface::SurfaceParams;
+
+/// The MAC of [`EpolFar::Taylor2`] in the default parameters, chosen
+/// from the `workprec` work/precision sweep (EXPERIMENTS.md): the
+/// loosest swept multiplier at which the suite's max and mean |error|
+/// and every `e2e_profile` workload's energy error stay below the paper
+/// rule's. At 2.0 the skinned delta engine of `mutscan` lost that.
+pub const TAYLOR2_MAC: f64 = 2.25;
+
+/// How an E_pol far node pair is evaluated (DESIGN.md §10.8).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum EpolFar {
+    /// Fig. 3: each node's charge binned by Born radius at its centre (a
+    /// monopole), far when `r > (r_U + r_V)(1 + 2/ε)`.
+    Binned,
+    /// The binned monopole plus the dipole and second-moment terms of
+    /// the Coulomb kernel's Taylor expansion about the node centres, far
+    /// when `r > (r_U + r_V) · mac`. ε then sets only the bins.
+    Taylor2 {
+        /// The MAC multiplier.
+        mac: f64,
+    },
+}
+
+impl Default for EpolFar {
+    fn default() -> Self {
+        EpolFar::Taylor2 { mac: TAYLOR2_MAC }
+    }
+}
+
+impl EpolFar {
+    /// The MAC multiplier this rule uses with bins built at `eps_epol`.
+    pub fn mac(self, eps_epol: f64) -> f64 {
+        match self {
+            EpolFar::Binned => 1.0 + 2.0 / eps_epol,
+            EpolFar::Taylor2 { mac } => mac,
+        }
+    }
+}
 
 /// Full parameter set for a GB-energy run.
 #[derive(Clone, Copy, Debug)]
@@ -27,6 +69,8 @@ pub struct ApproxParams {
     pub surface: SurfaceParams,
     /// Solvent dielectric constant (water = 80).
     pub eps_solvent: f64,
+    /// E_pol far-field rule and the MAC it runs at.
+    pub epol_far: EpolFar,
 }
 
 impl Default for ApproxParams {
@@ -39,6 +83,7 @@ impl Default for ApproxParams {
             leaf_cap_qpoints: 64,
             surface: SurfaceParams::default(),
             eps_solvent: crate::gb::EPS_WATER,
+            epol_far: EpolFar::default(),
         }
     }
 }
@@ -54,6 +99,13 @@ impl ApproxParams {
 
     pub fn with_math(mut self, math: MathMode) -> Self {
         self.math = math;
+        self
+    }
+
+    /// Builder-style far-rule setter (the paper reproductions pin
+    /// [`EpolFar::Binned`]).
+    pub fn with_epol_far(mut self, far: EpolFar) -> Self {
+        self.epol_far = far;
         self
     }
 
@@ -82,9 +134,11 @@ impl ApproxParams {
         (theta + 1.0) / (theta - 1.0)
     }
 
-    /// The Fig. 3 far-field threshold multiplier: `1 + 2/ε`.
+    /// The E_pol far-field threshold multiplier in effect: Fig. 3's
+    /// `1 + 2/ε` under [`EpolFar::Binned`], the fixed MAC under
+    /// [`EpolFar::Taylor2`].
     pub fn epol_mac_multiplier(&self) -> f64 {
-        1.0 + 2.0 / self.eps_epol
+        self.epol_far.mac(self.eps_epol)
     }
 }
 
@@ -99,6 +153,7 @@ mod tests {
         assert_eq!(p.eps_epol, 0.9);
         assert_eq!(p.math, MathMode::Exact);
         assert_eq!(p.eps_solvent, 80.0);
+        assert_eq!(p.epol_far, EpolFar::Taylor2 { mac: TAYLOR2_MAC });
     }
 
     #[test]
@@ -113,14 +168,24 @@ mod tests {
 
     #[test]
     fn epol_mac_multiplier_at_09() {
-        let m = ApproxParams::default().epol_mac_multiplier();
+        let binned = ApproxParams::default().with_epol_far(EpolFar::Binned);
+        let m = binned.epol_mac_multiplier();
         assert!((m - (1.0 + 2.0 / 0.9)).abs() < 1e-12);
     }
 
     #[test]
+    fn taylor2_mac_is_the_rule_s_own() {
+        let p = ApproxParams::default();
+        assert_eq!(p.epol_mac_multiplier(), TAYLOR2_MAC);
+        let q = p.with_eps(0.9, 0.1).with_epol_far(EpolFar::Taylor2 { mac: 3.0 });
+        assert_eq!(q.epol_mac_multiplier(), 3.0, "under Taylor2, ε sets only the bins");
+    }
+
+    #[test]
     fn smaller_eps_means_stricter_mac() {
-        let loose = ApproxParams::default().with_eps(0.9, 0.9);
-        let tight = ApproxParams::default().with_eps(0.1, 0.1);
+        let paper = ApproxParams::default().with_epol_far(EpolFar::Binned);
+        let loose = paper.with_eps(0.9, 0.9);
+        let tight = paper.with_eps(0.1, 0.1);
         assert!(tight.born_mac_multiplier() > loose.born_mac_multiplier());
         assert!(tight.epol_mac_multiplier() > loose.epol_mac_multiplier());
     }

@@ -23,7 +23,7 @@ use crate::drivers::{
     fig4_rank_body, fig4_report, require_config, validate_system, DriverConfig, DriverError,
     FtConfig, RunReport,
 };
-use crate::params::ApproxParams;
+use crate::params::{ApproxParams, EpolFar};
 use crate::system::GbSystem;
 use crate::workdiv::WorkDivision;
 use polaroct_cluster::wire::{self, Dec, Enc, WireError};
@@ -94,6 +94,16 @@ pub fn encode_job(job: &JobSpec) -> Vec<u8> {
     e.put_f64(p.surface.probe_radius);
     e.put_f64(p.surface.burial_slack);
     e.put_f64(p.eps_solvent);
+    // The far rule travels as a (tag, MAC) pair; `Binned` derives its
+    // MAC from ε and sends 0.0.
+    e.put_u8(match p.epol_far {
+        EpolFar::Binned => 0,
+        EpolFar::Taylor2 { .. } => 1,
+    });
+    e.put_f64(match p.epol_far {
+        EpolFar::Binned => 0.0,
+        EpolFar::Taylor2 { mac } => mac,
+    });
     let c = &job.cfg;
     e.put_f64(c.costs.born_far);
     e.put_f64(c.costs.born_near);
@@ -176,6 +186,13 @@ pub fn decode_job(body: &[u8]) -> Result<JobSpec, WireError> {
         burial_slack: d.get_f64_raw("burial_slack")?,
     };
     let eps_solvent = d.get_f64_raw("eps_solvent")?;
+    let far_tag = d.get_u8("epol_far")?;
+    let far_mac = d.get_f64_raw("epol_far mac")?;
+    let epol_far = match far_tag {
+        0 => EpolFar::Binned,
+        1 => EpolFar::Taylor2 { mac: far_mac },
+        t => return Err(WireError::BadTag { what: "epol_far", tag: t }),
+    };
     let params = ApproxParams {
         eps_born,
         eps_epol,
@@ -184,6 +201,7 @@ pub fn decode_job(body: &[u8]) -> Result<JobSpec, WireError> {
         leaf_cap_qpoints,
         surface,
         eps_solvent,
+        epol_far,
     };
     let cfg = DriverConfig {
         costs: polaroct_cluster::KernelCosts {
@@ -603,6 +621,7 @@ mod tests {
         }
         assert_eq!(back.molecule.elements, j.molecule.elements);
         assert_eq!(back.params.eps_born.to_bits(), j.params.eps_born.to_bits());
+        assert_eq!(back.params.epol_far, j.params.epol_far);
         assert_eq!(back.params.leaf_cap_atoms, j.params.leaf_cap_atoms);
         assert_eq!(back.workdiv, j.workdiv);
         assert_eq!(back.recovery, j.recovery);
@@ -649,6 +668,34 @@ mod tests {
             &FtConfig::default(),
         );
         assert!(matches!(r, Err(DriverError::InvalidConfig { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn epol_far_roundtrips_both_variants_and_rejects_unknown_tags() {
+        let far_of = |far: EpolFar| {
+            let mut j = job(10, 2);
+            j.params.epol_far = far;
+            let body = encode_job(&j);
+            let back = decode_job(&body).unwrap().params.epol_far;
+            (body, back)
+        };
+        let (binned, back) = far_of(EpolFar::Binned);
+        assert_eq!(back, EpolFar::Binned);
+        let taylor = EpolFar::Taylor2 { mac: 2.0 + f64::EPSILON };
+        let (taylor_body, back) = far_of(taylor);
+        match back {
+            EpolFar::Taylor2 { mac } => assert_eq!(mac.to_bits(), (2.0 + f64::EPSILON).to_bits()),
+            other => panic!("decoded {other:?}"),
+        }
+        // The first byte the two frames differ in is the far-rule tag.
+        let at = binned.iter().zip(&taylor_body).position(|(a, b)| a != b).unwrap();
+        assert_eq!((binned[at], taylor_body[at]), (0, 1));
+        let mut bad = taylor_body;
+        bad[at] = 7;
+        assert!(matches!(
+            decode_job(&bad),
+            Err(WireError::BadTag { what: "epol_far", tag: 7 })
+        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Differential bit-identity harness for the incremental ΔE_pol engine
-//! (`core::delta`, DESIGN.md §15).
+//! (`core::delta`, DESIGN.md §14–15).
 //!
 //! The contract under test: every [`DeltaEngine::apply_perturbation`]
 //! result — raw sum, energy, Born radii — is **bit-identical** to a

@@ -11,7 +11,7 @@
 //! staging cannot hide by changing both sides at once. Combined with
 //! the repo-level golden suite (`tests/golden_values.rs`, which runs
 //! the full pipeline with arenas on against committed snapshots), this
-//! pins the determinism contract of DESIGN.md §12.
+//! pins the determinism contract of DESIGN.md §11.
 
 mod common;
 

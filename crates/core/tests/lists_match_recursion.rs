@@ -4,7 +4,7 @@
 //! widths, and Verlet-skin inflations (including `skin = 0`, which must
 //! be a bit-level no-op on the tree bounds).
 //!
-//! This is the determinism contract of `core::lists` (DESIGN.md §11):
+//! This is the determinism contract of `core::lists` (DESIGN.md §10):
 //! Phase A computes pure per-entry outputs, Phase B replays the
 //! recursion's floating-point add sequence in emission order, so the
 //! thread count and the cost-balanced chunk boundaries cannot leak into

@@ -64,7 +64,7 @@ pub mod prelude {
         run_oct_threads, run_oct_threads_ft, run_serial, validate_system, DriverConfig,
         DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome, RunReport,
     };
-    pub use polaroct_core::{ApproxParams, GbSystem, WorkDivision};
+    pub use polaroct_core::{ApproxParams, EpolFar, GbSystem, WorkDivision};
     pub use polaroct_geom::fastmath::MathMode;
     pub use polaroct_molecule::{Atom, Element, Molecule};
     pub use polaroct_surface::SurfaceParams;

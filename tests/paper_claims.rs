@@ -36,6 +36,35 @@ fn claim_abstract_under_one_percent_error() {
 }
 
 #[test]
+fn default_far_rule_is_no_less_accurate_than_the_paper_rule() {
+    // The default E_pol far rule (second-order Taylor at a looser MAC,
+    // DESIGN.md §10.8) must keep the abstract's <1% and be no less
+    // accurate than Fig. 3's binned rule, over a few small suite
+    // molecules (the full sweep is the `workprec` bench).
+    let cfg = DriverConfig::default();
+    let suite = polaroct::molecule::synth::zdock_suite();
+    let paper = ApproxParams::default().with_epol_far(EpolFar::Binned);
+    let default = ApproxParams::default();
+    let (mut paper_max, mut default_max) = (0.0f64, 0.0f64);
+    for entry in [&suite[0], &suite[12], &suite[24]] {
+        assert!(entry.n_atoms <= 3_000);
+        let sys = GbSystem::prepare(&entry.build(), &default);
+        let naive = run_naive(&sys, &default, &cfg).unwrap().energy_kcal;
+        let err = |p: &ApproxParams| {
+            let e = run_serial(&sys, p, &cfg).unwrap().energy_kcal;
+            ((e - naive) / naive).abs()
+        };
+        paper_max = paper_max.max(err(&paper));
+        default_max = default_max.max(err(&default));
+    }
+    assert!(paper_max < 0.01 && default_max < 0.01, "{paper_max} / {default_max}");
+    assert!(
+        default_max <= paper_max,
+        "default max |error| {default_max} exceeds the paper rule's {paper_max}"
+    );
+}
+
+#[test]
 fn claim_s4b_memory_replication_ratio() {
     // §V.B: 12x1 uses ~5.86x the per-node memory of 2x6.
     let mm = MemoryModel::new(680 << 20);
