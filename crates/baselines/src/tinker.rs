@@ -8,7 +8,7 @@
 //!   radii relative to the r⁶/HCT families; since the dominant self terms
 //!   scale as `q²/R`, radii inflated by ~1.45× yield |E| ≈ 0.69·|E_exact|.
 //!   We model the STILL radii as HCT radii × [`Tinker::still_radius_inflation`].
-//! * §V.D: "Tinker ... do[es] not work for larger molecules (> 12k ...)
+//! * §V.D: "Tinker ... do\[es\] not work for larger molecules (> 12k ...)
 //!   as they run out of memory" — Tinker 6 allocates several static
 //!   quadratic arrays for its pairwise terms; modeled as
 //!   `bytes ≈ tinker_bytes_per_pair · M²` (calibrated in `calib`).

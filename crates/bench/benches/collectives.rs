@@ -2,9 +2,22 @@
 //! mechanics, not the modeled virtual time) across rank counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use polaroct_cluster::calib::KernelCosts;
+use polaroct_cluster::comm::Recovery;
+use polaroct_cluster::fault::{FaultPlan, FtPolicy};
 use polaroct_cluster::machine::{ClusterSpec, MachineSpec, Placement};
-use polaroct_cluster::runner::run_spmd;
+use polaroct_cluster::runner::run_spmd_ft;
+
+/// One fault-free allreduce of `words` f64s per rank over `cluster`.
+fn allreduce(cluster: &ClusterSpec, words: usize, fill: impl Fn(usize) -> f64 + Sync) {
+    let res = run_spmd_ft(cluster, &FaultPlan::none(), FtPolicy::default(), |ctx| {
+        let mut clock = ctx.clock;
+        let mut buf = vec![fill(ctx.rank); words];
+        ctx.comm.allreduce_sum_ft(&mut buf, &mut clock, Recovery::Disabled)?;
+        ctx.clock = clock;
+        Ok(buf[0])
+    });
+    assert!(res.failures().is_empty(), "failed ranks: {:?}", res.failures());
+}
 
 fn bench_allreduce(c: &mut Criterion) {
     let mut g = c.benchmark_group("spmd_allreduce");
@@ -12,15 +25,7 @@ fn bench_allreduce(c: &mut Criterion) {
     for &ranks in &[2usize, 8, 32] {
         let cluster = ClusterSpec::new(MachineSpec::lonestar4(), Placement::distributed(ranks));
         g.bench_with_input(BenchmarkId::new("ranks", ranks), &ranks, |b, _| {
-            b.iter(|| {
-                run_spmd(&cluster, KernelCosts::lonestar4_reference(), |ctx| {
-                    let mut clock = ctx.clock;
-                    let mut buf = vec![ctx.rank as f64; 1024];
-                    ctx.comm.allreduce_sum(&mut buf, &mut clock);
-                    ctx.clock = clock;
-                    buf[0]
-                })
-            })
+            b.iter(|| allreduce(&cluster, 1024, |rank| rank as f64))
         });
     }
     g.finish();
@@ -32,15 +37,7 @@ fn bench_payload_size(c: &mut Criterion) {
     g.sample_size(10);
     for &words in &[64usize, 4_096, 65_536] {
         g.bench_with_input(BenchmarkId::new("f64s", words), &words, |b, &words| {
-            b.iter(|| {
-                run_spmd(&cluster, KernelCosts::lonestar4_reference(), |ctx| {
-                    let mut clock = ctx.clock;
-                    let mut buf = vec![1.0f64; words];
-                    ctx.comm.allreduce_sum(&mut buf, &mut clock);
-                    ctx.clock = clock;
-                    buf[0]
-                })
-            })
+            b.iter(|| allreduce(&cluster, words, |_| 1.0))
         });
     }
     g.finish();

@@ -41,11 +41,9 @@ fn bench_epol(c: &mut Criterion) {
     });
     for &eps in &[0.1f64, 0.5, 0.9] {
         let bins = ChargeBins::build(&sys, &born, eps);
-        g.bench_with_input(
-            BenchmarkId::new("octree", format!("eps{eps}")),
-            &eps,
-            |b, &eps| b.iter(|| epol_octree_raw(&sys, &bins, &born, eps, MathMode::Exact)),
-        );
+        g.bench_with_input(BenchmarkId::new("octree", format!("eps{eps}")), &eps, |b, _| {
+            b.iter(|| epol_octree_raw(&sys, &bins, &born, MathMode::Exact))
+        });
     }
     g.finish();
 }

@@ -9,7 +9,9 @@
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{hybrid_cluster, std_config, suite, Table};
-use polaroct_core::{energy_error_pct, run_naive, run_oct_hybrid, ApproxParams, GbSystem};
+use polaroct_core::{
+    energy_error_pct, run_naive, run_oct_hybrid_ft, ApproxParams, FtConfig, GbSystem,
+};
 use polaroct_geom::fastmath::MathMode;
 
 fn main() {
@@ -32,12 +34,14 @@ fn main() {
         let base = ApproxParams::default();
         let sys = GbSystem::prepare(&mol, &base);
         let naive = run_naive(&sys, &base, &cfg).unwrap();
-        let exact = run_oct_hybrid(&sys, &base, &cfg, &hybrid_cluster(12)).unwrap();
-        let approx = run_oct_hybrid(
+        let exact = run_oct_hybrid_ft(&sys, &base, &cfg, &hybrid_cluster(12), &FtConfig::default())
+            .unwrap();
+        let approx = run_oct_hybrid_ft(
             &sys,
             &base.with_math(MathMode::Approx),
             &cfg,
             &hybrid_cluster(12),
+            &FtConfig::default(),
         ).unwrap();
         let speedup = exact.time / approx.time;
         speedups.push(speedup);

@@ -9,7 +9,7 @@
 
 use polaroct_bench::{mpi_cluster, std_config, Table};
 use polaroct_core::{
-    energy_error_pct, run_naive, run_oct_mpi, ApproxParams, GbSystem, WorkDivision,
+    energy_error_pct, run_naive, run_oct_mpi_ft, ApproxParams, FtConfig, GbSystem, WorkDivision,
 };
 use polaroct_molecule::synth;
 
@@ -34,13 +34,22 @@ fn main() {
     let mut node_errs = Vec::new();
     let mut atom_errs = Vec::new();
     for p in [1usize, 2, 4, 8, 16, 32] {
-        let node = run_oct_mpi(&sys, &params, &cfg, &mpi_cluster(p), WorkDivision::NodeNode).unwrap();
-        let atom = run_oct_mpi(
+        let node = run_oct_mpi_ft(
+            &sys,
+            &params,
+            &cfg,
+            &mpi_cluster(p),
+            WorkDivision::NodeNode,
+            &FtConfig::default(),
+        )
+        .unwrap();
+        let atom = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &mpi_cluster(p),
             WorkDivision::AtomBased,
+            &FtConfig::default(),
         ).unwrap();
         let ne = energy_error_pct(node.energy_kcal, naive.energy_kcal);
         let ae = energy_error_pct(atom.energy_kcal, naive.energy_kcal);

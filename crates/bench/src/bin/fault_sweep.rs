@@ -29,10 +29,7 @@
 use polaroct_bench::{fmt_time, mpi_cluster, quick_mode, std_config, Table};
 use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
 use polaroct_core::drivers::{FtConfig, RecoveryMode, RunOutcome, RunReport};
-use polaroct_core::{
-    run_oct_mpi, run_oct_mpi_ft, run_oct_threads, run_oct_threads_ft, ApproxParams, GbSystem,
-    WorkDivision,
-};
+use polaroct_core::{run_oct_mpi_ft, run_oct_threads_ft, ApproxParams, GbSystem, WorkDivision};
 use polaroct_molecule::synth;
 use std::io::Write;
 use std::time::Duration;
@@ -181,9 +178,16 @@ fn main() {
     let mut wall_plain = f64::INFINITY;
     let mut wall_ft = f64::INFINITY;
     for _ in 0..reps {
-        wall_plain = wall_plain.min(run_oct_threads(&sys, &params, &cfg, threads).unwrap().wall_seconds);
-        wall_ft = wall_ft
-            .min(run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none()).unwrap().wall_seconds);
+        wall_plain = wall_plain.min(
+            run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none())
+                .unwrap()
+                .wall_seconds,
+        );
+        wall_ft = wall_ft.min(
+            run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none())
+                .unwrap()
+                .wall_seconds,
+        );
     }
     let overhead_pct = (wall_ft / wall_plain - 1.0) * 100.0;
     eprintln!(
@@ -193,7 +197,15 @@ fn main() {
     );
 
     // 2. Fault-free reference for the distributed sweep.
-    let clean = run_oct_mpi(&sys, &params, &cfg, &mpi_cluster(RANKS), WorkDivision::NodeNode).unwrap();
+    let clean = run_oct_mpi_ft(
+        &sys,
+        &params,
+        &cfg,
+        &mpi_cluster(RANKS),
+        WorkDivision::NodeNode,
+        &FtConfig::default(),
+    )
+    .unwrap();
     eprintln!(
         "[fault_sweep] clean run: E = {:.6e} kcal/mol, simulated {}",
         clean.energy_kcal,

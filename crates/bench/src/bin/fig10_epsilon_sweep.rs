@@ -12,7 +12,8 @@
 
 use polaroct_bench::{hybrid_cluster, std_config, suite, Table};
 use polaroct_core::{
-    energy_error_pct, run_naive, run_oct_hybrid, ApproxParams, EpolFar, ErrorStats, GbSystem,
+    energy_error_pct, run_naive, run_oct_hybrid_ft, ApproxParams, EpolFar, ErrorStats, FtConfig,
+    GbSystem,
 };
 
 fn main() {
@@ -52,7 +53,9 @@ fn main() {
         let mut errors = Vec::with_capacity(prepared.len());
         let mut total_time = 0.0;
         for (name, sys, e_naive) in &prepared {
-            let r = run_oct_hybrid(sys, &params, &cfg, &hybrid_cluster(12)).unwrap();
+            let r =
+                run_oct_hybrid_ft(sys, &params, &cfg, &hybrid_cluster(12), &FtConfig::default())
+                    .unwrap();
             errors.push(energy_error_pct(r.energy_kcal, *e_naive));
             total_time += r.time;
             let _ = name;

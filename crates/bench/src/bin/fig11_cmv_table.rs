@@ -16,8 +16,8 @@
 use polaroct_baselines::{GbPackage, PackageContext, PackageOutcome};
 use polaroct_bench::{cmv_atoms, fmt_time, hybrid_cluster, mpi_cluster, std_config, Table};
 use polaroct_core::{
-    energy_error_pct, run_naive, run_oct_cilk, run_oct_hybrid, run_oct_mpi, ApproxParams, GbSystem,
-    WorkDivision,
+    energy_error_pct, run_naive, run_oct_cilk, run_oct_hybrid_ft, run_oct_mpi_ft, ApproxParams,
+    FtConfig, GbSystem, WorkDivision,
 };
 use polaroct_geom::fastmath::MathMode;
 use polaroct_molecule::synth;
@@ -38,22 +38,27 @@ fn main() {
 
     // Full-size runs.
     let cilk12 = run_oct_cilk(&sys, &params, &cfg, 12).unwrap();
-    let mpi12 = run_oct_mpi(
+    let mpi12 = run_oct_mpi_ft(
         &sys,
         &params,
         &cfg,
         &mpi_cluster(12),
         WorkDivision::NodeNode,
+        &FtConfig::default(),
     ).unwrap();
-    let mpi144 = run_oct_mpi(
+    let mpi144 = run_oct_mpi_ft(
         &sys,
         &params,
         &cfg,
         &mpi_cluster(144),
         WorkDivision::NodeNode,
-    ).unwrap();
-    let hyb12 = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(12)).unwrap();
-    let hyb144 = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(144)).unwrap();
+        &FtConfig::default(),
+    )
+    .unwrap();
+    let hyb12 =
+        run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid_cluster(12), &FtConfig::default()).unwrap();
+    let hyb144 =
+        run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid_cluster(144), &FtConfig::default()).unwrap();
 
     let amber = polaroct_baselines::amber::Amber::default();
     let amber12 = match amber.run(&mol, &PackageContext::new(mpi_cluster(12))) {
@@ -86,12 +91,13 @@ fn main() {
     let small = synth::capsid("CMV-scaled", n_small, 0xC3F);
     let sys_small = GbSystem::prepare(&small, &params);
     let naive_small = run_naive(&sys_small, &params, &cfg).unwrap();
-    let oct_small = run_oct_mpi(
+    let oct_small = run_oct_mpi_ft(
         &sys_small,
         &params,
         &cfg,
         &mpi_cluster(12),
         WorkDivision::NodeNode,
+        &FtConfig::default(),
     ).unwrap();
     let cilk_small = run_oct_cilk(&sys_small, &params, &cfg, 12).unwrap();
     let amber_small = match amber.run(&small, &PackageContext::new(mpi_cluster(12))) {

@@ -7,7 +7,9 @@
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{btv_atoms, fmt_time, hybrid_cluster, mpi_cluster, std_config, Table};
-use polaroct_core::{run_oct_hybrid, run_oct_mpi, ApproxParams, GbSystem, WorkDivision};
+use polaroct_core::{
+    run_oct_hybrid_ft, run_oct_mpi_ft, ApproxParams, FtConfig, GbSystem, WorkDivision,
+};
 use polaroct_molecule::synth;
 
 fn main() {
@@ -39,14 +41,18 @@ fn main() {
     let mut base_mpi = 0.0;
     let mut base_hyb = 0.0;
     for &cores in &core_counts {
-        let mpi = run_oct_mpi(
+        let mpi = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &mpi_cluster(cores),
             WorkDivision::NodeNode,
-        ).unwrap();
-        let hyb = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(cores)).unwrap();
+            &FtConfig::default(),
+        )
+        .unwrap();
+        let hyb =
+            run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid_cluster(cores), &FtConfig::default())
+                .unwrap();
         if cores == 12 {
             base_mpi = mpi.time;
             base_hyb = hyb.time;

@@ -12,7 +12,9 @@
 
 use polaroct_bench::{btv_atoms, hybrid_cluster, mpi_cluster, std_config, Table};
 use polaroct_cluster::noise::NoiseModel;
-use polaroct_core::{run_oct_hybrid, run_oct_mpi, ApproxParams, GbSystem, WorkDivision};
+use polaroct_core::{
+    run_oct_hybrid_ft, run_oct_mpi_ft, ApproxParams, FtConfig, GbSystem, WorkDivision,
+};
 use polaroct_molecule::synth;
 
 fn main() {
@@ -38,14 +40,18 @@ fn main() {
     );
 
     for cores in (12..=288).step_by(24) {
-        let mpi = run_oct_mpi(
+        let mpi = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &mpi_cluster(cores),
             WorkDivision::NodeNode,
-        ).unwrap();
-        let hyb = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(cores)).unwrap();
+            &FtConfig::default(),
+        )
+        .unwrap();
+        let hyb =
+            run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid_cluster(cores), &FtConfig::default())
+                .unwrap();
         let (mpi_min, mpi_max) = noise.min_max(
             mpi.compute,
             mpi.comm + mpi.wait,

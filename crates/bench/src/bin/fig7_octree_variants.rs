@@ -11,7 +11,8 @@
 
 use polaroct_bench::{fmt_time, hybrid_cluster, mpi_cluster, std_config, suite, Table};
 use polaroct_core::{
-    run_oct_cilk, run_oct_hybrid, run_oct_mpi, ApproxParams, EpolFar, GbSystem, WorkDivision,
+    run_oct_cilk, run_oct_hybrid_ft, run_oct_mpi_ft, ApproxParams, EpolFar, FtConfig, GbSystem,
+    WorkDivision,
 };
 use polaroct_geom::fastmath::MathMode;
 
@@ -34,14 +35,17 @@ fn main() {
         let mol = entry.build();
         let sys = GbSystem::prepare(&mol, &params);
         let cilk = run_oct_cilk(&sys, &params, &cfg, 12).unwrap();
-        let mpi = run_oct_mpi(
+        let mpi = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &mpi_cluster(12),
             WorkDivision::NodeNode,
-        ).unwrap();
-        let hyb = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(12)).unwrap();
+            &FtConfig::default(),
+        )
+        .unwrap();
+        let hyb = run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid_cluster(12), &FtConfig::default())
+            .unwrap();
         eprintln!(
             "[fig7] {} ({} atoms): CILK {} | MPI {} | MPI+CILK {}",
             entry.name,

@@ -11,7 +11,7 @@
 use polaroct_baselines::{all_packages, PackageContext, PackageOutcome};
 use polaroct_bench::{hybrid_cluster, mpi_cluster, std_config, suite, Table};
 use polaroct_core::{
-    run_oct_cilk, run_oct_hybrid, run_oct_mpi, ApproxParams, GbSystem, WorkDivision,
+    run_oct_cilk, run_oct_hybrid_ft, run_oct_mpi_ft, ApproxParams, FtConfig, GbSystem, WorkDivision,
 };
 use polaroct_geom::fastmath::MathMode;
 
@@ -54,15 +54,20 @@ fn main() {
     for entry in suite() {
         let mol = entry.build();
         let sys = GbSystem::prepare(&mol, &params);
-        let oct_mpi = run_oct_mpi(
+        let oct_mpi = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &mpi_cluster(12),
             WorkDivision::NodeNode,
-        ).unwrap()
+            &FtConfig::default(),
+        )
+        .unwrap()
         .time;
-        let oct_hyb = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(12)).unwrap().time;
+        let oct_hyb =
+            run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid_cluster(12), &FtConfig::default())
+                .unwrap()
+                .time;
         let oct_cilk = run_oct_cilk(&sys, &params, &cfg, 12).unwrap().time;
 
         // Package order from all_packages(): Gromacs, NAMD, Amber,

@@ -8,7 +8,7 @@
 
 use polaroct_baselines::{all_packages, PackageContext, PackageOutcome};
 use polaroct_bench::{mpi_cluster, std_config, suite, Table};
-use polaroct_core::{run_naive, run_oct_mpi, ApproxParams, GbSystem, WorkDivision};
+use polaroct_core::{run_naive, run_oct_mpi_ft, ApproxParams, FtConfig, GbSystem, WorkDivision};
 
 fn main() {
     let params = ApproxParams::default();
@@ -36,12 +36,13 @@ fn main() {
         let mol = entry.build();
         let sys = GbSystem::prepare(&mol, &params);
         let naive = run_naive(&sys, &params, &cfg).unwrap();
-        let oct = run_oct_mpi(
+        let oct = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &mpi_cluster(12),
             WorkDivision::NodeNode,
+            &FtConfig::default(),
         ).unwrap();
         let energies: Vec<Option<f64>> = pkgs
             .iter()

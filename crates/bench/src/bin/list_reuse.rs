@@ -132,7 +132,7 @@ fn main() {
         let sys = GbSystem::prepare(&work, &approx);
         let (born, _) = born_radii_octree(&sys, approx.eps_born, approx.math);
         let bins = ChargeBins::build(&sys, &born, approx.eps_epol);
-        let (raw, _) = epol_octree_raw(&sys, &bins, &born, approx.eps_epol, approx.math);
+        let (raw, _) = epol_octree_raw(&sys, &bins, &born, approx.math);
         baseline_raw.push(raw);
     }
     let baseline_wall = t.elapsed().as_secs_f64();

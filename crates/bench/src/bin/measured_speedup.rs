@@ -1,6 +1,6 @@
 //! Measured vs modeled parallel speedup for the real-thread driver.
 //!
-//! Sweeps `run_oct_threads` over threads ∈ {1, 2, 4, 8} on a ≥10k-atom
+//! Sweeps `run_oct_threads_ft` over threads ∈ {1, 2, 4, 8} on a ≥10k-atom
 //! synthetic protein and prints the *measured* wall-clock speedup (from
 //! `RunReport::wall_seconds`) next to the fork-join model's prediction
 //! (from `RunReport::time`) — the simulator's Table II numbers are
@@ -20,7 +20,8 @@
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{fmt_time, quick_mode, std_config, Table};
-use polaroct_core::{run_oct_threads, ApproxParams, GbSystem};
+use polaroct_cluster::fault::FaultPlan;
+use polaroct_core::{run_oct_threads_ft, ApproxParams, GbSystem};
 use polaroct_molecule::synth;
 use std::io::Write;
 
@@ -64,7 +65,7 @@ fn main() {
         let mut modeled = 0.0;
         let mut energy = 0.0;
         for _ in 0..reps {
-            let r = run_oct_threads(&sys, &params, &cfg, threads).unwrap();
+            let r = run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none()).unwrap();
             wall = wall.min(r.wall_seconds);
             modeled = r.time;
             energy = r.energy_kcal;

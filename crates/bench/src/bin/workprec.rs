@@ -10,7 +10,7 @@
 //!   ε = 0.9, where the MAC is the rule's own);
 //! * MAC multiplier ∈ {3.22, 2.5, 2.25, 2.0};
 //! * traversal: single tree (`run_serial`) and dual tree
-//!   (`run_oct_cilk`, [6]'s `T_A × T_A` recursion).
+//!   (`run_oct_cilk`, \[6\]'s `T_A × T_A` recursion).
 //!
 //! Each configuration reports the signed mean, std, mean |error| and max
 //! |error| of the energy against the naive exact sum on the same

@@ -147,10 +147,6 @@ pub struct CommFabric {
 }
 
 impl CommFabric {
-    pub fn new(size: usize) -> Arc<CommFabric> {
-        Self::with_policy(size, FtPolicy::default())
-    }
-
     pub fn with_policy(size: usize, policy: FtPolicy) -> Arc<CommFabric> {
         Arc::new(CommFabric {
             up: (0..size).map(|_| bounded(1)).collect(),
@@ -177,10 +173,6 @@ impl Transport for CommFabric {
 
     fn policy(&self) -> FtPolicy {
         self.policy
-    }
-
-    fn label(&self) -> &'static str {
-        "channel"
     }
 
     fn is_dead(&self, rank: usize) -> bool {
@@ -252,14 +244,6 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// In-process constructor (kept for the channel fabric's callers; the
-    /// fabric Arc coerces into the transport object).
-    pub fn new(rank: usize, size: usize, cost: CommCostModel, fabric: Arc<CommFabric>) -> Self {
-        assert!(rank < size);
-        assert_eq!(size, fabric.size());
-        Self::over(rank, cost, fabric)
-    }
-
     /// Build a communicator over any transport; size comes from the
     /// transport itself.
     pub fn over(rank: usize, cost: CommCostModel, transport: Arc<dyn Transport>) -> Self {
@@ -302,25 +286,6 @@ impl Communicator {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    pub fn is_root(&self) -> bool {
-        self.rank == 0
-    }
-
-    /// The transport's fault-tolerance policy.
-    pub fn policy(&self) -> FtPolicy {
-        self.transport.policy()
-    }
-
-    /// Short label of the transport carrying this communicator's frames.
-    pub fn transport_label(&self) -> &'static str {
-        self.transport.label()
-    }
-
-    /// Ranks this transport currently knows to be dead.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        self.transport.dead_ranks()
     }
 
     /// Root-mediated exchange underlying every collective: each rank ships
@@ -708,76 +673,6 @@ impl Communicator {
         let v = if self.rank == 0 { Some(out[0]) } else { None };
         Ok((v, report))
     }
-
-    /// `MPI_Allreduce(MPI_SUM)` over an f64 buffer (Fig. 4 Step 3).
-    ///
-    /// Infallible facade: a lost rank now panics after the policy timeout
-    /// instead of deadlocking forever (the pre-FT behavior was a silent
-    /// hang). Use [`Communicator::allreduce_sum_ft`] to handle faults.
-    pub fn allreduce_sum(&self, buf: &mut [f64], clock: &mut SimClock) {
-        self.allreduce_sum_ft(buf, clock, Recovery::Disabled)
-            // PANIC-OK: documented infallible facade — a comm fault here is fatal by contract.
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// `MPI_Allgatherv` (infallible facade; see [`Communicator::allgatherv_ft`]).
-    pub fn allgatherv(&self, mine: &[f64], clock: &mut SimClock) -> Vec<f64> {
-        self.allgatherv_ft(mine, clock, Recovery::Disabled)
-            // PANIC-OK: documented infallible facade — a comm fault here is fatal by contract.
-            .unwrap_or_else(|e| panic!("{e}"))
-            .0
-    }
-
-    /// `MPI_Reduce(MPI_SUM)` of one scalar to the root (infallible
-    /// facade; see [`Communicator::reduce_sum_scalar_ft`]).
-    pub fn reduce_sum_scalar(&self, x: f64, clock: &mut SimClock) -> Option<f64> {
-        self.reduce_sum_scalar_ft(x, clock, Recovery::Disabled)
-            // PANIC-OK: documented infallible facade — a comm fault here is fatal by contract.
-            .unwrap_or_else(|e| panic!("{e}"))
-            .0
-    }
-
-    /// `MPI_Bcast` from the root.
-    pub fn bcast(&self, buf: &mut Vec<f64>, clock: &mut SimClock) {
-        let cost = self.cost.bcast(buf.len() * 8);
-        let payload = if self.rank == 0 { std::mem::take(buf) } else { Vec::new() };
-        let (out, _) = self
-            .ft_exchange(
-                clock,
-                "bcast",
-                payload,
-                cost,
-                |entries| {
-                    let root_payload = entries
-                        .iter()
-                        .find(|(r, _)| *r == 0)
-                        .map(|(_, p)| p.clone())
-                        // PANIC-OK: ft_exchange always seats rank 0's own entry.
-                        .unwrap_or_else(|| panic!("bcast: root entry missing"));
-                    vec![root_payload; entries.len()]
-                },
-                Recovery::Disabled,
-            )
-            // PANIC-OK: documented infallible facade — a comm fault here is fatal by contract.
-            .unwrap_or_else(|e| panic!("{e}"));
-        *buf = out;
-    }
-
-    /// `MPI_Barrier`.
-    pub fn barrier(&self, clock: &mut SimClock) {
-        let cost = self.cost.barrier();
-        let _ = self
-            .ft_exchange(
-                clock,
-                "barrier",
-                Vec::new(),
-                cost,
-                |entries| vec![Vec::new(); entries.len()],
-                Recovery::Disabled,
-            )
-            // PANIC-OK: documented infallible facade — a comm fault here is fatal by contract.
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
 }
 
 #[cfg(test)]
@@ -812,7 +707,7 @@ mod tests {
                 let f = &f;
                 let faults = faults.clone();
                 scope.spawn(move || {
-                    let mut comm = Communicator::new(r, size, cost, fabric);
+                    let mut comm = Communicator::over(r, cost, fabric);
                     if let Some(plan) = faults {
                         comm = comm.with_faults(plan);
                     }
@@ -830,12 +725,11 @@ mod tests {
         let size = 5;
         let res = spmd(size, |comm, clock| {
             let mut buf = vec![comm.rank() as f64, 1.0];
-            comm.allreduce_sum(&mut buf, clock);
-            buf
+            comm.allreduce_sum_ft(&mut buf, clock, Recovery::Disabled).map(|_| buf)
         });
         let want = vec![(0..5).sum::<usize>() as f64, 5.0];
         for (buf, _) in &res {
-            assert_eq!(buf, &want);
+            assert_eq!(buf, &Ok(want.clone()));
         }
     }
 
@@ -844,7 +738,7 @@ mod tests {
         let res = spmd(4, |comm, clock| {
             clock.add_compute(comm.rank() as f64); // rank r computed r s
             let mut buf = vec![1.0];
-            comm.allreduce_sum(&mut buf, clock);
+            comm.allreduce_sum_ft(&mut buf, clock, Recovery::Disabled).unwrap();
             clock.total()
         });
         let totals: Vec<f64> = res.iter().map(|(t, _)| *t).collect();
@@ -862,45 +756,22 @@ mod tests {
     fn allgatherv_concatenates_in_rank_order() {
         let res = spmd(3, |comm, clock| {
             let mine: Vec<f64> = (0..=comm.rank()).map(|i| (comm.rank() * 10 + i) as f64).collect();
-            comm.allgatherv(&mine, clock)
+            comm.allgatherv_ft(&mine, clock, Recovery::Disabled).map(|(cat, _)| cat)
         });
         let want = vec![0.0, 10.0, 11.0, 20.0, 21.0, 22.0];
         for (got, _) in &res {
-            assert_eq!(got, &want);
+            assert_eq!(got, &Ok(want.clone()));
         }
     }
 
     #[test]
     fn reduce_scalar_only_root_receives() {
-        let res = spmd(6, |comm, clock| comm.reduce_sum_scalar(2.5, clock));
-        assert_eq!(res[0].0, Some(15.0));
+        let res = spmd(6, |comm, clock| {
+            comm.reduce_sum_scalar_ft(2.5, clock, Recovery::Disabled).map(|(v, _)| v)
+        });
+        assert_eq!(res[0].0, Ok(Some(15.0)));
         for (v, _) in &res[1..] {
-            assert_eq!(*v, None);
-        }
-    }
-
-    #[test]
-    fn bcast_distributes_roots_buffer() {
-        let res = spmd(4, |comm, clock| {
-            let mut buf = if comm.is_root() { vec![1.25, 2.5] } else { vec![] };
-            comm.bcast(&mut buf, clock);
-            buf
-        });
-        for (buf, _) in &res {
-            assert_eq!(buf, &vec![1.25, 2.5]);
-        }
-    }
-
-    #[test]
-    fn barrier_aligns_time() {
-        let res = spmd(3, |comm, clock| {
-            clock.add_compute((comm.rank() as f64) * 0.5);
-            comm.barrier(clock);
-            clock.total()
-        });
-        let t0 = res[0].0;
-        for (t, _) in &res {
-            assert!((t - t0).abs() < 1e-12);
+            assert_eq!(*v, Ok(None));
         }
     }
 
@@ -908,10 +779,9 @@ mod tests {
     fn single_rank_collectives_are_noops() {
         let res = spmd(1, |comm, clock| {
             let mut buf = vec![7.0];
-            comm.allreduce_sum(&mut buf, clock);
-            let cat = comm.allgatherv(&[1.0, 2.0], clock);
-            let red = comm.reduce_sum_scalar(5.0, clock);
-            comm.barrier(clock);
+            comm.allreduce_sum_ft(&mut buf, clock, Recovery::Disabled).unwrap();
+            let (cat, _) = comm.allgatherv_ft(&[1.0, 2.0], clock, Recovery::Disabled).unwrap();
+            let (red, _) = comm.reduce_sum_scalar_ft(5.0, clock, Recovery::Disabled).unwrap();
             (buf, cat, red, clock.total())
         });
         let (buf, cat, red, t) = &res[0].0;
@@ -925,7 +795,7 @@ mod tests {
     fn comm_cost_is_charged() {
         let res = spmd(8, |comm, clock| {
             let mut buf = vec![0.0; 1024];
-            comm.allreduce_sum(&mut buf, clock);
+            comm.allreduce_sum_ft(&mut buf, clock, Recovery::Disabled).unwrap();
             clock.comm
         });
         for (c, _) in &res {
@@ -940,7 +810,7 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..3 {
                 let mut buf = vec![(comm.rank() + round) as f64];
-                comm.allreduce_sum(&mut buf, clock);
+                comm.allreduce_sum_ft(&mut buf, clock, Recovery::Disabled).unwrap();
                 out.push(buf[0]);
             }
             out

@@ -2,7 +2,7 @@
 //!
 //! The paper's §IV.C analysis prices collectives from Table 4.1 of Grama,
 //! Karypis, Kumar & Gupta, *Introduction to Parallel Computing* (its
-//! reference [12]): a message of `m` words costs `t_s + t_w·m` per hop,
+//! reference \[12\]): a message of `m` words costs `t_s + t_w·m` per hop,
 //! and tree/recursive-doubling collectives cost `log P` rounds. We use the
 //! same formulas with bytes instead of words.
 

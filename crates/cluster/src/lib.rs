@@ -28,12 +28,12 @@
 //!
 //! * [`machine`] — machine/cluster descriptions (Lonestar4 preset =
 //!   Table I).
-//! * [`comm`] — [`comm::Communicator`]: rank-to-rank collectives
-//!   (Allreduce, Allgatherv, Reduce, Bcast, Barrier) over in-process
-//!   channels, carrying virtual clocks so collectives synchronize
-//!   simulated time exactly like real MPI barriers do.
-//! * [`runner`] — [`runner::run_spmd`] launches `P` ranks as threads and
-//!   returns each rank's result + clock.
+//! * [`comm`] — [`comm::Communicator`]: the fault-tolerant collectives
+//!   Fig. 4 uses (Allreduce, Allgatherv, Reduce) over any
+//!   [`transport::Transport`], carrying virtual clocks so collectives
+//!   synchronize simulated time exactly like real MPI barriers do.
+//! * [`runner`] — [`runner::run_spmd_ft`] launches `P` ranks as threads
+//!   and returns each rank's `Result` + clock.
 //! * [`simtime`] — per-rank virtual clocks and op-count accounting.
 //! * [`calib`] — measures this host's ns/op for the energy kernels so
 //!   virtual seconds are anchored to real hardware.
@@ -79,7 +79,7 @@ pub use memory::MemoryModel;
 pub use noise::NoiseModel;
 #[cfg(unix)]
 pub use proc::{ProcError, ProcFabric, Supervisor, WorkerEndpoint};
-pub use runner::{run_spmd, run_spmd_ft, FtSpmdResult, RankContext, RankError, SpmdResult};
+pub use runner::{run_spmd_ft, FtSpmdResult, RankContext, RankError};
 pub use simtime::SimClock;
 pub use transport::{DownMsg, Transport, TransportError, UpMsg};
 pub use wire::WireError;

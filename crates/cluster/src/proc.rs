@@ -286,10 +286,6 @@ impl Transport for ProcFabric {
         self.policy
     }
 
-    fn label(&self) -> &'static str {
-        "process"
-    }
-
     fn is_dead(&self, rank: usize) -> bool {
         self.dead[rank].load(Ordering::Acquire)
     }
@@ -351,10 +347,6 @@ impl Transport for WorkerEndpoint {
         self.policy
     }
 
-    fn label(&self) -> &'static str {
-        "process"
-    }
-
     fn is_dead(&self, _rank: usize) -> bool {
         // Members learn about dead peers from FtReports, not liveness
         // flags; only the root tracks them.
@@ -362,10 +354,6 @@ impl Transport for WorkerEndpoint {
     }
 
     fn mark_dead(&self, _rank: usize) {}
-
-    fn dead_ranks(&self) -> Vec<usize> {
-        Vec::new()
-    }
 
     fn root_recv(&self, _from: usize, _timeout: Duration) -> Result<UpMsg, TransportError> {
         Err(TransportError::Closed { detail: "WorkerEndpoint is member-side only".to_string() })

@@ -1,17 +1,16 @@
 //! SPMD launcher: run `P` ranks of a closure over the simulated cluster.
 //!
-//! Two entry points: [`run_spmd`] (infallible body, panics if a rank
-//! fails — the historical interface) and [`run_spmd_ft`] (fault-aware:
-//! the body returns `Result`, panics are contained with `catch_unwind`,
-//! and a [`FaultPlan`] is consulted at driver-declared phase boundaries
-//! via [`RankContext::fault_point`]).
+//! [`run_spmd_ft`] is the one entry point: the body returns `Result`,
+//! panics are contained with `catch_unwind`, and a [`FaultPlan`] is
+//! consulted at driver-declared phase boundaries via
+//! [`RankContext::fault_point`] (pass [`FaultPlan::none`] for a
+//! fault-free run).
 
-use crate::calib::KernelCosts;
 use crate::comm::{CommError, CommFabric, Communicator};
 use crate::costmodel::CommCostModel;
 use crate::fault::{die_sigkill, FaultKind, FaultPlan, FtPolicy, KillMode};
 use crate::machine::ClusterSpec;
-use crate::simtime::{OpCounts, SimClock};
+use crate::simtime::SimClock;
 use polaroct_sched::pool::WorkStealingPool;
 use std::fmt;
 use std::sync::Arc;
@@ -51,13 +50,9 @@ pub struct RankContext {
     pub size: usize,
     pub comm: Communicator,
     pub clock: SimClock,
-    /// Scratch op counter the body may use before converting to time.
-    pub ops: OpCounts,
-    /// Per-op costs (shared calibration).
-    pub costs: KernelCosts,
     /// Threads available to this rank (the hybrid `p`).
     pub threads: usize,
-    /// The run's fault plan (empty when launched via [`run_spmd`]).
+    /// The run's fault plan ([`FaultPlan::none`] for a fault-free run).
     pub faults: Arc<FaultPlan>,
     /// How kill-class faults are realized: simulated (thread stops
     /// participating) for in-process ranks, a real `SIGKILL` when this
@@ -66,14 +61,6 @@ pub struct RankContext {
 }
 
 impl RankContext {
-    /// Charge the accumulated ops to the clock (serial execution: one
-    /// thread), clearing the counter.
-    pub fn charge_ops_serial(&mut self, approx_math: bool) {
-        let secs = self.costs.seconds(&self.ops, approx_math);
-        self.clock.add_compute(secs);
-        self.ops = OpCounts::default();
-    }
-
     /// Declare a phase boundary (Fig. 4 step number): records the phase
     /// on the communicator (so payload faults target the right
     /// collective) and fires any pending execution fault for this rank.
@@ -128,32 +115,6 @@ impl RankContext {
     }
 }
 
-/// The result of an SPMD run.
-#[derive(Debug)]
-pub struct SpmdResult<T> {
-    /// Rank-indexed return values.
-    pub per_rank: Vec<T>,
-    /// Rank-indexed final clocks.
-    pub clocks: Vec<SimClock>,
-}
-
-impl<T> SpmdResult<T> {
-    /// The simulated parallel completion time: the slowest rank.
-    pub fn parallel_time(&self) -> f64 {
-        self.clocks.iter().map(|c| c.total()).fold(0.0, f64::max)
-    }
-
-    /// Total simulated compute across ranks (the work `T_1` would do).
-    pub fn total_compute(&self) -> f64 {
-        self.clocks.iter().map(|c| c.compute).sum()
-    }
-
-    /// Max communication+wait overhead across ranks.
-    pub fn max_overhead(&self) -> f64 {
-        self.clocks.iter().map(|c| c.comm + c.wait).fold(0.0, f64::max)
-    }
-}
-
 /// The result of a fault-aware SPMD run: per-rank `Result`s plus clocks
 /// (a failed rank's clock reflects the time it accumulated before dying).
 #[derive(Debug)]
@@ -163,16 +124,6 @@ pub struct FtSpmdResult<T> {
 }
 
 impl<T> FtSpmdResult<T> {
-    /// The simulated parallel completion time over *surviving* ranks.
-    pub fn parallel_time(&self) -> f64 {
-        self.per_rank
-            .iter()
-            .zip(&self.clocks)
-            .filter(|(r, _)| r.is_ok())
-            .map(|(_, c)| c.total())
-            .fold(0.0, f64::max)
-    }
-
     /// Ranks that failed, with their errors.
     pub fn failures(&self) -> Vec<(usize, &RankError)> {
         self.per_rank
@@ -197,9 +148,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// containment: each rank's body runs under `catch_unwind`, consults
 /// `plan` at its declared [`RankContext::fault_point`]s, and returns a
 /// `Result` instead of panicking the whole run.
+///
+/// Ranks execute concurrently as OS threads (collectives rendezvous), so
+/// results are exactly what an MPI run would compute; clocks are virtual.
 pub fn run_spmd_ft<T, F>(
     cluster: &ClusterSpec,
-    costs: KernelCosts,
     plan: &FaultPlan,
     policy: FtPolicy,
     body: F,
@@ -224,15 +177,12 @@ where
             let plan = plan.clone();
             let body = &body;
             scope.spawn(move || {
-                let comm =
-                    Communicator::new(rank, size, cost_model, fabric).with_faults(plan.clone());
+                let comm = Communicator::over(rank, cost_model, fabric).with_faults(plan.clone());
                 let mut ctx = RankContext {
                     rank,
                     size,
                     comm,
                     clock: SimClock::new(),
-                    ops: OpCounts::default(),
-                    costs,
                     threads,
                     faults: plan,
                     kill: KillMode::Simulated,
@@ -266,30 +216,6 @@ where
     FtSpmdResult { per_rank, clocks }
 }
 
-/// Launch `cluster.placement.processes` ranks, each running `body`.
-///
-/// Ranks execute concurrently as OS threads (collectives rendezvous), so
-/// results are exactly what an MPI run would compute; clocks are virtual.
-/// Thin wrapper over [`run_spmd_ft`] with no faults; a failed rank
-/// (panic, or a collective timeout) panics here.
-pub fn run_spmd<T, F>(cluster: &ClusterSpec, costs: KernelCosts, body: F) -> SpmdResult<T>
-where
-    T: Send,
-    F: Fn(&mut RankContext) -> T + Sync,
-{
-    let res = run_spmd_ft(cluster, costs, &FaultPlan::none(), FtPolicy::default(), |ctx| {
-        Ok(body(ctx))
-    });
-    let per_rank = res
-        .per_rank
-        .into_iter()
-        .enumerate()
-        // PANIC-OK: documented fail-fast facade over run_spmd_ft.
-        .map(|(r, v)| v.unwrap_or_else(|e| panic!("rank {r} failed: {e}")))
-        .collect();
-    SpmdResult { per_rank, clocks: res.clocks }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,56 +228,55 @@ mod tests {
         ClusterSpec::new(MachineSpec::lonestar4(), Placement::distributed(p))
     }
 
+    /// A fault-free run: no plan, the default policy.
+    fn run_clean<T: Send>(
+        cluster: &ClusterSpec,
+        body: impl Fn(&mut RankContext) -> Result<T, RankError> + Sync,
+    ) -> FtSpmdResult<T> {
+        run_spmd_ft(cluster, &FaultPlan::none(), FtPolicy::default(), body)
+    }
+
     #[test]
     fn ranks_see_their_ids_and_results_are_ordered() {
-        let res = run_spmd(&cluster(6), KernelCosts::lonestar4_reference(), |ctx| {
+        let res = run_clean(&cluster(6), |ctx| {
             assert_eq!(ctx.size, 6);
-            ctx.rank * 2
+            Ok(ctx.rank * 2)
         });
-        assert_eq!(res.per_rank, vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(res.per_rank, vec![Ok(0), Ok(2), Ok(4), Ok(6), Ok(8), Ok(10)]);
     }
 
     #[test]
     fn spmd_collective_roundtrip() {
-        let res = run_spmd(&cluster(4), KernelCosts::lonestar4_reference(), |ctx| {
+        let res = run_clean(&cluster(4), |ctx| {
             let mut clock = ctx.clock;
             let mut buf = vec![1.0];
-            ctx.comm.allreduce_sum(&mut buf, &mut clock);
+            ctx.comm.allreduce_sum_ft(&mut buf, &mut clock, Recovery::Disabled)?;
             ctx.clock = clock;
-            buf[0]
+            Ok(buf[0])
         });
-        assert!(res.per_rank.iter().all(|&v| v == 4.0));
-        assert!(res.parallel_time() > 0.0);
-    }
-
-    #[test]
-    fn charge_ops_serial_converts_and_clears() {
-        let res = run_spmd(&cluster(2), KernelCosts::lonestar4_reference(), |ctx| {
-            ctx.ops.epol_near = 1_000_000;
-            ctx.charge_ops_serial(false);
-            assert_eq!(ctx.ops.epol_near, 0);
-            ctx.clock.compute
-        });
-        for &c in &res.per_rank {
-            assert!((c - 0.018).abs() < 1e-9, "1M pairs at 18ns = 18ms, got {c}");
-        }
+        assert!(res.per_rank.iter().all(|v| *v == Ok(4.0)));
+        assert!(res.clocks.iter().map(SimClock::total).fold(0.0, f64::max) > 0.0);
     }
 
     #[test]
     fn parallel_time_is_max_rank_time() {
-        let res = run_spmd(&cluster(3), KernelCosts::lonestar4_reference(), |ctx| {
+        let res = run_clean(&cluster(3), |ctx| {
             ctx.clock.add_compute((ctx.rank + 1) as f64);
+            Ok(())
         });
-        assert!((res.parallel_time() - 3.0).abs() < 1e-12);
-        assert!((res.total_compute() - 6.0).abs() < 1e-12);
+        assert!(res.per_rank.iter().all(Result::is_ok));
+        let slowest = res.clocks.iter().map(SimClock::total).fold(0.0, f64::max);
+        let compute: f64 = res.clocks.iter().map(|c| c.compute).sum();
+        assert!((slowest - 3.0).abs() < 1e-12);
+        assert!((compute - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn hybrid_placement_exposes_thread_count() {
         let m = MachineSpec::lonestar4();
         let c = ClusterSpec::new(m, Placement::hybrid_per_socket(12, &m));
-        let res = run_spmd(&c, KernelCosts::lonestar4_reference(), |ctx| ctx.threads);
-        assert_eq!(res.per_rank, vec![6, 6]);
+        let res = run_clean(&c, |ctx| Ok(ctx.threads));
+        assert_eq!(res.per_rank, vec![Ok(6), Ok(6)]);
     }
 
     // ---- fault-aware launcher ----
@@ -360,7 +285,7 @@ mod tests {
     fn panicked_rank_is_contained_as_error() {
         let plan = FaultPlan::new(0).panic_rank(1, phase::INTEGRALS);
         let policy = FtPolicy::with_timeout(Duration::from_millis(200));
-        let res = run_spmd_ft(&cluster(3), KernelCosts::lonestar4_reference(), &plan, policy, |ctx| {
+        let res = run_spmd_ft(&cluster(3), &plan, policy, |ctx| {
             ctx.fault_point(phase::INTEGRALS)?;
             Ok(ctx.rank)
         });
@@ -378,7 +303,7 @@ mod tests {
     fn killed_rank_surfaces_as_error_and_survivors_recover() {
         let plan = FaultPlan::new(0).kill(1, phase::INTEGRALS);
         let policy = FtPolicy::with_timeout(Duration::from_millis(200));
-        let res = run_spmd_ft(&cluster(3), KernelCosts::lonestar4_reference(), &plan, policy, |ctx| {
+        let res = run_spmd_ft(&cluster(3), &plan, policy, |ctx| {
             ctx.fault_point(phase::INTEGRALS)?;
             let mut buf = vec![(ctx.rank + 1) as f64];
             let mut clock = ctx.clock;
@@ -405,7 +330,6 @@ mod tests {
         let plan = FaultPlan::new(0).delay(2, phase::PUSH, 1.5);
         let res = run_spmd_ft(
             &cluster(3),
-            KernelCosts::lonestar4_reference(),
             &plan,
             FtPolicy::default(),
             |ctx| {
@@ -423,7 +347,6 @@ mod tests {
         let plan = FaultPlan::new(0).panic_worker(1, phase::EPOL);
         let res = run_spmd_ft(
             &cluster(2),
-            KernelCosts::lonestar4_reference(),
             &plan,
             FtPolicy::default(),
             |ctx| {
@@ -433,26 +356,5 @@ mod tests {
         );
         // The worker panic is contained by the pool: the rank survives.
         assert_eq!(res.per_rank, vec![Ok(0), Ok(1)]);
-    }
-
-    #[test]
-    fn empty_plan_matches_plain_run_spmd() {
-        let ft = run_spmd_ft(
-            &cluster(4),
-            KernelCosts::lonestar4_reference(),
-            &FaultPlan::none(),
-            FtPolicy::default(),
-            |ctx| {
-                ctx.fault_point(phase::INTEGRALS)?;
-                let mut clock = ctx.clock;
-                let mut buf = vec![1.0];
-                ctx.comm.allreduce_sum(&mut buf, &mut clock);
-                ctx.clock = clock;
-                Ok(buf[0])
-            },
-        );
-        for r in ft.per_rank {
-            assert_eq!(r, Ok(4.0));
-        }
     }
 }

@@ -88,20 +88,12 @@ pub trait Transport: Send + Sync {
     /// The fault-tolerance policy every rank of this fabric follows.
     fn policy(&self) -> FtPolicy;
 
-    /// Short human-readable label ("channel" / "process") for reports.
-    fn label(&self) -> &'static str;
-
     /// Is `rank` known dead?
     fn is_dead(&self, rank: usize) -> bool;
 
     /// Mark `rank` dead so later collectives skip it instantly instead of
     /// re-paying the detection timeout.
     fn mark_dead(&self, rank: usize);
-
-    /// Ranks currently known dead.
-    fn dead_ranks(&self) -> Vec<usize> {
-        (0..self.size()).filter(|&r| self.is_dead(r)).collect()
-    }
 
     /// Root side: wait up to `timeout` for a protocol message from `from`.
     fn root_recv(&self, from: usize, timeout: Duration) -> Result<UpMsg, TransportError>;

@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | `Naive` | Eq. 2/4 exact | serial |
 //! | `OCT_serial` | single-tree (Fig. 2/3) | serial |
-//! | `OCT_CILK` | dual-tree ([6]) | shared memory, `p` threads |
+//! | `OCT_CILK` | dual-tree (\[6\]) | shared memory, `p` threads |
 //! | `OCT_MPI` | Fig. 4 | distributed, `P` ranks × 1 thread |
 //! | `OCT_MPI+CILK` | Fig. 4 | hybrid, `P` ranks × `p` threads |
 //!
@@ -362,11 +362,6 @@ impl RunReport {
             ft: FtReport::default(),
         }
     }
-
-    /// Speedup of this run over `other` (`other.time / self.time`).
-    pub fn speedup_over(&self, other: &RunReport) -> f64 {
-        other.time / self.time
-    }
 }
 
 pub(crate) fn seconds(cfg: &DriverConfig, ops: &OpCounts, math: MathMode) -> f64 {
@@ -452,7 +447,7 @@ fn run_one_process(
 /// `phases.integrals` / `phases.epol`. List execution replays the
 /// recursion's every floating-point add in order, so energies and radii
 /// are bit-identical to the historical recursive driver (the golden
-/// suite pins this) and to [`run_oct_threads`] at any width.
+/// suite pins this) and to [`run_oct_threads_ft`] at any width.
 pub fn run_serial(
     sys: &GbSystem,
     params: &ApproxParams,
@@ -530,13 +525,33 @@ fn fork_join_makespan(t1: f64, n_tasks: usize, depth: u32, p: usize, steal_cost:
 /// `RunReport::time` still carries the fork-join *model* prediction (for
 /// modeled-vs-measured comparisons); the measured host times live in
 /// `wall_seconds` / `phases`.
-pub fn run_oct_threads(
+///
+/// **Fault injection.** `plan`'s entries for rank 0 fire at phase starts
+/// ([`FaultPlan::none`] for a fault-free run). A `PanicWorker` fault
+/// poisons one list chunk — chosen from the plan seed — whose task
+/// panics inside the pool; the pool contains it
+/// ([`WorkStealingPool::try_map`]), and the driver re-executes the lost
+/// chunk *serially, before the apply pass*, so the folded energy stays
+/// bit-identical to the fault-free run ([`RunOutcome::Recovered`]).
+pub fn run_oct_threads_ft(
     sys: &GbSystem,
     params: &ApproxParams,
     cfg: &DriverConfig,
     threads: usize,
+    plan: &FaultPlan,
 ) -> Result<RunReport, DriverError> {
-    run_oct_threads_ft(sys, params, cfg, threads, &FaultPlan::none())
+    require_config(threads >= 1, "the threads driver needs at least one thread")?;
+    let stats = sys.atoms.stats();
+    // Modeled fork-join makespan over the same work, for side-by-side
+    // modeled-vs-measured reporting; injected straggler time rides on top.
+    let model = |ops: &OpCounts| {
+        let t1 = seconds(cfg, ops, params.math);
+        let depth = stats.max_depth as u32;
+        fork_join_makespan(t1, stats.leaves, depth, threads, cfg.steal_cost)
+    };
+    let pool = Some(WorkStealingPool::new(threads));
+    let name = "OCT_THREADS";
+    run_one_process(sys, params, name, threads, Traversal::Single, pool.as_ref(), plan, model)
 }
 
 /// Fire a rank-0 execution fault at a one-process phase start (the
@@ -574,46 +589,9 @@ fn fire_threads_fault(
     }
 }
 
-/// [`run_oct_threads`] with fault injection (entries for rank 0 fire at
-/// phase starts). A `PanicWorker` fault poisons one list chunk — chosen
-/// from the plan seed — whose task panics inside the pool; the pool
-/// contains it ([`WorkStealingPool::try_map`]), and the driver
-/// re-executes the lost chunk *serially, before the apply pass*, so the
-/// folded energy stays bit-identical to the fault-free run
-/// ([`RunOutcome::Recovered`]).
-pub fn run_oct_threads_ft(
-    sys: &GbSystem,
-    params: &ApproxParams,
-    cfg: &DriverConfig,
-    threads: usize,
-    plan: &FaultPlan,
-) -> Result<RunReport, DriverError> {
-    require_config(threads >= 1, "the threads driver needs at least one thread")?;
-    let stats = sys.atoms.stats();
-    // Modeled fork-join makespan over the same work, for side-by-side
-    // modeled-vs-measured reporting; injected straggler time rides on top.
-    let model = |ops: &OpCounts| {
-        let t1 = seconds(cfg, ops, params.math);
-        let depth = stats.max_depth as u32;
-        fork_join_makespan(t1, stats.leaves, depth, threads, cfg.steal_cost)
-    };
-    let pool = Some(WorkStealingPool::new(threads));
-    let name = "OCT_THREADS";
-    run_one_process(sys, params, name, threads, Traversal::Single, pool.as_ref(), plan, model)
-}
-
-/// Distributed run (`OCT_MPI`): Fig. 4 with one thread per rank.
-pub fn run_oct_mpi(
-    sys: &GbSystem,
-    params: &ApproxParams,
-    cfg: &DriverConfig,
-    cluster: &ClusterSpec,
-    workdiv: WorkDivision,
-) -> Result<RunReport, DriverError> {
-    run_oct_mpi_ft(sys, params, cfg, cluster, workdiv, &FtConfig::default())
-}
-
-/// [`run_oct_mpi`] under a fault plan.
+/// Distributed run (`OCT_MPI`): Fig. 4 with one thread per rank, under
+/// `ftc`'s fault plan and recovery policy ([`FtConfig::default`] for a
+/// fault-free run).
 pub fn run_oct_mpi_ft(
     sys: &GbSystem,
     params: &ApproxParams,
@@ -629,17 +607,9 @@ pub fn run_oct_mpi_ft(
     run_fig4(sys, params, cfg, cluster, workdiv, "OCT_MPI", ftc)
 }
 
-/// Hybrid run (`OCT_MPI+CILK`): Fig. 4 with `p > 1` threads per rank.
-pub fn run_oct_hybrid(
-    sys: &GbSystem,
-    params: &ApproxParams,
-    cfg: &DriverConfig,
-    cluster: &ClusterSpec,
-) -> Result<RunReport, DriverError> {
-    run_oct_hybrid_ft(sys, params, cfg, cluster, &FtConfig::default())
-}
-
-/// [`run_oct_hybrid`] under a fault plan.
+/// Hybrid run (`OCT_MPI+CILK`): Fig. 4 with `p > 1` threads per rank,
+/// under `ftc`'s fault plan and recovery policy ([`FtConfig::default`]
+/// for a fault-free run).
 pub fn run_oct_hybrid_ft(
     sys: &GbSystem,
     params: &ApproxParams,
@@ -1007,7 +977,7 @@ fn run_fig4(
     validate_system(sys)?;
     let wall = Instant::now();
     let prefer = ftc.recovery.prefer();
-    let res = run_spmd_ft(cluster, cfg.costs, &ftc.plan, ftc.policy, |ctx| {
+    let res = run_spmd_ft(cluster, &ftc.plan, ftc.policy, |ctx| {
         fig4_rank_body(sys, params, cfg, cluster, workdiv, prefer, ctx)
     });
 
@@ -1092,6 +1062,27 @@ mod tests {
         ClusterSpec::new(m, Placement::hybrid_per_socket(cores, &m))
     }
 
+    /// A fault-free `OCT_MPI` run on `cores` ranks.
+    fn mpi(
+        sys: &GbSystem,
+        params: &ApproxParams,
+        cfg: &DriverConfig,
+        cores: usize,
+        workdiv: WorkDivision,
+    ) -> Result<RunReport, DriverError> {
+        run_oct_mpi_ft(sys, params, cfg, &cluster(cores), workdiv, &FtConfig::default())
+    }
+
+    /// A fault-free `OCT_MPI+CILK` run on `cores` cores.
+    fn hybrid(
+        sys: &GbSystem,
+        params: &ApproxParams,
+        cfg: &DriverConfig,
+        cores: usize,
+    ) -> Result<RunReport, DriverError> {
+        run_oct_hybrid_ft(sys, params, cfg, &hybrid_cluster(cores), &FtConfig::default())
+    }
+
     #[test]
     fn all_drivers_agree_on_energy_within_tolerance() {
         let sys = system(400, 3);
@@ -1100,8 +1091,8 @@ mod tests {
         let naive = run_naive(&sys, &params, &cfg).unwrap();
         let serial = run_serial(&sys, &params, &cfg).unwrap();
         let cilk = run_oct_cilk(&sys, &params, &cfg, 12).unwrap();
-        let mpi = run_oct_mpi(&sys, &params, &cfg, &cluster(12), WorkDivision::NodeNode).unwrap();
-        let hyb = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(12)).unwrap();
+        let mpi = mpi(&sys, &params, &cfg, 12, WorkDivision::NodeNode).unwrap();
+        let hyb = hybrid(&sys, &params, &cfg, 12).unwrap();
         // All octree variants within 1% of naive (the paper's bound).
         for r in [&serial, &cilk, &mpi, &hyb] {
             let err = ((r.energy_kcal - naive.energy_kcal) / naive.energy_kcal).abs();
@@ -1118,13 +1109,9 @@ mod tests {
         let sys = system(300, 5);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let e1 = run_oct_mpi(&sys, &params, &cfg, &cluster(1), WorkDivision::NodeNode)
-            .unwrap()
-            .energy_kcal;
+        let e1 = mpi(&sys, &params, &cfg, 1, WorkDivision::NodeNode).unwrap().energy_kcal;
         for cores in [2usize, 4, 12] {
-            let e = run_oct_mpi(&sys, &params, &cfg, &cluster(cores), WorkDivision::NodeNode)
-                .unwrap()
-                .energy_kcal;
+            let e = mpi(&sys, &params, &cfg, cores, WorkDivision::NodeNode).unwrap().energy_kcal;
             assert!(
                 ((e - e1) / e1).abs() < 1e-12,
                 "node-node energy changed with P={cores}: {e} vs {e1}"
@@ -1137,12 +1124,8 @@ mod tests {
         let sys = system(300, 5);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let e2 = run_oct_mpi(&sys, &params, &cfg, &cluster(2), WorkDivision::AtomBased)
-            .unwrap()
-            .energy_kcal;
-        let e7 = run_oct_mpi(&sys, &params, &cfg, &cluster(7), WorkDivision::AtomBased)
-            .unwrap()
-            .energy_kcal;
+        let e2 = mpi(&sys, &params, &cfg, 2, WorkDivision::AtomBased).unwrap().energy_kcal;
+        let e7 = mpi(&sys, &params, &cfg, 7, WorkDivision::AtomBased).unwrap().energy_kcal;
         assert!(
             (e2 - e7).abs() > 1e-13 * e2.abs(),
             "atom-based division should vary with P ({e2} vs {e7})"
@@ -1158,12 +1141,8 @@ mod tests {
         let sys = system(900, 7);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let t1 = run_oct_mpi(&sys, &params, &cfg, &cluster(1), WorkDivision::NodeNode)
-            .unwrap()
-            .time;
-        let t12 = run_oct_mpi(&sys, &params, &cfg, &cluster(12), WorkDivision::NodeNode)
-            .unwrap()
-            .time;
+        let t1 = mpi(&sys, &params, &cfg, 1, WorkDivision::NodeNode).unwrap().time;
+        let t12 = mpi(&sys, &params, &cfg, 12, WorkDivision::NodeNode).unwrap().time;
         assert!(t12 < t1, "12 ranks ({t12}) should beat 1 ({t1})");
         assert!(t1 / t12 > 3.0, "speedup {} too small", t1 / t12);
     }
@@ -1188,14 +1167,14 @@ mod tests {
         let sys = system(200, 1);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let r = run_oct_mpi(&sys, &params, &cfg, &cluster(4), WorkDivision::NodeNode).unwrap();
+        let r = mpi(&sys, &params, &cfg, 4, WorkDivision::NodeNode).unwrap();
         assert_eq!(r.cores, 4);
         assert_eq!(r.born_radii.len(), 200);
         assert!(r.memory_per_process > 0);
         assert!(r.ops.total() > 0);
         assert!(r.comm > 0.0, "distributed run must pay communication");
         assert_eq!(r.outcome, RunOutcome::Completed);
-        let h = run_oct_hybrid(&sys, &params, &cfg, &hybrid_cluster(12)).unwrap();
+        let h = hybrid(&sys, &params, &cfg, 12).unwrap();
         assert_eq!(h.cores, 12);
         assert_eq!(h.name, "OCT_MPI+CILK");
         assert_eq!(h.outcome, RunOutcome::Completed);
@@ -1207,7 +1186,7 @@ mod tests {
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
         let serial = run_serial(&sys, &params, &cfg).unwrap();
-        let mpi = run_oct_mpi(&sys, &params, &cfg, &cluster(6), WorkDivision::NodeNode).unwrap();
+        let mpi = mpi(&sys, &params, &cfg, 6, WorkDivision::NodeNode).unwrap();
         for (a, b) in serial.born_radii.iter().zip(&mpi.born_radii) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -1220,7 +1199,7 @@ mod tests {
         let cfg = DriverConfig::default();
         let serial = run_serial(&sys, &params, &cfg).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let thr = run_oct_threads(&sys, &params, &cfg, threads).unwrap();
+            let thr = run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none()).unwrap();
             let rel = ((thr.energy_kcal - serial.energy_kcal) / serial.energy_kcal).abs();
             assert!(
                 rel <= 1e-12,
@@ -1252,9 +1231,12 @@ mod tests {
         let sys = system(300, 7);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let e1 = run_oct_threads(&sys, &params, &cfg, 1).unwrap().energy_kcal;
+        let e1 =
+            run_oct_threads_ft(&sys, &params, &cfg, 1, &FaultPlan::none()).unwrap().energy_kcal;
         for threads in [2usize, 3, 4, 8] {
-            let e = run_oct_threads(&sys, &params, &cfg, threads).unwrap().energy_kcal;
+            let e = run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none())
+                .unwrap()
+                .energy_kcal;
             assert_eq!(e.to_bits(), e1.to_bits(), "threads={threads}: {e} vs {e1}");
         }
     }
@@ -1268,8 +1250,8 @@ mod tests {
         for r in [
             run_serial(&sys, &params, &cfg).unwrap(),
             run_oct_cilk(&sys, &params, &cfg, 1).unwrap(),
-            run_oct_threads(&sys, &params, &cfg, 1).unwrap(),
-            run_oct_threads(&sys, &params, &cfg, 2).unwrap(),
+            run_oct_threads_ft(&sys, &params, &cfg, 1, &FaultPlan::none()).unwrap(),
+            run_oct_threads_ft(&sys, &params, &cfg, 2, &FaultPlan::none()).unwrap(),
         ] {
             assert!(r.wall_seconds > 0.0, "{}: wall clock not measured", r.name);
             let p = r.phases;
@@ -1290,7 +1272,7 @@ mod tests {
                 r.wall_seconds
             );
         }
-        let f = run_oct_mpi(&sys, &params, &cfg, &cluster(2), WorkDivision::NodeNode).unwrap();
+        let f = mpi(&sys, &params, &cfg, 2, WorkDivision::NodeNode).unwrap();
         assert!(f.wall_seconds > 0.0);
         assert_eq!(f.phases, PhaseTimes::default());
     }
@@ -1315,18 +1297,11 @@ mod tests {
 
         let mut sys = system(50, 1);
         sys.atoms.points[0].x = f64::INFINITY;
-        assert!(run_oct_mpi(
-            &sys,
-            &params,
-            &cfg,
-            &cluster(2),
-            WorkDivision::NodeNode
-        )
-        .is_err());
+        assert!(mpi(&sys, &params, &cfg, 2, WorkDivision::NodeNode).is_err());
 
         let mut sys = system(50, 1);
         sys.radius[7] = -1.0;
-        let err = run_oct_threads(&sys, &params, &cfg, 2).unwrap_err();
+        let err = run_oct_threads_ft(&sys, &params, &cfg, 2, &FaultPlan::none()).unwrap_err();
         assert!(err.to_string().contains("radius"), "{err}");
 
         let mut sys = system(50, 1);
@@ -1387,7 +1362,7 @@ mod tests {
         let sys = system(300, 7);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let clean = run_oct_threads(&sys, &params, &cfg, 4).unwrap();
+        let clean = run_oct_threads_ft(&sys, &params, &cfg, 4, &FaultPlan::none()).unwrap();
         // Poison one block in each parallel phase; the pool contains the
         // panics and the driver re-executes the blocks in order.
         let plan = FaultPlan::new(0xB10C)
@@ -1412,7 +1387,7 @@ mod tests {
         let sys = system(250, 9);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let clean = run_oct_mpi(&sys, &params, &cfg, &cluster(4), WorkDivision::NodeNode).unwrap();
+        let clean = mpi(&sys, &params, &cfg, 4, WorkDivision::NodeNode).unwrap();
         let ftc = FtConfig {
             plan: FaultPlan::new(1).kill(2, phase::INTEGRALS),
             policy: FtPolicy::with_timeout(std::time::Duration::from_millis(300)),

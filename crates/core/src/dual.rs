@@ -1,8 +1,8 @@
 //! Dual-tree algorithms from the paper's prior shared-memory work
-//! (Chowdhury & Bajaj [6]) — the algorithm behind `OCT_CILK`.
+//! (Chowdhury & Bajaj \[6\]) — the algorithm behind `OCT_CILK`.
 //!
 //! §IV: "The major difference of our approach from algorithms presented in
-//! [6] is that we only traverse one octree instead of two". The [6]
+//! \[6\] is that we only traverse one octree instead of two". The \[6\]
 //! variant traverses `T_A` and `T_Q` *simultaneously from both roots*,
 //! allowing far-field approximation at **internal** nodes of both trees —
 //! fewer kernel evaluations, but an irregular recursion that distributes
@@ -96,13 +96,12 @@ fn born_recurse(
 /// Dual-tree raw E_pol: simultaneous `T_A` × `T_A` traversal from
 /// `(root, root)`, covering every *ordered* atom pair exactly once
 /// (including the diagonal), with far-field interactions
-/// ([`far_value`]) between internal node pairs. `eps_epol` is the ε
-/// `bins` were built with; the MAC is the bins' own.
+/// ([`far_value`]) between internal node pairs. The MAC is the bins'
+/// own.
 pub fn epol_dual_raw(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
-    _eps_epol: f64,
     math: MathMode,
 ) -> (f64, OpCounts) {
     let mut ops = OpCounts::default();
@@ -245,7 +244,7 @@ mod tests {
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         let (naive_raw, _) = epol_naive_raw(&sys, &born, MathMode::Exact);
         let bins = ChargeBins::build(&sys, &born, 0.9);
-        let (raw, _) = epol_dual_raw(&sys, &bins, &born, 0.9, MathMode::Exact);
+        let (raw, _) = epol_dual_raw(&sys, &bins, &born, MathMode::Exact);
         let err = ((raw - naive_raw) / naive_raw).abs();
         assert!(err < 0.01, "dual E_pol error {err}");
     }
@@ -259,7 +258,7 @@ mod tests {
         let (naive_raw, _) = epol_naive_raw(&sys, &born, MathMode::Exact);
         let eps = 1e-9;
         let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
-        let (raw, ops) = epol_dual_raw(&sys, &bins, &born, eps, MathMode::Exact);
+        let (raw, ops) = epol_dual_raw(&sys, &bins, &born, MathMode::Exact);
         assert!(
             ((raw - naive_raw) / naive_raw).abs() < 1e-9,
             "{raw} vs {naive_raw}"
@@ -274,7 +273,7 @@ mod tests {
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         let (naive_raw, _) = epol_naive_raw(&sys, &born, MathMode::Exact);
         let bins = ChargeBins::build_far(&sys, &born, 0.9, EpolFar::Taylor2 { mac: 1e9 });
-        let (raw, ops) = epol_dual_raw(&sys, &bins, &born, 0.9, MathMode::Exact);
+        let (raw, ops) = epol_dual_raw(&sys, &bins, &born, MathMode::Exact);
         assert!(((raw - naive_raw) / naive_raw).abs() < 1e-12, "{raw} vs {naive_raw}");
         assert_eq!(ops.epol_near, (sys.n_atoms() * sys.n_atoms()) as u64);
         assert_eq!(ops.epol_far, 0);
@@ -285,8 +284,8 @@ mod tests {
         let sys = system(350, 13);
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         let bins = ChargeBins::build(&sys, &born, 0.9);
-        let (single, _) = epol_octree_raw(&sys, &bins, &born, 0.9, MathMode::Exact);
-        let (dual, _) = epol_dual_raw(&sys, &bins, &born, 0.9, MathMode::Exact);
+        let (single, _) = epol_octree_raw(&sys, &bins, &born, MathMode::Exact);
+        let (dual, _) = epol_dual_raw(&sys, &bins, &born, MathMode::Exact);
         // Both are ε-approximations of the same sum: within 2ε of each
         // other trivially, but in practice within ~1%.
         assert!(

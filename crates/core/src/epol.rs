@@ -463,7 +463,6 @@ pub fn epol_octree_raw(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
-    _eps_epol: f64,
     math: MathMode,
 ) -> (f64, OpCounts) {
     let mut raw = 0.0;
@@ -536,7 +535,7 @@ mod tests {
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
         let bins = ChargeBins::build(&sys, &born, 0.9);
-        let (raw, ops) = epol_octree_raw(&sys, &bins, &born, 0.9, math);
+        let (raw, ops) = epol_octree_raw(&sys, &bins, &born, math);
         let err = ((raw - naive_raw) / naive_raw).abs();
         assert!(err < 0.01, "E_pol error {err}");
         assert!(ops.epol_near > 0);
@@ -550,7 +549,7 @@ mod tests {
         let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
         let err = |eps: f64| {
             let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
-            let (raw, _) = epol_octree_raw(&sys, &bins, &born, eps, math);
+            let (raw, _) = epol_octree_raw(&sys, &bins, &born, math);
             ((raw - naive_raw) / naive_raw).abs()
         };
         assert!(
@@ -565,7 +564,7 @@ mod tests {
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let near = |eps: f64| {
             let bins = ChargeBins::build_far(&sys, &born, eps, EpolFar::Binned);
-            epol_octree_raw(&sys, &bins, &born, eps, math).1.epol_near
+            epol_octree_raw(&sys, &bins, &born, math).1.epol_near
         };
         assert!(near(0.9) <= near(0.1), "looser ε must do less exact work");
     }
@@ -577,7 +576,7 @@ mod tests {
         let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
         let run = |mac: f64| {
             let bins = ChargeBins::build_far(&sys, &born, 0.9, EpolFar::Taylor2 { mac });
-            let (raw, ops) = epol_octree_raw(&sys, &bins, &born, 0.9, math);
+            let (raw, ops) = epol_octree_raw(&sys, &bins, &born, math);
             (((raw - naive_raw) / naive_raw).abs(), ops.epol_near)
         };
         let (strict_err, strict_near) = run(1.0 + 2.0 / 0.9);
@@ -592,7 +591,7 @@ mod tests {
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let (naive_raw, _) = epol_naive_raw(&sys, &born, math);
         let bins = ChargeBins::build_far(&sys, &born, 0.9, EpolFar::Taylor2 { mac: 1e9 });
-        let (raw, ops) = epol_octree_raw(&sys, &bins, &born, 0.9, math);
+        let (raw, ops) = epol_octree_raw(&sys, &bins, &born, math);
         assert_eq!(ops.epol_far, 0);
         assert!(((raw - naive_raw) / naive_raw).abs() < 1e-12, "{raw} vs {naive_raw}");
     }
@@ -637,7 +636,7 @@ mod tests {
         let (sys, born) = sys_and_born(350, 13);
         let math = polaroct_geom::fastmath::MathMode::Exact;
         let bins = ChargeBins::build(&sys, &born, 0.9);
-        let (total, _) = epol_octree_raw(&sys, &bins, &born, 0.9, math);
+        let (total, _) = epol_octree_raw(&sys, &bins, &born, math);
         let ranges = sys.atoms.partition_leaves(4);
         let mut sum = 0.0;
         for r in ranges {

@@ -523,7 +523,7 @@ impl EpolLists {
     /// persistent atom arena; far entries the binned kernel. The
     /// lower-indexed entry of a mirrored pair evaluates the shared tile
     /// and emits both values; the higher one is filled from it, here when
-    /// it lies in this chunk and by [`EpolLists::run_phase_a`] otherwise.
+    /// it lies in this chunk and by `EpolLists::run_phase_a` otherwise.
     /// Pure, like [`EpolLists::run_entry`].
     pub fn run_chunk(
         &self,
@@ -1383,7 +1383,7 @@ mod tests {
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         for eps in [0.9, 0.3] {
             let bins = ChargeBins::build(&sys, &born, eps);
-            let (reference, rops) = epol_octree_raw(&sys, &bins, &born, eps, MathMode::Exact);
+            let (reference, rops) = epol_octree_raw(&sys, &bins, &born, MathMode::Exact);
             let lists = EpolLists::build_single(&sys, &bins, eps);
             for pool in [None, Some(WorkStealingPool::new(4))] {
                 let (raw, ops) =
@@ -1419,7 +1419,7 @@ mod tests {
         assert_eq!(ops.born_far, rops.born_far);
 
         let bins = ChargeBins::build(&sys, &out, eps);
-        let (eref, erops) = epol_dual_raw(&sys, &bins, &out, eps, MathMode::Exact);
+        let (eref, erops) = epol_dual_raw(&sys, &bins, &out, MathMode::Exact);
         let elists = EpolLists::build_dual(&sys, &bins, eps);
         for pool in [None, Some(WorkStealingPool::new(2))] {
             let (raw, eops) = elists.execute(&sys, &bins, &out, MathMode::Exact, pool.as_ref());
@@ -1487,7 +1487,7 @@ mod tests {
         let sys = GbSystem::prepare(&mol, &approx);
         let (born, _) = born_radii_octree(&sys, approx.eps_born, approx.math);
         let bins = ChargeBins::build(&sys, &born, approx.eps_epol);
-        let (raw, _) = epol_octree_raw(&sys, &bins, &born, approx.eps_epol, approx.math);
+        let (raw, _) = epol_octree_raw(&sys, &bins, &born, approx.math);
         assert_eq!(eval.raw.to_bits(), raw.to_bits());
         // Any movement at skin 0 must rebuild.
         let mut moved = mol.positions.clone();
@@ -1606,8 +1606,8 @@ mod tests {
         assert_eq!(depth, Some(21), "the tree must reach the Morton resolution");
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         let bins = ChargeBins::build(&sys, &born, 0.3);
-        let (single_ref, _) = epol_octree_raw(&sys, &bins, &born, 0.3, MathMode::Exact);
-        let (dual_ref, _) = epol_dual_raw(&sys, &bins, &born, 0.3, MathMode::Exact);
+        let (single_ref, _) = epol_octree_raw(&sys, &bins, &born, MathMode::Exact);
+        let (dual_ref, _) = epol_dual_raw(&sys, &bins, &born, MathMode::Exact);
         for (lists, reference, bound) in [
             (EpolLists::build_single(&sys, &bins, 0.3), single_ref, 22),
             (EpolLists::build_dual(&sys, &bins, 0.3), dual_ref, 2 * 21 + 1),

@@ -10,7 +10,7 @@
 //! `polaroct_cluster::proc`.
 //!
 //! **Bit-identity across transports.** Both transports execute
-//! [`crate::drivers::fig4_rank_body`] — the identical rank body — and
+//! `crate::drivers::fig4_rank_body` — the identical rank body — and
 //! the root-side collective protocol does not depend on which transport
 //! carries the frames: ranks are polled in rank order, recovery uses the
 //! same round-robin assignment, and the root folds contributions in rank
@@ -342,8 +342,6 @@ mod imp {
             size,
             comm,
             clock: SimClock::new(),
-            ops: OpCounts::default(),
-            costs: job.cfg.costs,
             threads: 1,
             faults: plan,
             kill: KillMode::Process,
@@ -526,8 +524,6 @@ mod imp {
             size: ranks,
             comm,
             clock: SimClock::new(),
-            ops: OpCounts::default(),
-            costs: cfg.costs,
             threads: 1,
             faults: plan,
             kill: KillMode::Simulated,

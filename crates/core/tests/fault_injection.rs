@@ -7,8 +7,7 @@ use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
 use polaroct_cluster::machine::{ClusterSpec, MachineSpec, Placement};
 use polaroct_core::drivers::{DriverConfig, FtConfig, RecoveryMode, RunOutcome};
 use polaroct_core::{
-    run_oct_hybrid, run_oct_hybrid_ft, run_oct_mpi, run_oct_mpi_ft, ApproxParams, DriverError,
-    GbSystem, WorkDivision,
+    run_oct_hybrid_ft, run_oct_mpi_ft, ApproxParams, DriverError, GbSystem, WorkDivision,
 };
 use polaroct_molecule::synth;
 use proptest::prelude::*;
@@ -30,7 +29,7 @@ fn hybrid_cluster(cores: usize) -> ClusterSpec {
 
 /// ISSUE acceptance scenario: a `FaultPlan` that kills one rank in
 /// phase 2 and delays another in phase 4 must yield
-/// `RunOutcome::Recovered` from `run_oct_hybrid` with an `E_pol`
+/// `RunOutcome::Recovered` from `run_oct_hybrid_ft` with an `E_pol`
 /// bit-identical to the fault-free run.
 #[test]
 fn hybrid_kill_phase2_delay_phase4_recovers_bit_identically() {
@@ -39,7 +38,7 @@ fn hybrid_kill_phase2_delay_phase4_recovers_bit_identically() {
     let cfg = DriverConfig::default();
     let cluster = hybrid_cluster(24); // 4 ranks x 6 threads
 
-    let clean = run_oct_hybrid(&sys, &params, &cfg, &cluster).unwrap();
+    let clean = run_oct_hybrid_ft(&sys, &params, &cfg, &cluster, &FtConfig::default()).unwrap();
 
     let ftc = FtConfig {
         plan: FaultPlan::new(7).kill(2, phase::INTEGRALS).delay(3, phase::PUSH, 0.25),
@@ -99,8 +98,15 @@ fn killed_rank_no_longer_deadlocks_allreduce() {
     let sys = system(140, 3);
     let params = ApproxParams::default();
     let cfg = DriverConfig::default();
-    let clean =
-        run_oct_mpi(&sys, &params, &cfg, &mpi_cluster(3), WorkDivision::NodeNode).unwrap();
+    let clean = run_oct_mpi_ft(
+        &sys,
+        &params,
+        &cfg,
+        &mpi_cluster(3),
+        WorkDivision::NodeNode,
+        &FtConfig::default(),
+    )
+    .unwrap();
 
     for ph in [phase::REDUCE_INTEGRALS, phase::GATHER_RADII, phase::REDUCE_EPOL] {
         let ftc = FtConfig {
@@ -132,8 +138,15 @@ fn degraded_recovery_reports_error_estimate() {
     let sys = system(220, 11);
     let params = ApproxParams::default();
     let cfg = DriverConfig::default();
-    let clean =
-        run_oct_mpi(&sys, &params, &cfg, &mpi_cluster(4), WorkDivision::NodeNode).unwrap();
+    let clean = run_oct_mpi_ft(
+        &sys,
+        &params,
+        &cfg,
+        &mpi_cluster(4),
+        WorkDivision::NodeNode,
+        &FtConfig::default(),
+    )
+    .unwrap();
     let ftc = FtConfig {
         plan: FaultPlan::new(13).kill(2, phase::INTEGRALS),
         policy: FtPolicy::with_timeout(Duration::from_millis(400)),
@@ -168,8 +181,15 @@ proptest! {
         let sys = system(n, seed);
         let params = ApproxParams::default();
         let cfg = DriverConfig::default();
-        let clean = run_oct_mpi(&sys, &params, &cfg, &mpi_cluster(4), WorkDivision::NodeNode)
-            .unwrap();
+        let clean = run_oct_mpi_ft(
+            &sys,
+            &params,
+            &cfg,
+            &mpi_cluster(4),
+            WorkDivision::NodeNode,
+            &FtConfig::default(),
+        )
+        .unwrap();
         let ftc = FtConfig {
             plan: FaultPlan::random(seed, 4, rate),
             policy: FtPolicy::with_timeout(Duration::from_millis(500)),

@@ -59,7 +59,7 @@ proptest! {
 
         // --- Single-tree E_pol (Fig. 3 traversal), on the recursion's radii.
         let bins = ChargeBins::build(&sys, &born_ref, eps);
-        let (raw_ref, epol_rops) = epol_octree_raw(&sys, &bins, &born_ref, eps, MathMode::Exact);
+        let (raw_ref, epol_rops) = epol_octree_raw(&sys, &bins, &born_ref, MathMode::Exact);
         let elists = EpolLists::build_single(&sys, &bins, eps);
         for width in WIDTHS {
             let pool = width.map(WorkStealingPool::new);
@@ -88,7 +88,7 @@ proptest! {
 
         // --- Dual-tree E_pol.
         let dbins = ChargeBins::build(&sys, &dual_ref, eps);
-        let (draw_ref, depol_rops) = epol_dual_raw(&sys, &dbins, &dual_ref, eps, MathMode::Exact);
+        let (draw_ref, depol_rops) = epol_dual_raw(&sys, &dbins, &dual_ref, MathMode::Exact);
         let delists = EpolLists::build_dual(&sys, &dbins, eps);
         for width in WIDTHS {
             let pool = width.map(WorkStealingPool::new);

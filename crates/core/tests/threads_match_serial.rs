@@ -5,8 +5,9 @@
 
 mod common;
 
+use polaroct_cluster::fault::FaultPlan;
 use polaroct_core::drivers::DriverConfig;
-use polaroct_core::{run_oct_threads, run_serial};
+use polaroct_core::{run_oct_threads_ft, run_serial};
 use proptest::prelude::*;
 
 proptest! {
@@ -19,7 +20,7 @@ proptest! {
         let serial = run_serial(&sys, &params, &cfg).unwrap();
         let mut first_bits = None;
         for threads in [1usize, 2, 4, 8] {
-            let thr = run_oct_threads(&sys, &params, &cfg, threads).unwrap();
+            let thr = run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none()).unwrap();
             let rel = ((thr.energy_kcal - serial.energy_kcal) / serial.energy_kcal).abs();
             prop_assert!(
                 rel <= 1e-12,

@@ -3,7 +3,7 @@
 //!
 //! Layers, bottom to top:
 //!
-//! - [`lex`] — a total Rust lexer (every byte lands in exactly one
+//! - [`lex`](mod@lex) — a total Rust lexer (every byte lands in exactly one
 //!   token; raw strings, nested block comments, lifetimes vs char
 //!   literals) plus the [`lex::strip_source`] helper the legacy
 //!   per-line rules consume.

@@ -59,7 +59,7 @@ impl Default for Config {
                 "crates/cluster/src/transport.rs",
             ]),
             wire_files: v(&["crates/cluster/src/wire.rs", "crates/core/src/procexec.rs"]),
-            blessed_float_files: v(&["crates/sched/src/reduce.rs", "crates/core/src/soa.rs"]),
+            blessed_float_files: v(&["crates/core/src/soa.rs"]),
             debug_arith: false,
         }
     }
@@ -667,7 +667,7 @@ fn determinism_dataflow(ws: &Workspace, graph: &CallGraph, cfg: &Config) -> Vec<
                     anchor: what.clone(),
                     message: format!(
                         "float accumulation {what} inside a parallel closure in `{}` — \
-                         route the reduction through sched::reduce instead",
+                         route the reduction through a blessed deterministic path instead",
                         f.name
                     ),
                     path: Vec::new(),

@@ -40,7 +40,6 @@
 
 pub mod chunk;
 pub mod pool;
-pub mod reduce;
 pub mod sim;
 mod slice;
 pub mod sync;

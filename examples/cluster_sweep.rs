@@ -32,9 +32,16 @@ fn main() {
         let placement = Placement::new(processes, threads);
         let cluster = ClusterSpec::new(machine, placement);
         let r = if threads == 1 {
-            run_oct_mpi(&sys, &params, &cfg, &cluster, WorkDivision::NodeNode)
+            run_oct_mpi_ft(
+                &sys,
+                &params,
+                &cfg,
+                &cluster,
+                WorkDivision::NodeNode,
+                &FtConfig::default(),
+            )
         } else {
-            run_oct_hybrid(&sys, &params, &cfg, &cluster)
+            run_oct_hybrid_ft(&sys, &params, &cfg, &cluster, &FtConfig::default())
         }
         .unwrap();
         println!(

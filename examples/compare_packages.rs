@@ -17,7 +17,9 @@ fn main() {
     let node12 = ClusterSpec::new(machine, Placement::distributed(12));
 
     let naive = run_naive(&sys, &params, &cfg).unwrap();
-    let oct = run_oct_mpi(&sys, &params, &cfg, &node12, WorkDivision::NodeNode).unwrap();
+    let oct =
+        run_oct_mpi_ft(&sys, &params, &cfg, &node12, WorkDivision::NodeNode, &FtConfig::default())
+            .unwrap();
 
     println!("molecule: {n} atoms; one 12-core node\n");
     println!(

@@ -33,11 +33,12 @@ fn main() {
     let serial = run_serial(&sys, &params, &cfg).unwrap();
     let cilk = run_oct_cilk(&sys, &params, &cfg, 12).unwrap();
     let machine = MachineSpec::lonestar4();
-    let hybrid = run_oct_hybrid(
+    let hybrid = run_oct_hybrid_ft(
         &sys,
         &params,
         &cfg,
         &ClusterSpec::new(machine, Placement::hybrid_per_socket(12, &machine)),
+        &FtConfig::default(),
     )
     .unwrap();
 

@@ -29,19 +29,21 @@ fn main() {
 
     // 144-core hybrid (12 nodes × 2 sockets × 6 threads) vs 12-core runs.
     for cores in [12usize, 144] {
-        let hybrid = run_oct_hybrid(
+        let hybrid = run_oct_hybrid_ft(
             &sys,
             &params,
             &cfg,
             &ClusterSpec::new(machine, Placement::hybrid_per_socket(cores, &machine)),
+            &FtConfig::default(),
         )
         .unwrap();
-        let mpi = run_oct_mpi(
+        let mpi = run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &ClusterSpec::new(machine, Placement::distributed(cores)),
             WorkDivision::NodeNode,
+            &FtConfig::default(),
         )
         .unwrap();
         println!(

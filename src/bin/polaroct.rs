@@ -151,18 +151,20 @@ fn cmd_energy(args: &[String]) -> Result<String, String> {
         "naive" => run_naive(&sys, &params, &cfg),
         "serial" => run_serial(&sys, &params, &cfg),
         "cilk" => run_oct_cilk(&sys, &params, &cfg, cores),
-        "mpi" => run_oct_mpi(
+        "mpi" => run_oct_mpi_ft(
             &sys,
             &params,
             &cfg,
             &ClusterSpec::new(machine, Placement::distributed(cores)),
             WorkDivision::NodeNode,
+            &FtConfig::default(),
         ),
-        "hybrid" => run_oct_hybrid(
+        "hybrid" => run_oct_hybrid_ft(
             &sys,
             &params,
             &cfg,
             &ClusterSpec::new(machine, Placement::hybrid_per_socket(cores, &machine)),
+            &FtConfig::default(),
         ),
         other => return Err(format!("unknown --driver {other:?}")),
     }

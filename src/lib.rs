@@ -38,7 +38,7 @@
 //! // …and the paper's hybrid run on a simulated 12-node cluster.
 //! let machine = MachineSpec::lonestar4();
 //! let cluster = ClusterSpec::new(machine, Placement::hybrid_per_socket(144, &machine));
-//! let hybrid = run_oct_hybrid(&sys, &params, &cfg, &cluster).unwrap();
+//! let hybrid = run_oct_hybrid_ft(&sys, &params, &cfg, &cluster, &FtConfig::default()).unwrap();
 //! assert!((hybrid.energy_kcal - report.energy_kcal).abs() / report.energy_kcal.abs() < 1e-9);
 //! ```
 
@@ -60,9 +60,9 @@ pub mod prelude {
     pub use polaroct_cluster::machine::{ClusterSpec, MachineSpec, Placement};
     pub use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
     pub use polaroct_core::drivers::{
-        run_naive, run_oct_cilk, run_oct_hybrid, run_oct_hybrid_ft, run_oct_mpi, run_oct_mpi_ft,
-        run_oct_threads, run_oct_threads_ft, run_serial, validate_system, DriverConfig,
-        DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome, RunReport,
+        run_naive, run_oct_cilk, run_oct_hybrid_ft, run_oct_mpi_ft, run_oct_threads_ft, run_serial,
+        validate_system, DriverConfig, DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome,
+        RunReport,
     };
     pub use polaroct_core::{ApproxParams, EpolFar, GbSystem, WorkDivision};
     pub use polaroct_geom::fastmath::MathMode;

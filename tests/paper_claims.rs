@@ -27,8 +27,16 @@ fn claim_abstract_under_one_percent_error() {
     for r in [
         run_serial(&sys, &params, &cfg).unwrap(),
         run_oct_cilk(&sys, &params, &cfg, 12).unwrap(),
-        run_oct_mpi(&sys, &params, &cfg, &node12(), WorkDivision::NodeNode).unwrap(),
-        run_oct_hybrid(&sys, &params, &cfg, &hybrid12()).unwrap(),
+        run_oct_mpi_ft(
+            &sys,
+            &params,
+            &cfg,
+            &node12(),
+            WorkDivision::NodeNode,
+            &FtConfig::default(),
+        )
+        .unwrap(),
+        run_oct_hybrid_ft(&sys, &params, &cfg, &hybrid12(), &FtConfig::default()).unwrap(),
     ] {
         let err = ((r.energy_kcal - naive.energy_kcal) / naive.energy_kcal).abs();
         assert!(err < 0.01, "{}: {err}", r.name);
@@ -82,12 +90,13 @@ fn claim_s4a_node_division_error_constant_in_p() {
     let energies: Vec<f64> = [1usize, 3, 8, 12]
         .iter()
         .map(|&p| {
-            run_oct_mpi(
+            run_oct_mpi_ft(
                 &sys,
                 &params,
                 &cfg,
                 &ClusterSpec::new(MachineSpec::lonestar4(), Placement::distributed(p)),
                 WorkDivision::NodeNode,
+                &FtConfig::default(),
             )
             .unwrap()
             .energy_kcal
@@ -146,7 +155,15 @@ fn claim_s5f_octree_dominates_amber_at_scale() {
     let params = ApproxParams::default().with_math(MathMode::Approx);
     let sys = GbSystem::prepare(&mol, &params);
     let cfg = DriverConfig::default();
-    let oct = run_oct_mpi(&sys, &params, &cfg, &node12(), WorkDivision::NodeNode).unwrap();
+    let oct = run_oct_mpi_ft(
+        &sys,
+        &params,
+        &cfg,
+        &node12(),
+        WorkDivision::NodeNode,
+        &FtConfig::default(),
+    )
+    .unwrap();
     let amber = polaroct::baselines::amber::Amber::default()
         .run(&mol, &PackageContext::new(node12()));
     let amber_t = amber.report().unwrap().time;
@@ -178,28 +195,44 @@ fn claim_fig5_scaling_with_cores() {
     let sys = GbSystem::prepare(&mol, &params);
     let cfg = DriverConfig::default();
     let m = MachineSpec::lonestar4();
-    let t12 = run_oct_mpi(
+    let t12 = run_oct_mpi_ft(
         &sys,
         &params,
         &cfg,
         &ClusterSpec::new(m, Placement::distributed(12)),
         WorkDivision::NodeNode,
+        &FtConfig::default(),
     )
     .unwrap()
     .time;
-    let t144 = run_oct_mpi(
+    let t144 = run_oct_mpi_ft(
         &sys,
         &params,
         &cfg,
         &ClusterSpec::new(m, Placement::distributed(144)),
         WorkDivision::NodeNode,
+        &FtConfig::default(),
     )
     .unwrap()
     .time;
     assert!(t144 < t12, "144 cores ({t144}) should beat 12 ({t12})");
-    let h12 =
-        run_oct_hybrid(&sys, &params, &cfg, &ClusterSpec::new(m, Placement::hybrid_per_socket(12, &m))).unwrap().time;
-    let h144 =
-        run_oct_hybrid(&sys, &params, &cfg, &ClusterSpec::new(m, Placement::hybrid_per_socket(144, &m))).unwrap().time;
+    let h12 = run_oct_hybrid_ft(
+        &sys,
+        &params,
+        &cfg,
+        &ClusterSpec::new(m, Placement::hybrid_per_socket(12, &m)),
+        &FtConfig::default(),
+    )
+    .unwrap()
+    .time;
+    let h144 = run_oct_hybrid_ft(
+        &sys,
+        &params,
+        &cfg,
+        &ClusterSpec::new(m, Placement::hybrid_per_socket(144, &m)),
+        &FtConfig::default(),
+    )
+    .unwrap()
+    .time;
     assert!(h144 < h12);
 }

@@ -75,7 +75,8 @@ proptest! {
         let cfg = DriverConfig::default();
         let serial = run_serial(&sys, &params, &cfg).unwrap().energy_kcal;
         let cluster = ClusterSpec::new(MachineSpec::lonestar4(), Placement::distributed(p));
-        let mpi = run_oct_mpi(&sys, &params, &cfg, &cluster, WorkDivision::NodeNode)
+        let ftc = FtConfig::default();
+        let mpi = run_oct_mpi_ft(&sys, &params, &cfg, &cluster, WorkDivision::NodeNode, &ftc)
             .unwrap()
             .energy_kcal;
         prop_assert!(((serial - mpi) / serial).abs() < 1e-10, "{serial} vs {mpi} at P={p}");

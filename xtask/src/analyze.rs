@@ -27,7 +27,7 @@
 //!   parallel primitives (`.run(`, `.try_map(`, `spawn(`), `+=` into a
 //!   variable captured from outside the closure is a scheduling-order-
 //!   dependent reduction; those belong in the blessed deterministic
-//!   paths (`sched::reduce`, `core::soa`). Waive with
+//!   path (`core::soa`). Waive with
 //!   `// DETERMINISM-OK: <reason>`.
 //!
 //! The scanner strips comments and string literals before matching
@@ -108,7 +108,7 @@ const NO_PANIC_FILES: &[&str] = &[
 
 /// Files allowed to contain scheduling-order float accumulation (the
 /// deterministic reduction implementations themselves).
-const BLESSED_FLOAT_FILES: &[&str] = &["crates/sched/src/reduce.rs", "crates/core/src/soa.rs"];
+const BLESSED_FLOAT_FILES: &[&str] = &["crates/core/src/soa.rs"];
 
 /// Crates allowed to contain `unsafe` (with per-site SAFETY comments).
 const UNSAFE_ALLOWLIST: &[&str] = &["crates/sched/"];
@@ -136,7 +136,7 @@ pub fn classify(rel: &str) -> FileClass {
 /// `src` with comments and string/char literals blanked out (line
 /// structure preserved), so token matching sees only code.
 ///
-/// Delegates to the real lexer in [`lintir::lex`]: unlike the old
+/// Delegates to the real lexer in [`lintir::lex`](mod@lintir::lex): unlike the old
 /// hand-rolled state machine this handles raw strings with hashes,
 /// `'a` lifetime ticks vs char literals (including `b'x'` and `'\''`),
 /// nested `/* /* */ */` block comments, and strings spanning lines.
@@ -526,7 +526,7 @@ fn rule_float_reduction(
                 message: format!(
                     "`{lhs} +=` on a variable captured by a parallel closure: \
                      scheduling-order-dependent reduction; use the blessed \
-                     deterministic paths (sched::reduce / core::soa) or waive \
+                     deterministic path (core::soa) or waive \
                      with `// DETERMINISM-OK: <reason>`"
                 ),
             });

@@ -120,7 +120,7 @@ fn classify_knows_the_project_layout() {
     assert!(classify("crates/core/src/drivers.rs").no_panic);
     assert!(classify("crates/octree/src/build.rs").no_panic);
     assert!(!classify("crates/core/src/energy.rs").no_panic);
-    assert!(classify("crates/sched/src/reduce.rs").blessed_float);
+    assert!(classify("crates/core/src/soa.rs").blessed_float);
     assert!(classify("crates/sched/src/pool.rs").unsafe_allowed);
     assert!(!classify("crates/core/src/soa.rs").unsafe_allowed);
     assert!(classify("crates/core/src/lib.rs").crate_root);
