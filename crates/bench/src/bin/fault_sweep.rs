@@ -1,24 +1,20 @@
 //! Fault-injection sweep: recovery cost and fidelity vs fault rate,
 //! on both cluster transports.
 //!
-//! Four measurements:
+//! Three measurements:
 //!
-//! 1. **Containment overhead** — wall-clock of the fault-free FT path
-//!    (catch_unwind + try_map + checksummed collectives, nothing firing)
-//!    against the plain driver entry point, on the real-thread driver.
-//!    The acceptance bar is ≤2%.
-//! 2. **Random-plan sweep** — `FaultPlan::random` at increasing rates;
+//! 1. **Random-plan sweep** — `FaultPlan::random` at increasing rates;
 //!    each plan must come back `Completed`/`Recovered` with an energy
 //!    bit-identical to the fault-free run, and the simulated time shows
 //!    what the retries cost.
-//! 3. **Process-transport column** (unix only) — the *same* fault grid
+//! 2. **Process-transport column** (unix only) — the *same* fault grid
 //!    replayed on `run_oct_mpi_proc_ft`, where workers are real OS
 //!    processes and `Kill` faults are literal `SIGKILL`s. A blocking
 //!    equivalence gate asserts that every grid point classifies
 //!    identically to the in-process run and lands on the same energy
 //!    bits, plus one dedicated SIGKILL demo whose captured exit status
 //!    must name signal 9.
-//! 4. **Degraded recovery** — one killed rank regenerated far-field-only;
+//! 3. **Degraded recovery** — one killed rank regenerated far-field-only;
 //!    reports the error estimate next to the actual error.
 //!
 //! Emits `BENCH_faults.json` (to `$POLAROCT_OUT` if set, else
@@ -29,7 +25,7 @@
 use polaroct_bench::{fmt_time, mpi_cluster, quick_mode, std_config, Table};
 use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
 use polaroct_core::drivers::{FtConfig, RecoveryMode, RunOutcome, RunReport};
-use polaroct_core::{run_oct_mpi_ft, run_oct_threads_ft, ApproxParams, GbSystem, WorkDivision};
+use polaroct_core::{run_oct_mpi_ft, ApproxParams, GbSystem, WorkDivision};
 use polaroct_molecule::synth;
 use std::io::Write;
 use std::time::Duration;
@@ -164,7 +160,6 @@ fn main() {
     polaroct_core::maybe_worker();
 
     let n = if quick_mode() { 1_500 } else { 6_000 };
-    let reps = if quick_mode() { 2 } else { 5 };
     eprintln!("[fault_sweep] generating protein ({n} atoms)...");
     let mol = synth::protein("faults", n, 0xFA17);
     let params = ApproxParams::default();
@@ -172,31 +167,7 @@ fn main() {
     let cfg = std_config();
     let policy = FtPolicy::with_timeout(Duration::from_secs(2));
 
-    // 1. Containment overhead on the real-thread driver: plain entry vs
-    // explicit FT entry with an empty plan (min-of-reps on both sides).
-    let threads = 4;
-    let mut wall_plain = f64::INFINITY;
-    let mut wall_ft = f64::INFINITY;
-    for _ in 0..reps {
-        wall_plain = wall_plain.min(
-            run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none())
-                .unwrap()
-                .wall_seconds,
-        );
-        wall_ft = wall_ft.min(
-            run_oct_threads_ft(&sys, &params, &cfg, threads, &FaultPlan::none())
-                .unwrap()
-                .wall_seconds,
-        );
-    }
-    let overhead_pct = (wall_ft / wall_plain - 1.0) * 100.0;
-    eprintln!(
-        "[fault_sweep] containment: plain {} vs ft {} ({overhead_pct:+.2}%)",
-        fmt_time(wall_plain),
-        fmt_time(wall_ft)
-    );
-
-    // 2. Fault-free reference for the distributed sweep.
+    // Fault-free reference for the distributed sweep.
     let clean = run_oct_mpi_ft(
         &sys,
         &params,
@@ -212,6 +183,7 @@ fn main() {
         fmt_time(clean.time)
     );
 
+    // 1. Random-plan sweep on the in-process transport.
     let mut t = Table::new(
         "fault_sweep",
         &["rate", "seed", "outcome", "retries", "bit_identical", "time_s", "time_overhead_pct"],
@@ -256,7 +228,7 @@ fn main() {
     }
     t.emit();
 
-    // 3. Process-transport column: same grid, real worker processes,
+    // 2. Process-transport column: same grid, real worker processes,
     // real SIGKILLs, blocking equivalence gate against the rows above.
     #[cfg(unix)]
     let proc_col: Option<ProcColumn> = {
@@ -289,7 +261,7 @@ fn main() {
         None => eprintln!("[fault_sweep] process transport skipped (unix-only)"),
     }
 
-    // 4. Degraded recovery: one killed rank, far-field-only regeneration.
+    // 3. Degraded recovery: one killed rank, far-field-only regeneration.
     let ftc = FtConfig {
         plan: FaultPlan::new(99).kill(2, phase::INTEGRALS),
         policy,
@@ -315,10 +287,6 @@ fn main() {
     json.push_str(&format!("  \"ranks\": {RANKS},\n"));
     json.push_str(&format!("  \"clean_energy_kcal\": {:.12e},\n", clean.energy_kcal));
     json.push_str(&format!("  \"clean_time_s\": {:.6e},\n", clean.time));
-    json.push_str(&format!(
-        "  \"containment\": {{\"threads\": {threads}, \"wall_plain_s\": {wall_plain:.6e}, \
-         \"wall_ft_s\": {wall_ft:.6e}, \"overhead_pct\": {overhead_pct:.3}}},\n"
-    ));
     json.push_str("  \"sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

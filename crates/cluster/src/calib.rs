@@ -1,15 +1,12 @@
-//! Kernel cost calibration: anchors virtual seconds to real hardware.
+//! Kernel costs: anchors virtual seconds to the paper's hardware.
 //!
 //! [`KernelCosts`] holds the per-operation costs (seconds) used to convert
 //! [`crate::simtime::OpCounts`] into virtual compute time.
-//! [`KernelCosts::calibrate`] measures the host by timing tight loops that
-//! mimic the real kernels' arithmetic (one `sqrt` + `exp` + divides per
-//! near-field GB pair, etc.). [`KernelCosts::lonestar4_reference`] provides
-//! fixed constants representative of the paper's 3.33 GHz Westmere, so
-//! figure regeneration is reproducible across hosts.
+//! [`KernelCosts::lonestar4_reference`] provides fixed constants
+//! representative of the paper's 3.33 GHz Westmere, so figure
+//! regeneration is reproducible across hosts.
 
 use crate::simtime::OpCounts;
-use std::time::Instant;
 
 /// Seconds per kernel operation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,48 +42,6 @@ impl KernelCosts {
         }
     }
 
-    /// Measure this host with short timing loops (~10 ms total). The loop
-    /// bodies replicate the real kernels' arithmetic mix so the constants
-    /// transfer.
-    pub fn calibrate() -> KernelCosts {
-        // Near-field GB pair: distance² + sqrt + exp + divide.
-        let epol_near = time_per_iter(200_000, |i| {
-            let x = 1.0 + (i as f64) * 1e-7;
-            let r2 = x * 2.0 + 0.3;
-            let f = (r2 + x * (-r2 / (4.0 * x)).exp()).sqrt();
-            1.0 / f
-        });
-        // Born near-field term: dot product + pow3 of inverse distance².
-        let born_near = time_per_iter(200_000, |i| {
-            let x = 1.5 + (i as f64) * 1e-7;
-            let d2 = x * x + 0.7;
-            let inv = 1.0 / d2;
-            (x * 0.3 + 0.2) * inv * inv * inv
-        });
-        // Far-field Born accumulation: same shape, one per node pair.
-        let born_far = born_near * 0.9;
-        // Far-field E_pol bin pair: like epol_near minus one divide.
-        let epol_far = epol_near * 0.9;
-        // Node visit: two norms + compare.
-        let node_visit = time_per_iter(200_000, |i| {
-            let x = 0.1 + (i as f64) * 1e-7;
-            let d = (x * x + 2.0 * x + 3.0).sqrt();
-            if d > 2.5 {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        KernelCosts {
-            born_far,
-            born_near,
-            epol_far,
-            epol_near,
-            node_visit,
-            approx_math_factor: 1.0 / 1.42,
-        }
-    }
-
     /// Convert op counts to virtual compute seconds.
     pub fn seconds(&self, ops: &OpCounts, approx_math: bool) -> f64 {
         let base = ops.born_far as f64 * self.born_far
@@ -102,19 +57,6 @@ impl KernelCosts {
     }
 }
 
-/// Time `f` over `iters` iterations, defeating the optimizer; returns
-/// seconds per iteration.
-fn time_per_iter(iters: usize, f: impl Fn(usize) -> f64) -> f64 {
-    let t0 = Instant::now();
-    let mut acc = 0.0f64;
-    for i in 0..iters {
-        acc += f(i);
-    }
-    std::hint::black_box(acc);
-    let dt = t0.elapsed().as_secs_f64();
-    (dt / iters as f64).max(1e-10)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,17 +68,6 @@ mod tests {
             assert!(v > 1e-10 && v < 1e-6, "per-op cost {v} out of range");
         }
         assert!((c.approx_math_factor - 0.704).abs() < 0.01);
-    }
-
-    #[test]
-    fn calibration_produces_positive_costs() {
-        let c = KernelCosts::calibrate();
-        assert!(c.epol_near > 0.0);
-        assert!(c.born_near > 0.0);
-        assert!(c.node_visit > 0.0);
-        // Calibration should land within a few orders of magnitude of the
-        // reference (any modern CPU).
-        assert!(c.epol_near < 1e-6);
     }
 
     #[test]

@@ -248,6 +248,7 @@ impl Communicator {
     /// transport itself.
     pub fn over(rank: usize, cost: CommCostModel, transport: Arc<dyn Transport>) -> Self {
         let size = transport.size();
+        // PANIC-OK: constructor precondition; every launcher numbers ranks 0..transport.size().
         assert!(rank < size);
         Communicator {
             rank,
@@ -606,6 +607,7 @@ impl Communicator {
             |entries| {
                 let mut sum = vec![0.0f64; n];
                 for (_, payload) in &entries {
+                    // PANIC-OK: every rank passes the same length (MPI contract); a mismatch is a program bug.
                     assert_eq!(payload.len(), n, "allreduce length mismatch across ranks");
                     for (s, v) in sum.iter_mut().zip(payload) {
                         *s += v;

@@ -13,8 +13,8 @@
 //! energies are bit-exact regardless of the timing model), while *time* is
 //! virtual:
 //!
-//! * compute time is derived from kernel operation counts × per-op costs
-//!   calibrated by microbenchmark ([`calib`]),
+//! * compute time is derived from kernel operation counts × fixed per-op
+//!   costs representative of the paper's Westmere cores ([`calib`]),
 //! * intra-node multithreading is priced by the work-stealing makespan
 //!   simulator from `polaroct-sched`,
 //! * communication is priced by the per-collective cost formulas of Grama
@@ -35,8 +35,8 @@
 //! * [`runner`] — [`runner::run_spmd_ft`] launches `P` ranks as threads
 //!   and returns each rank's `Result` + clock.
 //! * [`simtime`] — per-rank virtual clocks and op-count accounting.
-//! * [`calib`] — measures this host's ns/op for the energy kernels so
-//!   virtual seconds are anchored to real hardware.
+//! * [`calib`] — the Lonestar4 reference ns/op for the energy kernels,
+//!   so virtual seconds are anchored to the paper's hardware.
 //! * [`noise`] — run-to-run jitter model for the min/max-of-20-runs plots
 //!   (Fig. 6).
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]) and

@@ -457,6 +457,7 @@ impl Supervisor {
         startup_timeout: Duration,
         make_command: &mut dyn FnMut(usize, &Path) -> Command,
     ) -> Result<Supervisor, ProcError> {
+        // PANIC-OK: precondition; run_oct_mpi_proc_ft rejects ranks == 0 with a typed error first.
         assert!(size >= 1);
         let dir = std::env::temp_dir().join(format!(
             "polaroct-{}-{}",

@@ -427,6 +427,7 @@ impl DeltaEngine {
             // perturbed geometry — same fallback, same resulting state,
             // as ListEngine::evaluate past the boundary.
             let scaffold = self.base.reference.clone();
+            // PANIC-OK: both are the same molecule's n-atom charge arrays.
             self.base.work.charges.copy_from_slice(&self.charges);
             let positions = self.positions.clone();
             self.base.rebuild(&positions);
@@ -738,7 +739,7 @@ impl DeltaEngine {
                 for &(oi, _) in &charges {
                     // PANIC-OK: saved from a validated query; inv_order is n-length.
                     let mi = self.inv_order[oi] as usize;
-                    self.base.sys.set_atom_charge(mi, self.charges[oi]);
+                    self.base.sys.set_atom_charge(mi, self.charges[oi]); // PANIC-OK: same validated index as the line above.
                 }
                 for &(oi, _) in &moves {
                     // PANIC-OK: saved from a validated query; disp/reference are n-length.
@@ -769,6 +770,7 @@ impl DeltaEngine {
                 // Re-prepare the *old* scaffold (prepare is deterministic,
                 // so trees/lists/indexes come back bit-identical), then
                 // re-execute at the restored positions/charges.
+                // PANIC-OK: both are the same molecule's n-atom charge arrays.
                 self.base.work.charges.copy_from_slice(&self.charges);
                 self.base.rebuild(&scaffold);
                 self.rebuild_caches();

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 /// observations (documented per field).
 #[derive(Clone, Copy, Debug)]
 pub struct DriverConfig {
-    /// Per-op costs (calibrated or the Lonestar4 reference).
+    /// Per-op costs (the Lonestar4 reference by default).
     pub costs: KernelCosts,
     /// Multiplier on OCT_CILK's compute: the paper's cilk-4.5.4 build was
     /// markedly less optimized than the MPI path (§V.C: "MPI turns out to
@@ -883,6 +883,7 @@ pub(crate) fn fig4_rank_body(
         charge_recovery(&mut clock, &rec_ops);
         full
     };
+    // PANIC-OK: allgatherv returns every rank's segment, a lost one regenerated at full length.
     assert_eq!(born.len(), sys.n_atoms());
 
     // Charge binning: O(M·M_ε) on every rank, tiny next to the

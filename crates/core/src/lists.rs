@@ -1173,6 +1173,7 @@ impl ListEngine {
     /// only, with no radii yet. For `core::delta`, which executes both
     /// lists in full right after and would otherwise pay the pass twice.
     pub(crate) fn scaffold_only(mol: &Molecule, approx: &ApproxParams, skin: f64) -> ListEngine {
+        // PANIC-OK: documented precondition of ListEngine::new/DeltaEngine::new (`skin >= 0`).
         assert!(skin >= 0.0 && skin.is_finite(), "skin must be a finite non-negative margin");
         let (sys, born_lists, epol_lists) = scaffold(mol, approx, skin);
         ListEngine {
@@ -1225,6 +1226,7 @@ impl ListEngine {
     /// (original atom order), rebuilding trees + lists only when the
     /// max displacement since the last rebuild exceeds `skin / 2`.
     pub fn evaluate(&mut self, positions: &[Vec3]) -> EngineEval {
+        // PANIC-OK: precondition; one position per atom of the prepared molecule.
         assert_eq!(positions.len(), self.reference.len());
         let max_disp = positions
             .iter()

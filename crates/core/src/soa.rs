@@ -487,6 +487,7 @@ impl QArena {
     /// gather path, so arena and gather views are bit-interchangeable.
     pub fn build(points: &[Vec3], normals: &[Vec3], weights: &[f64]) -> QArena {
         let n = points.len();
+        // PANIC-OK: callers pass one quadrature set's equal-length point/normal/weight arrays.
         assert!(normals.len() == n && weights.len() == n);
         let mut a = QArena {
             x: Vec::with_capacity(n),
@@ -564,6 +565,7 @@ impl AtomArena {
     /// Build from Morton-ordered points and charges.
     pub fn build(points: &[Vec3], charges: &[f64]) -> AtomArena {
         let n = points.len();
+        // PANIC-OK: callers pass one molecule's equal-length point/charge arrays.
         assert!(charges.len() == n);
         let mut a = AtomArena {
             x: Vec::with_capacity(n),
@@ -583,6 +585,7 @@ impl AtomArena {
     /// Overwrite the coordinate lanes from Morton-ordered points (the
     /// positions-only refresh path; charges are conformation-independent).
     pub fn refresh_positions(&mut self, points: &[Vec3]) {
+        // PANIC-OK: refreshed from the same system's points, so the atom count is unchanged.
         assert!(points.len() == self.x.len());
         for (i, p) in points.iter().enumerate() {
             self.x[i] = p.x;

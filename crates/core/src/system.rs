@@ -56,7 +56,9 @@ impl GbSystem {
         quad: &QuadratureSet,
         params: &ApproxParams,
     ) -> GbSystem {
+        // PANIC-OK: precondition; an empty molecule has no energy to compute.
         assert!(!mol.is_empty(), "empty molecule");
+        // PANIC-OK: precondition; an empty surface has no Born integrals.
         assert!(!quad.is_empty(), "empty surface");
 
         let atoms = build(

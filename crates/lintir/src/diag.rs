@@ -35,7 +35,8 @@ impl Diagnostic {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

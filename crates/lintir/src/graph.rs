@@ -35,9 +35,11 @@ impl Workspace {
         Workspace { files, fns }
     }
 
-    /// Walk `root` for `.rs` files, skipping build output, VCS metadata,
-    /// vendored shims, and test-only trees (`tests/`, `fixtures/`,
-    /// `benches/`). Paths are stored root-relative with `/` separators.
+    /// Walk `root` for `.rs` files, skipping build output (`target/`),
+    /// VCS metadata, the analyzer's own `fixtures/` and retrieved
+    /// reference code (`related/`). Test, bench and vendored trees are
+    /// loaded (see [`is_aux`]). Paths are stored root-relative with `/`
+    /// separators.
     pub fn load(root: &Path) -> std::io::Result<Self> {
         let mut sources = Vec::new();
         let mut stack = vec![root.to_path_buf()];
@@ -50,11 +52,7 @@ impl Workspace {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
                 if path.is_dir() {
-                    if matches!(
-                        name.as_ref(),
-                        "target" | ".git" | "vendor" | "fixtures" | "tests" | "benches"
-                            | "related"
-                    ) {
+                    if matches!(name.as_ref(), "target" | ".git" | "fixtures" | "related") {
                         continue;
                     }
                     stack.push(path);
@@ -89,6 +87,15 @@ impl Workspace {
     }
 }
 
+/// Is `rel` in a test, bench or vendored tree (`tests/`, `benches/`,
+/// `vendor/`)? The file-local checks (DT, US) see such files, but their
+/// functions are never call-resolution candidates and never scanned
+/// for wire uses, so PA, DL and WP results on production code do not
+/// depend on them.
+pub fn is_aux(rel: &str) -> bool {
+    rel.split('/').any(|c| matches!(c, "tests" | "benches" | "vendor"))
+}
+
 pub fn crate_of_path(rel: &str) -> &str {
     let parts: Vec<&str> = rel.split('/').collect();
     match parts.as_slice() {
@@ -112,10 +119,12 @@ pub struct CallGraph {
 
 impl CallGraph {
     pub fn build(ws: &Workspace) -> Self {
-        // Name → candidate FnIds.
+        // Name → candidate FnIds (production files only).
         let mut by_name: HashMap<&str, Vec<FnId>> = HashMap::new();
         for (id, &(fi, gi)) in ws.fns.iter().enumerate() {
-            by_name.entry(ws.files[fi].fns[gi].name.as_str()).or_default().push(id);
+            if !is_aux(&ws.files[fi].rel) {
+                by_name.entry(ws.files[fi].fns[gi].name.as_str()).or_default().push(id);
+            }
         }
 
         let mut callees: Vec<Vec<(FnId, usize)>> = vec![Vec::new(); ws.fns.len()];
@@ -374,6 +383,24 @@ mod tests {
         let g = CallGraph::build(&w);
         let f = fn_id(&w, "f");
         assert!(g.callees[f].is_empty());
+    }
+
+    #[test]
+    fn test_bench_and_vendor_fns_are_never_callees() {
+        let w = ws(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub fn entry() { helper(); probe(); }",
+            ),
+            ("crates/a/tests/t.rs", "fn helper() {}"),
+            ("crates/a/benches/b.rs", "fn probe() {}"),
+            ("vendor/v/src/lib.rs", "pub fn helper() {}"),
+            ("tests/it.rs", "fn drive() { entry(); }"),
+        ]);
+        let g = CallGraph::build(&w);
+        assert!(g.callees[fn_id(&w, "entry")].is_empty());
+        // Test code still calls into production code.
+        assert_eq!(g.callees[fn_id(&w, "drive")], vec![(fn_id(&w, "entry"), 1)]);
     }
 
     #[test]

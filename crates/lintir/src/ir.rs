@@ -53,10 +53,6 @@ pub enum PanicKind {
     IntDivRem,
     /// `copy_from_slice` / `clone_from_slice` (length-mismatch panic).
     CopyFromSlice,
-    /// Integer `+`/`-`/`*` between known-integer operands (overflow
-    /// panics in debug builds only). Reported only under
-    /// `Config::debug_arith`.
-    DebugArith,
 }
 
 /// One extracted fact at a source line.
@@ -159,6 +155,12 @@ pub struct FileIr {
     pub hash_vars: Vec<String>,
     /// Raw source lines (waiver markers are matched against these).
     pub raw_lines: Vec<String>,
+    /// Lines holding an `unsafe` keyword in code (not in comments or
+    /// literals), each once.
+    pub unsafe_lines: Vec<usize>,
+    /// Lint levels of the inner `#![level(unsafe_code)]` attributes
+    /// (`forbid`, `deny`, …).
+    pub unsafe_code_levels: Vec<String>,
 }
 
 const KEYWORDS: &[&str] = &[
@@ -969,25 +971,6 @@ fn analyze_body(f: &mut FnIr, const_arrays: &[(String, u64)]) {
                     }
                 }
             }
-            continue;
-        }
-
-        // ---- debug-build integer arithmetic (gated by Config) ----
-        if t.kind == Tok::Punct
-            && (t.text == "+" || t.text == "-" || t.text == "*")
-            && i >= 1
-            && i + 1 < n
-            && body[i + 1].text != "="
-            && body[i - 1].kind == Tok::Ident
-            && f.int_vars.contains(&body[i - 1].text)
-            && (body[i + 1].kind == Tok::Num
-                || (body[i + 1].kind == Tok::Ident && f.int_vars.contains(&body[i + 1].text)))
-        {
-            f.facts.push(Fact::Panic {
-                kind: PanicKind::DebugArith,
-                line: t.line,
-                what: format!("integer `{}`", t.text),
-            });
         }
     }
 
@@ -1096,12 +1079,31 @@ pub fn parse_file(rel: &str, src: &str) -> FileIr {
             }
         }
     }
+    let mut unsafe_lines: Vec<usize> = toks
+        .iter()
+        .filter(|t| t.kind == Tok::Ident && t.text == "unsafe")
+        .map(|t| t.line)
+        .collect();
+    unsafe_lines.dedup();
+    let unsafe_code_levels = toks
+        .windows(6)
+        .filter(|w| {
+            w[0].text == "#"
+                && w[1].text == "!"
+                && w[2].text == "["
+                && w[4].text == "("
+                && w[5].text == "unsafe_code"
+        })
+        .map(|w| w[3].text.clone())
+        .collect();
     FileIr {
         rel: rel.replace('\\', "/"),
         fns: p.fns,
         kind_consts: p.kind_consts,
         hash_vars,
         raw_lines: src.lines().map(|l| l.to_string()).collect(),
+        unsafe_lines,
+        unsafe_code_levels,
     }
 }
 

@@ -8,8 +8,8 @@
 //! literals and comments simply extend to end-of-input and stray bytes
 //! become [`Tok::Unknown`].
 //!
-//! The lexer understands the parts of the language the old line-based
-//! `strip_source` mishandled:
+//! The lexer understands the parts of the language a line-based
+//! scanner mishandles:
 //!
 //! * raw strings with any number of hashes (`r"…"`, `r##"…"##`) and the
 //!   byte variants (`b"…"`, `br#"…"#`);
@@ -349,38 +349,6 @@ pub fn lex(src: &str) -> Vec<Token> {
     out
 }
 
-/// `src` as lines with comment and string/char literal *contents*
-/// blanked to spaces (line structure and column positions preserved),
-/// so token-level rules see only code. Lifetimes are kept verbatim.
-///
-/// This is the lexer-backed replacement for the old hand-rolled state
-/// machine in `xtask`: raw strings with hashes, `'a` lifetime ticks vs
-/// `'\''` char literals, byte strings, nested block comments, and
-/// multi-line strings are all handled by construction.
-pub fn strip_source(src: &str) -> Vec<String> {
-    let mut out = String::with_capacity(src.len());
-    for t in lex(src) {
-        match t.kind {
-            Tok::Str | Tok::RawStr | Tok::Char | Tok::LineComment | Tok::BlockComment => {
-                for c in t.text(src).chars() {
-                    out.push(if c == '\n' { '\n' } else { ' ' });
-                }
-            }
-            _ => out.push_str(t.text(src)),
-        }
-    }
-    let mut lines: Vec<String> = out
-        .split('\n')
-        .map(|l| l.strip_suffix('\r').unwrap_or(l).to_string())
-        .collect();
-    // Match `str::lines`: a trailing newline does not create an empty
-    // final line.
-    if src.ends_with('\n') {
-        lines.pop();
-    }
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,25 +446,5 @@ mod tests {
             let toks = lex(src);
             assert_eq!(toks.last().unwrap().end, src.len(), "input {src:?}");
         }
-    }
-
-    #[test]
-    fn strip_blanks_comments_and_strings_preserving_columns() {
-        let src = "let s = \"panic!()\"; // .unwrap()\nlet t = 1;\n";
-        let lines = strip_source(src);
-        assert_eq!(lines.len(), 2);
-        assert!(!lines[0].contains("panic!"));
-        assert!(!lines[0].contains("unwrap"));
-        assert_eq!(lines[0].len(), src.lines().next().unwrap().len());
-        assert_eq!(lines[1], "let t = 1;");
-    }
-
-    #[test]
-    fn strip_handles_multiline_strings() {
-        let src = "let s = \"line one\ncontains .unwrap() here\"; real_code();";
-        let lines = strip_source(src);
-        assert_eq!(lines.len(), 2);
-        assert!(!lines[1].contains("unwrap"));
-        assert!(lines[1].contains("real_code"));
     }
 }

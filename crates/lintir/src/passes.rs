@@ -1,4 +1,4 @@
-//! The four interprocedural invariant passes.
+//! The invariant passes.
 //!
 //! | code  | pass                      | waiver marker       |
 //! |-------|---------------------------|---------------------|
@@ -6,18 +6,19 @@
 //! | DL0xx | deadline-boundedness      | `// DEADLINE-OK:`   |
 //! | WP0xx | wire-protocol totality    | `// WIRE-OK:`       |
 //! | DT0xx | determinism dataflow      | `// DETERMINISM-OK:`|
+//! | US0xx | unsafe hygiene            | — (`// SAFETY:` documents a site) |
 //!
 //! Each pass is name- and token-driven; DESIGN.md §13 documents what
 //! each one over- and under-approximates.
 
 use crate::diag::Diagnostic;
-use crate::graph::{CallGraph, FnId, Workspace};
+use crate::graph::{is_aux, CallGraph, FnId, Workspace};
 use crate::ir::{Fact, FnIr, PanicKind, T};
 use crate::lex::Tok;
 use std::collections::{BTreeSet, HashMap};
 
-/// Pass configuration. [`Config::default`] mirrors the project layout
-/// (the lists xtask's legacy rules pin).
+/// Pass configuration. [`Config::default`] mirrors the project layout;
+/// it is the only place the project's file lists are written down.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Files whose non-test functions must not reach a panic.
@@ -28,8 +29,8 @@ pub struct Config {
     pub wire_files: Vec<String>,
     /// Files allowed scheduling-order float accumulation.
     pub blessed_float_files: Vec<String>,
-    /// Also report debug-build integer overflow arithmetic (PA006).
-    pub debug_arith: bool,
+    /// Path prefixes of the audited crates allowed to contain `unsafe`.
+    pub unsafe_allowlist: Vec<String>,
 }
 
 impl Default for Config {
@@ -37,6 +38,7 @@ impl Default for Config {
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
         Config {
             no_panic_files: v(&[
+                "crates/bench/src/bin/delta_scan.rs",
                 "crates/bench/src/bin/kernel_throughput.rs",
                 "crates/bench/src/bin/list_reuse.rs",
                 "crates/cluster/src/comm.rs",
@@ -44,6 +46,7 @@ impl Default for Config {
                 "crates/cluster/src/runner.rs",
                 "crates/cluster/src/transport.rs",
                 "crates/cluster/src/wire.rs",
+                "crates/core/src/delta.rs",
                 "crates/core/src/drivers.rs",
                 "crates/core/src/lists.rs",
                 "crates/core/src/procexec.rs",
@@ -51,7 +54,6 @@ impl Default for Config {
                 "crates/core/src/system.rs",
                 "crates/geom/src/fastmath.rs",
                 "crates/octree/src/build.rs",
-                "crates/octree/src/parallel.rs",
             ]),
             entry_files: v(&[
                 "crates/cluster/src/comm.rs",
@@ -60,7 +62,7 @@ impl Default for Config {
             ]),
             wire_files: v(&["crates/cluster/src/wire.rs", "crates/core/src/procexec.rs"]),
             blessed_float_files: v(&["crates/core/src/soa.rs"]),
-            debug_arith: false,
+            unsafe_allowlist: v(&["crates/sched/"]),
         }
     }
 }
@@ -72,7 +74,6 @@ fn code_of(kind: PanicKind) -> &'static str {
         PanicKind::SliceIndex => "PA003",
         PanicKind::IntDivRem => "PA004",
         PanicKind::CopyFromSlice => "PA005",
-        PanicKind::DebugArith => "PA006",
     }
 }
 
@@ -84,6 +85,7 @@ pub fn analyze(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
     diags.extend(deadline_boundedness(ws, &graph, cfg));
     diags.extend(wire_totality(ws, cfg));
     diags.extend(determinism_dataflow(ws, &graph, cfg));
+    diags.extend(unsafe_hygiene(ws, cfg));
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
     });
@@ -114,20 +116,8 @@ fn panic_reachability(ws: &Workspace, graph: &CallGraph, cfg: &Config) -> Vec<Di
             continue;
         }
         let file = ws.file_of(id);
-        let in_no_panic_file = cfg.no_panic_files.iter().any(|p| p == &file.rel);
         for fact in &f.facts {
             let Fact::Panic { kind, line, what } = fact else { continue };
-            if *kind == PanicKind::DebugArith && !cfg.debug_arith {
-                continue;
-            }
-            // Explicit panic macros and unwrap/expect *inside* a
-            // no-panic file are the legacy per-line rule's domain —
-            // reporting them here too would double every finding.
-            if in_no_panic_file
-                && matches!(kind, PanicKind::Macro | PanicKind::UnwrapExpect)
-            {
-                continue;
-            }
             if file.waived(*line, "PANIC-OK:") {
                 continue;
             }
@@ -294,12 +284,12 @@ fn wire_totality(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
         return Vec::new(); // wire files absent (e.g. fixture workspaces)
     }
 
-    // Scan every non-test fn body workspace-wide for `kind :: NAME`.
+    // Scan every production fn body workspace-wide for `kind :: NAME`.
     let mut encoded: BTreeSet<String> = BTreeSet::new();
     let mut decoded: BTreeSet<String> = BTreeSet::new();
     for id in 0..ws.fns.len() {
         let f = ws.fn_ir(id);
-        if f.in_test {
+        if f.in_test || is_aux(&ws.file_of(id).rel) {
             continue;
         }
         let body = &f.body;
@@ -559,14 +549,13 @@ fn accumulator_fns(ws: &Workspace, graph: &CallGraph) -> Vec<bool> {
     }
 }
 
+/// Checks every function, test and vendored code included: a test that
+/// folds in hash order is as flaky as production code that does.
 fn determinism_dataflow(ws: &Workspace, graph: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
     let acc_fns = accumulator_fns(ws, graph);
     let mut out = Vec::new();
     for id in 0..ws.fns.len() {
         let f = ws.fn_ir(id);
-        if f.in_test {
-            continue;
-        }
         let file = ws.file_of(id);
         let blessed = cfg.blessed_float_files.iter().any(|p| p == &file.rel);
 
@@ -598,6 +587,7 @@ fn determinism_dataflow(ws: &Workspace, graph: &CallGraph, cfg: &Config) -> Vec<
                     })
                     .map(|c| (c.line, format!("`{}(&mut …)`", c.name)));
             }
+            // Reported at the loop header, the order-dependent site.
             if let Some((line, what)) = hit {
                 if file.waived(lp.line, "DETERMINISM-OK:")
                     || file.waived(line, "DETERMINISM-OK:")
@@ -607,7 +597,7 @@ fn determinism_dataflow(ws: &Workspace, graph: &CallGraph, cfg: &Config) -> Vec<
                 out.push(Diagnostic {
                     code: "DT001",
                     file: file.rel.clone(),
-                    line,
+                    line: lp.line,
                     func: f.name.clone(),
                     anchor: what.clone(),
                     message: format!(
@@ -788,6 +778,88 @@ fn hash_chain_hits(
     out
 }
 
+// ---------------------------------------------------------------------------
+// US: unsafe hygiene
+// ---------------------------------------------------------------------------
+
+/// `src/lib.rs`, `src/main.rs`, or a binary under `src/bin/`.
+fn is_crate_root(rel: &str) -> bool {
+    let rel = format!("/{rel}");
+    rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs") || rel.contains("/src/bin/")
+}
+
+/// Is the `unsafe` at `line` documented by `SAFETY:` on the same line or
+/// anywhere in the contiguous comment/attribute block immediately above?
+fn safety_documented(file: &crate::ir::FileIr, line: usize) -> bool {
+    let raw = &file.raw_lines;
+    let above = raw[..line.saturating_sub(1).min(raw.len())]
+        .iter()
+        .rev()
+        .take_while(|l| {
+            let t = l.trim_start();
+            t.is_empty() || t.starts_with("//") || t.starts_with("#[") || t.starts_with("#![")
+        });
+    raw.get(line - 1)
+        .into_iter()
+        .chain(above)
+        .any(|l| l.contains("SAFETY:"))
+}
+
+/// Every file, test and vendored code included: `unsafe` only inside
+/// the allowlist and there only with a `SAFETY:` comment (US001/US002);
+/// every crate root forbids `unsafe_code`, or denies it inside the
+/// allowlist (US003).
+fn unsafe_hygiene(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for file in &ws.files {
+        let allowed = cfg
+            .unsafe_allowlist
+            .iter()
+            .any(|p| file.rel.starts_with(p.as_str()));
+        let mut push = |code, line, anchor: &str, message: &str| {
+            out.push(Diagnostic {
+                code,
+                file: file.rel.clone(),
+                line,
+                func: String::new(),
+                anchor: anchor.into(),
+                message: message.into(),
+                path: Vec::new(),
+            })
+        };
+        for &line in &file.unsafe_lines {
+            if !allowed {
+                push(
+                    "US001",
+                    line,
+                    "unsafe",
+                    "`unsafe` outside the audited allowlist; move the \
+                     code there or make it safe",
+                );
+            } else if !safety_documented(file, line) {
+                push(
+                    "US002",
+                    line,
+                    "unsafe",
+                    "`unsafe` without a `// SAFETY:` comment on its \
+                     line or in the comment block immediately above",
+                );
+            }
+        }
+        let level = |l: &str| file.unsafe_code_levels.iter().any(|x| x == l);
+        if is_crate_root(&file.rel) && !(level("forbid") || (allowed && level("deny"))) {
+            push(
+                "US003",
+                1,
+                "#![forbid(unsafe_code)]",
+                "crate root must carry \
+                 #![forbid(unsafe_code)] (an allowlisted crate may use #![deny(unsafe_code)])",
+            );
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,7 +877,36 @@ mod tests {
             entry_files: entries.iter().map(|s| s.to_string()).collect(),
             wire_files: vec!["wire.rs".into()],
             blessed_float_files: vec!["blessed.rs".into()],
-            debug_arith: false,
+            unsafe_allowlist: Vec::new(),
+        }
+    }
+
+    /// A listed path that no longer exists would silently stop being
+    /// checked. Destructuring makes a new list fail to compile here
+    /// until it is checked too.
+    #[test]
+    fn every_default_path_exists_in_the_workspace() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let Config {
+            no_panic_files,
+            entry_files,
+            wire_files,
+            blessed_float_files,
+            unsafe_allowlist,
+        } = Config::default();
+        for rel in no_panic_files
+            .iter()
+            .chain(&entry_files)
+            .chain(&wire_files)
+            .chain(&blessed_float_files)
+        {
+            assert!(root.join(rel).is_file(), "listed file {rel} does not exist");
+        }
+        for rel in &unsafe_allowlist {
+            assert!(
+                root.join(rel).is_dir(),
+                "listed directory {rel} does not exist"
+            );
         }
     }
 

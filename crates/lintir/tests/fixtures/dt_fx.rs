@@ -2,8 +2,8 @@
 
 pub fn hash_loop(m: &HashMap<u32, f64>) -> f64 {
     let mut s = 0.0;
-    for (_k, v) in m.iter() {
-        s += v; // FLAG DT001 line 6
+    for (_k, v) in m.iter() { // FLAG DT001 line 5
+        s += v;
     }
     s
 }

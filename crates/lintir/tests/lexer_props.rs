@@ -3,7 +3,7 @@
 //! must reproduce the source byte-for-byte — including on every real
 //! file in this workspace.
 
-use lintir::lex::{lex, strip_source};
+use lintir::lex::lex;
 use proptest::prelude::*;
 
 /// Fragments chosen to collide lexer states: raw-string fences, block
@@ -80,17 +80,6 @@ proptest! {
         assert_round_trips(&src);
     }
 
-    #[test]
-    // 1.. — on "" strip_source yields one empty line where str::lines
-    // yields none (matching the legacy linter's behavior).
-    fn strip_preserves_line_structure(idxs in prop::collection::vec(0usize..64, 1usize..40)) {
-        let src = assemble(idxs);
-        let stripped = strip_source(&src);
-        prop_assert_eq!(stripped.len(), src.lines().count());
-        for (raw, clean) in src.lines().zip(&stripped) {
-            prop_assert_eq!(raw.chars().count(), clean.chars().count());
-        }
-    }
 }
 
 /// Every `.rs` file in the repository must lex losslessly.

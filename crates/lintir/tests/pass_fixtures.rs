@@ -1,14 +1,15 @@
-//! Fixture suite for the four interprocedural passes.
+//! Fixture suite for the passes.
 //!
-//! The fixtures live under `tests/fixtures/` (a directory both the
-//! legacy linter and [`Workspace::load`] skip, so the intentionally
-//! broken code never trips the real gates). Every expected finding is
-//! asserted with its exact code, file, and line; every deliberate
-//! negative (waiver, precision case) is asserted absent.
+//! The fixtures live under `tests/fixtures/` (a directory
+//! [`Workspace::load`] skips, so the intentionally broken code never
+//! trips the real gate). Every expected finding is asserted with its
+//! exact code, file, and line; every deliberate negative (waiver,
+//! precision case) is asserted absent.
 
 use lintir::graph::Workspace;
 use lintir::passes::{analyze, Config};
 use lintir::Diagnostic;
+use std::path::Path;
 
 const PA_ENTRY: &str = include_str!("fixtures/pa_entry.rs");
 const PA_HELPER: &str = include_str!("fixtures/pa_helper.rs");
@@ -16,6 +17,13 @@ const DL_ENTRY: &str = include_str!("fixtures/dl_entry.rs");
 const DL_HELPER: &str = include_str!("fixtures/dl_helper.rs");
 const WIRE_FX: &str = include_str!("fixtures/wire_fx.rs");
 const DT_FX: &str = include_str!("fixtures/dt_fx.rs");
+const DT_TEST_CODE: &str = include_str!("fixtures/dt_test_code.rs");
+const PANIC_PATHS: &str = include_str!("fixtures/panic_paths.rs");
+const HASH_ITER: &str = include_str!("fixtures/hash_iter.rs");
+const FLOAT_REDUCTION: &str = include_str!("fixtures/float_reduction.rs");
+const MISSING_SAFETY: &str = include_str!("fixtures/missing_safety.rs");
+const UNSAFE_OUTSIDE: &str = include_str!("fixtures/unsafe_outside_allowlist.rs");
+const MISSING_FORBID: &str = include_str!("fixtures/missing_forbid.rs");
 
 fn fixture_diags() -> Vec<Diagnostic> {
     let sources: Vec<(String, String)> = [
@@ -35,9 +43,35 @@ fn fixture_diags() -> Vec<Diagnostic> {
         entry_files: vec!["dl_entry.rs".into()],
         wire_files: vec!["wire_fx.rs".into()],
         blessed_float_files: Vec::new(),
-        debug_arith: false,
+        unsafe_allowlist: Vec::new(),
     };
     analyze(&ws, &cfg)
+}
+
+/// No file lists; `allowed/` is the unsafe allowlist.
+fn bare_cfg() -> Config {
+    Config {
+        no_panic_files: Vec::new(),
+        entry_files: Vec::new(),
+        wire_files: Vec::new(),
+        blessed_float_files: Vec::new(),
+        unsafe_allowlist: vec!["allowed/".into()],
+    }
+}
+
+/// Exact `(code, file, line)` findings of `files` analyzed as one
+/// workspace.
+fn findings(files: &[(&str, &str)], cfg: &Config) -> Vec<(String, String, usize)> {
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|(a, b)| (a.to_string(), b.to_string()))
+        .collect();
+    let diags = analyze(&Workspace::from_sources(&sources), cfg);
+    keys(&diags.iter().collect::<Vec<_>>())
+}
+
+fn at(code: &str, file: &str, line: usize) -> (String, String, usize) {
+    (code.into(), file.into(), line)
 }
 
 fn by_code<'a>(diags: &'a [Diagnostic], prefix: &str) -> Vec<&'a Diagnostic> {
@@ -164,7 +198,7 @@ fn determinism_exact_findings() {
     assert_eq!(
         keys(&dt),
         vec![
-            ("DT001".into(), "dt_fx.rs".into(), 6),
+            ("DT001".into(), "dt_fx.rs".into(), 5),
             ("DT001".into(), "dt_fx.rs".into(), 12),
             ("DT002".into(), "dt_fx.rs".into(), 18),
             ("DT002".into(), "dt_fx.rs".into(), 29),
@@ -194,4 +228,147 @@ fn determinism_negatives() {
 fn fixture_total_is_pinned() {
     // Guards against silent new findings creeping into the fixtures.
     assert_eq!(fixture_diags().len(), 16);
+}
+
+#[test]
+fn panic_calls_inside_a_no_panic_file_are_flagged() {
+    let file = "np/panic_paths.rs";
+    let cfg = Config {
+        no_panic_files: vec![file.into()],
+        ..bare_cfg()
+    };
+    // Line 20 is waived from the line above, 24 on its own line; 28 is
+    // a string literal; 36 is `#[cfg(test)]` code.
+    assert_eq!(
+        findings(&[(file, PANIC_PATHS)], &cfg),
+        vec![
+            at("PA002", file, 5),
+            at("PA002", file, 9),
+            at("PA001", file, 14)
+        ]
+    );
+    // Outside the no-panic zone nothing roots the pass.
+    assert_eq!(findings(&[(file, PANIC_PATHS)], &bare_cfg()), vec![]);
+}
+
+#[test]
+fn hash_order_accumulation_is_flagged() {
+    // Clean: a waived loop (21), a BTreeMap (29), a non-folding chain (36).
+    let file = "hash_iter.rs";
+    assert_eq!(
+        findings(&[(file, HASH_ITER)], &bare_cfg()),
+        vec![at("DT001", file, 8), at("DT001", file, 15)]
+    );
+}
+
+#[test]
+fn captured_float_accumulators_are_flagged_outside_blessed_files() {
+    // Clean: a closure-local accumulator (15) and a waived one (24).
+    let file = "float_reduction.rs";
+    assert_eq!(
+        findings(&[(file, FLOAT_REDUCTION)], &bare_cfg()),
+        vec![at("DT002", file, 7)]
+    );
+    let blessed = Config {
+        blessed_float_files: vec![file.into()],
+        ..bare_cfg()
+    };
+    assert_eq!(findings(&[(file, FLOAT_REDUCTION)], &blessed), vec![]);
+}
+
+#[test]
+fn test_code_is_checked_for_determinism() {
+    // A `#[test]` fn in a source file, and a plain fn in a `tests/` file.
+    for file in [
+        "crates/fx/src/dt_test_code.rs",
+        "crates/fx/tests/dt_test_code.rs",
+    ] {
+        assert_eq!(
+            findings(&[(file, DT_TEST_CODE)], &bare_cfg()),
+            vec![at("DT001", file, 5), at("DT001", file, 16)]
+        );
+    }
+}
+
+#[test]
+fn undocumented_unsafe_is_flagged_in_the_allowlist() {
+    // Clean: a SAFETY comment above (10) and a long comment block
+    // ending in an attribute (22).
+    let file = "allowed/src/missing_safety.rs";
+    assert_eq!(
+        findings(&[(file, MISSING_SAFETY)], &bare_cfg()),
+        vec![at("US002", file, 5), at("US002", file, 31)]
+    );
+}
+
+#[test]
+fn unsafe_outside_the_allowlist_is_flagged_regardless_of_comments() {
+    let file = "crates/fx/src/unsafe_outside_allowlist.rs";
+    assert_eq!(
+        findings(&[(file, UNSAFE_OUTSIDE)], &bare_cfg()),
+        vec![at("US001", file, 7)]
+    );
+}
+
+#[test]
+fn crate_roots_must_forbid_unsafe_code() {
+    let root = "crates/fx/src/lib.rs";
+    assert_eq!(
+        findings(&[(root, MISSING_FORBID)], &bare_cfg()),
+        vec![at("US003", root, 1)]
+    );
+    // The same file as a plain module is not a crate root.
+    assert_eq!(
+        findings(&[("crates/fx/src/m.rs", MISSING_FORBID)], &bare_cfg()),
+        vec![]
+    );
+    // The allowlisted crate may settle for deny plus per-site allows;
+    // deny is not enough outside it.
+    let deny = "#![deny(unsafe_code)]\npub fn f() {}\n";
+    assert_eq!(
+        findings(&[("allowed/src/lib.rs", deny)], &bare_cfg()),
+        vec![]
+    );
+    assert_eq!(
+        findings(&[(root, deny)], &bare_cfg()),
+        vec![at("US003", root, 1)]
+    );
+}
+
+/// [`Workspace::load`] sees every `.rs` file outside `target/`,
+/// `fixtures/` and `related/`: a determinism or unsafe violation in
+/// `#[cfg(test)]` code, a `tests/` or `benches/` file, or a `vendor/`
+/// crate root is reported.
+#[test]
+fn a_loaded_workspace_covers_test_bench_and_vendor_trees() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lintir_load_coverage");
+    let _ = std::fs::remove_dir_all(&dir);
+    let hash_sum = "pub fn f(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n";
+    let unsafe_block = "pub fn g(p: *mut u8) { unsafe { p.write(0) } }\n";
+    let files = [
+        ("crates/fx/src/lib.rs", "#![forbid(unsafe_code)]\n#[cfg(test)]\nmod tests {\n    fn f(pool: &Pool) -> f64 {\n        let mut e = 0.0;\n        pool.run(|| { e += 1.0; });\n        e\n    }\n}\n"),
+        ("crates/fx/tests/it.rs", hash_sum),
+        ("crates/fx/benches/b.rs", unsafe_block),
+        ("vendor/v/src/lib.rs", "pub fn v() {}\n"),
+        ("target/skipped.rs", unsafe_block),
+        ("crates/fx/tests/fixtures/skipped.rs", unsafe_block),
+        ("related/skipped.rs", unsafe_block),
+    ];
+    for (rel, src) in files {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    }
+    let ws = Workspace::load(&dir).unwrap();
+    let got = keys(&analyze(&ws, &Config::default()).iter().collect::<Vec<_>>());
+    assert_eq!(
+        got,
+        vec![
+            at("US001", "crates/fx/benches/b.rs", 1),
+            at("DT002", "crates/fx/src/lib.rs", 6),
+            at("DT001", "crates/fx/tests/it.rs", 1),
+            at("US003", "vendor/v/src/lib.rs", 1),
+        ]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

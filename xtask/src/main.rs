@@ -5,6 +5,8 @@
 use std::process::ExitCode;
 use xtask::analyze;
 
+const USAGE: &str = "usage: cargo xtask <analyze [--format json|text] [--bless-baseline] | bless>";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
@@ -12,15 +14,11 @@ fn main() -> ExitCode {
         Some("bless") => bless(),
         Some(other) => {
             eprintln!("unknown xtask command: {other}");
-            eprintln!(
-                "usage: cargo xtask <analyze [--format json|text] [--bless-baseline] [paths...] | bless>"
-            );
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!(
-                "usage: cargo xtask <analyze [--format json|text] [--bless-baseline] [paths...] | bless>"
-            );
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
