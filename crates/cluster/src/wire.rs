@@ -126,17 +126,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Byte-level FNV-1a (the same hash the collectives use over f64 bit
-/// patterns, applied to raw frame bytes).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn frame_crc(kind: u8, body: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     h ^= kind as u64;

@@ -214,28 +214,14 @@ pub struct DeltaEngine {
     pub queries_rebuilt: u64,
 }
 
-impl ListEngine {
-    /// Upgrade this engine into the incremental perturbation engine
-    /// (`core::delta`): caches the phase state, builds the dirtiness
-    /// indexes, and serves [`DeltaEngine::apply_perturbation`] /
-    /// [`DeltaEngine::revert`] queries from then on.
-    pub fn into_delta(self) -> DeltaEngine {
-        DeltaEngine::from_engine(self)
-    }
-}
-
 impl DeltaEngine {
     /// Build a fresh engine at the molecule's geometry (counts as the
     /// first rebuild, like [`ListEngine::new`]). Pays one Born pass: the
     /// scaffold is built without radii and executed in full once.
     pub fn new(mol: &Molecule, approx: &ApproxParams, skin: f64) -> DeltaEngine {
-        DeltaEngine::from_engine(ListEngine::scaffold_only(mol, approx, skin))
-    }
-
-    /// Adopt a prepared [`ListEngine`]: recover its current positions
-    /// from the Morton snapshot, then execute one full pass to populate
-    /// the caches.
-    pub fn from_engine(base: ListEngine) -> DeltaEngine {
+        let base = ListEngine::scaffold_only(mol, approx, skin);
+        // Recover the positions and charges in original order from the
+        // Morton snapshot; the full pass below populates the caches.
         let n = base.sys.n_atoms();
         let mut positions = vec![Vec3::ZERO; n];
         let mut charges = vec![0.0f64; n];

@@ -30,11 +30,6 @@ pub struct MdParams {
     pub dt_fs: f64,
     /// Pair cutoff for the force kernel (Å).
     pub cutoff: f64,
-    /// Steps between Born-radius refreshes. Retained for configuration
-    /// compatibility; the list engine now refreshes radii every step
-    /// (cheap: a flat kernel sweep over prebuilt lists) and rebuilds the
-    /// octrees/lists only on skin violation, superseding this schedule.
-    pub born_refresh_every: usize,
     /// Harmonic restraint to each atom's start position
     /// (kcal/mol/Å²; 0 disables).
     pub restraint_k: f64,
@@ -50,7 +45,6 @@ impl Default for MdParams {
         MdParams {
             dt_fs: 1.0,
             cutoff: 20.0,
-            born_refresh_every: 5,
             restraint_k: 1.0,
             skin: 0.5,
         }

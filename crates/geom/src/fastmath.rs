@@ -144,15 +144,6 @@ pub fn rsqrt_fast(x: f64) -> f64 {
     y
 }
 
-/// Fast `sqrt(x)` = `x * rsqrt_fast(x)` (with a zero guard).
-#[inline]
-pub fn sqrt_fast(x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    x * rsqrt_fast(x)
-}
-
 /// Fast `exp(x)`.
 ///
 /// Splits `x = k ln2 + r` with `|r| <= ln2/2`, builds `2^k` through the
@@ -506,17 +497,6 @@ pub fn invcbrt_fast(x: f64) -> f64 {
     y
 }
 
-/// Fast cube root, `x^(1/3)`, for non-negative `x`.
-#[inline]
-pub fn cbrt_fast(x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    let inv = invcbrt_fast(x);
-    // x^(1/3) = x * (x^(-1/3))^2
-    x * inv * inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,12 +511,6 @@ mod tests {
             let e = rel_err(rsqrt_fast(x), 1.0 / x.sqrt());
             assert!(e < 5e-7, "x={x}: err={e}");
         }
-    }
-
-    #[test]
-    fn sqrt_fast_zero_guard() {
-        assert_eq!(sqrt_fast(0.0), 0.0);
-        assert_eq!(sqrt_fast(-1.0), 0.0);
     }
 
     #[test]
@@ -578,14 +552,6 @@ mod tests {
     fn invcbrt_exact_cube() {
         assert!((invcbrt_fast(8.0) - 0.5).abs() < 1e-13);
         assert!((invcbrt_fast(1.0) - 1.0).abs() < 1e-13);
-    }
-
-    #[test]
-    fn cbrt_fast_matches_std() {
-        for &x in &[0.0, 1.0, 8.0, 27.0, std::f64::consts::PI, 1e9] {
-            let e = (cbrt_fast(x) - x.cbrt()).abs();
-            assert!(e <= 1e-9 * x.cbrt().max(1.0), "x={x}");
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | DL0xx | deadline-boundedness      | `// DEADLINE-OK:`   |
 //! | WP0xx | wire-protocol totality    | `// WIRE-OK:`       |
 //! | DT0xx | determinism dataflow      | `// DETERMINISM-OK:`|
-//! | US0xx | unsafe hygiene            | — (`// SAFETY:` documents a site) |
+//! | US0xx | no `unsafe`               | — (none)            |
 //!
 //! Each pass is name- and token-driven; DESIGN.md §13 documents what
 //! each one over- and under-approximates.
@@ -29,8 +29,6 @@ pub struct Config {
     pub wire_files: Vec<String>,
     /// Files allowed scheduling-order float accumulation.
     pub blessed_float_files: Vec<String>,
-    /// Path prefixes of the audited crates allowed to contain `unsafe`.
-    pub unsafe_allowlist: Vec<String>,
 }
 
 impl Default for Config {
@@ -62,7 +60,6 @@ impl Default for Config {
             ]),
             wire_files: v(&["crates/cluster/src/wire.rs", "crates/core/src/procexec.rs"]),
             blessed_float_files: v(&["crates/core/src/soa.rs"]),
-            unsafe_allowlist: v(&["crates/sched/"]),
         }
     }
 }
@@ -85,7 +82,7 @@ pub fn analyze(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
     diags.extend(deadline_boundedness(ws, &graph, cfg));
     diags.extend(wire_totality(ws, cfg));
     diags.extend(determinism_dataflow(ws, &graph, cfg));
-    diags.extend(unsafe_hygiene(ws, cfg));
+    diags.extend(unsafe_hygiene(ws));
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
     });
@@ -788,34 +785,11 @@ fn is_crate_root(rel: &str) -> bool {
     rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs") || rel.contains("/src/bin/")
 }
 
-/// Is the `unsafe` at `line` documented by `SAFETY:` on the same line or
-/// anywhere in the contiguous comment/attribute block immediately above?
-fn safety_documented(file: &crate::ir::FileIr, line: usize) -> bool {
-    let raw = &file.raw_lines;
-    let above = raw[..line.saturating_sub(1).min(raw.len())]
-        .iter()
-        .rev()
-        .take_while(|l| {
-            let t = l.trim_start();
-            t.is_empty() || t.starts_with("//") || t.starts_with("#[") || t.starts_with("#![")
-        });
-    raw.get(line - 1)
-        .into_iter()
-        .chain(above)
-        .any(|l| l.contains("SAFETY:"))
-}
-
-/// Every file, test and vendored code included: `unsafe` only inside
-/// the allowlist and there only with a `SAFETY:` comment (US001/US002);
-/// every crate root forbids `unsafe_code`, or denies it inside the
-/// allowlist (US003).
-fn unsafe_hygiene(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
+/// Every file, test and vendored code included: no `unsafe` keyword
+/// anywhere (US001), and every crate root forbids `unsafe_code` (US003).
+fn unsafe_hygiene(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
-        let allowed = cfg
-            .unsafe_allowlist
-            .iter()
-            .any(|p| file.rel.starts_with(p.as_str()));
         let mut push = |code, line, anchor: &str, message: &str| {
             out.push(Diagnostic {
                 code,
@@ -828,32 +802,14 @@ fn unsafe_hygiene(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
             })
         };
         for &line in &file.unsafe_lines {
-            if !allowed {
-                push(
-                    "US001",
-                    line,
-                    "unsafe",
-                    "`unsafe` outside the audited allowlist; move the \
-                     code there or make it safe",
-                );
-            } else if !safety_documented(file, line) {
-                push(
-                    "US002",
-                    line,
-                    "unsafe",
-                    "`unsafe` without a `// SAFETY:` comment on its \
-                     line or in the comment block immediately above",
-                );
-            }
+            push("US001", line, "unsafe", "`unsafe` code; make it safe");
         }
-        let level = |l: &str| file.unsafe_code_levels.iter().any(|x| x == l);
-        if is_crate_root(&file.rel) && !(level("forbid") || (allowed && level("deny"))) {
+        if is_crate_root(&file.rel) && !file.unsafe_code_levels.iter().any(|l| l == "forbid") {
             push(
                 "US003",
                 1,
                 "#![forbid(unsafe_code)]",
-                "crate root must carry \
-                 #![forbid(unsafe_code)] (an allowlisted crate may use #![deny(unsafe_code)])",
+                "crate root must carry #![forbid(unsafe_code)]",
             );
         }
     }
@@ -877,7 +833,6 @@ mod tests {
             entry_files: entries.iter().map(|s| s.to_string()).collect(),
             wire_files: vec!["wire.rs".into()],
             blessed_float_files: vec!["blessed.rs".into()],
-            unsafe_allowlist: Vec::new(),
         }
     }
 
@@ -892,7 +847,6 @@ mod tests {
             entry_files,
             wire_files,
             blessed_float_files,
-            unsafe_allowlist,
         } = Config::default();
         for rel in no_panic_files
             .iter()
@@ -901,12 +855,6 @@ mod tests {
             .chain(&blessed_float_files)
         {
             assert!(root.join(rel).is_file(), "listed file {rel} does not exist");
-        }
-        for rel in &unsafe_allowlist {
-            assert!(
-                root.join(rel).is_dir(),
-                "listed directory {rel} does not exist"
-            );
         }
     }
 

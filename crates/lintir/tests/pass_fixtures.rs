@@ -21,8 +21,7 @@ const DT_TEST_CODE: &str = include_str!("fixtures/dt_test_code.rs");
 const PANIC_PATHS: &str = include_str!("fixtures/panic_paths.rs");
 const HASH_ITER: &str = include_str!("fixtures/hash_iter.rs");
 const FLOAT_REDUCTION: &str = include_str!("fixtures/float_reduction.rs");
-const MISSING_SAFETY: &str = include_str!("fixtures/missing_safety.rs");
-const UNSAFE_OUTSIDE: &str = include_str!("fixtures/unsafe_outside_allowlist.rs");
+const UNSAFE_WITH_SAFETY: &str = include_str!("fixtures/unsafe_with_safety.rs");
 const MISSING_FORBID: &str = include_str!("fixtures/missing_forbid.rs");
 
 fn fixture_diags() -> Vec<Diagnostic> {
@@ -43,19 +42,17 @@ fn fixture_diags() -> Vec<Diagnostic> {
         entry_files: vec!["dl_entry.rs".into()],
         wire_files: vec!["wire_fx.rs".into()],
         blessed_float_files: Vec::new(),
-        unsafe_allowlist: Vec::new(),
     };
     analyze(&ws, &cfg)
 }
 
-/// No file lists; `allowed/` is the unsafe allowlist.
+/// No file lists.
 fn bare_cfg() -> Config {
     Config {
         no_panic_files: Vec::new(),
         entry_files: Vec::new(),
         wire_files: Vec::new(),
         blessed_float_files: Vec::new(),
-        unsafe_allowlist: vec!["allowed/".into()],
     }
 }
 
@@ -291,23 +288,18 @@ fn test_code_is_checked_for_determinism() {
 }
 
 #[test]
-fn undocumented_unsafe_is_flagged_in_the_allowlist() {
-    // Clean: a SAFETY comment above (10) and a long comment block
-    // ending in an attribute (22).
-    let file = "allowed/src/missing_safety.rs";
-    assert_eq!(
-        findings(&[(file, MISSING_SAFETY)], &bare_cfg()),
-        vec![at("US002", file, 5), at("US002", file, 31)]
-    );
-}
-
-#[test]
-fn unsafe_outside_the_allowlist_is_flagged_regardless_of_comments() {
-    let file = "crates/fx/src/unsafe_outside_allowlist.rs";
-    assert_eq!(
-        findings(&[(file, UNSAFE_OUTSIDE)], &bare_cfg()),
-        vec![at("US001", file, 7)]
-    );
+fn unsafe_is_flagged_everywhere_regardless_of_comments() {
+    for file in [
+        "crates/sched/src/pool.rs",
+        "crates/fx/tests/it.rs",
+        "crates/fx/benches/b.rs",
+        "vendor/v/src/m.rs",
+    ] {
+        assert_eq!(
+            findings(&[(file, UNSAFE_WITH_SAFETY)], &bare_cfg()),
+            vec![at("US001", file, 7)]
+        );
+    }
 }
 
 #[test]
@@ -322,17 +314,21 @@ fn crate_roots_must_forbid_unsafe_code() {
         findings(&[("crates/fx/src/m.rs", MISSING_FORBID)], &bare_cfg()),
         vec![]
     );
-    // The allowlisted crate may settle for deny plus per-site allows;
-    // deny is not enough outside it.
+    // deny is not enough in any crate root, binaries and vendored
+    // crates included.
     let deny = "#![deny(unsafe_code)]\npub fn f() {}\n";
-    assert_eq!(
-        findings(&[("allowed/src/lib.rs", deny)], &bare_cfg()),
-        vec![]
-    );
-    assert_eq!(
-        findings(&[(root, deny)], &bare_cfg()),
-        vec![at("US003", root, 1)]
-    );
+    for root in [
+        root,
+        "crates/sched/src/lib.rs",
+        "crates/fx/src/main.rs",
+        "crates/fx/src/bin/tool.rs",
+        "vendor/v/src/lib.rs",
+    ] {
+        assert_eq!(
+            findings(&[(root, deny)], &bare_cfg()),
+            vec![at("US003", root, 1)]
+        );
+    }
 }
 
 /// [`Workspace::load`] sees every `.rs` file outside `target/`,

@@ -4,8 +4,7 @@
 //! explorer checks every access pair for a happens-before edge via
 //! vector clocks and reports a data race when two threads touch the
 //! cell concurrently (unless both accesses are reads). This is the
-//! model-world stand-in for what `unsafe` raw-pointer writes (e.g.
-//! `SyncSlice` in `polaroct-sched`) do in the real code.
+//! model-world stand-in for a plain shared write with no lock around it.
 //!
 //! [`WriteOnce`] adds the pool's exactly-once delivery invariant on
 //! top: a second write to the same slot fails the model even if the
@@ -69,8 +68,7 @@ impl<T: Copy> RaceCell<T> {
 }
 
 /// A slot that must be written exactly once (and is race-checked like
-/// [`RaceCell`]). Mirrors `SyncSlice`'s contract: disjoint indices,
-/// one writer per index.
+/// [`RaceCell`]): the pool's result slots, one writer per index.
 #[derive(Debug)]
 pub struct WriteOnce<T> {
     cell: RaceCell<Option<T>>,

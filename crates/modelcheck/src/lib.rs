@@ -2,9 +2,8 @@
 //!
 //! A vendored, dependency-free, loom-style **bounded interleaving
 //! explorer** for the workspace's concurrency protocols (the
-//! work-stealing pool's termination/exactly-once protocol, the
-//! `SyncSlice` disjoint-write invariant, and the cluster communicator's
-//! two-round fault-tolerant gather handshake).
+//! work-stealing pool's termination/exactly-once protocol and the
+//! cluster communicator's two-round fault-tolerant gather handshake).
 //!
 //! ## How it works
 //!
@@ -72,8 +71,8 @@
 //! * Atomics are explored under **sequential consistency** (every atomic
 //!   op is a full acquire+release sync). That over-synchronizes relative
 //!   to `Relaxed`-heavy code: a bug that needs weak-memory reordering is
-//!   out of scope of this checker (Miri and careful `Ordering` review
-//!   cover that axis; see DESIGN.md §9).
+//!   out of scope of this checker (careful `Ordering` review covers
+//!   that axis; see DESIGN.md §9).
 //!
 //! The crate is `#![forbid(unsafe_code)]`: the runtime serializes model
 //! threads, so everything — including the `Mutex`/`RaceCell` interiors —

@@ -2,8 +2,7 @@
 //!
 //! Inside a model every operation here is a schedule point; outside a
 //! model each type falls back to its real `std` behavior, so code
-//! compiled against the shims (e.g. `polaroct-sched` under
-//! `--cfg modelcheck`) still runs normally in plain unit tests.
+//! compiled against the shims still runs normally in plain unit tests.
 
 use crate::rt::{self, Grant, ObjectKind, Op};
 use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};

@@ -1,85 +1,13 @@
 //! Spatial queries over the linear octree.
 //!
-//! The energy kernels use their own fused traversals; these general
-//! queries serve the tooling around them — clash detection in the docking
-//! example, neighborhood analyses, and tests that cross-check the
-//! kernels' traversal pruning against a reference implementation.
+//! The energy kernels use their own fused traversals; the general query
+//! here serves the tooling around them: clash detection between two
+//! trees, as in the pose minimizer example.
 
 use crate::node::NodeId;
 use crate::tree::Octree;
-use polaroct_geom::Vec3;
 
 impl Octree {
-    /// Indices (in Morton order) of all points within `radius` of `center`.
-    ///
-    /// Prunes subtrees whose bounding sphere cannot intersect the query
-    /// ball; `O(log M + k)` for well-separated data.
-    pub fn range_query(&self, center: Vec3, radius: f64) -> Vec<u32> {
-        assert!(radius >= 0.0);
-        let mut out = Vec::new();
-        let r2 = radius * radius;
-        let mut stack: Vec<NodeId> = vec![0];
-        while let Some(id) = stack.pop() {
-            let n = self.node(id);
-            let d = n.center.dist(center);
-            if d > n.radius + radius {
-                continue; // disjoint
-            }
-            if d + n.radius <= radius {
-                // Node fully inside the ball: take the whole range.
-                out.extend(n.begin..n.end);
-                continue;
-            }
-            if n.is_leaf() {
-                for i in n.range() {
-                    if self.points[i].dist2(center) <= r2 {
-                        out.push(i as u32);
-                    }
-                }
-            } else {
-                stack.extend(n.children());
-            }
-        }
-        out
-    }
-
-    /// Index (Morton order) and distance of the point nearest to `q`.
-    /// Branch-and-bound descent; returns `None` for an empty tree.
-    pub fn nearest(&self, q: Vec3) -> Option<(u32, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best = (u32::MAX, f64::INFINITY);
-        // Stack of (node, lower bound on distance).
-        let mut stack: Vec<(NodeId, f64)> = vec![(0, 0.0)];
-        while let Some((id, bound)) = stack.pop() {
-            if bound >= best.1 {
-                continue;
-            }
-            let n = self.node(id);
-            if n.is_leaf() {
-                for i in n.range() {
-                    let d = self.points[i].dist(q);
-                    if d < best.1 {
-                        best = (i as u32, d);
-                    }
-                }
-                continue;
-            }
-            // Visit children nearest-first (push farthest first).
-            let mut kids: Vec<(NodeId, f64)> = n
-                .children()
-                .map(|c| {
-                    let k = self.node(c);
-                    (c, (k.center.dist(q) - k.radius).max(0.0))
-                })
-                .collect();
-            kids.sort_by(|a, b| b.1.total_cmp(&a.1));
-            stack.extend(kids);
-        }
-        Some(best)
-    }
-
     /// Do any two points of `self` and `other` come within `dist`?
     /// Dual-tree descent with sphere pruning — used for pose clash checks.
     pub fn intersects_within(&self, other: &Octree, dist: f64) -> bool {
@@ -131,45 +59,6 @@ mod tests {
             (s as f64 / u64::MAX as f64) * 50.0
         };
         (0..n).map(|_| Vec3::new(next(), next(), next())).collect()
-    }
-
-    #[test]
-    fn range_query_matches_brute_force() {
-        let pts = cloud(800, 3);
-        let t = build(&pts, BuildParams { leaf_capacity: 8, ..Default::default() });
-        for (qc, qr) in [(Vec3::splat(25.0), 10.0), (Vec3::splat(0.0), 5.0), (Vec3::splat(25.0), 100.0)] {
-            let mut got = t.range_query(qc, qr);
-            got.sort_unstable();
-            let mut brute: Vec<u32> = (0..t.len() as u32)
-                .filter(|&i| t.points[i as usize].dist(qc) <= qr)
-                .collect();
-            brute.sort_unstable();
-            assert_eq!(got, brute, "query {qc:?} r={qr}");
-        }
-    }
-
-    #[test]
-    fn range_query_zero_radius() {
-        let pts = cloud(100, 5);
-        let t = build(&pts, BuildParams::default());
-        let hits = t.range_query(t.points[17], 0.0);
-        assert!(hits.contains(&17));
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let pts = cloud(600, 7);
-        let t = build(&pts, BuildParams { leaf_capacity: 16, ..Default::default() });
-        for q in [Vec3::splat(1.0), Vec3::splat(49.0), Vec3::new(-10.0, 25.0, 70.0)] {
-            let (gi, gd) = t.nearest(q).unwrap();
-            let (bi, bd) = (0..t.len())
-                .map(|i| (i, t.points[i].dist(q)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap();
-            assert!((gd - bd).abs() < 1e-12, "dist {gd} vs {bd}");
-            // Ties can differ in index; distances must match.
-            let _ = (gi, bi);
-        }
     }
 
     #[test]

@@ -48,13 +48,6 @@ impl Octree {
         self.leaf_ids.len()
     }
 
-    /// Positions of the points under `node` (dense slice — this is the
-    /// cache-friendliness the paper banks on).
-    #[inline]
-    pub fn points_of(&self, node: &Node) -> &[Vec3] {
-        &self.points[node.range()]
-    }
-
     /// FNV-1a digest over the tree's complete content — domain, every
     /// node field (float *bits*, not values), sorted points,
     /// `point_order`, `leaf_ids`. Two trees digest equal iff they are

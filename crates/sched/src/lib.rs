@@ -24,25 +24,11 @@
 //!   nodes), relying on the `T_p ≤ T_1/p + O(T_∞)` bound the paper quotes
 //!   from Blumofe & Leiserson.
 
-//!
-//! `polaroct-sched` is the **only** workspace crate allowed to contain
-//! `unsafe` code (the audited allowlist of `cargo xtask analyze`): the
-//! pool's result-collection path writes disjoint slots of one output
-//! buffer from many workers. Every `unsafe` site carries a `// SAFETY:`
-//! comment (machine-checked by the linter), the crate root denies
-//! `unsafe_code` so new sites need an explicit scoped `allow`, and the
-//! disjointness argument itself is model-checked exhaustively in
-//! `polaroct-modelcheck` and exercised under Miri.
-
-// New `unsafe` must opt in via a scoped `#[allow(unsafe_code)]` next to
-// its SAFETY comment; see `slice::SyncSlice` for the audited pattern.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod chunk;
 pub mod pool;
 pub mod sim;
-mod slice;
-pub mod sync;
 
 pub use chunk::{partition_by_cost, CoverageIndex};
 pub use pool::{PoolMetrics, WorkStealingPool};

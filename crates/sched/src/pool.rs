@@ -6,9 +6,9 @@
 //! oldest — and therefore largest — subrange, which is also the
 //! least-recently-touched data, the cache-friendliness argument of §V.A).
 
-use crate::slice::SyncSlice;
-use crate::sync::atomic::{AtomicUsize, Ordering};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// A contiguous index subrange of the task space.
 type Chunk = (usize, usize);
@@ -196,43 +196,22 @@ impl WorkStealingPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let metrics;
-        {
-            let slots = SyncSlice::new(out.as_mut_ptr(), n);
-            metrics = self.run(n, |i| {
-                let v = f(i);
-                // SAFETY: `run` executes each index in `0..n` exactly once
-                // (model-checked exhaustively in
-                // `modelcheck/tests/pool_model.rs`), so every slot is
-                // written by at most one thread and `i < n` always holds;
-                // if `f(i)` panics we never reach the write and the slot
-                // stays `None` (overwriting a `None` drops nothing). The
-                // writes are published to this (borrowing) thread by the
-                // scoped-thread joins inside `run`.
-                #[allow(unsafe_code)]
-                unsafe {
-                    slots.write(i, Some(v))
-                };
-            });
-        }
+        // One slot per index, written once by the task that owns it
+        // (`run` only hands out `i < n`). A panic in `f(i)` happens before
+        // the lock is taken, so no slot is ever poisoned; `into_inner`
+        // keeps that from being a panic path anyway.
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let metrics = self.run(n, |i| {
+            let v = f(i);
+            if let Some(slot) = slots.get(i) {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
+            }
+        });
+        let out = slots
+            .into_iter()
+            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         (out, metrics)
-    }
-
-    /// Map `0..n` through `f`, collecting results in index order.
-    /// Panics if any task panicked (the historical all-or-nothing
-    /// contract); use [`WorkStealingPool::try_map`] to handle partial
-    /// results.
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let (slots, metrics) = self.try_map(n, f);
-        // PANIC-OK: map's documented contract is all-or-nothing; try_map is the non-panicking path.
-        assert_eq!(metrics.panics, 0, "{} pool task(s) panicked", metrics.panics);
-        // PANIC-OK: same contract — try_map fills every slot exactly once when nothing panicked.
-        slots.into_iter().map(|s| s.expect("every task runs exactly once")).collect()
     }
 }
 
@@ -250,33 +229,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    /// Small enough to run under Miri (the advisory nightly CI job):
-    /// exercises the whole `SyncSlice` unsafe path — raw-pointer writes
-    /// from several real threads into one output buffer — so Miri's
-    /// aliasing and data-race checkers audit the disjointness argument
-    /// on every nightly run.
     #[test]
-    fn syncslice_disjoint_writes_small() {
-        let pool = WorkStealingPool::new(3);
-        let (slots, m) = pool.try_map(17, |i| i * 7);
-        assert_eq!(m.panics, 0);
-        for (i, s) in slots.iter().enumerate() {
-            assert_eq!(*s, Some(i * 7), "index {i}");
-        }
-        // And the panicking variant: the skipped slot stays None.
-        let (slots, m) = pool.try_map(9, |i| {
-            if i == 4 {
-                panic!("injected");
-            }
-            i
-        });
-        assert_eq!(m.panics, 1);
-        assert!(slots[4].is_none());
-        assert_eq!(slots[8], Some(8));
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "10k tasks is too slow under the interpreter")]
     fn executes_every_index_exactly_once() {
         let n = 10_000;
         let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
@@ -311,24 +264,26 @@ mod tests {
     #[test]
     fn map_preserves_index_order() {
         let pool = WorkStealingPool::new(3);
-        let v = pool.map(257, |i| i * i);
+        let (v, m) = pool.try_map(257, |i| i * i);
+        assert_eq!(m.panics, 0);
         for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i * i);
+            assert_eq!(x, Some(i * i));
         }
     }
 
     #[test]
     fn grain_respected_and_results_identical() {
         let pool = WorkStealingPool::new(2).with_grain(64);
-        let v = pool.map(1000, |i| i + 1);
-        assert_eq!(v[999], 1000);
+        let (v, _) = pool.try_map(1000, |i| i + 1);
+        assert_eq!(v, (1..=1000).map(Some).collect::<Vec<_>>());
     }
 
     #[test]
     fn map_of_zero_tasks_is_empty() {
         let pool = WorkStealingPool::new(4);
-        let v: Vec<usize> = pool.map(0, |_| panic!("must not run"));
+        let (v, m) = pool.try_map(0, |_| -> usize { panic!("must not run") });
         assert!(v.is_empty());
+        assert_eq!(m, PoolMetrics::default());
     }
 
     #[test]
@@ -343,8 +298,8 @@ mod tests {
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
         }
-        let v = pool.map(5, |i| i * 10);
-        assert_eq!(v, vec![0, 10, 20, 30, 40]);
+        let (v, _) = pool.try_map(5, |i| i * 10);
+        assert_eq!(v, vec![Some(0), Some(10), Some(20), Some(30), Some(40)]);
     }
 
     #[test]
@@ -379,37 +334,36 @@ mod tests {
 
     #[test]
     fn try_map_leaves_none_for_panicked_slots() {
-        let pool = WorkStealingPool::new(3);
-        let (slots, m) = pool.try_map(64, |i| {
-            if i == 20 {
-                panic!("injected");
-            }
-            i * 3
-        });
-        assert_eq!(m.panics, 1);
-        for (i, s) in slots.iter().enumerate() {
-            if i == 20 {
-                assert!(s.is_none());
-            } else {
-                assert_eq!(*s, Some(i * 3), "index {i}");
+        // Every width, sizes around a power-of-two split, and no panic or
+        // one at the first, middle or last index: the other slots hold
+        // `f(i)` in index order.
+        for width in [1, 2, 3, 8] {
+            let pool = WorkStealingPool::new(width);
+            for n in [0usize, 1, 63, 64, 65] {
+                let mut bad_at = vec![None];
+                if n > 0 {
+                    bad_at.extend([Some(0), Some(n / 2), Some(n - 1)]);
+                    bad_at.dedup();
+                }
+                for bad in bad_at {
+                    let (slots, m) = pool.try_map(n, |i| {
+                        if Some(i) == bad {
+                            panic!("injected");
+                        }
+                        i * 3
+                    });
+                    let want: Vec<Option<usize>> =
+                        (0..n).map(|i| (Some(i) != bad).then_some(i * 3)).collect();
+                    let case = format!("width {width}, n {n}, panic at {bad:?}");
+                    assert_eq!(slots, want, "{case}");
+                    assert_eq!(m.panics, usize::from(bad.is_some()), "{case}");
+                    assert_eq!(m.tasks, n, "{case}");
+                }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "pool task(s) panicked")]
-    fn map_still_fails_fast_on_task_panic() {
-        let pool = WorkStealingPool::new(2);
-        let _ = pool.map(16, |i| {
-            if i == 5 {
-                panic!("injected");
-            }
-            i
-        });
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "50k-iteration busy loops are too slow under the interpreter")]
     fn uneven_task_costs_still_complete() {
         // A few heavy tasks among many light ones — stealing must cover.
         let n = 512;

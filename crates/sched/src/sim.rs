@@ -248,7 +248,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "large virtual task sets are too slow under the interpreter")]
     fn blumofe_leiserson_upper_bound() {
         // T_p <= T_1/p + c * (T_inf + steals * steal_cost); for a flat
         // cilk_for, T_inf ~ grain_cost * log(n). Use a generous constant.
@@ -264,7 +263,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "large virtual task sets are too slow under the interpreter")]
     fn speedup_is_monotone_ish_in_p() {
         let costs = uniform(8192, 0.0005);
         let s2 = sim(2).speedup(&costs);
@@ -319,7 +317,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "large virtual task sets are too slow under the interpreter")]
     fn steals_scale_sanely() {
         // For a balanced cilk_for, steals are O(p log n), far below n.
         let costs = uniform(10_000, 1e-4);

@@ -6,8 +6,6 @@
 //! sampler's total weight can be checked against geometry rather than
 //! against itself.
 
-use polaroct_geom::Vec3;
-
 /// Area of the spherical cap of a sphere with radius `r1` that lies
 /// *inside* a second sphere of radius `r2` at center distance `d`
 /// (0 when disjoint, `4πr1²` when fully swallowed).
@@ -40,15 +38,11 @@ pub fn two_sphere_exposed_area(r1: f64, r2: f64, d: f64) -> f64 {
     a1 + a2 - buried_cap_area(r1, r2, d) - buried_cap_area(r2, r1, d)
 }
 
-/// Convenience: exact exposed area for two atoms given their centers.
-pub fn two_atom_exposed_area(c1: Vec3, r1: f64, c2: Vec3, r2: f64) -> f64 {
-    two_sphere_exposed_area(r1, r2, c1.dist(c2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sas::{surface_quadrature, SurfaceParams};
+    use polaroct_geom::Vec3;
     use polaroct_molecule::{Atom, Element, Molecule};
 
     const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;

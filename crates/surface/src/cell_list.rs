@@ -61,16 +61,6 @@ impl CellList {
         CellList { origin, cell: cell_size, dims, starts, entries }
     }
 
-    /// Grid dimensions (diagnostics).
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
-    }
-
-    /// Number of cells allocated.
-    pub fn cell_count(&self) -> usize {
-        self.dims[0] * self.dims[1] * self.dims[2]
-    }
-
     /// Visit the indices of all points within the 27-cell neighborhood of
     /// `p`. **Completeness requires `radius <= cell_size`**: every point
     /// within `radius` of `p` is visited (plus some farther ones — callers
