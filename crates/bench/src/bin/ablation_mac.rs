@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{suite, Table};
-use polaroct_core::born::{approx_integrals_custom_mac, push_integrals_to_atoms, BornAccumulators};
+use polaroct_core::born::{approx_integrals, push_integrals_to_atoms, BornAccumulators};
 use polaroct_core::naive::born_radii_naive;
 use polaroct_core::{ApproxParams, GbSystem};
 use polaroct_geom::fastmath::MathMode;
@@ -21,8 +21,9 @@ fn born_with_mac(sys: &GbSystem, mac: f64) -> (Vec<f64>, u64, u64) {
     let mut acc = BornAccumulators::zeros(sys);
     let mut near = 0u64;
     let mut far = 0u64;
+    let all = 0..sys.n_qpoints();
     for &q in &sys.qtree.leaf_ids {
-        let ops = approx_integrals_custom_mac(sys, q, mac, &mut acc);
+        let ops = approx_integrals(sys, q, &all, mac, &mut acc);
         near += ops.born_near;
         far += ops.born_far;
     }

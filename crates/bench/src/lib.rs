@@ -35,15 +35,6 @@ pub fn suite() -> Vec<ZdockEntry> {
     }
 }
 
-/// Scale factor for the big capsid experiments (BTV/CMV) in quick mode.
-pub fn capsid_atoms(full_size: usize) -> usize {
-    if quick_mode() {
-        (full_size / 40).max(2_000)
-    } else {
-        full_size
-    }
-}
-
 /// Atom count for the Blue Tongue Virus stand-in (§V.B: 6M atoms). The
 /// default runs at 1M (same hollow-shell geometry, 6x less wall time);
 /// `POLAROCT_FULL=1` restores the full 6M, `POLAROCT_QUICK=1` shrinks to
@@ -146,10 +137,6 @@ impl Table {
             }
         }
     }
-
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 /// Format seconds compactly (µs → min range).
@@ -174,7 +161,6 @@ mod tests {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["1".into(), "2".into()]);
         assert_eq!(t.to_tsv(), "a\tb\n1\t2\n");
-        assert_eq!(t.n_rows(), 1);
     }
 
     #[test]

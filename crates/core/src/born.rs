@@ -3,7 +3,7 @@
 //! For a quadrature-tree leaf `Q` and an atoms-tree node `A`:
 //!
 //! * **far** (`r_AQ > (r_A + r_Q)·(θ+1)/(θ−1)`, `θ = 1+ε` — see
-//!   `ApproxParams::born_mac_multiplier` for why not the prose's
+//!   [`crate::params::born_mac`] for why not the prose's
 //!   `(1+ε)^{1/6}`): the
 //!   whole leaf's contribution to every atom under `A` is approximated by
 //!   one pseudo-particle term collected in `s_A`:
@@ -16,12 +16,14 @@
 //! atom's total and converts to Born radii.
 //!
 //! Both functions take index subranges so the distributed drivers can
-//! implement the paper's work divisions: node-based division passes whole
-//! leaves; atom/q-point-based division passes clipped ranges, which is
-//! precisely why its error drifts with `P` (partial leaves get different
-//! pseudo-particle aggregates — §IV.A's observation).
+//! implement the paper's work divisions: node-based division clips to
+//! every point, so each leaf stays whole; atom/q-point-based division
+//! clips to the rank's range, which is precisely why its error drifts
+//! with `P` (partial leaves get different pseudo-particle aggregates —
+//! §IV.A's observation).
 
 use crate::naive::born_radii_from_integrals;
+use crate::params::born_mac;
 use crate::soa::{QView, CHUNK};
 use crate::system::GbSystem;
 use polaroct_cluster::simtime::OpCounts;
@@ -121,64 +123,26 @@ impl QLeafView {
     }
 }
 
-/// Fig. 2 `APPROX-INTEGRALS` for one whole quadrature leaf against the
-/// atoms tree rooted at `a_node`. Returns op counts (the caller charges
-/// them to its clock / task-cost vector). The leaf's SoA image is a
-/// zero-copy slice of the persistent q-point arena — no gather.
+/// Fig. 2 `APPROX-INTEGRALS` for the q-points `clip ∩ Q` of quadrature
+/// leaf `Q` against the whole atoms tree, far when farther apart than
+/// `mac` times the radii ([`crate::params::born_mac`] for the ε rule).
+/// Returns op counts (the caller charges them to its clock / task-cost
+/// vector). A `clip` covering `Q` keeps the leaf's precomputed
+/// aggregates; a partial one recomputes them over the subset. Either
+/// way the points are a zero-copy slice of the q-point arena.
 pub fn approx_integrals(
     sys: &GbSystem,
     q_leaf: NodeId,
-    eps_born: f64,
-    acc: &mut BornAccumulators,
-) -> OpCounts {
-    let view = QLeafView::whole(sys, q_leaf);
-    let qv = sys.q_arena.view(view.range.clone());
-    let mut ops = OpCounts::default();
-    let mac = mac_multiplier(eps_born);
-    recurse(sys, 0, &view, qv, mac, acc, &mut ops);
-    ops
-}
-
-/// `APPROX-INTEGRALS` with an explicit separation multiplier instead of
-/// the ε-derived default — the MAC-variant ablation's entry point.
-pub fn approx_integrals_custom_mac(
-    sys: &GbSystem,
-    q_leaf: NodeId,
-    mac: f64,
-    acc: &mut BornAccumulators,
-) -> OpCounts {
-    let view = QLeafView::whole(sys, q_leaf);
-    let qv = sys.q_arena.view(view.range.clone());
-    let mut ops = OpCounts::default();
-    recurse(sys, 0, &view, qv, mac, acc, &mut ops);
-    ops
-}
-
-/// `APPROX-INTEGRALS` over the intersection of a quadrature leaf with an
-/// index range (q-point-based work division). The clipped range is still
-/// contiguous in Morton order, so it too is a plain arena slice.
-pub fn approx_integrals_clipped(
-    sys: &GbSystem,
-    q_leaf: NodeId,
     clip: &Range<usize>,
-    eps_born: f64,
+    mac: f64,
     acc: &mut BornAccumulators,
 ) -> OpCounts {
     let mut ops = OpCounts::default();
     if let Some(view) = QLeafView::clipped(sys, q_leaf, clip) {
         let qv = sys.q_arena.view(view.range.clone());
-        let mac = mac_multiplier(eps_born);
         recurse(sys, 0, &view, qv, mac, acc, &mut ops);
     }
     ops
-}
-
-/// `(θ+1)/(θ−1)` with `θ = 1+ε` — the practical far-field threshold
-/// (see `ApproxParams::born_mac_multiplier` for why not `(1+ε)^{1/6}`).
-#[inline]
-fn mac_multiplier(eps: f64) -> f64 {
-    let theta = 1.0 + eps;
-    (theta + 1.0) / (theta - 1.0)
 }
 
 fn recurse(
@@ -300,8 +264,9 @@ fn push_recurse(
 pub fn born_radii_octree(sys: &GbSystem, eps_born: f64, math: MathMode) -> (Vec<f64>, OpCounts) {
     let mut acc = BornAccumulators::zeros(sys);
     let mut ops = OpCounts::default();
+    let (all, mac) = (0..sys.n_qpoints(), born_mac(eps_born));
     for &q_leaf in &sys.qtree.leaf_ids {
-        ops.add(&approx_integrals(sys, q_leaf, eps_born, &mut acc));
+        ops.add(&approx_integrals(sys, q_leaf, &all, mac, &mut acc));
     }
     let mut out = vec![0.0; sys.n_atoms()];
     ops.add(&push_integrals_to_atoms(
@@ -392,8 +357,9 @@ mod tests {
     fn push_respects_atom_ranges() {
         let sys = system(200, 5);
         let mut acc = BornAccumulators::zeros(&sys);
+        let all = 0..sys.n_qpoints();
         for &q in &sys.qtree.leaf_ids {
-            approx_integrals(&sys, q, 0.9, &mut acc);
+            approx_integrals(&sys, q, &all, born_mac(0.9), &mut acc);
         }
         // Full push vs two half-pushes must agree exactly.
         let mut full = vec![0.0; 200];
@@ -409,16 +375,17 @@ mod tests {
         // Summing accumulators from disjoint leaf segments equals the
         // all-at-once accumulators (the Step-2/Step-3 identity).
         let sys = system(300, 7);
+        let (every, mac) = (0..sys.n_qpoints(), born_mac(0.9));
         let mut all = BornAccumulators::zeros(&sys);
         for &q in &sys.qtree.leaf_ids {
-            approx_integrals(&sys, q, 0.9, &mut all);
+            approx_integrals(&sys, q, &every, mac, &mut all);
         }
         let ranges = sys.qtree.partition_leaves(3);
         let mut merged = BornAccumulators::zeros(&sys);
         for r in ranges {
             let mut part = BornAccumulators::zeros(&sys);
             for &q in &sys.qtree.leaf_ids[r] {
-                approx_integrals(&sys, q, 0.9, &mut part);
+                approx_integrals(&sys, q, &every, mac, &mut part);
             }
             for (m, p) in merged.node.iter_mut().zip(&part.node) {
                 *m += p;
@@ -454,21 +421,10 @@ mod tests {
         let mid = nq / 2;
         let mut acc = BornAccumulators::zeros(&sys);
         let mut ops = OpCounts::default();
+        let mac = born_mac(1e-7);
         for &q in &sys.qtree.leaf_ids {
-            ops.add(&approx_integrals_clipped(
-                &sys,
-                q,
-                &(0..mid),
-                1e-7,
-                &mut acc,
-            ));
-            ops.add(&approx_integrals_clipped(
-                &sys,
-                q,
-                &(mid..nq),
-                1e-7,
-                &mut acc,
-            ));
+            ops.add(&approx_integrals(&sys, q, &(0..mid), mac, &mut acc));
+            ops.add(&approx_integrals(&sys, q, &(mid..nq), mac, &mut acc));
         }
         let mut out = vec![0.0; sys.n_atoms()];
         push_integrals_to_atoms(&sys, &acc, 0..sys.n_atoms(), MathMode::Exact, &mut out);
@@ -485,10 +441,11 @@ mod tests {
         let sys = system(250, 21);
         let born_for = |parts: usize| {
             let ranges = sys.qtree.partition_leaves(parts);
+            let every = 0..sys.n_qpoints();
             let mut acc = BornAccumulators::zeros(&sys);
             for r in ranges {
                 for &q in &sys.qtree.leaf_ids[r] {
-                    approx_integrals(&sys, q, 0.9, &mut acc);
+                    approx_integrals(&sys, q, &every, born_mac(0.9), &mut acc);
                 }
             }
             let mut out = vec![0.0; sys.n_atoms()];

@@ -13,15 +13,12 @@
 //! costs, the Grama collective model, intra-node work-stealing makespans,
 //! and the §V.B memory-replication slowdown (see `polaroct-cluster`).
 
-use crate::born::{
-    approx_integrals, approx_integrals_clipped, push_integrals_to_atoms, push_segment,
-    BornAccumulators,
-};
-use crate::epol::{approx_epol_leaf, approx_epol_leaf_clipped, ChargeBins};
+use crate::born::{approx_integrals, push_integrals_to_atoms, push_segment, BornAccumulators};
+use crate::epol::{approx_epol_leaf, ChargeBins};
 use crate::gb::epol_from_raw_sum;
 use crate::lists::{ListSource, Pipeline, Traversal};
 use crate::naive::{born_radii_naive, epol_naive_raw};
-use crate::params::{ApproxParams, EpolFar};
+use crate::params::{born_mac, ApproxParams, EpolFar};
 use crate::system::GbSystem;
 use crate::workdiv::WorkDivision;
 use polaroct_cluster::{
@@ -632,10 +629,11 @@ pub fn run_oct_hybrid_ft(
     )
 }
 
-/// Fig. 4 Step 2 for one rank's static share. Called by the rank's own
-/// pass *and* by recovery regeneration: re-executing it for a lost rank
-/// with the same ε yields a bit-identical partial, because the partition
-/// is static and leaves are visited in leaf-id order.
+/// Fig. 4 Step 2 for one rank's static share of the quadrature leaves,
+/// one task per leaf. Called by the rank's own pass *and* by recovery
+/// regeneration: re-executing it for a lost rank with the same ε yields
+/// a bit-identical partial, because the share is static and leaves are
+/// visited in leaf-id order.
 pub(crate) fn step2_partial(
     sys: &GbSystem,
     workdiv: WorkDivision,
@@ -644,65 +642,32 @@ pub(crate) fn step2_partial(
     eps_born: f64,
 ) -> (BornAccumulators, Vec<OpCounts>) {
     let mut acc = BornAccumulators::zeros(sys);
-    let mut task_ops: Vec<OpCounts> = Vec::new();
-    match workdiv {
-        WorkDivision::NodeNode => {
-            let ranges = sys.qtree.partition_leaves(size);
-            for &q in &sys.qtree.leaf_ids[ranges[rank].clone()] {
-                task_ops.push(approx_integrals(sys, q, eps_born, &mut acc));
-            }
-        }
-        WorkDivision::AtomBased => {
-            let ranges = sys.qtree.partition_points(size);
-            let my = &ranges[rank];
-            for &q in &sys.qtree.leaf_ids {
-                let node = sys.qtree.node(q);
-                if node.end as usize <= my.start || node.begin as usize >= my.end {
-                    continue;
-                }
-                task_ops.push(approx_integrals_clipped(sys, q, my, eps_born, &mut acc));
-            }
-        }
-    }
+    let (share, mac) = (workdiv.share(&sys.qtree, size, rank), born_mac(eps_born));
+    let task_ops = share
+        .tasks(&sys.qtree)
+        .map(|q| approx_integrals(sys, q, &share.points, mac, &mut acc))
+        .collect();
     (acc, task_ops)
 }
 
-/// Fig. 4 Step 6 for one rank's static share (see [`step2_partial`] for
-/// the bit-identity argument).
-#[allow(clippy::too_many_arguments)]
+/// Fig. 4 Step 6 for one rank's static share of the atom leaves (see
+/// [`step2_partial`] for the bit-identity argument).
 pub(crate) fn step6_partial(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
     workdiv: WorkDivision,
-    atom_ranges: &[std::ops::Range<usize>],
     size: usize,
     rank: usize,
     math: MathMode,
 ) -> (f64, Vec<OpCounts>) {
+    let share = workdiv.share(&sys.atoms, size, rank);
     let mut raw = 0.0;
-    let mut task_ops: Vec<OpCounts> = Vec::new();
-    match workdiv {
-        WorkDivision::NodeNode => {
-            let ranges = sys.atoms.partition_leaves(size);
-            for &v in &sys.atoms.leaf_ids[ranges[rank].clone()] {
-                let (r, o) = approx_epol_leaf(sys, bins, born, v, math);
-                raw += r;
-                task_ops.push(o);
-            }
-        }
-        WorkDivision::AtomBased => {
-            let my = &atom_ranges[rank];
-            for &v in &sys.atoms.leaf_ids {
-                let node = sys.atoms.node(v);
-                if node.end as usize <= my.start || node.begin as usize >= my.end {
-                    continue;
-                }
-                let (r, o) = approx_epol_leaf_clipped(sys, bins, born, v, my, math);
-                raw += r;
-                task_ops.push(o);
-            }
-        }
+    let mut task_ops = Vec::new();
+    for v in share.tasks(&sys.atoms) {
+        let (r, o) = approx_epol_leaf(sys, bins, born, v, &share.points, math);
+        raw += r;
+        task_ops.push(o);
     }
     (raw, task_ops)
 }
@@ -899,8 +864,7 @@ pub(crate) fn fig4_rank_body(
     // ---- Step 6: partial energies for this rank's share of atom
     // leaves / atoms.
     ctx.fault_point(phase::EPOL)?;
-    let (raw, epol_tasks) =
-        step6_partial(sys, &bins, &born, workdiv, &atom_ranges, size, rank, math);
+    let (raw, epol_tasks) = step6_partial(sys, &bins, &born, workdiv, size, rank, math);
     for o in &epol_tasks {
         rank_ops.add(o);
     }
@@ -920,8 +884,7 @@ pub(crate) fn fig4_rank_body(
                     ChargeBins::build_far(sys, &born, EPS_DEGRADED, EpolFar::Binned)
                 }),
             };
-            let (r, ops) =
-                step6_partial(sys, bins, &born, workdiv, &atom_ranges, size, lost, math);
+            let (r, ops) = step6_partial(sys, bins, &born, workdiv, size, lost, math);
             for o in &ops {
                 rec_ops.add(o);
             }
@@ -1135,6 +1098,20 @@ mod tests {
         let naive = run_naive(&sys, &params, &cfg).unwrap().energy_kcal;
         assert!(((e2 - naive) / naive).abs() < 0.01);
         assert!(((e7 - naive) / naive).abs() < 0.01);
+    }
+
+    #[test]
+    fn divisions_agree_bit_for_bit_at_one_rank() {
+        // At P = 1 the atom-based share clips every leaf to all of its
+        // points, so both divisions run the same whole-leaf tasks.
+        let sys = system(300, 5);
+        let params = ApproxParams::default();
+        let cfg = DriverConfig::default();
+        let node = mpi(&sys, &params, &cfg, 1, WorkDivision::NodeNode).unwrap();
+        let atom = mpi(&sys, &params, &cfg, 1, WorkDivision::AtomBased).unwrap();
+        assert_eq!(node.energy_kcal.to_bits(), atom.energy_kcal.to_bits());
+        let bits = |r: &RunReport| r.born_radii.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&node), bits(&atom));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::born::BornAccumulators;
 use crate::epol::{far_pairs, far_value, ChargeBins};
 use crate::naive::born_radius_from_integral;
+use crate::params::born_mac;
 use crate::soa::StillScratch;
 use crate::system::GbSystem;
 use polaroct_cluster::simtime::OpCounts;
@@ -21,8 +22,7 @@ use polaroct_octree::NodeId;
 /// Dual-tree Born radii: simultaneous traversal of `T_A` × `T_Q` with the
 /// same §II acceptance criterion, approximating at internal `Q` nodes too.
 pub fn born_radii_dual(sys: &GbSystem, eps_born: f64, math: MathMode) -> (Vec<f64>, OpCounts) {
-    let theta = 1.0 + eps_born; // practical MAC (see ApproxParams docs)
-    let mac = (theta + 1.0) / (theta - 1.0);
+    let mac = born_mac(eps_born);
     let mut acc = BornAccumulators::zeros(sys);
     let mut ops = OpCounts::default();
     born_recurse(sys, 0, 0, mac, &mut acc, &mut ops);

@@ -284,29 +284,15 @@ pub fn far_value(bins: &ChargeBins, u: &FarSide, v: &FarSide, math: MathMode) ->
     }
 }
 
-/// Raw E_pol contribution of leaf `V` against the whole atoms tree
-/// (Fig. 4 Step 6 assigns each rank a segment of such leaves). The leaf's
-/// SoA image is a zero-copy slice of the persistent atom arena — no
-/// gather, no scratch buffer. The MAC is the bins' own.
+/// Raw E_pol of the atoms `clip ∩ V` of leaf `V` against the whole
+/// atoms tree (Fig. 4 Step 6 assigns each rank a share of such leaves).
+/// A `clip` covering `V` keeps the leaf's own bin sums and moments; a
+/// partial one — the atom-based work division (§IV.A) — recomputes them
+/// over the subset, about its own centroid, which is why that division's
+/// error drifts with its boundaries. Either way the atoms are a
+/// zero-copy slice of the persistent atom arena. The MAC is the bins'
+/// own.
 pub fn approx_epol_leaf(
-    sys: &GbSystem,
-    bins: &ChargeBins,
-    born: &[f64],
-    v_leaf: NodeId,
-    math: MathMode,
-) -> (f64, OpCounts) {
-    let mut ops = OpCounts::default();
-    let v = VLeafView::whole(sys, bins, born, v_leaf);
-    let mut scratch = StillScratch::default();
-    let raw = epol_recurse(sys, bins, born, 0, &v, math, &mut scratch, &mut ops);
-    (raw, ops)
-}
-
-/// Raw E_pol of the atoms `clip ∩ V` against the whole tree — the
-/// atom-based work division (§IV.A), whose error drifts with the division
-/// boundaries because partial leaves get partial bin sums (and moments
-/// about their own centroid).
-pub fn approx_epol_leaf_clipped(
     sys: &GbSystem,
     bins: &ChargeBins,
     born: &[f64],
@@ -315,14 +301,14 @@ pub fn approx_epol_leaf_clipped(
     math: MathMode,
 ) -> (f64, OpCounts) {
     let mut ops = OpCounts::default();
-    match VLeafView::clipped(sys, bins, born, v_leaf, clip) {
+    let raw = match VLeafView::clipped(sys, bins, born, v_leaf, clip) {
         Some(v) => {
             let mut scratch = StillScratch::default();
-            let raw = epol_recurse(sys, bins, born, 0, &v, math, &mut scratch, &mut ops);
-            (raw, ops)
+            epol_recurse(sys, bins, born, 0, &v, math, &mut scratch, &mut ops)
         }
-        None => (0.0, ops),
-    }
+        None => 0.0,
+    };
+    (raw, ops)
 }
 
 /// A (possibly clipped) target leaf with its bin sums, moments and the
@@ -467,8 +453,9 @@ pub fn epol_octree_raw(
 ) -> (f64, OpCounts) {
     let mut raw = 0.0;
     let mut ops = OpCounts::default();
+    let all = 0..sys.n_atoms();
     for &v in &sys.atoms.leaf_ids {
-        let (r, o) = approx_epol_leaf(sys, bins, born, v, math);
+        let (r, o) = approx_epol_leaf(sys, bins, born, v, &all, math);
         raw += r;
         ops.add(&o);
     }
@@ -638,10 +625,11 @@ mod tests {
         let bins = ChargeBins::build(&sys, &born, 0.9);
         let (total, _) = epol_octree_raw(&sys, &bins, &born, math);
         let ranges = sys.atoms.partition_leaves(4);
+        let all = 0..sys.n_atoms();
         let mut sum = 0.0;
         for r in ranges {
             for &v in &sys.atoms.leaf_ids[r] {
-                sum += approx_epol_leaf(&sys, &bins, &born, v, math).0;
+                sum += approx_epol_leaf(&sys, &bins, &born, v, &all, math).0;
             }
         }
         assert!((total - sum).abs() < 1e-9 * total.abs().max(1.0));
@@ -700,8 +688,8 @@ mod tests {
         let mid = m / 3;
         let mut raw = 0.0;
         for &v in &sys.atoms.leaf_ids {
-            raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(0..mid), math).0;
-            raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(mid..m), math).0;
+            raw += approx_epol_leaf(&sys, &bins, &born, v, &(0..mid), math).0;
+            raw += approx_epol_leaf(&sys, &bins, &born, v, &(mid..m), math).0;
         }
         assert!(
             ((raw - naive_raw) / naive_raw).abs() < 1e-9,
@@ -729,7 +717,7 @@ mod tests {
             let mut lo = 0;
             for &c in cuts.iter().chain(std::iter::once(&m)) {
                 for &v in &sys.atoms.leaf_ids {
-                    raw += approx_epol_leaf_clipped(&sys, &bins, &born, v, &(lo..c), math).0;
+                    raw += approx_epol_leaf(&sys, &bins, &born, v, &(lo..c), math).0;
                 }
                 lo = c;
             }

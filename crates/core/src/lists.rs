@@ -44,7 +44,7 @@ use crate::born::{push_segment, BornAccumulators};
 use crate::drivers::PhaseTimes;
 use crate::epol::{far_pairs, far_value, ChargeBins};
 use crate::gb::epol_from_raw_sum;
-use crate::params::ApproxParams;
+use crate::params::{born_mac, ApproxParams};
 use crate::soa::{still_pair_block, StillScratch};
 use crate::system::GbSystem;
 use polaroct_cluster::fault::phase;
@@ -146,14 +146,6 @@ fn chunk_entries(
     let mut chunks = partition_by_cost(&costs, LIST_CHUNKS.min(entries.len()).max(1));
     chunks.shrink_to_fit();
     chunks
-}
-
-/// `(θ+1)/(θ−1)` with `θ = 1+ε` — must match `born.rs` /
-/// `dual::born_radii_dual` bit-for-bit (same expression, same order).
-#[inline]
-fn born_mac(eps: f64) -> f64 {
-    let theta = 1.0 + eps;
-    (theta + 1.0) / (theta - 1.0)
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,25 @@ use polaroct_surface::SurfaceParams;
 /// rule's. At 2.0 the skinned delta engine of `mutscan` lost that.
 pub const TAYLOR2_MAC: f64 = 2.25;
 
+/// The Fig. 2 far-field threshold multiplier: nodes are far when
+/// `r_AQ > (r_A + r_Q) · (θ+1)/(θ−1)`, with `θ = 1+ε`. Every Born
+/// traversal, list builder and dual-tree walk derives its MAC here.
+///
+/// The paper's prose uses `θ = (1+ε)^{1/6}` — a *pointwise* bound on
+/// the `1/r⁶` kernel that yields a separation factor of ~18.7 at
+/// ε = 0.9, under which the far field would essentially never trigger
+/// at protein scale (and the measured CMV timings in §V.F would be
+/// impossible). Because the pseudo-particle sits at the cluster
+/// centroid, the first-order error cancels and the *aggregate* error
+/// is O((s/r)²); `θ = 1+ε` (separation ~3.2 at ε = 0.9) reproduces
+/// both the paper's <1% error and its measured work. We default to
+/// the practical rule; [`ApproxParams::born_mac_multiplier_conservative`]
+/// exposes the prose version. See DESIGN.md "Pseudocode errata we fix".
+pub fn born_mac(eps_born: f64) -> f64 {
+    let theta = 1.0 + eps_born;
+    (theta + 1.0) / (theta - 1.0)
+}
+
 /// How an E_pol far node pair is evaluated (DESIGN.md §10.8).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EpolFar {
@@ -109,22 +128,9 @@ impl ApproxParams {
         self
     }
 
-    /// The Fig. 2 far-field threshold multiplier: nodes are far when
-    /// `r_AQ > (r_A + r_Q) · (θ+1)/(θ−1)`.
-    ///
-    /// The paper's prose uses `θ = (1+ε)^{1/6}` — a *pointwise* bound on
-    /// the `1/r⁶` kernel that yields a separation factor of ~18.7 at
-    /// ε = 0.9, under which the far field would essentially never trigger
-    /// at protein scale (and the measured CMV timings in §V.F would be
-    /// impossible). Because the pseudo-particle sits at the cluster
-    /// centroid, the first-order error cancels and the *aggregate* error
-    /// is O((s/r)²); `θ = 1+ε` (separation ~3.2 at ε = 0.9) reproduces
-    /// both the paper's <1% error and its measured work. We default to
-    /// the practical rule; `born_mac_multiplier_conservative` exposes the
-    /// prose version. See DESIGN.md "Pseudocode erratum we fix".
+    /// [`born_mac`] at this run's `eps_born`.
     pub fn born_mac_multiplier(&self) -> f64 {
-        let theta = 1.0 + self.eps_born;
-        (theta + 1.0) / (theta - 1.0)
+        born_mac(self.eps_born)
     }
 
     /// The literal §II threshold with `θ = (1+ε)^{1/6}` (very

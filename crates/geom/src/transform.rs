@@ -142,20 +142,6 @@ impl Transform {
         self.rotation.apply(p) + self.translation
     }
 
-    /// Apply to a direction (rotation only — normals, for example).
-    #[inline]
-    pub fn apply_dir(&self, d: Vec3) -> Vec3 {
-        self.rotation.apply(d)
-    }
-
-    /// Composition: `(self ∘ o)(p) = self(o(p))`.
-    pub fn compose(&self, o: &Transform) -> Transform {
-        Transform {
-            rotation: self.rotation * o.rotation,
-            translation: self.rotation.apply(o.translation) + self.translation,
-        }
-    }
-
     /// Inverse transform.
     pub fn inverse(&self) -> Transform {
         let rt = self.rotation.transpose();
@@ -234,33 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn transform_compose_matches_sequential() {
-        let t1 = Transform {
-            rotation: Rotation::about_axis(Vec3::Y, 0.4),
-            translation: Vec3::new(1.0, 0.0, 0.0),
-        };
-        let t2 = Transform {
-            rotation: Rotation::about_axis(Vec3::X, -0.6),
-            translation: Vec3::new(0.0, 2.0, 0.0),
-        };
-        let p = Vec3::new(3.0, 1.0, -1.0);
-        assert_vec_eq(
-            t1.compose(&t2).apply_point(p),
-            t1.apply_point(t2.apply_point(p)),
-            1e-12,
-        );
-    }
-
-    #[test]
     fn about_pivot_fixes_the_pivot() {
         let pivot = Vec3::new(2.0, 2.0, 2.0);
         let t = Transform::about_pivot(Rotation::about_axis(Vec3::Z, 1.0), pivot, Vec3::ZERO);
         assert_vec_eq(t.apply_point(pivot), pivot, 1e-12);
-    }
-
-    #[test]
-    fn apply_dir_ignores_translation() {
-        let t = Transform::translation(Vec3::new(100.0, 0.0, 0.0));
-        assert_vec_eq(t.apply_dir(Vec3::X), Vec3::X, 1e-15);
     }
 }

@@ -124,20 +124,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    /// Any orthonormal vector perpendicular to `self` (which must be
-    /// non-zero). Used for building local frames on surface triangles.
-    pub fn any_perpendicular(self) -> Vec3 {
-        // Pick the axis least aligned with self to avoid degeneracy.
-        let a = if self.x.abs() <= self.y.abs() && self.x.abs() <= self.z.abs() {
-            Vec3::X
-        } else if self.y.abs() <= self.z.abs() {
-            Vec3::Y
-        } else {
-            Vec3::Z
-        };
-        self.cross(a).normalized()
-    }
 }
 
 impl Add for Vec3 {
@@ -280,20 +266,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn any_perpendicular_is_orthonormal() {
-        for v in [
-            Vec3::X,
-            Vec3::new(0.3, -0.9, 0.1),
-            Vec3::new(1e-8, 1.0, 1e-8),
-            Vec3::new(-5.0, -5.0, -5.0),
-        ] {
-            let p = v.any_perpendicular();
-            assert!(v.dot(p).abs() < 1e-10, "not perpendicular for {v:?}");
-            assert!(approx_eq_rel(p.norm(), 1.0, 1e-12));
-        }
     }
 
     #[test]

@@ -158,9 +158,8 @@ pub struct FileIr {
     /// Lines holding an `unsafe` keyword in code (not in comments or
     /// literals), each once.
     pub unsafe_lines: Vec<usize>,
-    /// Lint levels of the inner `#![level(unsafe_code)]` attributes
-    /// (`forbid`, `deny`, …).
-    pub unsafe_code_levels: Vec<String>,
+    /// Whether the file carries an inner `#![forbid(unsafe_code)]`.
+    pub forbids_unsafe_code: bool,
 }
 
 const KEYWORDS: &[&str] = &[
@@ -1085,17 +1084,14 @@ pub fn parse_file(rel: &str, src: &str) -> FileIr {
         .map(|t| t.line)
         .collect();
     unsafe_lines.dedup();
-    let unsafe_code_levels = toks
-        .windows(6)
-        .filter(|w| {
-            w[0].text == "#"
-                && w[1].text == "!"
-                && w[2].text == "["
-                && w[4].text == "("
-                && w[5].text == "unsafe_code"
-        })
-        .map(|w| w[3].text.clone())
-        .collect();
+    let forbids_unsafe_code = toks.windows(6).any(|w| {
+        w[0].text == "#"
+            && w[1].text == "!"
+            && w[2].text == "["
+            && w[3].text == "forbid"
+            && w[4].text == "("
+            && w[5].text == "unsafe_code"
+    });
     FileIr {
         rel: rel.replace('\\', "/"),
         fns: p.fns,
@@ -1103,7 +1099,7 @@ pub fn parse_file(rel: &str, src: &str) -> FileIr {
         hash_vars,
         raw_lines: src.lines().map(|l| l.to_string()).collect(),
         unsafe_lines,
-        unsafe_code_levels,
+        forbids_unsafe_code,
     }
 }
 

@@ -804,7 +804,7 @@ fn unsafe_hygiene(ws: &Workspace) -> Vec<Diagnostic> {
         for &line in &file.unsafe_lines {
             push("US001", line, "unsafe", "`unsafe` code; make it safe");
         }
-        if is_crate_root(&file.rel) && !file.unsafe_code_levels.iter().any(|l| l == "forbid") {
+        if is_crate_root(&file.rel) && !file.forbids_unsafe_code {
             push(
                 "US003",
                 1,

@@ -98,16 +98,6 @@ impl Molecule {
         Aabb::from_points(self.positions.iter().copied())
     }
 
-    /// Bounding box of van der Waals spheres (centers padded by radii).
-    pub fn bbox_with_radii(&self) -> Aabb {
-        let mut b = Aabb::EMPTY;
-        for (p, r) in self.positions.iter().zip(&self.radii) {
-            b.grow(*p + Vec3::splat(*r));
-            b.grow(*p - Vec3::splat(*r));
-        }
-        b
-    }
-
     /// Geometric center of atom positions.
     pub fn centroid(&self) -> Vec3 {
         if self.is_empty() {
@@ -210,15 +200,6 @@ mod tests {
             assert!(b.contains(p));
         }
         assert_eq!(b.max, Vec3::new(2.0, 2.0, 0.0));
-    }
-
-    #[test]
-    fn bbox_with_radii_is_padded() {
-        let m = sample();
-        let inner = m.bbox();
-        let outer = m.bbox_with_radii();
-        assert!(outer.min.x < inner.min.x);
-        assert!(outer.max.x > inner.max.x);
     }
 
     #[test]

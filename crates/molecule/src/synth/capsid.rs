@@ -17,22 +17,10 @@ use polaroct_geom::Vec3;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Tunables for [`capsid`].
-#[derive(Clone, Copy, Debug)]
-pub struct CapsidParams {
-    /// Shell thickness (Å). CMV's capsid is ~25–35 Å thick.
-    pub thickness: f64,
-    /// Interior density (heavy atoms / Å³).
-    pub density: f64,
-    /// Relative amplitude of capsomer surface bumps (0 = smooth sphere).
-    pub lumpiness: f64,
-}
-
-impl Default for CapsidParams {
-    fn default() -> Self {
-        CapsidParams { thickness: 28.0, density: HEAVY_ATOM_DENSITY, lumpiness: 0.04 }
-    }
-}
+/// Shell thickness (Å). CMV's capsid is ~25–35 Å thick.
+const THICKNESS: f64 = 28.0;
+/// Relative amplitude of capsomer surface bumps (0 = smooth sphere).
+const LUMPINESS: f64 = 0.04;
 
 /// Generate a hollow capsid shell with exactly `n_atoms` atoms.
 ///
@@ -41,16 +29,6 @@ impl Default for CapsidParams {
 /// (n = 509,640, t = 28 Å) this gives R ≈ 155 Å — the right order for the
 /// real 28 nm-diameter virion.
 pub fn capsid(name: impl Into<String>, n_atoms: usize, seed: u64) -> Molecule {
-    capsid_with(name, n_atoms, seed, CapsidParams::default())
-}
-
-/// [`capsid`] with explicit parameters.
-pub fn capsid_with(
-    name: impl Into<String>,
-    n_atoms: usize,
-    seed: u64,
-    params: CapsidParams,
-) -> Molecule {
     assert!(n_atoms > 0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xCAB51D);
     let mut mol = Molecule::with_capacity(name, n_atoms);
@@ -60,11 +38,11 @@ pub fn capsid_with(
     // when that would make the shell thicker than half the radius, switch
     // to t = R/2 and R = (n/(2πρ))^(1/3).
     let four_pi = 4.0 * std::f64::consts::PI;
-    let r_thin = (n_atoms as f64 / (four_pi * params.thickness * params.density)).sqrt();
-    let (r_mean, t) = if r_thin >= 2.0 * params.thickness {
-        (r_thin, params.thickness)
+    let r_thin = (n_atoms as f64 / (four_pi * THICKNESS * HEAVY_ATOM_DENSITY)).sqrt();
+    let (r_mean, t) = if r_thin >= 2.0 * THICKNESS {
+        (r_thin, THICKNESS)
     } else {
-        let r = (n_atoms as f64 / (0.5 * four_pi * params.density)).cbrt();
+        let r = (n_atoms as f64 / (0.5 * four_pi * HEAVY_ATOM_DENSITY)).cbrt();
         (r, r / 2.0)
     };
 
@@ -81,7 +59,7 @@ pub fn capsid_with(
         // Capsomer lumps: a few low-order angular harmonics modulate the
         // shell radius so the surface is bumpy like a real capsid.
         let bump = 1.0
-            + params.lumpiness
+            + LUMPINESS
                 * ((7.0 * phi).cos() * (5.0 * z).sin() + (11.0 * phi).sin() * (3.0 * z).cos())
                 * 0.5;
 
@@ -159,8 +137,7 @@ mod tests {
         // Don't generate all 509k atoms in a unit test; just check the
         // radius formula at CMV scale.
         let n = 509_640f64;
-        let p = CapsidParams::default();
-        let r = (n / (4.0 * std::f64::consts::PI * p.thickness * p.density)).sqrt();
+        let r = (n / (4.0 * std::f64::consts::PI * THICKNESS * HEAVY_ATOM_DENSITY)).sqrt();
         assert!(r > 100.0 && r < 250.0, "CMV-like radius {r} Å");
     }
 }

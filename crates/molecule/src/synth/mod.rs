@@ -10,9 +10,9 @@ mod ligand;
 mod protein;
 mod zdock;
 
-pub use capsid::{capsid, CapsidParams};
+pub use capsid::capsid;
 pub use ligand::ligand;
-pub use protein::{protein, ProteinParams};
+pub use protein::protein;
 pub use zdock::{zdock_sizes, zdock_suite, ZdockEntry, ZDOCK_SUITE_LEN};
 
 use polaroct_geom::Vec3;

@@ -17,29 +17,12 @@ use polaroct_geom::Vec3;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Tunables for [`protein`]. The defaults match average protein geometry.
-#[derive(Clone, Copy, Debug)]
-pub struct ProteinParams {
-    /// Cα–Cα virtual bond length (Å).
-    pub ca_step: f64,
-    /// Heavy atoms per residue.
-    pub atoms_per_residue: usize,
-    /// Minimum heavy-atom separation enforced during generation (Å).
-    pub min_separation: f64,
-    /// Target interior density (heavy atoms / Å³).
-    pub density: f64,
-}
-
-impl Default for ProteinParams {
-    fn default() -> Self {
-        ProteinParams {
-            ca_step: 3.8,
-            atoms_per_residue: 8,
-            min_separation: 2.4,
-            density: HEAVY_ATOM_DENSITY,
-        }
-    }
-}
+/// Cα–Cα virtual bond length (Å).
+const CA_STEP: f64 = 3.8;
+/// Heavy atoms per residue (the protein average).
+const ATOMS_PER_RESIDUE: usize = 8;
+/// Minimum heavy-atom separation enforced during generation (Å).
+const MIN_SEPARATION: f64 = 2.4;
 
 /// Generate a globular protein with exactly `n_atoms` heavy atoms.
 ///
@@ -47,24 +30,15 @@ impl Default for ProteinParams {
 /// element and then uniformly shifted so the molecule is neutral, like a
 /// typical protonated-then-neutralized force-field assignment.
 pub fn protein(name: impl Into<String>, n_atoms: usize, seed: u64) -> Molecule {
-    protein_with(name, n_atoms, seed, ProteinParams::default())
-}
-
-/// [`protein`] with explicit parameters.
-pub fn protein_with(
-    name: impl Into<String>,
-    n_atoms: usize,
-    seed: u64,
-    params: ProteinParams,
-) -> Molecule {
     assert!(n_atoms > 0, "protein needs at least one atom");
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC0FFEE);
     let mut mol = Molecule::with_capacity(name, n_atoms);
 
     // Globule radius from target density.
-    let target_r = (3.0 * n_atoms as f64 / (4.0 * std::f64::consts::PI * params.density)).cbrt();
+    let target_r =
+        (3.0 * n_atoms as f64 / (4.0 * std::f64::consts::PI * HEAVY_ATOM_DENSITY)).cbrt();
 
-    let mut grid = RejectionGrid::new(params.min_separation.max(1.0));
+    let mut grid = RejectionGrid::new(MIN_SEPARATION.max(1.0));
     let mut ca = Vec3::ZERO;
     let mut dir = random_unit(&mut rng);
 
@@ -82,17 +56,17 @@ pub fn protein_with(
         // Self-avoidance: try a few directions before giving up (real
         // chains do clash slightly; accepting occasionally is fine).
         for _ in 0..8 {
-            let cand = ca + d * params.ca_step;
-            if !grid.has_neighbor_within(cand, params.min_separation) {
+            let cand = ca + d * CA_STEP;
+            if !grid.has_neighbor_within(cand, MIN_SEPARATION) {
                 break;
             }
             d = random_unit(&mut rng);
         }
         dir = d;
-        ca += d * params.ca_step;
+        ca += d * CA_STEP;
 
         // --- place this residue's heavy atoms around the Cα ---
-        let burst = params.atoms_per_residue.min(n_atoms - mol.len());
+        let burst = ATOMS_PER_RESIDUE.min(n_atoms - mol.len());
         for k in 0..burst {
             let pos = if k == 0 {
                 ca // the Cα itself

@@ -147,18 +147,6 @@ impl Octree {
         self.domain = Aabb::from_points(corners.iter().map(|&c| t.apply_point(c)));
     }
 
-    /// Visit every node depth-first (pre-order), with its id.
-    pub fn for_each_node(&self, mut f: impl FnMut(NodeId, &Node)) {
-        let mut stack: Vec<NodeId> = vec![0];
-        while let Some(id) = stack.pop() {
-            let n = &self.nodes[id as usize];
-            f(id, n);
-            for c in n.children() {
-                stack.push(c);
-            }
-        }
-    }
-
     /// Split the leaves into `parts` contiguous segments of near-equal
     /// *point* counts (not leaf counts): segment `i` is
     /// `leaf_ids[ranges[i].clone()]`. This is the paper's EXPLICIT STATIC
@@ -536,13 +524,5 @@ mod tests {
         let t2 = tree(4000, 4, 16);
         let ratio = t2.memory_bytes() as f64 / t1.memory_bytes() as f64;
         assert!(ratio < 5.0, "memory ratio {ratio}");
-    }
-
-    #[test]
-    fn for_each_node_visits_every_node_once() {
-        let t = tree(700, 8, 8);
-        let mut seen = vec![0u32; t.nodes.len()];
-        t.for_each_node(|id, _| seen[id as usize] += 1);
-        assert!(seen.iter().all(|&c| c == 1));
     }
 }
