@@ -439,12 +439,16 @@ fn run_one_process(
 /// Serial single-tree octree run (one core; the baseline the speedup
 /// plots divide by when assessing parallel efficiency).
 ///
-/// Runs on the interaction-list engine (`core::lists`): the traversal
-/// pass is timed as `phases.lists`, the flat kernel sweeps as
-/// `phases.integrals` / `phases.epol`. List execution replays the
-/// recursion's every floating-point add in order, so energies and radii
-/// are bit-identical to the historical recursive driver (the golden
-/// suite pins this) and to [`run_oct_threads_ft`] at any width.
+/// Runs on the interaction-list engine (`core::lists`). With no pool the
+/// Born pass streams: the traversal folds each entry into the
+/// accumulators as it emits it, so no Born list is built, its traversal
+/// is timed inside `phases.integrals`, and `memory_per_process` counts
+/// the E_pol list alone. The E_pol list build is timed as
+/// `phases.lists` and its kernel sweep as `phases.epol`. Both passes
+/// replay the recursion's every floating-point add in order, so
+/// energies and radii are bit-identical to the historical recursive
+/// driver (the golden suite pins this) and to [`run_oct_threads_ft`] at
+/// any width.
 pub fn run_serial(
     sys: &GbSystem,
     params: &ApproxParams,
@@ -458,6 +462,11 @@ pub fn run_serial(
 /// Shared-memory dual-tree run (`OCT_CILK`): one process, `p` threads,
 /// randomized work stealing. Timing uses the Blumofe–Leiserson bound
 /// `T_p ≈ T_1/p + c·T_∞` with the span estimated from the recursion depth.
+///
+/// The `p` threads are modeled; the host runs the dual-tree lists with
+/// no pool, so, as in [`run_serial`], the Born pass streams with no list
+/// (timed inside `phases.integrals`) and `memory_per_process` counts
+/// the E_pol list alone.
 pub fn run_oct_cilk(
     sys: &GbSystem,
     params: &ApproxParams,
@@ -685,18 +694,31 @@ fn recovery(
 }
 
 /// Crude widened-error-bar estimate for a degraded run: each degraded
-/// rank's share of the atom leaves is assumed to push its far-field
-/// fraction `(2/ε)/(1+2/ε)` of interactions onto the binned
-/// approximation, whose relative error the paper bounds near 1% at
-/// ε = 0.9 and which grows roughly with that fraction at ε = 8.
-fn estimate_degraded_error(sys: &GbSystem, degraded: &[usize], size: usize) -> f64 {
-    let ranges = sys.atoms.partition_leaves(size);
-    let total = sys.atoms.leaf_count().max(1) as f64;
+/// rank's Step 6 share is assumed to push its far-field fraction
+/// `(2/ε)/(1+2/ε)` of interactions onto the binned approximation, whose
+/// relative error the paper bounds near 1% at ε = 0.9 and which grows
+/// roughly with that fraction at ε = 8. The share is the run's
+/// [`WorkDivision::share`] of the atoms tree: its fraction of the leaves
+/// under node-node, of the atoms under atom-based.
+fn estimate_degraded_error(
+    sys: &GbSystem,
+    workdiv: WorkDivision,
+    degraded: &[usize],
+    size: usize,
+) -> f64 {
+    let tree = &sys.atoms;
     let far_frac = (2.0 / EPS_DEGRADED) / (1.0 + 2.0 / EPS_DEGRADED);
+    let fraction = |rank: usize| {
+        let share = workdiv.share(tree, size, rank);
+        match workdiv {
+            WorkDivision::NodeNode => share.leaves.len() as f64 / tree.leaf_count().max(1) as f64,
+            WorkDivision::AtomBased => share.points.len() as f64 / tree.len().max(1) as f64,
+        }
+    };
     100.0
         * degraded
             .iter()
-            .map(|&d| ranges.get(d).map_or(0.0, |r| r.len() as f64 / total) * far_frac)
+            .map(|&d| fraction(d) * far_frac)
             .sum::<f64>()
 }
 
@@ -904,7 +926,12 @@ pub(crate) fn fig4_rank_body(
 
 /// Fold a run's merged [`FtReport`] into its [`RunOutcome`] (see
 /// [`fig4_report`], which both transports report through).
-fn classify_outcome(sys: &GbSystem, summary: &FtReport, processes: usize) -> RunOutcome {
+fn classify_outcome(
+    sys: &GbSystem,
+    workdiv: WorkDivision,
+    summary: &FtReport,
+    processes: usize,
+) -> RunOutcome {
     if summary.clean() {
         RunOutcome::Completed
     } else if summary.degraded.is_empty() {
@@ -913,7 +940,7 @@ fn classify_outcome(sys: &GbSystem, summary: &FtReport, processes: usize) -> Run
         }
     } else {
         RunOutcome::Degraded {
-            est_error_pct: estimate_degraded_error(sys, &summary.degraded, processes),
+            est_error_pct: estimate_degraded_error(sys, workdiv, &summary.degraded, processes),
         }
     }
 }
@@ -971,7 +998,7 @@ fn run_fig4(
         .map(|(_, c)| *c)
         .collect();
     let root = (raw, born, ops, summary);
-    Ok(fig4_report(name, sys, params, cluster, root, &survivors, wall))
+    Ok(fig4_report(name, sys, params, cluster, workdiv, root, &survivors, wall))
 }
 
 /// The report of a Fig. 4 run over either transport: `root` is rank 0's
@@ -980,11 +1007,13 @@ fn run_fig4(
 /// only (a dead rank's clock stopped when it died), and the outcome is
 /// classified from the root's ledger — so identical fault histories get
 /// identical reports on both transports.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fig4_report(
     name: &str,
     sys: &GbSystem,
     params: &ApproxParams,
     cluster: &ClusterSpec,
+    workdiv: WorkDivision,
     root: (f64, Vec<f64>, OpCounts, FtReport),
     survivors: &[SimClock],
     wall: Instant,
@@ -1001,7 +1030,7 @@ pub(crate) fn fig4_report(
         // Ranks run sequentially on the host with phases interleaved, so
         // a per-phase host clock would be meaningless here: `phases`
         // stays zero.
-        outcome: classify_outcome(sys, &ft, cluster.placement.processes),
+        outcome: classify_outcome(sys, workdiv, &ft, cluster.placement.processes),
         ft,
         ..RunReport::new(name, sys, params, raw, &born, wall)
     }
@@ -1412,5 +1441,67 @@ mod tests {
         let t4 = fork_join_makespan(t1, 100, 10, 4, 1e-6);
         assert!(t4 >= t1 / 4.0);
         assert!(t4 < t1, "4 workers should beat serial");
+    }
+
+    /// The percent estimate for one degraded rank when it holds all of
+    /// the atoms tree (one rank).
+    fn whole_share_pct() -> f64 {
+        100.0 * (2.0 / EPS_DEGRADED) / (1.0 + 2.0 / EPS_DEGRADED)
+    }
+
+    #[test]
+    fn degraded_error_sizes_an_atom_based_share_by_its_atoms() {
+        let sys = system(300, 4);
+        let (n, parts) = (sys.atoms.len() as f64, 4);
+        let est = |div, ranks: &[usize]| estimate_degraded_error(&sys, div, ranks, parts);
+        for (r, range) in sys.atoms.partition_points(parts).iter().enumerate() {
+            let want = whole_share_pct() * range.len() as f64 / n;
+            let got = est(WorkDivision::AtomBased, &[r]);
+            assert!((got - want).abs() < 1e-12, "rank {r}: {got} vs {want}");
+        }
+        let leaves = sys.atoms.leaf_count() as f64;
+        for (r, range) in sys.atoms.partition_leaves(parts).iter().enumerate() {
+            let want = whole_share_pct() * range.len() as f64 / leaves;
+            let got = est(WorkDivision::NodeNode, &[r]);
+            assert!((got - want).abs() < 1e-12, "rank {r}: {got} vs {want}");
+        }
+        for div in [WorkDivision::NodeNode, WorkDivision::AtomBased] {
+            let all = est(div, &[0, 1, 2, 3]);
+            assert!(
+                (all - whole_share_pct()).abs() < 1e-9,
+                "{div:?}: all ranks give {all}"
+            );
+        }
+    }
+
+    #[test]
+    fn degraded_error_past_the_last_leaf() {
+        let sys = system(300, 4);
+        let leaves = sys.atoms.leaf_count();
+        let parts = leaves + 3;
+        assert!(
+            parts < sys.atoms.len(),
+            "every atom-based rank must own atoms"
+        );
+        let est = |div, ranks: &[usize]| estimate_degraded_error(&sys, div, ranks, parts);
+        for r in leaves..parts {
+            assert_eq!(
+                est(WorkDivision::NodeNode, &[r]),
+                0.0,
+                "node-node rank {r} owns no leaf"
+            );
+            assert!(
+                est(WorkDivision::AtomBased, &[r]) > 0.0,
+                "atom-based rank {r} owns atoms"
+            );
+        }
+        let every: Vec<usize> = (0..parts).collect();
+        for div in [WorkDivision::NodeNode, WorkDivision::AtomBased] {
+            let all = est(div, &every);
+            assert!(
+                (all - whole_share_pct()).abs() < 1e-9,
+                "{div:?}: all ranks give {all}"
+            );
+        }
     }
 }

@@ -32,6 +32,14 @@
 //! for the full argument, and `tests/lists_match_recursion.rs` for the
 //! proptest).
 //!
+//! Without a pool the Born pass needs neither phase split: each entry is
+//! folded into the accumulators as soon as its kernel returns, read from
+//! a reused list ([`BornLists::execute`] with `None`) or straight from
+//! the traversal, with no list at all ([`BornLists::fold_single`] /
+//! [`BornLists::fold_dual`]). Every accumulator slot is owned by one
+//! atoms node, so the adds land in the same order and the bits are the
+//! same (`tests/born_stream_matches_lists.rs`).
+//!
 //! On top, [`ListEngine`] adds Verlet-skin reuse for MD: trees are built
 //! with node radii inflated by a `skin` margin
 //! ([`polaroct_octree::Octree::inflate_radii`]), and lists stay valid —
@@ -187,7 +195,8 @@ impl BornLists {
     /// recursion's emission stably sorted by atoms node, with the same
     /// op counts, but built without a sort (see `emit_born_single`).
     pub fn build_single(sys: &GbSystem, eps_born: f64) -> BornLists {
-        let (mut entries, ops) = emit_born_single(sys, born_mac(eps_born));
+        let mut entries = Vec::new();
+        let ops = emit_born_single(sys, born_mac(eps_born), |e| entries.push(e));
         let chunks = chunk_entries(sys, &mut entries, true);
         BornLists { entries, chunks, ops }
     }
@@ -195,13 +204,27 @@ impl BornLists {
     /// Lists for the dual-tree traversal (`dual::born_recurse` from the
     /// root pair), approximating at internal `Q` nodes too.
     pub fn build_dual(sys: &GbSystem, eps_born: f64) -> BornLists {
-        let mac = born_mac(eps_born);
         let mut entries = Vec::new();
-        let mut ops = OpCounts::default();
-        build_born_dual(sys, 0, 0, mac, &mut entries, &mut ops);
+        let ops = emit_born_dual(sys, born_mac(eps_born), |e| entries.push(e));
         sort_by_atom_node(&mut entries);
         let chunks = chunk_entries(sys, &mut entries, true);
         BornLists { entries, chunks, ops }
+    }
+
+    /// [`BornLists::build_single`] followed by `execute(sys, None, acc)`,
+    /// without the list: each entry is folded into `acc` as the traversal
+    /// emits it. The emission is already in list order, so every slot
+    /// receives the same adds in the same order. Returns the op counts.
+    pub fn fold_single(sys: &GbSystem, eps_born: f64, acc: &mut BornAccumulators) -> OpCounts {
+        emit_born_single(sys, born_mac(eps_born), |e| Self::fold_entry(sys, &e, acc))
+    }
+
+    /// [`BornLists::build_dual`] followed by `execute(sys, None, acc)`,
+    /// without the list. The raw emission differs from the list only by
+    /// the stable sort on `e.a`, and every slot is owned by one `e.a`, so
+    /// every slot still receives the same adds in the same order.
+    pub fn fold_dual(sys: &GbSystem, eps_born: f64, acc: &mut BornAccumulators) -> OpCounts {
+        emit_born_dual(sys, born_mac(eps_born), |e| Self::fold_entry(sys, &e, acc))
     }
 
     pub fn n_chunks(&self) -> usize {
@@ -236,12 +259,12 @@ impl BornLists {
         }
     }
 
-    /// Phase A for one entry: append its kernel output(s) to `out` —
-    /// exactly the floats [`BornLists::run_chunk`] emits for this entry,
-    /// in the same order. Pure: reads only the system snapshot, so any
-    /// number of entries may run concurrently.
+    /// The kernel of one entry: `sink(slot, term)` for each of its terms,
+    /// in order. A far entry gives one term for `acc.node[e.a]`, a near
+    /// entry one term per atom `acc.atom[ai]` of leaf `e.a`, in range
+    /// order. Pure: reads only the system snapshot.
     #[inline]
-    pub fn run_entry(sys: &GbSystem, e: &ListEntry, out: &mut Vec<f64>) {
+    fn entry_terms(sys: &GbSystem, e: &ListEntry, mut sink: impl FnMut(usize, f64)) {
         let a = sys.atoms.node(e.a);
         let q = sys.qtree.node(e.b);
         if e.far {
@@ -250,11 +273,34 @@ impl BornLists {
             let r2 = d.norm2();
             let inv2 = 1.0 / r2;
             // PANIC-OK: e.b is a qtree node id recorded at list build.
-            out.push(sys.q_node_normal[e.b as usize].dot(d) * inv2 * inv2 * inv2);
+            let normal = sys.q_node_normal[e.b as usize];
+            sink(e.a as usize, normal.dot(d) * inv2 * inv2 * inv2);
         } else {
             let qv = sys.q_arena.view(q.range());
-            sys.born_block_terms(qv, a.range(), |_, t| out.push(t));
+            sys.born_block_terms(qv, a.range(), sink);
         }
+    }
+
+    /// Phase A for one entry: append its kernel output(s) to `out` —
+    /// exactly the floats [`BornLists::run_chunk`] emits for this entry,
+    /// in the same order. Pure: reads only the system snapshot, so any
+    /// number of entries may run concurrently.
+    #[inline]
+    pub fn run_entry(sys: &GbSystem, e: &ListEntry, out: &mut Vec<f64>) {
+        Self::entry_terms(sys, e, |_, t| out.push(t));
+    }
+
+    /// One entry's kernel, added straight into the slots it owns: the
+    /// serial pass, with no Phase-A buffer. Each add is the one
+    /// [`BornLists::apply`] makes for this entry, on the same floats.
+    #[inline]
+    fn fold_entry(sys: &GbSystem, e: &ListEntry, acc: &mut BornAccumulators) {
+        let slots = if e.far { &mut acc.node } else { &mut acc.atom };
+        Self::entry_terms(sys, e, |i, t| {
+            if let Some(s) = slots.get_mut(i) {
+                *s += t;
+            }
+        });
     }
 
     /// Phase A for one chunk: the flat kernel outputs of its entries, in
@@ -273,13 +319,15 @@ impl BornLists {
         out
     }
 
-    /// Phase B: fold per-chunk outputs into the accumulators in emission
-    /// order. Serial by design — this is what pins the floating-point
-    /// add order regardless of how Phase A was scheduled. Generic over
-    /// the per-chunk storage (`Vec<f64>` or `&[f64]`). Every caller
-    /// passes `Vec<f64>`, but a non-generic `&[Vec<f64>]` signature
-    /// measured 2–3% slower per `mutscan` delta query, a code-generation
-    /// effect (the folded bits are the same).
+    /// Phase B of a pooled run: fold per-chunk outputs into the
+    /// accumulators in emission order. Serial by design — this is what
+    /// pins the floating-point add order regardless of how Phase A was
+    /// scheduled. A run without a pool makes the same adds with no
+    /// buffers (`BornLists::fold_entry`). Generic over the per-chunk
+    /// storage (`Vec<f64>` or `&[f64]`). Every caller passes `Vec<f64>`,
+    /// but a non-generic `&[Vec<f64>]` signature measured 2–3% slower per
+    /// `mutscan` delta query, a code-generation effect (the folded bits
+    /// are the same).
     pub fn apply<S: AsRef<[f64]>>(&self, sys: &GbSystem, outputs: &[S], acc: &mut BornAccumulators) {
         debug_assert_eq!(outputs.len(), self.chunks.len());
         for (chunk, vals) in self.chunks.iter().zip(outputs) {
@@ -300,14 +348,23 @@ impl BornLists {
         }
     }
 
-    /// Full execution: Phase A over the pool (or serially when `None`),
-    /// Phase B serially. Returns the op counts of the run.
+    /// Full execution. With a pool, Phase A over its workers and Phase B
+    /// serially. Without one, a single pass in list order folds each
+    /// entry as it is computed (`BornLists::fold_entry`): the same
+    /// adds in the same order, with no per-chunk buffers. Returns the op
+    /// counts of the run.
     pub fn execute(
         &self,
         sys: &GbSystem,
         pool: Option<&WorkStealingPool>,
         acc: &mut BornAccumulators,
     ) -> OpCounts {
+        if pool.is_none() {
+            for e in &self.entries {
+                Self::fold_entry(sys, e, acc);
+            }
+            return self.ops;
+        }
         let n = self.n_chunks();
         let outputs = recovering_map(pool, n, None, |c| self.run_chunk(sys, c), &mut 0);
         self.apply(sys, &outputs, acc);
@@ -316,7 +373,8 @@ impl BornLists {
 }
 
 /// The single-tree Born emission, atoms-node-major, in one pass over
-/// the atoms tree in node-id order.
+/// the atoms tree in node-id order; each entry goes to `sink` as it is
+/// found. Returns the op counts.
 ///
 /// Each atoms node tests its *candidate* q-leaves — those its parent
 /// tested and did not find far, all of `leaf_ids` at the root — in
@@ -331,8 +389,7 @@ impl BornLists {
 /// order, and the same `(a, q)` pairs are tested: the output equals the
 /// q-major recursion stably sorted by atoms node, entry for entry, with
 /// the same op counts.
-fn emit_born_single(sys: &GbSystem, mac: f64) -> (Vec<ListEntry>, OpCounts) {
-    let mut entries = Vec::new();
+fn emit_born_single(sys: &GbSystem, mac: f64, mut sink: impl FnMut(ListEntry)) -> OpCounts {
     let mut ops = OpCounts::default();
     let mut pass: Vec<NodeId> = sys.qtree.leaf_ids.clone();
     let mut span: Vec<Range<usize>> = vec![0..0; sys.atoms.nodes.len()];
@@ -350,10 +407,10 @@ fn emit_born_single(sys: &GbSystem, mac: f64) -> (Vec<ListEntry>, OpCounts) {
             let r2 = d.norm2();
             let sep = (a.radius + q.radius) * mac;
             if r2 > sep * sep && r2 > 0.0 {
-                entries.push(ListEntry::new(a_id, q_id, true, 0));
+                sink(ListEntry::new(a_id, q_id, true, 0));
                 ops.born_far += 1;
             } else if a.is_leaf() {
-                entries.push(ListEntry::new(a_id, q_id, false, 0));
+                sink(ListEntry::new(a_id, q_id, false, 0));
                 ops.born_near += (a.len() * q.len()) as u64;
             } else {
                 pass.push(q_id);
@@ -367,7 +424,16 @@ fn emit_born_single(sys: &GbSystem, mac: f64) -> (Vec<ListEntry>, OpCounts) {
             }
         }
     }
-    (entries, ops)
+    ops
+}
+
+/// The dual-tree Born emission in `dual::born_recurse`'s order (before
+/// [`BornLists::build_dual`]'s stable sort); each entry goes to `sink`
+/// as it is found. Returns the op counts.
+fn emit_born_dual(sys: &GbSystem, mac: f64, mut sink: impl FnMut(ListEntry)) -> OpCounts {
+    let mut ops = OpCounts::default();
+    build_born_dual(sys, 0, 0, mac, &mut sink, &mut ops);
+    ops
 }
 
 /// Mirror of `dual::born_recurse`: far first (same guard), then the
@@ -377,7 +443,7 @@ fn build_born_dual(
     a_id: NodeId,
     q_id: NodeId,
     mac: f64,
-    entries: &mut Vec<ListEntry>,
+    sink: &mut impl FnMut(ListEntry),
     ops: &mut OpCounts,
 ) {
     let a = sys.atoms.node(a_id);
@@ -387,33 +453,33 @@ fn build_born_dual(
     let r2 = d.norm2();
     let sep = (a.radius + q.radius) * mac;
     if r2 > sep * sep && r2 > 0.0 {
-        entries.push(ListEntry::new(a_id, q_id, true, 0));
+        sink(ListEntry::new(a_id, q_id, true, 0));
         ops.born_far += 1;
         return;
     }
     match (a.is_leaf(), q.is_leaf()) {
         (true, true) => {
-            entries.push(ListEntry::new(a_id, q_id, false, 0));
+            sink(ListEntry::new(a_id, q_id, false, 0));
             ops.born_near += (a.len() * q.len()) as u64;
         }
         (true, false) => {
             for qc in q.children() {
-                build_born_dual(sys, a_id, qc, mac, entries, ops);
+                build_born_dual(sys, a_id, qc, mac, sink, ops);
             }
         }
         (false, true) => {
             for ac in a.children() {
-                build_born_dual(sys, ac, q_id, mac, entries, ops);
+                build_born_dual(sys, ac, q_id, mac, sink, ops);
             }
         }
         (false, false) => {
             if a.radius >= q.radius {
                 for ac in a.children() {
-                    build_born_dual(sys, ac, q_id, mac, entries, ops);
+                    build_born_dual(sys, ac, q_id, mac, sink, ops);
                 }
             } else {
                 for qc in q.children() {
-                    build_born_dual(sys, a_id, qc, mac, entries, ops);
+                    build_born_dual(sys, a_id, qc, mac, sink, ops);
                 }
             }
         }
@@ -879,7 +945,9 @@ pub(crate) enum Traversal {
 #[derive(Clone, Copy)]
 pub(crate) enum ListSource<'l> {
     /// Build both lists inside the run (one-shot drivers); the build
-    /// passes are timed as `phases.lists`.
+    /// passes are timed as `phases.lists`. Without a pool no Born list is
+    /// built: the Born traversal folds each entry as it emits it, timed
+    /// inside `phases.integrals`.
     Build(Traversal),
     /// Prebuilt lists, reused as they are ([`ListEngine`], `core::delta`).
     Reuse(&'l BornLists, &'l EpolLists),
@@ -905,8 +973,8 @@ impl<'l> ListSource<'l> {
     }
 }
 
-/// What `core::delta` keeps of a run: the Born Phase-B accumulators (the
-/// far node sums and every atom's near integral) and the E_pol Phase-A
+/// What `core::delta` keeps of a run: the Born accumulators (the far
+/// node sums and every atom's near integral) and the E_pol Phase-A
 /// outputs, one vector per chunk.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhaseOutputs {
@@ -925,7 +993,8 @@ pub(crate) struct Evaluation {
     pub ops: OpCounts,
     /// Measured phase times (`build` stays zero).
     pub phases: PhaseTimes,
-    /// Heap bytes of the two interaction lists the run used.
+    /// Heap bytes of the interaction lists the run used: the E_pol list,
+    /// plus the Born list unless the Born pass streamed without one.
     pub list_bytes: usize,
     /// Slots re-executed after a lost (poisoned) pool task.
     pub recovered: u32,
@@ -938,14 +1007,19 @@ pub(crate) fn no_faults(_phase: u32, _slots: usize) -> Result<Option<usize>, Inf
 
 /// The one-process evaluation sequence of Fig. 4, shared by `run_serial`,
 /// `run_oct_cilk`, `run_oct_threads_ft`, [`ListEngine`] and `core::delta`:
-/// APPROX-INTEGRALS Phase A/B → push → [`ChargeBins`] → APPROX-E_pol
-/// Phase A/B, with every phase timed. Callers differ only in where the
-/// lists come from ([`ListSource`]), the pool Phase A and the push fan
-/// over (serial when `None`), and the fault hook.
+/// APPROX-INTEGRALS → push → [`ChargeBins`] → APPROX-E_pol Phase A/B,
+/// with every phase timed. Callers differ only in where the lists come
+/// from ([`ListSource`]), the pool Phase A and the push fan over (serial
+/// when `None`), and the fault hook. With a pool, APPROX-INTEGRALS is
+/// Phase A over the list's chunks and Phase B; without one, it is a
+/// single pass that folds each Born entry as it is reached (Fig. 2's
+/// order of adds), from the list when one is reused and straight from
+/// the traversal otherwise.
 ///
 /// `faults(phase, slots)` runs at the start of each parallel phase
-/// (`INTEGRALS`, `PUSH`, `EPOL`, with that phase's slot count). It
-/// returns the slot to poison, or the error that ends the run.
+/// (`INTEGRALS`, `PUSH`, `EPOL`, with that phase's slot count; a serial
+/// Born pass or push is one slot). It returns the slot to poison, or the
+/// error that ends the run.
 pub(crate) struct Pipeline<'a, F> {
     sys: &'a GbSystem,
     approx: &'a ApproxParams,
@@ -953,6 +1027,8 @@ pub(crate) struct Pipeline<'a, F> {
     faults: F,
     ops: OpCounts,
     phases: PhaseTimes,
+    /// Heap bytes of the Born list the run used (none when streamed).
+    born_list_bytes: usize,
     recovered: u32,
 }
 
@@ -973,36 +1049,71 @@ where
             faults,
             ops: OpCounts::default(),
             phases: PhaseTimes::default(),
+            born_list_bytes: 0,
             recovered: 0,
         }
     }
 
-    /// Born radii (Morton order): APPROX-INTEGRALS Phase A (poisoned
-    /// slots re-executed) and Phase B, then the push — [`LIST_CHUNKS`]
-    /// atom blocks with a pool, one range without. Radii are written
-    /// independently per atom, so the blocking cannot change them; only
-    /// `nodes_visited` grows with the shared ancestors each block
-    /// re-walks. The Phase-B accumulators go to `keep` when given.
-    pub(crate) fn born_radii(
-        &mut self,
-        lists: &BornLists,
-        keep: Option<&mut BornAccumulators>,
-    ) -> Result<Vec<f64>, E> {
-        let (sys, math, n) = (self.sys, self.approx.math, self.sys.n_atoms());
+    /// APPROX-INTEGRALS into fresh accumulators. With a pool: the Born
+    /// list is built (timed as `phases.lists`) or reused, then Phase A
+    /// runs over the pool (poisoned slots re-executed) and Phase B folds
+    /// its outputs. Without one: every entry is folded as it is reached —
+    /// emitted by the traversal ([`BornLists::fold_single`] /
+    /// [`BornLists::fold_dual`]) or read from the reused list — so no
+    /// Born list and no Phase-A buffers are allocated, and the traversal
+    /// is timed in `phases.integrals`. Both give the same bits.
+    fn integrals(&mut self, lists: ListSource<'_>) -> Result<BornAccumulators, E> {
+        let (sys, eps) = (self.sys, self.approx.eps_born);
+        let mut acc = BornAccumulators::zeros(sys);
+        let Some(pool) = self.pool else {
+            let t = Instant::now();
+            // No pool, so no slot to poison: only the hook's error counts.
+            (self.faults)(phase::INTEGRALS, 1)?;
+            let ops = match lists {
+                ListSource::Build(Traversal::Single) => BornLists::fold_single(sys, eps, &mut acc),
+                ListSource::Build(Traversal::Dual) => BornLists::fold_dual(sys, eps, &mut acc),
+                ListSource::Reuse(born, _) => {
+                    self.born_list_bytes = born.memory_bytes();
+                    born.execute(sys, None, &mut acc)
+                }
+            };
+            self.ops.add(&ops);
+            self.phases.integrals += t.elapsed().as_secs_f64();
+            return Ok(acc);
+        };
+
+        let t = Instant::now();
+        let lists = lists.born(sys, eps);
+        self.phases.lists += t.elapsed().as_secs_f64();
+        self.born_list_bytes = lists.memory_bytes();
         let t = Instant::now();
         let poison = (self.faults)(phase::INTEGRALS, lists.n_chunks())?;
         let outputs = recovering_map(
-            self.pool,
+            Some(pool),
             lists.n_chunks(),
             poison,
             |c| lists.run_chunk(sys, c),
             &mut self.recovered,
         );
-        let mut acc = BornAccumulators::zeros(sys);
         lists.apply(sys, &outputs, &mut acc);
         self.ops.add(&lists.ops);
         self.phases.integrals += t.elapsed().as_secs_f64();
-        drop(outputs);
+        Ok(acc)
+    }
+
+    /// Born radii (Morton order): APPROX-INTEGRALS (see
+    /// `Pipeline::integrals`), then the push — [`LIST_CHUNKS`] atom
+    /// blocks with a pool, one range without. Radii are written
+    /// independently per atom, so the blocking cannot change them; only
+    /// `nodes_visited` grows with the shared ancestors each block
+    /// re-walks. The accumulators go to `keep` when given.
+    pub(crate) fn born_radii(
+        &mut self,
+        lists: ListSource<'_>,
+        keep: Option<&mut BornAccumulators>,
+    ) -> Result<Vec<f64>, E> {
+        let (sys, math, n) = (self.sys, self.approx.math, self.sys.n_atoms());
+        let acc = self.integrals(lists)?;
 
         let t = Instant::now();
         let blocks = if self.pool.is_some() { LIST_CHUNKS.min(n.max(1)) } else { 1 };
@@ -1034,10 +1145,7 @@ where
         mut keep: Option<&mut PhaseOutputs>,
     ) -> Result<Evaluation, E> {
         let (sys, approx) = (self.sys, self.approx);
-        let t = Instant::now();
-        let born_lists = lists.born(sys, approx.eps_born);
-        self.phases.lists += t.elapsed().as_secs_f64();
-        let born = self.born_radii(&born_lists, keep.as_deref_mut().map(|k| &mut k.born))?;
+        let born = self.born_radii(lists, keep.as_deref_mut().map(|k| &mut k.born))?;
 
         let t = Instant::now();
         let bins = ChargeBins::for_params(sys, &born, approx);
@@ -1072,7 +1180,7 @@ where
             energy_kcal: epol_from_raw_sum(raw, approx.eps_solvent),
             ops: self.ops,
             phases: self.phases,
-            list_bytes: born_lists.memory_bytes() + epol_lists.memory_bytes(),
+            list_bytes: self.born_list_bytes + epol_lists.memory_bytes(),
             recovered: self.recovered,
         })
     }
@@ -1156,7 +1264,8 @@ impl ListEngine {
         // Populate Born radii at the build geometry so force kernels can
         // run before the first `evaluate` call.
         let mut pipeline = Pipeline::new(&engine.sys, approx, None, no_faults);
-        let Ok(born) = pipeline.born_radii(&engine.born_lists, None);
+        let lists = ListSource::Reuse(&engine.born_lists, &engine.epol_lists);
+        let Ok(born) = pipeline.born_radii(lists, None);
         engine.born = born;
         engine
     }

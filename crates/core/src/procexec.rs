@@ -581,7 +581,7 @@ mod imp {
         summary.exits.sort_by_key(|(r, _)| *r);
 
         let root = (raw, born_sorted, ops, summary);
-        Ok(fig4_report("OCT_MPI_PROC", &sys, params, &cluster, root, &clocks, wall))
+        Ok(fig4_report("OCT_MPI_PROC", &sys, params, &cluster, workdiv, root, &clocks, wall))
     }
 
 }
