@@ -101,6 +101,25 @@ fn frame_err(e: wire::WireError) -> TransportError {
 }
 
 const POLL_GRAIN: Duration = Duration::from_millis(2);
+/// First sleep of a [`Backoff`].
+const POLL_FIRST: Duration = Duration::from_micros(50);
+
+/// Sleeps between polls of a child or a listener: the first is
+/// [`POLL_FIRST`], each next one twice the last, up to [`POLL_GRAIN`]. A
+/// worker that exits or connects right away is seen within tens of
+/// microseconds; a slow one costs about the wake-ups of a fixed grain.
+struct Backoff(Duration);
+
+impl Backoff {
+    fn new() -> Backoff {
+        Backoff(POLL_FIRST)
+    }
+
+    fn sleep(&mut self) {
+        std::thread::sleep(self.0);
+        self.0 = (self.0 * 2).min(POLL_GRAIN);
+    }
+}
 
 /// Fill `buf` from `stream`, never blocking past `deadline`. `Ok(0)`
 /// from the kernel means the peer's end is gone (EOF) — for a worker
@@ -486,9 +505,11 @@ impl Supervisor {
         let deadline = Instant::now() + startup_timeout;
         let mut pending: Vec<usize> =
             (1..size).filter(|&r| children[r].is_some()).collect();
+        let mut backoff = Backoff::new();
         while !pending.is_empty() && Instant::now() < deadline {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    backoff = Backoff::new();
                     match Self::handshake(&stream, size, policy, deadline) {
                         Ok(rank) if pending.contains(&rank) => {
                             streams[rank] = Some(stream);
@@ -520,7 +541,7 @@ impl Supervisor {
                             }
                         }
                     });
-                    std::thread::sleep(POLL_GRAIN);
+                    backoff.sleep();
                 }
                 Err(e) => {
                     return Err(ProcError::Io { context: "accept", detail: e.to_string() })
@@ -629,6 +650,7 @@ impl Supervisor {
     fn reap_one(&mut self, rank: usize, grace: Duration) -> Option<String> {
         let child = self.children.get_mut(rank)?.as_mut()?;
         let deadline = Instant::now() + grace;
+        let mut backoff = Backoff::new();
         loop {
             match child.try_wait() {
                 Ok(Some(status)) => return Some(describe_status(status)),
@@ -642,7 +664,7 @@ impl Supervisor {
                         });
                         return Some(format!("{status} (killed by supervisor)"));
                     }
-                    std::thread::sleep(POLL_GRAIN);
+                    backoff.sleep();
                 }
                 Err(e) => return Some(format!("wait failed: {e}")),
             }
@@ -729,6 +751,20 @@ mod tests {
         write_all_deadline(&a, &f, Instant::now() + Duration::from_secs(1)).unwrap();
         let err = read_frame(&b, Duration::from_secs(1)).unwrap_err();
         assert!(matches!(err, TransportError::Frame { .. }), "got {err:?}");
+    }
+
+    /// The poll sleeps start at `POLL_FIRST`, double, and stop growing
+    /// at `POLL_GRAIN`.
+    #[test]
+    fn backoff_doubles_up_to_the_grain() {
+        let mut b = Backoff::new();
+        let mut seen = vec![b.0];
+        for _ in 0..7 {
+            b.sleep();
+            seen.push(b.0);
+        }
+        let micros: Vec<u128> = seen.iter().map(Duration::as_micros).collect();
+        assert_eq!(micros, [50, 100, 200, 400, 800, 1600, 2000, 2000]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and the §V.B memory-replication slowdown (see `polaroct-cluster`).
 
 use crate::born::{approx_integrals, push_integrals_to_atoms, push_segment, BornAccumulators};
-use crate::epol::{approx_epol_leaf, ChargeBins};
+use crate::epol::{epol_leaf, ChargeBins, ShareMirrors};
 use crate::gb::epol_from_raw_sum;
 use crate::lists::{ListSource, Pipeline, Traversal};
 use crate::naive::{born_radii_naive, epol_naive_raw};
@@ -312,7 +312,9 @@ pub struct RunReport {
     /// Measured host wall-clock seconds for the whole run. For the
     /// simulated-cluster drivers this is the time to *execute* the
     /// simulation on this host (all ranks sequentially), not the modeled
-    /// cluster time in [`RunReport::time`].
+    /// cluster time in [`RunReport::time`]. A process-transport run with
+    /// workers also counts their launch, rank 0's prepare and the reap
+    /// (`crate::procexec`).
     pub wall_seconds: f64,
     /// Measured per-phase breakdown; zeroed for drivers that interleave
     /// phases across simulated ranks (Fig. 4) where a per-phase host
@@ -660,7 +662,10 @@ pub(crate) fn step2_partial(
 }
 
 /// Fig. 4 Step 6 for one rank's static share of the atom leaves (see
-/// [`step2_partial`] for the bit-identity argument).
+/// [`step2_partial`] for the bit-identity argument). Mirrored leaf tiles
+/// inside the share are evaluated once ([`ShareMirrors`], DESIGN.md
+/// §10.7); the raw sum and every task's op counts are those of
+/// [`crate::epol::approx_epol_leaf`] per task.
 pub(crate) fn step6_partial(
     sys: &GbSystem,
     bins: &ChargeBins,
@@ -671,10 +676,11 @@ pub(crate) fn step6_partial(
     math: MathMode,
 ) -> (f64, Vec<OpCounts>) {
     let share = workdiv.share(&sys.atoms, size, rank);
+    let mut mirrors = ShareMirrors::new(&sys.atoms, &share);
     let mut raw = 0.0;
     let mut task_ops = Vec::new();
     for v in share.tasks(&sys.atoms) {
-        let (r, o) = approx_epol_leaf(sys, bins, born, v, &share.points, math);
+        let (r, o) = epol_leaf(sys, bins, born, v, &share.points, math, Some(&mut mirrors));
         raw += r;
         task_ops.push(o);
     }
@@ -1441,6 +1447,56 @@ mod tests {
         let t4 = fork_join_makespan(t1, 100, 10, 4, 1e-6);
         assert!(t4 >= t1 / 4.0);
         assert!(t4 < t1, "4 workers should beat serial");
+    }
+
+    /// Step 6 with mirrored tiles paired inside each share gives the bits
+    /// of a plain fold of [`approx_epol_leaf`] per task: the same raw
+    /// sum and the same op counts for every task, at every rank count,
+    /// under both divisions and both far rules.
+    #[test]
+    fn step6_pairing_changes_no_bits() {
+        use crate::epol::approx_epol_leaf;
+        let sys = system(1_000, 9);
+        let params = ApproxParams::default();
+        let (born, _) = crate::born::born_radii_octree(&sys, params.eps_born, params.math);
+        let leaves = sys.atoms.leaf_count();
+        for far in [EpolFar::Binned, EpolFar::default()] {
+            let bins = ChargeBins::build_far(&sys, &born, params.eps_epol, far);
+            for div in [WorkDivision::NodeNode, WorkDivision::AtomBased] {
+                for parts in [1, 2, 3, 8, leaves + 2] {
+                    for rank in 0..parts {
+                        let share = div.share(&sys.atoms, parts, rank);
+                        let (mut plain, mut plain_ops) = (0.0, Vec::new());
+                        for v in share.tasks(&sys.atoms) {
+                            let (r, o) =
+                                approx_epol_leaf(&sys, &bins, &born, v, &share.points, params.math);
+                            plain += r;
+                            plain_ops.push(o);
+                        }
+                        let (raw, ops) =
+                            step6_partial(&sys, &bins, &born, div, parts, rank, params.math);
+                        let at = format!("{far:?} {div:?} P={parts} rank {rank}");
+                        assert_eq!(raw.to_bits(), plain.to_bits(), "{at}: {raw} vs {plain}");
+                        assert_eq!(ops, plain_ops, "{at}: op counts");
+                    }
+                }
+                // One rank holds every leaf whole: pairs must form.
+                let share = div.share(&sys.atoms, 1, 0);
+                let mut mirrors = ShareMirrors::new(&sys.atoms, &share);
+                for v in share.tasks(&sys.atoms) {
+                    epol_leaf(
+                        &sys,
+                        &bins,
+                        &born,
+                        v,
+                        &share.points,
+                        params.math,
+                        Some(&mut mirrors),
+                    );
+                }
+                assert!(mirrors.paired > 0, "{far:?} {div:?}: no tile was paired");
+            }
+        }
     }
 
     /// The percent estimate for one degraded rank when it holds all of

@@ -26,12 +26,13 @@
 //! [`crate::gb::epol_from_raw_sum`].
 
 use crate::params::{ApproxParams, EpolFar};
-use crate::soa::{AtomView, StillScratch};
+use crate::soa::{still_pair_block, AtomView, StillScratch};
 use crate::system::GbSystem;
+use crate::workdiv::Share;
 use polaroct_cluster::simtime::OpCounts;
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
-use polaroct_octree::NodeId;
+use polaroct_octree::{Node, NodeId, Octree};
 use std::ops::Range;
 
 /// Values per node in [`ChargeBins::moments`]: the dipole
@@ -300,15 +301,166 @@ pub fn approx_epol_leaf(
     clip: &Range<usize>,
     math: MathMode,
 ) -> (f64, OpCounts) {
+    epol_leaf(sys, bins, born, v_leaf, clip, math, None)
+}
+
+/// [`approx_epol_leaf`] as one task of a Step 6 share whose mirrored
+/// tiles `mirrors` pairs. The value and the op counts are the same bits
+/// with or without the store (DESIGN.md §11.4).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn epol_leaf(
+    sys: &GbSystem,
+    bins: &ChargeBins,
+    born: &[f64],
+    v_leaf: NodeId,
+    clip: &Range<usize>,
+    math: MathMode,
+    mut mirrors: Option<&mut ShareMirrors>,
+) -> (f64, OpCounts) {
     let mut ops = OpCounts::default();
     let raw = match VLeafView::clipped(sys, bins, born, v_leaf, clip) {
         Some(v) => {
+            if let Some(m) = mirrors.as_deref_mut() {
+                m.begin(&sys.atoms, v_leaf);
+            }
             let mut scratch = StillScratch::default();
-            epol_recurse(sys, bins, born, 0, &v, math, &mut scratch, &mut ops)
+            epol_recurse(
+                sys,
+                bins,
+                born,
+                0,
+                &v,
+                math,
+                &mut scratch,
+                &mut ops,
+                mirrors,
+            )
         }
         None => 0.0,
     };
     (raw, ops)
+}
+
+/// The mirrored tiles of one Fig. 4 Step 6 share (DESIGN.md §10.7).
+///
+/// Task `v` reaching near leaf `u` evaluates one [`still_pair_block`]
+/// tile for `(u, v)` and `(v, u)` when both leaves are whole tasks of the
+/// share, `u` runs later, and task `u`'s recursion will reach leaf `v`:
+/// no strict ancestor of `v` passes the far test against `u`. It keeps
+/// its own value and holds the mirror's until task `u` reaches `v`.
+/// Pairs that cross shares, clipped leaves and diagonal blocks stay
+/// unpaired.
+#[derive(Debug)]
+pub(crate) struct ShareMirrors {
+    /// Slot of each atoms-tree node: its position among the share's
+    /// whole tasks in task order, or [`ShareMirrors::NONE`].
+    slot: Vec<u32>,
+    /// `held[s]`: `(source leaf, value)` for the task in slot `s`, each
+    /// taken once when that task reaches the source. A short contiguous
+    /// list per task keeps the lookup a scan of a few cache lines.
+    held: Vec<Vec<(NodeId, f64)>>,
+    /// The running task's leaf and slot.
+    leaf: NodeId,
+    task: u32,
+    /// Strict ancestors of the running task's leaf, root first.
+    path: Vec<NodeId>,
+    /// Tiles evaluated as pairs so far.
+    pub(crate) paired: usize,
+}
+
+impl ShareMirrors {
+    const NONE: u32 = u32::MAX;
+
+    /// The store for one rank's Step 6 share of the atoms tree `tree`.
+    pub(crate) fn new(tree: &Octree, share: &Share) -> ShareMirrors {
+        let mut slot = vec![Self::NONE; tree.nodes.len()];
+        let mut n = 0u32;
+        for id in share.tasks(tree) {
+            let r = tree.node(id).range();
+            let whole = share.points.start <= r.start && r.end <= share.points.end;
+            if let Some(s) = slot.get_mut(id as usize).filter(|_| whole) {
+                *s = n;
+                n += 1;
+            }
+        }
+        ShareMirrors {
+            slot,
+            held: vec![Vec::new(); n as usize],
+            leaf: 0,
+            task: Self::NONE,
+            path: Vec::new(),
+            paired: 0,
+        }
+    }
+
+    fn slot_of(&self, id: NodeId) -> u32 {
+        self.slot.get(id as usize).copied().unwrap_or(Self::NONE)
+    }
+
+    /// Start task `leaf`: record its slot and its strict ancestors. A
+    /// clipped task gets no slot and pairs nothing.
+    fn begin(&mut self, tree: &Octree, leaf: NodeId) {
+        // Every value held for the previous task was taken by it.
+        if let Some(done) = self.held.get_mut(self.task as usize) {
+            debug_assert!(done.is_empty(), "a held mirror value was never taken");
+            *done = Vec::new();
+        }
+        self.leaf = leaf;
+        self.task = self.slot_of(leaf);
+        self.path.clear();
+        if self.task == Self::NONE {
+            return;
+        }
+        let start = tree.node(leaf).range().start;
+        let mut id: NodeId = 0;
+        while id != leaf {
+            self.path.push(id);
+            let child = tree.node(id).children().find(|&c| tree.node(c).range().contains(&start));
+            let Some(c) = child else { break };
+            id = c;
+        }
+    }
+
+    /// Raw STILL block of leaf `u_id` against the running task `v`: a
+    /// held mirror value, the own half of a fresh pair tile, or a plain
+    /// tile.
+    #[allow(clippy::too_many_arguments)]
+    fn tile(
+        &mut self,
+        sys: &GbSystem,
+        bins: &ChargeBins,
+        born: &[f64],
+        u_id: NodeId,
+        v: &VLeafView,
+        math: MathMode,
+        scratch: &mut StillScratch,
+    ) -> f64 {
+        let u = sys.atoms.node(u_id);
+        if self.task == Self::NONE {
+            return sys.still_block_raw(born, u.range(), v.view, math, scratch);
+        }
+        if let Some(held) = self.held.get_mut(self.task as usize) {
+            if let Some(k) = held.iter().position(|&(s, _)| s == u_id) {
+                return held.swap_remove(k).1;
+            }
+        }
+        let target = self.slot_of(u_id);
+        // Task `u` reaches leaf `v` when no ancestor of `v` is far from
+        // `u` under the recursion's own far test.
+        let reached = || {
+            let far = |&a: &NodeId| is_far(sys.atoms.node(a), u.center, u.radius, bins.mac);
+            !self.path.iter().any(far)
+        };
+        let held = match self.held.get_mut(target as usize) {
+            Some(held) if target > self.task && reached() => held,
+            _ => return sys.still_block_raw(born, u.range(), v.view, math, scratch),
+        };
+        let uv = sys.atom_arena.view(born, u.range());
+        let (own, mirror) = still_pair_block(uv, v.view, math, scratch);
+        held.push((self.leaf, mirror));
+        self.paired += 1;
+        own
+    }
 }
 
 /// A (possibly clipped) target leaf with its bin sums, moments and the
@@ -405,6 +557,17 @@ pub(crate) fn far_pairs(qu: &[f64], qv: &[f64]) -> u64 {
     nu * nv
 }
 
+/// The recursion's far test: atoms node `u` against a target leaf of
+/// centre `c` and radius `r`, under the MAC multiplier `mac`.
+fn is_far(u: &Node, c: Vec3, r: f64, mac: f64) -> bool {
+    let r2 = u.center.dist2(c);
+    let sep = (u.radius + r) * mac;
+    r2 > sep * sep
+}
+
+/// The one E_pol recursion: leaf `V` against the subtree at `u_id`.
+/// `mirrors`, when given, pairs the share's mirrored leaf tiles; the
+/// traversal, its fold order and its op counts are the same either way.
 #[allow(clippy::too_many_arguments)]
 fn epol_recurse(
     sys: &GbSystem,
@@ -415,6 +578,7 @@ fn epol_recurse(
     math: MathMode,
     scratch: &mut StillScratch,
     ops: &mut OpCounts,
+    mut mirrors: Option<&mut ShareMirrors>,
 ) -> f64 {
     let u = sys.atoms.node(u_id);
     ops.nodes_visited += 1;
@@ -424,21 +588,31 @@ fn epol_recurse(
         // ranges overlap — exactly the ordered-pair semantics of Eq. 2),
         // via the block-form lane-batched SoA STILL kernel over `v`'s
         // arena slice.
-        let raw = sys.still_block_raw(born, u.range(), v.view, math, scratch);
         ops.epol_near += (u.len() * v.range.len()) as u64;
-        return raw;
+        return match mirrors {
+            Some(m) => m.tile(sys, bins, born, u_id, v, math, scratch),
+            None => sys.still_block_raw(born, u.range(), v.view, math, scratch),
+        };
     }
 
-    let r2 = u.center.dist2(v.center);
-    let sep = (u.radius + v.radius) * bins.mac;
-    if r2 > sep * sep {
+    if is_far(u, v.center, v.radius, bins.mac) {
         ops.epol_far += far_pairs(bins.of(u_id), &v.bins);
         return far_value(bins, &bins.side(sys, u_id), &v.side(), math);
     }
 
     let mut raw = 0.0;
     for c in u.children() {
-        raw += epol_recurse(sys, bins, born, c, v, math, scratch, ops);
+        raw += epol_recurse(
+            sys,
+            bins,
+            born,
+            c,
+            v,
+            math,
+            scratch,
+            ops,
+            mirrors.as_deref_mut(),
+        );
     }
     raw
 }

@@ -9,6 +9,21 @@
 //! through the same two-round FT protocol as the in-process driver, via
 //! `polaroct_cluster::proc`.
 //!
+//! **Start-up order.** Launch the workers, ship each its `JOB`, then
+//! prepare rank 0's system while the workers prepare theirs (Fig. 4
+//! Step 1 runs on every rank at once), then wait for every `READY`.
+//! Rank 0 validates its own replica before waiting: bad input ends in
+//! the same [`DriverError::InvalidInput`] as on the in-process path, and
+//! the supervisor kills the workers it launched on the way out. Only a
+//! launch that fails outright (no executable path, no socket) returns
+//! [`DriverError::Failed`] before the input is checked.
+//!
+//! **What `wall_seconds` covers.** [`RunReport::wall_seconds`] runs from
+//! the worker launch to the last worker reaped: launch, rank 0's prepare
+//! (overlapping the workers'), the Fig. 4 body and the reap. A
+//! one-rank run has no workers and, like the in-process drivers, starts
+//! its clock after the prepare.
+//!
 //! **Bit-identity across transports.** Both transports execute
 //! `crate::drivers::fig4_rank_body` — the identical rank body — and
 //! the root-side collective protocol does not depend on which transport
@@ -430,9 +445,9 @@ mod imp {
         ftc: &FtConfig,
     ) -> Result<RunReport, DriverError> {
         require_config(ranks >= 1, "the process transport needs at least one rank")?;
-        let sys = GbSystem::prepare(mol, params);
-        validate_system(&sys)?;
         if ranks == 1 {
+            let sys = GbSystem::prepare(mol, params);
+            validate_system(&sys)?;
             // One rank has no workers — the transports are trivially
             // identical; run in process and relabel.
             let mut r = crate::drivers::run_oct_mpi_ft(
@@ -458,18 +473,6 @@ mod imp {
         })
         .map_err(|e| DriverError::Failed { cause: format!("worker launch failed: {e}") })?;
 
-        // Workers that died (or hung) before the handshake: with recovery
-        // disabled the run cannot tolerate them; otherwise the collectives
-        // will find them dead and recover, like any other lost rank.
-        let startup_lost = sup.startup_lost().to_vec();
-        if !startup_lost.is_empty() && ftc.recovery == RecoveryMode::Disabled {
-            let (rank, status) = startup_lost[0].clone();
-            drop(sup); // kills remaining children
-            return Err(DriverError::Failed {
-                cause: format!("worker {rank} lost before joining ({status})"),
-            });
-        }
-
         let fabric = sup.fabric();
         let job = encode_job(&JobSpec {
             molecule: mol.clone(),
@@ -487,6 +490,23 @@ mod imp {
                 fabric.mark_dead(r);
                 fabric.record_exit(r, e.to_string());
             }
+        }
+
+        // Step 1 on every rank at once: rank 0 prepares its replica while
+        // the workers prepare theirs. Bad input ends here, before any
+        // `READY` is awaited; dropping the supervisor kills the workers.
+        let sys = GbSystem::prepare(mol, params);
+        validate_system(&sys)?;
+
+        // Workers that died (or hung) before the handshake: with recovery
+        // disabled the run cannot tolerate them; otherwise the collectives
+        // will find them dead and recover, like any other lost rank.
+        if let (Some((rank, status)), RecoveryMode::Disabled) =
+            (sup.startup_lost().first(), ftc.recovery)
+        {
+            return Err(DriverError::Failed {
+                cause: format!("worker {rank} lost before joining ({status})"),
+            });
         }
         for r in 1..ranks {
             if fabric.is_dead(r) {

@@ -46,6 +46,10 @@ fn run_all() {
             tests::kill_mid_send_no_poisoned_channel,
         ),
         ("transports_match", tests::transports_match),
+        (
+            "bad_input_is_typed_and_leaves_no_worker",
+            tests::bad_input_is_typed_and_leaves_no_worker,
+        ),
     ];
     let mut failed = 0usize;
     for (name, f) in tests {
@@ -69,14 +73,16 @@ fn run_all() {
 mod tests {
     use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
     use polaroct_cluster::machine::{ClusterSpec, MachineSpec, Placement};
-    use polaroct_core::drivers::{DriverConfig, FtConfig, RecoveryMode, RunOutcome, RunReport};
+    use polaroct_core::drivers::{
+        DriverConfig, DriverError, FtConfig, RecoveryMode, RunOutcome, RunReport,
+    };
     use polaroct_core::procexec::ENV_SELFTEST;
     use polaroct_core::{
-        run_oct_mpi_ft, run_oct_mpi_proc_ft, ApproxParams, GbSystem, WorkDivision,
+        run_oct_mpi_ft, run_oct_mpi_proc_ft, validate_system, ApproxParams, GbSystem, WorkDivision,
     };
     use polaroct_molecule::{synth, Molecule};
     use proptest::prelude::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn molecule(n: usize, seed: u64) -> Molecule {
         synth::protein("pt", n, seed)
@@ -306,5 +312,67 @@ mod tests {
 
     pub fn transports_match() {
         prop_transports_match();
+    }
+
+    /// Processes whose parent is this one, running or not yet reaped,
+    /// read from `/proc`; `None` on a host without it.
+    fn child_processes() -> Option<usize> {
+        let me = std::process::id().to_string();
+        let entries = std::fs::read_dir("/proc").ok()?;
+        let is_child = |stat: String| {
+            // `pid (comm) state ppid ...`; `comm` may hold spaces.
+            let (_, rest) = stat.rsplit_once(')')?;
+            Some(rest.split_whitespace().nth(1)? == me)
+        };
+        Some(
+            entries
+                .flatten()
+                .filter(|e| {
+                    let stat = std::fs::read_to_string(e.path().join("stat"));
+                    stat.ok().and_then(is_child).unwrap_or(false)
+                })
+                .count(),
+        )
+    }
+
+    /// Rank 0 validates its system after the workers are launched. A
+    /// NaN coordinate and a zero radius still end in the in-process
+    /// driver's `InvalidInput`, at once, and the launched workers are
+    /// killed and reaped before the call returns.
+    pub fn bad_input_is_typed_and_leaves_no_worker() {
+        let params = ApproxParams::default();
+        let cfg = DriverConfig::default();
+        let base = molecule(160, 37);
+        let mut nan = base.clone();
+        nan.positions[17].y = f64::NAN;
+        let mut zero = base;
+        zero.radii[42] = 0.0;
+        let before = child_processes();
+        for (what, mol) in [("NaN coordinate", &nan), ("zero radius", &zero)] {
+            let want = validate_system(&GbSystem::prepare(mol, &params))
+                .expect_err("the system must fail validation");
+            assert!(
+                matches!(want, DriverError::InvalidInput { .. }),
+                "{what}: {want:?}"
+            );
+            let t0 = Instant::now();
+            let got = run_oct_mpi_proc_ft(
+                mol,
+                &params,
+                &cfg,
+                3,
+                WorkDivision::NodeNode,
+                &ftc(FaultPlan::none()),
+            )
+            .expect_err("bad input must not run");
+            assert_eq!(got, want, "{what}");
+            let took = t0.elapsed();
+            assert!(took < Duration::from_secs(10), "{what}: took {took:?}");
+            assert_eq!(
+                child_processes(),
+                before,
+                "{what}: a worker outlived the call"
+            );
+        }
     }
 }
