@@ -5,10 +5,10 @@
 //! Two variants run the *same* near-entry workload (the interaction
 //! lists' leaf×leaf blocks, positions refreshed per trajectory frame):
 //!
-//! * **gather_scalar** — the seed hot path: per-entry `QLeafSoa` /
-//!   `AtomSoa` gather into scratch, then straight scalar loops (written
-//!   out longhand here, independent of `core::soa`, so they also serve
-//!   as the bitwise reference).
+//! * **gather_scalar** — the seed hot path: per-entry gather of the leaf
+//!   out of the system into flat scratch lanes, then straight scalar
+//!   loops (gather and loops written out longhand here, independent of
+//!   `core::soa`, so they also serve as the bitwise reference).
 //! * **arena_lanes** — the current hot path: zero-copy views into the
 //!   persistent Morton-ordered arenas, lane-batched kernels.
 //!
@@ -20,10 +20,8 @@
 //!
 //! Blocking gates (any mode, quick or full): the arena path must match
 //! the gather+scalar path **bit-for-bit** — per-atom Born accumulators
-//! and the raw E_pol sum at every frame — and so must the paired path
-//! (per entry, and the raw sum folded entry by entry); the lane kernels
-//! must match the scalar reference at every swept width and chunk size,
-//! the Born kernel also in block form over whole atom leaves.
+//! and the raw E_pol sum at every frame, both `MathMode`s — and so must
+//! the paired path (per entry, and the raw sum folded entry by entry).
 //! Timing (ns/interaction per kernel × MathMode × variant, and the
 //! combined Approx-mode per-step walls with their speedup) is reported
 //! in `BENCH_kernels.json`; far-field entries cost the same in both
@@ -37,16 +35,67 @@ use polaroct_bench::{fmt_time, quick_mode, Table};
 use polaroct_core::born::born_radii_octree;
 use polaroct_core::epol::ChargeBins;
 use polaroct_core::lists::{BornLists, EpolLists};
-use polaroct_core::soa::{
-    born_block_lanes, born_term_lanes, still_pair_block, still_term_lanes, AtomSoa, AtomView,
-    QLeafSoa, QView, StillScratch, CHUNK,
-};
+use polaroct_core::soa::{still_pair_block, AtomView, QView, StillScratch, CHUNK};
 use polaroct_core::{ApproxParams, GbSystem};
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
 use polaroct_molecule::synth;
 use std::io::Write;
+use std::ops::Range;
 use std::time::Instant;
+
+/// Seed-path scratch: a leaf range copied out of the system into flat
+/// lanes, one allocation reused across a whole sweep.
+#[derive(Default)]
+struct Gather {
+    lanes: [Vec<f64>; 6],
+}
+
+impl Gather {
+    /// Copy q range `r` in: positions and `n_q * w_q`, the product the
+    /// q arena stores.
+    fn q(&mut self, sys: &GbSystem, r: Range<usize>) -> QView<'_> {
+        self.lanes.iter_mut().for_each(Vec::clear);
+        let [x, y, z, wnx, wny, wnz] = &mut self.lanes;
+        let pts = sys.qtree.points.get(r.clone()).unwrap_or(&[]);
+        let nrm = sys.q_normal.get(r.clone()).unwrap_or(&[]);
+        let w = sys.q_weight.get(r).unwrap_or(&[]);
+        for ((p, &n), &w) in pts.iter().zip(nrm).zip(w) {
+            let wn = n * w;
+            x.push(p.x);
+            y.push(p.y);
+            z.push(p.z);
+            wnx.push(wn.x);
+            wny.push(wn.y);
+            wnz.push(wn.z);
+        }
+        QView {
+            x,
+            y,
+            z,
+            wnx,
+            wny,
+            wnz,
+        }
+    }
+
+    /// Copy atom range `r` in: positions, charges and Born radii.
+    fn atoms(&mut self, sys: &GbSystem, born: &[f64], r: Range<usize>) -> AtomView<'_> {
+        self.lanes.iter_mut().for_each(Vec::clear);
+        let [x, y, z, q, rad, _] = &mut self.lanes;
+        let pts = sys.atoms.points.get(r.clone()).unwrap_or(&[]);
+        let chg = sys.charge.get(r.clone()).unwrap_or(&[]);
+        let br = born.get(r).unwrap_or(&[]);
+        for ((p, &c), &b) in pts.iter().zip(chg).zip(br) {
+            x.push(p.x);
+            y.push(p.y);
+            z.push(p.z);
+            q.push(c);
+            rad.push(b);
+        }
+        AtomView { x, y, z, q, r: rad }
+    }
+}
 
 /// Seed-path scalar r⁶ surface kernel (pre-lane-batching loop body).
 fn born_term_scalar(q: QView<'_>, xa: Vec3) -> f64 {
@@ -79,13 +128,12 @@ fn still_term_scalar(a: AtomView<'_>, xu: Vec3, ru: f64, math: MathMode) -> f64 
 
 /// Born near sweep, seed style: gather each q leaf, scalar kernel.
 fn born_sweep_gather(sys: &GbSystem, lists: &BornLists, acc: &mut [f64]) {
-    let mut scratch = QLeafSoa::default();
+    let mut scratch = Gather::default();
     for e in lists.entries.iter().filter(|e| !e.far) {
         let a = sys.atoms.node(e.a);
-        let q = sys.qtree.node(e.b);
-        scratch.gather(sys, q.range());
+        let qv = scratch.q(sys, sys.qtree.node(e.b).range());
         for ai in a.range() {
-            acc[ai] += born_term_scalar(scratch.view(), sys.atoms.points[ai]);
+            acc[ai] += born_term_scalar(qv, sys.atoms.points[ai]);
         }
     }
 }
@@ -103,14 +151,13 @@ fn born_sweep_arena(sys: &GbSystem, lists: &BornLists, acc: &mut [f64]) {
 
 /// STILL near sweep, seed style: gather each source leaf, scalar kernel.
 fn still_sweep_gather(sys: &GbSystem, lists: &EpolLists, born: &[f64], math: MathMode) -> f64 {
-    let mut scratch = AtomSoa::default();
+    let mut scratch = Gather::default();
     let mut raw = 0.0;
     for e in lists.entries.iter().filter(|e| !e.far) {
         let u = sys.atoms.node(e.a);
-        let v = sys.atoms.node(e.b);
-        scratch.gather(sys, born, v.range());
+        let vv = scratch.atoms(sys, born, sys.atoms.node(e.b).range());
         for ui in u.range() {
-            let term = still_term_scalar(scratch.view(), sys.atoms.points[ui], born[ui], math);
+            let term = still_term_scalar(vv, sys.atoms.points[ui], born[ui], math);
             raw += sys.charge[ui] * term;
         }
     }
@@ -153,13 +200,13 @@ fn still_entries_gather(
     born: &[f64],
     math: MathMode,
 ) -> Vec<f64> {
-    let mut scratch = AtomSoa::default();
+    let mut scratch = Gather::default();
     let mut out = vec![0.0f64; lists.len()];
     for (o, e) in out.iter_mut().zip(&lists.entries).filter(|(_, e)| !e.far) {
-        scratch.gather(sys, born, sys.atoms.node(e.b).range());
+        let vv = scratch.atoms(sys, born, sys.atoms.node(e.b).range());
         let u = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
         for (((&x, &y), &z), (&q, &r)) in u.x.iter().zip(u.y).zip(u.z).zip(u.q.iter().zip(u.r)) {
-            *o += q * still_term_scalar(scratch.view(), Vec3::new(x, y, z), r, math);
+            *o += q * still_term_scalar(vv, Vec3::new(x, y, z), r, math);
         }
     }
     out
@@ -256,80 +303,6 @@ fn main() {
         "[kernel_throughput] near workload/frame: {born_pairs} born pairs, {still_pairs} still pairs"
     );
 
-    // ---- Blocking gate 1: lane widths × chunk sizes vs the scalar
-    // reference, on real leaf data.
-    let mut widths_checked = 0u64;
-    for e in born_lists.entries.iter().filter(|e| !e.far).take(16) {
-        let a = sys.atoms.node(e.a);
-        let q = sys.qtree.node(e.b);
-        let qv = sys.q_arena.view(q.range());
-        for ai in a.range().take(2) {
-            let xa = sys.atom_arena.position(ai);
-            let want = born_term_scalar(qv, xa).to_bits();
-            assert!(born_term_lanes::<1>(qv, xa).to_bits() == want, "born W=1 diverged");
-            assert!(born_term_lanes::<2>(qv, xa).to_bits() == want, "born W=2 diverged");
-            assert!(born_term_lanes::<4>(qv, xa).to_bits() == want, "born W=4 diverged");
-            assert!(born_term_lanes::<8>(qv, xa).to_bits() == want, "born W=8 diverged");
-            assert!(born_term_lanes::<16>(qv, xa).to_bits() == want, "born W=16 diverged");
-            widths_checked += 5;
-        }
-        // Block form over the whole atom leaf: the lanes run over the
-        // atom axis, so this is the call shape the list executor makes.
-        let ar = a.range();
-        let want: Vec<u64> = ar
-            .clone()
-            .map(|ai| born_term_scalar(qv, sys.atom_arena.position(ai)).to_bits())
-            .collect();
-        let (ax, ay, az) = sys.atom_arena.pos_slices(ar);
-        let mut out = vec![f64::NAN; want.len()];
-        macro_rules! gate_born_block {
-            ($($w:literal),+) => {$(
-                out.fill(f64::NAN);
-                born_block_lanes::<$w>(qv, ax, ay, az, &mut out);
-                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-                assert!(got == want, "born block W={} diverged", $w);
-                widths_checked += 1;
-            )+};
-        }
-        gate_born_block!(1, 2, 4, 8, 16);
-    }
-    for mode in [MathMode::Exact, MathMode::Approx] {
-        for e in epol_lists.entries.iter().filter(|e| !e.far).take(16) {
-            let u = sys.atoms.node(e.a);
-            let v = sys.atoms.node(e.b);
-            let vv = sys.atom_arena.view(&born, v.range());
-            for ui in u.range().take(2) {
-                let xu = sys.atom_arena.position(ui);
-                let ru = born[ui];
-                let want = still_term_scalar(vv, xu, ru, mode).to_bits();
-                for chunk in [1usize, 7, 64] {
-                    assert!(
-                        still_term_lanes::<1>(vv, xu, ru, mode, chunk).to_bits() == want,
-                        "still W=1 chunk={chunk} diverged"
-                    );
-                    assert!(
-                        still_term_lanes::<2>(vv, xu, ru, mode, chunk).to_bits() == want,
-                        "still W=2 chunk={chunk} diverged"
-                    );
-                    assert!(
-                        still_term_lanes::<4>(vv, xu, ru, mode, chunk).to_bits() == want,
-                        "still W=4 chunk={chunk} diverged"
-                    );
-                    assert!(
-                        still_term_lanes::<8>(vv, xu, ru, mode, chunk).to_bits() == want,
-                        "still W=8 chunk={chunk} diverged"
-                    );
-                    assert!(
-                        still_term_lanes::<16>(vv, xu, ru, mode, chunk).to_bits() == want,
-                        "still W=16 chunk={chunk} diverged"
-                    );
-                    widths_checked += 5;
-                }
-            }
-        }
-    }
-    eprintln!("[kernel_throughput] lane/chunk bitwise gate: {widths_checked} kernel calls checked");
-
     // ---- Trajectory: deterministic ballistic drift inside a 1 Å skin
     // envelope equivalent (positions-only refresh each frame, the
     // list-reuse steady state).
@@ -362,7 +335,7 @@ fn main() {
         born_sweep_gather(&sys, &born_lists, &mut acc_g);
         let mut acc_a = vec![0.0f64; n];
         born_sweep_arena(&sys, &born_lists, &mut acc_a);
-        // Blocking gate 2a: per-atom Born accumulators bit-equal.
+        // Blocking gate 1a: per-atom Born accumulators bit-equal.
         for (i, (g, a)) in acc_g.iter().zip(&acc_a).enumerate() {
             assert!(
                 g.to_bits() == a.to_bits(),
@@ -372,12 +345,12 @@ fn main() {
         for mode in [MathMode::Exact, MathMode::Approx] {
             let raw_g = still_sweep_gather(&sys, &epol_lists, &born, mode);
             let raw_a = still_sweep_arena(&sys, &epol_lists, &born, mode);
-            // Blocking gate 2b: raw E_pol sum bit-equal.
+            // Blocking gate 1b: raw E_pol sum bit-equal.
             assert!(
                 raw_g.to_bits() == raw_a.to_bits(),
                 "still arena path diverged from gather+scalar ({mode:?}): {raw_g} vs {raw_a}"
             );
-            // Blocking gate 2c: the paired path, per entry and summed.
+            // Blocking gate 2: the paired path, per entry and summed.
             let want = still_entries_gather(&sys, &epol_lists, &born, mode);
             let got = still_entries_paired(&sys, &epol_lists, &born, mode);
             let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
@@ -538,9 +511,7 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"bitwise_equal\": true,\n");
-    json.push_str("  \"lane_widths_checked\": [1, 2, 4, 8, 16],\n");
-    json.push_str("  \"chunk_sizes_checked\": [1, 7, 64]\n");
+    json.push_str("  \"bitwise_equal\": true\n");
     json.push_str("}\n");
     let dir = std::env::var("POLAROCT_OUT").ok().filter(|d| !d.is_empty());
     let dir = dir.unwrap_or_else(|| "results".to_string());

@@ -2,7 +2,7 @@
 //!
 //! Shared harness utilities for the table/figure regeneration binaries
 //! (one binary per table and figure of the paper — see DESIGN.md §5 for
-//! the index) and the Criterion microbenchmarks in `benches/`.
+//! the index) and the throughput benches beside them.
 //!
 //! All binaries print TSV to stdout (easy to plot) and an explanatory
 //! header; they honor two environment variables:

@@ -72,11 +72,6 @@ impl CommCostModel {
     pub fn reduce(&self, bytes: usize) -> f64 {
         self.bcast(bytes)
     }
-
-    /// Point-to-point message of `bytes`.
-    pub fn p2p(&self, bytes: usize) -> f64 {
-        self.t_s + self.t_w * bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -131,16 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn p2p_is_latency_plus_bandwidth() {
-        let c = model(2);
-        assert!((c.p2p(1000) - (c.t_s + 1000.0 * c.t_w)).abs() < 1e-18);
-    }
-
-    #[test]
     fn intra_node_cheaper_than_inter_node() {
         let single = model(12);
-        let multi = model(24);
-        // Same byte count, 13+ ranks forces inter-node constants.
-        assert!(multi.p2p(1 << 16) > single.p2p(1 << 16));
+        let multi = model(13);
+        // Same byte count and the same ⌈log₂ P⌉ = 4 rounds: only the
+        // inter-node constants that 13+ ranks force differ.
+        assert!(multi.bcast(1 << 16) > single.bcast(1 << 16));
     }
 }

@@ -206,6 +206,28 @@ pub(crate) fn require_config(ok: bool, what: &str) -> Result<(), DriverError> {
     }
 }
 
+/// Reject approximation parameters no traversal can run with: ε_Born,
+/// ε_E_pol and ε_solvent must be finite and positive (a NaN ε makes every
+/// pair near, a negative one shrinks the MAC below 1, zero divides by
+/// zero), and both octree leaf capacities at least 1. Every `run_*`
+/// driver calls this at entry, next to [`validate_system`].
+pub fn validate_params(params: &ApproxParams) -> Result<(), DriverError> {
+    let eps = [
+        ("eps_born", params.eps_born),
+        ("eps_epol", params.eps_epol),
+        ("eps_solvent", params.eps_solvent),
+    ];
+    if let Some((name, v)) = eps.into_iter().find(|&(_, v)| !(v.is_finite() && v > 0.0)) {
+        return Err(DriverError::InvalidConfig {
+            what: format!("{name} = {v} is not finite and positive"),
+        });
+    }
+    require_config(
+        params.leaf_cap_atoms >= 1 && params.leaf_cap_qpoints >= 1,
+        "octree leaf capacities must be at least 1",
+    )
+}
+
 /// Reject systems carrying NaN/∞ coordinates, charges, weights, or
 /// non-positive radii before any kernel runs. A single poisoned value
 /// otherwise propagates through every collective and surfaces as a
@@ -373,6 +395,7 @@ pub fn run_naive(
     params: &ApproxParams,
     cfg: &DriverConfig,
 ) -> Result<RunReport, DriverError> {
+    validate_params(params)?;
     validate_system(sys)?;
     let wall = Instant::now();
     let t = Instant::now();
@@ -411,6 +434,7 @@ fn run_one_process(
     plan: &FaultPlan,
     model: impl FnOnce(&OpCounts) -> f64,
 ) -> Result<RunReport, DriverError> {
+    validate_params(params)?;
     validate_system(sys)?;
     // Clone resets the one-shot fired flags, so one plan value can drive
     // many runs identically.
@@ -971,6 +995,7 @@ fn run_fig4(
     name: &str,
     ftc: &FtConfig,
 ) -> Result<RunReport, DriverError> {
+    validate_params(params)?;
     validate_system(sys)?;
     let wall = Instant::now();
     let prefer = ftc.recovery.prefer();
@@ -1327,6 +1352,37 @@ mod tests {
             Err(DriverError::InvalidConfig { what }) => assert!(!what.is_empty()),
             other => panic!("expected a config error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn bad_approx_params_are_config_errors() {
+        let sys = system(50, 1);
+        let cfg = DriverConfig::default();
+        let ok = ApproxParams::default();
+        let spoil: [fn(&mut ApproxParams); 7] = [
+            |p| p.eps_epol = 0.0,
+            |p| p.eps_epol = -1.0,
+            |p| p.eps_born = f64::NAN,
+            |p| p.eps_born = -5.0,
+            |p| p.eps_solvent = f64::INFINITY,
+            |p| p.leaf_cap_atoms = 0,
+            |p| p.leaf_cap_qpoints = 0,
+        ];
+        for spoil in spoil {
+            let mut bad = ok;
+            spoil(&mut bad);
+            let params = &bad;
+            assert!(validate_params(params).is_err(), "{params:?}");
+            assert_config_error(run_serial(&sys, params, &cfg));
+            assert_config_error(run_naive(&sys, params, &cfg));
+            assert_config_error(run_oct_cilk(&sys, params, &cfg, 2));
+            let none = FaultPlan::none();
+            assert_config_error(run_oct_threads_ft(&sys, params, &cfg, 2, &none));
+            assert_config_error(mpi(&sys, params, &cfg, 2, WorkDivision::NodeNode));
+            let (ftc, cluster) = (FtConfig::default(), hybrid_cluster(12));
+            assert_config_error(run_oct_hybrid_ft(&sys, params, &cfg, &cluster, &ftc));
+        }
+        assert_eq!(validate_params(&ok), Ok(()));
     }
 
     #[test]

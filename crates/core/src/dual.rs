@@ -141,7 +141,7 @@ fn epol_recurse(
         (true, true) => {
             // Shared SoA kernel: the block-form lane-batched STILL kernel
             // is bit-identical to the scalar `q·inv_f_gb` accumulation it
-            // replaces (soa.rs's `still_term_bit_identical_to_scalar_kernel`),
+            // replaces (soa.rs's `still_block_bit_identical_to_scalar_kernel`),
             // over a zero-copy atom-arena slice.
             let vv = sys.atom_arena.view(born, v.range());
             let raw = sys.still_block_raw(born, u.range(), vv, math, scratch);

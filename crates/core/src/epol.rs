@@ -54,8 +54,6 @@ pub struct ChargeBins {
     pub m_eps: usize,
     /// Smallest Born radius.
     pub r_min: f64,
-    /// `1/ln(1+ε)` — cached for bin lookup.
-    inv_log1e: f64,
     /// `per_node[id * m_eps + k]` = `q_U[k]` for node `id`.
     pub per_node: Vec<f64>,
     /// `R_min²(1+ε)^s` for `s` in `0..2·M_ε−1` — the pair-product table.
@@ -92,7 +90,7 @@ impl ChargeBins {
         // PANIC-OK: precondition assert — non-physical dielectric is a configuration bug.
         assert!(r_min > 0.0, "non-positive Born radius");
         let log1e = (1.0 + eps_epol).ln();
-        let inv_log1e = 1.0 / log1e;
+        let inv_ln_step = 1.0 / log1e;
         // Cap the bin count: for pathologically small ε the MAC
         // (1 + 2/ε) already forces exact evaluation everywhere, so the
         // (never-consulted) bin table must not be allowed to explode.
@@ -100,13 +98,13 @@ impl ChargeBins {
         let m_eps = if r_max <= r_min {
             1
         } else {
-            (((r_max / r_min).ln() * inv_log1e).floor() as usize + 1).min(MAX_BINS)
+            (((r_max / r_min).ln() * inv_ln_step).floor() as usize + 1).min(MAX_BINS)
         };
 
         let atom_bin: Vec<u16> = born
             .iter()
             .map(|&r| {
-                let k = ((r / r_min).ln() * inv_log1e).floor();
+                let k = ((r / r_min).ln() * inv_ln_step).floor();
                 (k.max(0.0) as usize).min(m_eps - 1) as u16
             })
             .collect();
@@ -151,19 +149,11 @@ impl ChargeBins {
             mac: far.mac(eps_epol),
             m_eps,
             r_min,
-            inv_log1e,
             per_node,
             rr_table,
             atom_bin,
             moments,
         }
-    }
-
-    /// Bin index a Born radius falls into.
-    #[inline]
-    pub fn bin_of(&self, r: f64) -> usize {
-        let k = ((r / self.r_min).ln() * self.inv_log1e).floor();
-        (k.max(0.0) as usize).min(self.m_eps - 1)
     }
 
     /// `q_U[·]` slice for a node.
@@ -810,34 +800,41 @@ mod tests {
     }
 
     #[test]
-    fn bin_of_round_trips_at_bin_boundaries() {
+    fn atom_bins_round_trip_at_bin_boundaries() {
         let (sys, _) = sys_and_born(100, 2);
-        // Synthetic radii spanning several bins.
-        let born: Vec<f64> = (0..sys.n_atoms()).map(|i| 1.0 + 0.05 * i as f64).collect();
-        let eps = 0.3;
+        let (eps, bins_wanted) = (0.3f64, 6);
+        let edge = |k: usize| (1.0 + eps).powi(k as i32);
+        // Radii probing every bin: just above its lower edge and at its
+        // geometric midpoint, and (above bin 0) just below that edge.
+        // R_min = 1 is the first radius and the last bin's midpoint the
+        // largest, so `build_far` makes exactly `bins_wanted` bins; the
+        // atoms past the probes sit at R_min.
+        let mut probes = vec![(1.0, 0)];
+        for k in 0..bins_wanted {
+            probes.push((edge(k) * (1.0 + 1e-9), k));
+            probes.push((edge(k) * (1.0 + eps).sqrt(), k));
+            if k > 0 {
+                probes.push((edge(k) * (1.0 - 1e-9), k - 1));
+            }
+        }
+        assert!(probes.len() <= sys.n_atoms());
+        let mut born = vec![1.0; sys.n_atoms()];
+        for (b, &(r, _)) in born.iter_mut().zip(&probes) {
+            *b = r;
+        }
         let bins = ChargeBins::build(&sys, &born, eps);
-        assert!(bins.m_eps > 3, "need several bins for a boundary test");
+        assert_eq!(bins.m_eps, bins_wanted);
+        assert_eq!(bins.r_min, 1.0);
         // The running-product table matches the closed form.
         for (s, &rr) in bins.rr_table.iter().enumerate() {
             let direct = bins.r_min * bins.r_min * (1.0 + eps).powi(s as i32);
             assert!(((rr - direct) / direct).abs() < 1e-12, "rr_table[{s}]");
         }
-        for k in 0..bins.m_eps {
-            let edge = bins.r_min * (1.0 + eps).powi(k as i32);
-            // Just inside bin k's lower edge → k; just below it → k−1
-            // (clamped at 0); the geometric midpoint → k.
-            assert_eq!(bins.bin_of(edge * (1.0 + 1e-9)), k, "above edge {k}");
-            assert_eq!(
-                bins.bin_of(edge * (1.0 - 1e-9)),
-                k.saturating_sub(1),
-                "below edge {k}"
-            );
-            let mid = edge * (1.0 + eps).sqrt();
-            assert_eq!(bins.bin_of(mid), k, "midpoint of bin {k}");
+        // `build_far`'s per-atom bins: the formula production runs.
+        for (i, &(r, k)) in probes.iter().enumerate() {
+            assert_eq!(bins.atom_bin[i] as usize, k, "radius {r} (atom {i})");
         }
-        // Out-of-range radii clamp to the end bins.
-        assert_eq!(bins.bin_of(bins.r_min * 0.5), 0);
-        assert_eq!(bins.bin_of(born[sys.n_atoms() - 1] * 10.0), bins.m_eps - 1);
+        assert!(bins.atom_bin[probes.len()..].iter().all(|&b| b == 0));
     }
 
     #[test]

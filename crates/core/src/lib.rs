@@ -56,8 +56,8 @@ pub mod workdiv;
 
 pub use drivers::{
     run_naive, run_oct_cilk, run_oct_hybrid_ft, run_oct_mpi_ft, run_oct_threads_ft, run_serial,
-    validate_system, DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome, RunReport,
-    EPS_DEGRADED,
+    validate_params, validate_system, DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome,
+    RunReport, EPS_DEGRADED,
 };
 pub use delta::{DeltaEngine, DeltaEval, Perturbation};
 pub use error::{energy_error_pct, ErrorStats};

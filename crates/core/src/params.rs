@@ -139,13 +139,6 @@ impl ApproxParams {
         let theta = (1.0 + self.eps_born).powf(1.0 / 6.0);
         (theta + 1.0) / (theta - 1.0)
     }
-
-    /// The E_pol far-field threshold multiplier in effect: Fig. 3's
-    /// `1 + 2/ε` under [`EpolFar::Binned`], the fixed MAC under
-    /// [`EpolFar::Taylor2`].
-    pub fn epol_mac_multiplier(&self) -> f64 {
-        self.epol_far.mac(self.eps_epol)
-    }
 }
 
 #[cfg(test)]
@@ -173,18 +166,17 @@ mod tests {
     }
 
     #[test]
-    fn epol_mac_multiplier_at_09() {
-        let binned = ApproxParams::default().with_epol_far(EpolFar::Binned);
-        let m = binned.epol_mac_multiplier();
+    fn epol_mac_at_09() {
+        let m = EpolFar::Binned.mac(0.9);
         assert!((m - (1.0 + 2.0 / 0.9)).abs() < 1e-12);
     }
 
     #[test]
     fn taylor2_mac_is_the_rule_s_own() {
         let p = ApproxParams::default();
-        assert_eq!(p.epol_mac_multiplier(), TAYLOR2_MAC);
+        assert_eq!(p.epol_far.mac(p.eps_epol), TAYLOR2_MAC);
         let q = p.with_eps(0.9, 0.1).with_epol_far(EpolFar::Taylor2 { mac: 3.0 });
-        assert_eq!(q.epol_mac_multiplier(), 3.0, "under Taylor2, ε sets only the bins");
+        assert_eq!(q.epol_far.mac(q.eps_epol), 3.0, "under Taylor2, ε sets only the bins");
     }
 
     #[test]
@@ -193,7 +185,7 @@ mod tests {
         let loose = paper.with_eps(0.9, 0.9);
         let tight = paper.with_eps(0.1, 0.1);
         assert!(tight.born_mac_multiplier() > loose.born_mac_multiplier());
-        assert!(tight.epol_mac_multiplier() > loose.epol_mac_multiplier());
+        assert!(tight.epol_far.mac(tight.eps_epol) > loose.epol_far.mac(loose.eps_epol));
     }
 
     #[test]

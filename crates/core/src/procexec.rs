@@ -35,8 +35,8 @@
 //! `transports_match` proptest pin this).
 
 use crate::drivers::{
-    fig4_rank_body, fig4_report, require_config, validate_system, DriverConfig, DriverError,
-    FtConfig, RunReport,
+    fig4_rank_body, fig4_report, require_config, validate_params, validate_system, DriverConfig,
+    DriverError, FtConfig, RunReport,
 };
 use crate::params::{ApproxParams, EpolFar};
 use crate::system::GbSystem;
@@ -445,6 +445,7 @@ mod imp {
         ftc: &FtConfig,
     ) -> Result<RunReport, DriverError> {
         require_config(ranks >= 1, "the process transport needs at least one rank")?;
+        validate_params(params)?;
         if ranks == 1 {
             let sys = GbSystem::prepare(mol, params);
             validate_system(&sys)?;
@@ -684,6 +685,21 @@ mod tests {
             &FtConfig::default(),
         );
         assert!(matches!(r, Err(DriverError::InvalidConfig { .. })), "{r:?}");
+    }
+
+    /// A bad parameter set is refused before any worker is launched or
+    /// any replica prepared (`GbSystem::prepare` panics on a zero leaf
+    /// capacity).
+    #[cfg(unix)]
+    #[test]
+    fn proc_transport_rejects_bad_params_before_prepare() {
+        let mut j = job(20, 1);
+        j.params.leaf_cap_atoms = 0;
+        for ranks in [1, 2] {
+            let ftc = FtConfig::default();
+            let r = run_oct_mpi_proc_ft(&j.molecule, &j.params, &j.cfg, ranks, j.workdiv, &ftc);
+            assert!(matches!(r, Err(DriverError::InvalidConfig { .. })), "{r:?}");
+        }
     }
 
     #[test]

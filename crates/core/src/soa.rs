@@ -10,26 +10,26 @@
 //!
 //! Two layers fix that (DESIGN.md §11):
 //!
-//! * **Lane-batched kernels** ([`born_term_lanes`], [`still_term_lanes`]):
-//!   every element-wise stage (coordinate diffs, `d²`, reciprocals, dot
-//!   products, the batched `exp`/`rsqrt` slice ops) runs as an independent
-//!   elementwise loop over the lane-covered prefix of a stack chunk buffer
-//!   (`W` lanes per block, scalar remainder), with FMA-shaped `a*b + c`
-//!   expressions. The stages are expressed as plain counted loops over
-//!   full buffers rather than manually unrolled `[f64; W]` blocks on
-//!   purpose: LLVM's loop vectorizer turns the former into packed `pd`
-//!   instructions, while hand-unrolled fixed-width blocks get scalarized
-//!   (measured on the seed host — see `bench/bin/kernel_throughput`).
-//!   Crucially every accumulator still folds **in gathered index
-//!   order**, one term at a time. STILL stages the per-element terms into
-//!   a buffer and sums them with a scalar loop; the r⁶ block kernel puts
-//!   its lanes on the atom axis instead, so each atom's sum is its own
-//!   in-order add chain and the chains of neighbouring atoms share
-//!   vector lanes. Per element the arithmetic is unchanged (same
-//!   operations, same order), and a sequential in-order sum is the same
-//!   float reduction regardless of how the terms were produced, so both
-//!   kernels are bit-identical to the pre-lane scalar loops at every `W`
-//!   (the width only moves the lane/tail boundary).
+//! * **Lane-batched kernels** ([`born_block_lanes`], [`still_block_lanes`],
+//!   [`still_pair_block`]): every element-wise stage (coordinate diffs,
+//!   `d²`, reciprocals, dot products, the batched `exp`/`rsqrt` slice ops)
+//!   runs as an independent elementwise loop over the lane-covered prefix
+//!   of a block ([`LANES`] lanes, scalar remainder), with FMA-shaped
+//!   `a*b + c` expressions. The stages are expressed as plain counted
+//!   loops over full buffers rather than manually unrolled `[f64; LANES]`
+//!   blocks on purpose: LLVM's loop vectorizer turns the former into
+//!   packed `pd` instructions, while hand-unrolled fixed-width blocks get
+//!   scalarized (measured on the seed host — see
+//!   `bench/bin/kernel_throughput`). Crucially every accumulator still
+//!   folds **in gathered index order**, one term at a time. STILL stages
+//!   the per-element terms into a buffer and sums them with a scalar
+//!   loop; the r⁶ block kernel puts its lanes on the atom axis instead,
+//!   so each atom's sum is its own in-order add chain and the chains of
+//!   neighbouring atoms share vector lanes. Per element the arithmetic is
+//!   unchanged (same operations, same order), and a sequential in-order
+//!   sum is the same float reduction regardless of how the terms were
+//!   produced, so both kernels are bit-identical to the pre-lane scalar
+//!   loops (the lane width only moves the lane/tail boundary).
 //!
 //! * **Persistent arenas** ([`QArena`], [`AtomArena`]): because the linear
 //!   octree stores points in Morton order and every leaf owns a contiguous
@@ -37,23 +37,20 @@
 //!   leaves — a leaf view is plain slicing, no gather. `GbSystem` builds
 //!   both arenas once at `prepare` time; `ListEngine`'s positions-only
 //!   refresh rewrites the atom-arena coordinates in place on skin reuse.
-//!
-//! The gathered scratch types ([`QLeafSoa`], [`AtomSoa`]) remain as the
-//! copy-in path for callers without an arena (and as an independent
-//! reference in tests/benches); they delegate to the same lane kernels.
 
-use crate::system::GbSystem;
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
 use std::ops::Range;
 
-/// Chunk width for the batched STILL kernel. Wide enough to fill 512-bit
-/// vector units several times over, small enough to live on the stack.
+/// Chunk width of the batched STILL kernels: the v-atoms staged per tile
+/// row, and the u-block height of [`still_pair_block`]. Wide enough to
+/// fill 512-bit vector units several times over, small enough to live on
+/// the stack.
 pub const CHUNK: usize = 64;
 
-/// Default lane width for the batched kernels: 8 × f64 = one 512-bit
-/// vector register (two 256-bit ops on AVX2). Bit-identity holds at every
-/// width, so this is purely a throughput knob.
+/// Lane width of the batched kernels: 8 × f64 = one 512-bit vector
+/// register (two 256-bit ops on AVX2). The width only moves the
+/// lane/tail boundary, so the bits do not depend on it.
 pub const LANES: usize = 8;
 
 /// Borrowed flat view of a quadrature-point range: positions plus
@@ -78,19 +75,11 @@ impl QView<'_> {
         self.x.is_empty()
     }
 
-    /// Exact r⁶ surface term of this range at one atom position:
-    /// `Σ_q (w_q n_q)·(p_q − p_a) / |p_q − p_a|⁶`, in index order.
-    #[inline]
-    pub fn born_term(&self, xa: Vec3) -> f64 {
-        born_term_lanes::<LANES>(*self, xa)
-    }
-
-    /// Block form at the default width: `out[k]` gets [`QView::born_term`]
-    /// of this range at atom `k` of the position block. See
-    /// [`born_block_lanes`].
+    /// The r⁶ surface term of this range at every atom of a position
+    /// block: [`born_block_lanes`].
     #[inline]
     pub fn born_block(&self, ax: &[f64], ay: &[f64], az: &[f64], out: &mut [f64]) {
-        born_block_lanes::<LANES>(*self, ax, ay, az, out)
+        born_block_lanes(*self, ax, ay, az, out)
     }
 }
 
@@ -122,17 +111,8 @@ impl<'a> AtomView<'a> {
             .map(|(((x, y), z), (q, r))| AtomView { x, y, z, q, r })
     }
 
-    /// Exact STILL sum of one source atom `(x_u, R_u)` against this range:
-    /// `Σ_v q_v / f_GB(r_uv², R_u, R_v)`, accumulated in index order.
-    #[inline]
-    pub fn still_term(&self, xu: Vec3, ru: f64, math: MathMode) -> f64 {
-        still_term_lanes::<LANES>(*self, xu, ru, math, CHUNK)
-    }
-
-    /// Block form at the default width, with `self` as the *source* block
-    /// (`self.r` holds the sources' Born radii): `out[k]` gets
-    /// [`AtomView::still_term`] of source atom `k` against `v`. See
-    /// [`still_block_lanes`].
+    /// The STILL sum of every source atom of `self` (`self.r` holds the
+    /// sources' Born radii) against `v`: [`still_block_lanes`].
     #[inline]
     pub fn still_block(
         &self,
@@ -141,50 +121,31 @@ impl<'a> AtomView<'a> {
         scratch: &mut StillScratch,
         out: &mut [f64],
     ) {
-        still_block_lanes::<LANES>(*self, v, math, CHUNK, scratch, out)
+        still_block_lanes(*self, v, math, scratch, out)
     }
 }
 
-/// Lane-batched r⁶ surface kernel over an explicit width `W`: the
-/// one-atom case of [`born_block_lanes`], so a single atom is all tail.
-/// Per element this is exactly the historical scalar loop
-/// (`d² = dx²+dy²+dz²`, `inv2 = 1/d²`, `term = (w·d)·inv2³`), folded
-/// from `0.0` in q index order — bit-identical to the scalar kernel for
-/// every `W ≥ 1`.
-#[inline]
-pub fn born_term_lanes<const W: usize>(q: QView<'_>, xa: Vec3) -> f64 {
-    let mut out = [0.0f64];
-    born_block_lanes::<W>(q, &[xa.x], &[xa.y], &[xa.z], &mut out);
-    out[0]
-}
-
-/// Block form of the r⁶ surface kernel: the term of the whole q-range at
-/// *each* atom of a position block, `out[k]` for atom `k`.
+/// The r⁶ surface kernel: the exact term of the whole q-range at *each*
+/// atom of a position block, `out[k] = Σ_q (w_q n_q)·(p_q − p_k) /
+/// |p_q − p_k|⁶` for atom `k`.
 ///
 /// The lanes run over the **atom** axis: for each q point in index
 /// order, one elementwise loop updates every atom of the block,
 /// `out[k] += (w·d)·inv2³`, over the lane-covered prefix
-/// `na - na % W` and then the scalar tail with the identical
+/// `na - na % LANES` and then the scalar tail with the identical
 /// expression. Each `out[k]` starts at `0.0` and receives its terms in
-/// q index order, so every atom's sum is the same float sequence as
-/// [`born_term_lanes`] at that atom, at every `W` (the width only moves
-/// the lane/tail boundary). What the swap buys: the per-atom sums are
+/// q index order, so every atom's sum is the same float sequence as the
+/// historical per-atom scalar loop (`d² = dx²+dy²+dz²`, `inv2 = 1/d²`,
+/// `term = (w·d)·inv2³`). What the swap buys: the per-atom sums are
 /// independent add chains that share vector lanes, instead of one
 /// serial add chain per atom.
-pub fn born_block_lanes<const W: usize>(
-    q: QView<'_>,
-    ax: &[f64],
-    ay: &[f64],
-    az: &[f64],
-    out: &mut [f64],
-) {
+pub fn born_block_lanes(q: QView<'_>, ax: &[f64], ay: &[f64], az: &[f64], out: &mut [f64]) {
     let na = out.len();
-    debug_assert!(W >= 1);
     debug_assert!(ax.len() == na && ay.len() == na && az.len() == na);
     debug_assert!(q.y.len() == q.len() && q.z.len() == q.len());
     debug_assert!(q.wnx.len() == q.len() && q.wny.len() == q.len() && q.wnz.len() == q.len());
     out.fill(0.0);
-    let lanes = na - na % W;
+    let lanes = na - na % LANES;
     let (out_l, out_t) = out.split_at_mut(lanes);
     let (ax_l, ax_t) = ax.split_at(lanes.min(ax.len()));
     let (ay_l, ay_t) = ay.split_at(lanes.min(ay.len()));
@@ -195,7 +156,7 @@ pub fn born_block_lanes<const W: usize>(
         // One elementwise loop over the lane-covered prefix: no
         // cross-iteration dependency, so the loop vectorizer packs the
         // subs, the d² chain, the divide, the weighted dot and the add
-        // W/vector-width atoms at a time.
+        // a vector width of atoms at a time.
         let lane = out_l.iter_mut().zip(ax_l).zip(ay_l).zip(az_l);
         for (((o, &pax), &pay), &paz) in lane {
             let dx = qx - pax;
@@ -213,38 +174,6 @@ pub fn born_block_lanes<const W: usize>(
             *o += (wx * dx + wy * dy + wz * dz) * (inv2 * inv2 * inv2);
         }
     }
-}
-
-/// Lane-batched STILL kernel over an explicit width `W` and a runtime
-/// chunk size (`1..=CHUNK`; the default path uses `CHUNK`).
-///
-/// Distances and exponent arguments are staged into chunk-sized stack
-/// buffers as independent elementwise loops over the lane-covered prefix
-/// (`m - m % W`, scalar remainder), then `exp` and `rsqrt` run over the
-/// whole chunk via the batched [`MathMode`] slice ops. Per element the
-/// arithmetic is exactly `crate::gb::inv_f_gb` (same operations, same
-/// order) and the `acc += q·term` fold is scalar in index order, so the
-/// result is bit-identical to the scalar loop for every `W` and chunk
-/// size — the slice ops themselves are element-wise.
-#[inline]
-pub fn still_term_lanes<const W: usize>(
-    a: AtomView<'_>,
-    xu: Vec3,
-    ru: f64,
-    math: MathMode,
-    chunk: usize,
-) -> f64 {
-    let u = AtomView {
-        x: &[xu.x],
-        y: &[xu.y],
-        z: &[xu.z],
-        q: &[0.0],
-        r: &[ru],
-    };
-    let mut out = [0.0f64];
-    let mut scratch = StillScratch::default();
-    still_block_lanes::<W>(u, a, math, chunk, &mut scratch, &mut out);
-    out[0]
 }
 
 /// Reusable heap staging for the tiled STILL kernel: grown once to the
@@ -273,43 +202,43 @@ impl StillScratch {
     }
 }
 
-/// Block form of the STILL kernel: `out[k]` gets the full sum of source
-/// atom `k` of block `u` (position from `u.x/y/z`, Born radius from
-/// `u.r`; `u.q` is the caller's to fold) against the target range `v`.
+/// The STILL kernel: `out[k] = Σ_v q_v / f_GB(r_kv², R_k, R_v)`, the
+/// full sum of source atom `k` of block `u` (position from `u.x/y/z`,
+/// Born radius from `u.r`; `u.q` is the caller's to fold) against the
+/// target range `v`.
 ///
-/// Per source atom this executes exactly the [`still_term_lanes`]
-/// sequence — same staging expressions, same chunk walk, same fold order
-/// (`out[k]` accumulates chunk after chunk, elements in index order) —
-/// so the block form is bit-identical to calling the per-atom kernel in
-/// a loop over `u`. What changes is batching: each v-chunk is staged for
-/// *all* `u` rows into one flat `nu × m` tile, and the batched
-/// [`MathMode`] slice ops run once over the whole tile instead of once
-/// per source atom. The slice ops are element-wise, so tile-batching
-/// them cannot move a bit — but it feeds `exp`/`rsqrt` vectors of
-/// `nu·m` elements instead of the 8–32 a single octree leaf offers,
-/// which is where small-leaf throughput was going to waste.
-pub fn still_block_lanes<const W: usize>(
+/// `v` is walked in chunks of at most [`CHUNK`] atoms. Each chunk's
+/// distances and exponent arguments are staged for *all* `u` rows into
+/// one flat `nu × m` tile as independent elementwise loops over the
+/// lane-covered prefix (`m - m % LANES`, scalar remainder), then `exp`
+/// and `rsqrt` run once over the whole tile via the batched [`MathMode`]
+/// slice ops. Per element the arithmetic is exactly `crate::gb::inv_f_gb`
+/// (same operations, same order) and `out[k]` folds `q·term` scalar,
+/// chunk after chunk, elements in index order — so every `out[k]` is
+/// bit-identical to the historical per-atom scalar loop. The slice ops
+/// are element-wise, so tile-batching them cannot move a bit — but it
+/// feeds `exp`/`rsqrt` vectors of `nu·m` elements instead of the 8–32 a
+/// single octree leaf offers, which is where small-leaf throughput was
+/// going to waste.
+pub fn still_block_lanes(
     u: AtomView<'_>,
     v: AtomView<'_>,
     math: MathMode,
-    chunk: usize,
     scratch: &mut StillScratch,
     out: &mut [f64],
 ) {
     let nu = out.len();
     let n = v.len();
-    debug_assert!(W >= 1);
     debug_assert!(u.len() == nu && u.y.len() == nu && u.z.len() == nu && u.r.len() == nu);
     debug_assert!(v.y.len() == n && v.z.len() == n && v.q.len() == n && v.r.len() == n);
-    let chunk = chunk.clamp(1, CHUNK);
-    scratch.ensure(nu * chunk);
+    scratch.ensure(nu * CHUNK);
     for o in out.iter_mut() {
         *o = 0.0;
     }
     let mut base = 0;
     while base < n {
-        let m = chunk.min(n - base);
-        let mb = m - m % W;
+        let m = CHUNK.min(n - base);
+        let mb = m - m % LANES;
         let xs = &v.x[base..base + m];
         let ys = &v.y[base..base + m];
         let zs = &v.z[base..base + m];
@@ -483,8 +412,8 @@ pub struct QArena {
 
 impl QArena {
     /// Build from Morton-ordered points, normals and weights. The stored
-    /// product `w_q · n_q` uses the same expression as the historical
-    /// gather path, so arena and gather views are bit-interchangeable.
+    /// product `w_q · n_q` is `n_q * w_q`, the expression the historical
+    /// per-entry gather used, so arena views carry that path's bits.
     pub fn build(points: &[Vec3], normals: &[Vec3], weights: &[f64]) -> QArena {
         let n = points.len();
         // PANIC-OK: callers pass one quadrature set's equal-length point/normal/weight arrays.
@@ -527,13 +456,6 @@ impl QArena {
             wny: &self.wny[range.clone()],
             wnz: &self.wnz[range],
         }
-    }
-
-    /// r⁶ surface term of a range at one atom position (see
-    /// [`QView::born_term`]).
-    #[inline]
-    pub fn born_term(&self, range: Range<usize>, xa: Vec3) -> f64 {
-        self.view(range).born_term(xa)
     }
 
     /// Resident bytes (capacity-based, so reserved-but-unused space is
@@ -652,143 +574,10 @@ impl AtomArena {
         }
     }
 
-    /// STILL sum of one source atom against a range (see
-    /// [`AtomView::still_term`]).
-    #[inline]
-    pub fn still_term(
-        &self,
-        born: &[f64],
-        range: Range<usize>,
-        xu: Vec3,
-        ru: f64,
-        math: MathMode,
-    ) -> f64 {
-        self.view(born, range).still_term(xu, ru, math)
-    }
-
     /// Resident bytes (capacity-based).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<f64>()
             * (self.x.capacity() + self.y.capacity() + self.z.capacity() + self.q.capacity())
-    }
-}
-
-/// Gathered image of one quadrature-leaf range — the copy-in counterpart
-/// of a [`QArena`] view, kept for arena-less callers and as an independent
-/// reference path in tests/benches.
-#[derive(Default, Clone, Debug)]
-pub struct QLeafSoa {
-    pub x: Vec<f64>,
-    pub y: Vec<f64>,
-    pub z: Vec<f64>,
-    pub wnx: Vec<f64>,
-    pub wny: Vec<f64>,
-    pub wnz: Vec<f64>,
-}
-
-impl QLeafSoa {
-    /// Refill from a q-point range. Reuses the allocations, so one scratch
-    /// instance serves a whole sweep of leaves.
-    pub fn gather(&mut self, sys: &GbSystem, range: Range<usize>) {
-        self.x.clear();
-        self.y.clear();
-        self.z.clear();
-        self.wnx.clear();
-        self.wny.clear();
-        self.wnz.clear();
-        for i in range {
-            let p = sys.qtree.points[i];
-            let wn = sys.q_normal[i] * sys.q_weight[i];
-            self.x.push(p.x);
-            self.y.push(p.y);
-            self.z.push(p.z);
-            self.wnx.push(wn.x);
-            self.wny.push(wn.y);
-            self.wnz.push(wn.z);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
-    /// Flat view of the gathered data.
-    pub fn view(&self) -> QView<'_> {
-        QView {
-            x: &self.x,
-            y: &self.y,
-            z: &self.z,
-            wnx: &self.wnx,
-            wny: &self.wny,
-            wnz: &self.wnz,
-        }
-    }
-
-    /// Exact r⁶ surface term of this leaf at one atom position (see
-    /// [`QView::born_term`]).
-    #[inline]
-    pub fn born_term(&self, xa: Vec3) -> f64 {
-        self.view().born_term(xa)
-    }
-}
-
-/// Gathered image of one atoms range — the copy-in counterpart of an
-/// [`AtomArena`] view (Born radii are copied in rather than borrowed).
-#[derive(Default, Clone, Debug)]
-pub struct AtomSoa {
-    pub x: Vec<f64>,
-    pub y: Vec<f64>,
-    pub z: Vec<f64>,
-    pub q: Vec<f64>,
-    pub r: Vec<f64>,
-}
-
-impl AtomSoa {
-    /// Refill from an atom range (Morton order) and its Born radii.
-    pub fn gather(&mut self, sys: &GbSystem, born: &[f64], range: Range<usize>) {
-        self.x.clear();
-        self.y.clear();
-        self.z.clear();
-        self.q.clear();
-        self.r.clear();
-        for i in range {
-            let p = sys.atoms.points[i];
-            self.x.push(p.x);
-            self.y.push(p.y);
-            self.z.push(p.z);
-            self.q.push(sys.charge[i]);
-            self.r.push(born[i]);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
-    /// Flat view of the gathered data.
-    pub fn view(&self) -> AtomView<'_> {
-        AtomView {
-            x: &self.x,
-            y: &self.y,
-            z: &self.z,
-            q: &self.q,
-            r: &self.r,
-        }
-    }
-
-    /// Exact STILL sum of one source atom against this range (see
-    /// [`AtomView::still_term`]).
-    #[inline]
-    pub fn still_term(&self, xu: Vec3, ru: f64, math: MathMode) -> f64 {
-        self.view().still_term(xu, ru, math)
     }
 }
 
@@ -798,114 +587,114 @@ mod tests {
     use crate::gb::inv_f_gb;
     use crate::naive::born_radii_naive;
     use crate::params::ApproxParams;
+    use crate::system::GbSystem;
     use polaroct_molecule::synth;
 
     fn system(n: usize, seed: u64) -> GbSystem {
         GbSystem::prepare(&synth::protein("p", n, seed), &ApproxParams::default())
     }
 
+    /// Longhand r⁶ surface term of `q` at `xa`, in q index order.
+    fn born_scalar(q: QView<'_>, xa: Vec3) -> f64 {
+        let mut s = 0.0;
+        for j in 0..q.len() {
+            let (dx, dy, dz) = (q.x[j] - xa.x, q.y[j] - xa.y, q.z[j] - xa.z);
+            let inv2 = 1.0 / (dx * dx + dy * dy + dz * dz);
+            s += (q.wnx[j] * dx + q.wny[j] * dy + q.wnz[j] * dz) * (inv2 * inv2 * inv2);
+        }
+        s
+    }
+
+    /// Longhand STILL sum of atom `ui` against atoms `vr`, in index order.
+    fn still_scalar(
+        sys: &GbSystem,
+        born: &[f64],
+        ui: usize,
+        vr: Range<usize>,
+        math: MathMode,
+    ) -> f64 {
+        let (xu, ru) = (sys.atoms.points[ui], born[ui]);
+        let mut scalar = 0.0;
+        for vi in vr {
+            let d2 = xu.dist2(sys.atoms.points[vi]);
+            scalar += sys.charge[vi] * inv_f_gb(d2, ru, born[vi], math);
+        }
+        scalar
+    }
+
     #[test]
-    fn still_term_bit_identical_to_scalar_kernel() {
+    fn still_block_bit_identical_to_scalar_kernel() {
         let sys = system(200, 17);
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
+        let n = sys.n_atoms();
+        // Every source atom against all of them: v spans several chunks.
+        let all = sys.atom_arena.view(&born, 0..n);
+        let mut scratch = StillScratch::default();
         for math in [MathMode::Exact, MathMode::Approx] {
-            let mut soa = AtomSoa::default();
-            // Range longer than one chunk to exercise the chunk loop.
-            soa.gather(&sys, &born, 0..sys.n_atoms());
-            for ui in [0usize, 57, 199] {
-                let xu = sys.atoms.points[ui];
-                let ru = born[ui];
-                let mut scalar = 0.0;
-                for ((&xv, &qv), &rv) in sys.atoms.points.iter().zip(&sys.charge).zip(&born) {
-                    let d2 = xu.dist2(xv);
-                    scalar += qv * inv_f_gb(d2, ru, rv, math);
-                }
-                let batched = soa.still_term(xu, ru, math);
+            let mut out = vec![f64::NAN; n];
+            all.still_block(all, math, &mut scratch, &mut out);
+            for (ui, got) in out.iter().enumerate() {
+                let want = still_scalar(&sys, &born, ui, 0..n, math);
                 assert_eq!(
-                    scalar.to_bits(),
-                    batched.to_bits(),
-                    "u={ui} {math:?}: {scalar} vs {batched}"
+                    want.to_bits(),
+                    got.to_bits(),
+                    "u={ui} {math:?}: {want} vs {got}"
                 );
             }
         }
     }
 
     #[test]
-    fn lane_widths_are_bit_identical() {
-        // The W=1 instantiation *is* the historical scalar loop; every
-        // other width must reproduce it bit-for-bit at awkward lengths
-        // (remainders of every size around the lane and chunk boundaries).
+    fn block_kernels_match_scalar_at_every_length() {
+        // Lengths around the lane and chunk boundaries, each used as the
+        // atom block and as the q / v range, empty ranges included. `out`
+        // starts as NaN, so a slot the kernel fails to overwrite shows.
         let sys = system(150, 41);
         let (born, _) = born_radii_naive(&sys, MathMode::Exact);
-        let mut qsoa = QLeafSoa::default();
-        let mut asoa = AtomSoa::default();
+        let mut scratch = StillScratch::default();
         for len in [0usize, 1, 3, 7, 8, 9, 15, 63, 64, 65, 130] {
-            qsoa.gather(&sys, 0..len.min(sys.n_qpoints()));
-            asoa.gather(&sys, &born, 0..len.min(sys.n_atoms()));
-            let xa = sys.atoms.points[10];
-            let b1 = born_term_lanes::<1>(qsoa.view(), xa);
+            let ar = 0..len.min(sys.n_atoms());
+            let qv = sys.q_arena.view(0..len.min(sys.n_qpoints()));
+            let (ax, ay, az) = sys.atom_arena.pos_slices(ar.clone());
+            let mut out = vec![f64::NAN; ar.len()];
+            born_block_lanes(qv, ax, ay, az, &mut out);
+            for (ai, got) in ar.clone().zip(&out) {
+                let want = born_scalar(qv, sys.atoms.points[ai]);
+                assert_eq!(got.to_bits(), want.to_bits(), "born len={len} atom {ai}");
+            }
+            let av = sys.atom_arena.view(&born, ar.clone());
             for math in [MathMode::Exact, MathMode::Approx] {
-                let s1 = still_term_lanes::<1>(asoa.view(), xa, born[10], math, CHUNK);
-                macro_rules! check_w {
-                    ($w:literal) => {
-                        assert_eq!(
-                            born_term_lanes::<$w>(qsoa.view(), xa).to_bits(),
-                            b1.to_bits(),
-                            "born W={} len={len}",
-                            $w
-                        );
-                        assert_eq!(
-                            still_term_lanes::<$w>(asoa.view(), xa, born[10], math, CHUNK)
-                                .to_bits(),
-                            s1.to_bits(),
-                            "still W={} len={len} {math:?}",
-                            $w
-                        );
-                    };
+                let mut out = vec![f64::NAN; ar.len()];
+                av.still_block(av, math, &mut scratch, &mut out);
+                for (ui, got) in ar.clone().zip(&out) {
+                    let want = still_scalar(&sys, &born, ui, ar.clone(), math);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "still len={len} u={ui} {math:?}"
+                    );
                 }
-                check_w!(2);
-                check_w!(4);
-                check_w!(5);
-                check_w!(8);
-                check_w!(16);
             }
         }
     }
 
     #[test]
-    fn arena_views_match_gather_bitwise() {
+    fn arenas_hold_the_morton_ordered_system() {
         let sys = system(180, 29);
-        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
         // Arenas as `prepare` builds them.
         let qa = QArena::build(&sys.qtree.points, &sys.q_normal, &sys.q_weight);
         let aa = AtomArena::build(&sys.atoms.points, &sys.charge);
         assert_eq!(qa.len(), sys.n_qpoints());
         assert_eq!(aa.len(), sys.n_atoms());
-        let mut qsoa = QLeafSoa::default();
-        let mut asoa = AtomSoa::default();
-        for range in [0..sys.n_qpoints(), 5..97, 11..11] {
-            qsoa.gather(&sys, range.clone());
-            let xa = sys.atoms.points[3];
-            assert_eq!(
-                qa.born_term(range.clone(), xa).to_bits(),
-                qsoa.born_term(xa).to_bits(),
-                "q range {range:?}"
-            );
+        for (i, p) in sys.qtree.points.iter().enumerate() {
+            let wn = sys.q_normal[i] * sys.q_weight[i];
+            let got = [qa.x[i], qa.y[i], qa.z[i], qa.wnx[i], qa.wny[i], qa.wnz[i]];
+            let want = [p.x, p.y, p.z, wn.x, wn.y, wn.z];
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "q point {i}");
         }
-        for range in [0..sys.n_atoms(), 7..133, 20..20] {
-            asoa.gather(&sys, &born, range.clone());
-            let xu = sys.atoms.points[42];
-            for math in [MathMode::Exact, MathMode::Approx] {
-                assert_eq!(
-                    aa.still_term(&born, range.clone(), xu, born[42], math)
-                        .to_bits(),
-                    asoa.still_term(xu, born[42], math).to_bits(),
-                    "atom range {range:?} {math:?}"
-                );
-            }
-        }
-        for i in [0usize, 17, 179] {
-            assert_eq!(aa.position(i), sys.atoms.points[i]);
+        for (i, p) in sys.atoms.points.iter().enumerate() {
+            assert_eq!(aa.position(i), *p);
+            assert_eq!(aa.q[i].to_bits(), sys.charge[i].to_bits());
         }
         assert!(qa.memory_bytes() >= 6 * 8 * qa.len());
         assert!(aa.memory_bytes() >= 4 * 8 * aa.len());
@@ -953,38 +742,32 @@ mod tests {
     }
 
     #[test]
-    fn born_term_matches_scalar_reference() {
+    fn born_block_terms_match_scalar_reference() {
         let sys = system(150, 23);
-        let mut soa = QLeafSoa::default();
         let nq = sys.n_qpoints();
-        soa.gather(&sys, 0..nq);
-        assert_eq!(soa.len(), nq);
-        let xa = sys.atoms.points[31];
-        let mut scalar = 0.0;
-        for qi in 0..nq {
-            let dv = sys.qtree.points[qi] - xa;
-            let d2 = dv.norm2();
-            let inv2 = 1.0 / d2;
-            scalar += sys.q_weight[qi] * sys.q_normal[qi].dot(dv) * inv2 * inv2 * inv2;
-        }
-        let batched = soa.born_term(xa);
-        // Weight premultiplication reassociates one product per term —
-        // equal to roundoff, not bitwise.
-        assert!(
-            ((scalar - batched) / scalar).abs() < 1e-12,
-            "{scalar} vs {batched}"
-        );
-    }
-
-    #[test]
-    fn gather_reuses_and_empties() {
-        let sys = system(64, 3);
-        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
-        let mut soa = AtomSoa::default();
-        soa.gather(&sys, &born, 0..10);
-        assert_eq!(soa.len(), 10);
-        soa.gather(&sys, &born, 5..5);
-        assert!(soa.is_empty());
-        assert_eq!(soa.still_term(Vec3::ZERO, 1.0, MathMode::Exact), 0.0);
+        let qv = sys.q_arena.view(0..nq);
+        // More atoms than two CHUNK blocks, so the CHUNK blocking of
+        // `born_block_terms` runs full blocks and a tail.
+        let ar = 0..(2 * CHUNK + 1).min(sys.n_atoms());
+        assert_eq!(ar.len(), 2 * CHUNK + 1);
+        let mut seen = Vec::new();
+        sys.born_block_terms(qv, ar.clone(), |ai, batched| {
+            let xa = sys.atoms.points[ai];
+            let mut scalar = 0.0;
+            for qi in 0..nq {
+                let dv = sys.qtree.points[qi] - xa;
+                let d2 = dv.norm2();
+                let inv2 = 1.0 / d2;
+                scalar += sys.q_weight[qi] * sys.q_normal[qi].dot(dv) * inv2 * inv2 * inv2;
+            }
+            // Weight premultiplication reassociates one product per term —
+            // equal to roundoff, not bitwise.
+            assert!(
+                ((scalar - batched) / scalar).abs() < 1e-12,
+                "atom {ai}: {scalar} vs {batched}"
+            );
+            seen.push(ai);
+        });
+        assert_eq!(seen, ar.collect::<Vec<_>>());
     }
 }

@@ -152,10 +152,10 @@ impl GbSystem {
     /// Leaf×leaf near-field Born terms, block-kernel form: the term of
     /// `qv` at every atom of the Morton range `ar`, delivered to
     /// `sink(atom_index, term)` in index order. Each term is bit-identical
-    /// to `qv.born_term(position(ai))` — the CHUNK-sized blocking below
-    /// only amortizes per-call overhead across the leaf — so every caller
-    /// (recursions, list engine, benches) shares one kernel and one
-    /// float-order story.
+    /// to the per-atom scalar r⁶ loop at `position(ai)` — the CHUNK-sized
+    /// blocking below only amortizes per-call overhead across the leaf —
+    /// so every caller (recursions, list engine, benches) shares one
+    /// kernel and one float-order story.
     #[inline]
     pub fn born_block_terms(
         &self,
@@ -177,12 +177,12 @@ impl GbSystem {
     }
 
     /// Leaf×leaf near-field STILL contribution, block-kernel form:
-    /// `Σ_{u∈ur} q_u · still_term(u → vv)` with the fold in Morton index
-    /// order — exactly the historical per-atom loop (Eq. 2's ordered-pair
-    /// leaf block), with per-call overhead amortized across the leaf and
-    /// the transcendentals batched over whole u×v tiles. `scratch` is the
-    /// tile staging, owned by the caller so one instance serves a whole
-    /// sweep of leaf pairs.
+    /// `Σ_{u∈ur} q_u · Σ_{v∈vv} q_v / f_GB(r_uv², R_u, R_v)` with the
+    /// outer fold in Morton index order — exactly the historical per-atom
+    /// loop (Eq. 2's ordered-pair leaf block), with per-call overhead
+    /// amortized across the leaf and the transcendentals batched over
+    /// whole u×v tiles. `scratch` is the tile staging, owned by the
+    /// caller so one instance serves a whole sweep of leaf pairs.
     #[inline]
     pub fn still_block_raw(
         &self,

@@ -1,9 +1,11 @@
 //! Property: the lane-batched SoA kernels are **bit-identical** to the
-//! straight scalar loops they replaced — for every lane width, every
-//! runtime chunk size, both [`MathMode`]s, and random molecule sizes —
-//! and the persistent flat leaf arenas are bit-interchangeable with the
-//! historical per-chunk gathers, including across the positions-only
-//! refresh path.
+//! straight scalar loops they replaced — at every block length around
+//! the lane and CHUNK boundaries, both [`MathMode`]s, and random
+//! molecule sizes — through the entry points production calls
+//! (`born_block_lanes`/`GbSystem::born_block_terms`,
+//! `AtomView::still_block`/`GbSystem::still_block_raw` and
+//! `still_pair_block`), and the persistent flat leaf arenas carry no
+//! hidden state across the positions-only refresh path.
 //!
 //! The scalar references below are written out longhand in this file on
 //! purpose: they are the pre-batching kernel bodies (same operations,
@@ -16,14 +18,14 @@
 mod common;
 
 use polaroct_core::soa::{
-    born_block_lanes, born_term_lanes, still_block_lanes, still_pair_block, still_term_lanes,
-    AtomSoa, AtomView, QLeafSoa, QView, StillScratch, CHUNK,
+    born_block_lanes, still_pair_block, AtomView, QView, StillScratch, CHUNK,
 };
-use polaroct_core::{ApproxParams, ListEngine};
+use polaroct_core::{ApproxParams, GbSystem, ListEngine};
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
 use polaroct_molecule::synth;
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Historical scalar r⁶ surface kernel: `Σ (w·d) / d⁶` in index order.
 fn born_term_scalar(q: QView<'_>, xa: Vec3) -> f64 {
@@ -56,19 +58,35 @@ fn still_term_scalar(a: AtomView<'_>, xu: Vec3, ru: f64, math: MathMode) -> f64 
     acc
 }
 
+/// Historical scalar leaf block: `Σ_{u∈ur} q_u · still_term_scalar(u → v)`,
+/// folded in index order from `0.0`, with Born radii `born`.
+fn still_raw_scalar(
+    sys: &GbSystem,
+    born: &[f64],
+    ur: Range<usize>,
+    v: AtomView<'_>,
+    math: MathMode,
+) -> f64 {
+    let mut raw = 0.0;
+    for ui in ur {
+        let xu = sys.atom_arena.position(ui);
+        raw += sys.charge[ui] * still_term_scalar(v, xu, born[ui], math);
+    }
+    raw
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Lane width × chunk size × MathMode × molecule size sweep: both
-    /// kernels, over arbitrary contiguous arena sub-ranges (a superset
-    /// of the leaf/clip ranges the engines slice), must reproduce the
-    /// scalar reference bit-for-bit.
+    /// Block length × MathMode × molecule size sweep: both kernels, over
+    /// arbitrary contiguous arena sub-ranges (a superset of the leaf/clip
+    /// ranges the engines slice), single source atoms included, must
+    /// reproduce the scalar reference bit-for-bit.
     #[test]
     fn kernels_match_scalar(
         n in 20usize..90,
         seed in 0u64..1000,
         math_i in 0usize..2,
-        chunk in 1usize..CHUNK + 1,
         lo_sel in 0usize..1000,
         len_sel in 0usize..1000,
         src_sel in 0usize..1000,
@@ -76,101 +94,72 @@ proptest! {
         let math = [MathMode::Exact, MathMode::Approx][math_i];
         let (_mol, _params, sys) = common::prepared_ligand("kernels", n, seed);
 
-        // Arbitrary contiguous q-arena range (includes empty).
+        // Arbitrary contiguous q-arena range (includes empty), against
+        // one atom: a one-atom block is all tail.
         let qn = sys.q_arena.len();
         let lo = lo_sel % (qn + 1);
         let hi = (lo + len_sel % (qn + 1 - lo)).min(qn);
         let qv = sys.q_arena.view(lo..hi);
-        let xa = sys.atom_arena.position(src_sel % sys.n_atoms());
-        let want = born_term_scalar(qv, xa);
-        macro_rules! check_born {
-            ($w:literal) => {
-                let got = born_term_lanes::<$w>(qv, xa);
-                prop_assert_eq!(got.to_bits(), want.to_bits(),
-                    "born_term W={} range {}..{}: {} vs {}", $w, lo, hi, got, want);
-            };
-        }
-        check_born!(1);
-        check_born!(2);
-        check_born!(3);
-        check_born!(4);
-        check_born!(8);
-        check_born!(16);
-
-        // Block form over a random atom sub-range: every out[k] must be
-        // bit-equal to the scalar reference at that atom.
         let an = sys.n_atoms();
+        let ui = src_sel % an;
+        let xa = sys.atom_arena.position(ui);
+        let want = born_term_scalar(qv, xa);
+        let mut one = [f64::NAN];
+        born_block_lanes(qv, &[xa.x], &[xa.y], &[xa.z], &mut one);
+        prop_assert_eq!(one[0].to_bits(), want.to_bits(),
+            "born one atom range {}..{}: {} vs {}", lo, hi, one[0], want);
+
+        // Block form over a random atom sub-range, directly and through
+        // the CHUNK-blocked `born_block_terms`: every term must be
+        // bit-equal to the scalar reference at that atom.
         let alo = lo_sel % (an + 1);
         let ahi = (alo + len_sel % (an + 1 - alo)).min(an);
         let (bx, by, bz) = sys.atom_arena.pos_slices(alo..ahi);
-        let mut blk = vec![0.0f64; ahi - alo];
-        macro_rules! check_born_block {
-            ($w:literal) => {
-                born_block_lanes::<$w>(qv, bx, by, bz, &mut blk);
-                for (k, &got) in blk.iter().enumerate() {
-                    let want = born_term_scalar(qv, sys.atom_arena.position(alo + k));
-                    prop_assert_eq!(got.to_bits(), want.to_bits(),
-                        "born_block W={} atom {}: {} vs {}", $w, alo + k, got, want);
-                }
-            };
+        let mut blk = vec![f64::NAN; ahi - alo];
+        born_block_lanes(qv, bx, by, bz, &mut blk);
+        let mut terms = Vec::with_capacity(blk.len());
+        sys.born_block_terms(qv, alo..ahi, |ai, t| terms.push((ai, t)));
+        prop_assert_eq!(terms.len(), blk.len());
+        for (k, (&got, &(ai, t))) in blk.iter().zip(&terms).enumerate() {
+            let want = born_term_scalar(qv, sys.atom_arena.position(alo + k));
+            prop_assert_eq!(got.to_bits(), want.to_bits(),
+                "born_block atom {}: {} vs {}", alo + k, got, want);
+            prop_assert_eq!((ai, t.to_bits()), (alo + k, want.to_bits()),
+                "born_block_terms atom {}", alo + k);
         }
-        check_born_block!(1);
-        check_born_block!(2);
-        check_born_block!(3);
-        check_born_block!(4);
-        check_born_block!(8);
-        check_born_block!(16);
 
         // Arbitrary contiguous atom-arena range; intrinsic radii stand in
         // for Born radii (any positive values exercise the same bits).
+        // One scratch instance serves every call on purpose: stale staging
+        // contents must not leak into results.
         let av = sys.atom_arena.view(&sys.radius, alo..ahi);
-        let ui = src_sel % an;
-        let (xu, ru) = (sys.atom_arena.position(ui), sys.radius[ui]);
-        let want = still_term_scalar(av, xu, ru, math);
-        macro_rules! check_still {
-            ($w:literal) => {
-                let got = still_term_lanes::<$w>(av, xu, ru, math, chunk);
-                prop_assert_eq!(got.to_bits(), want.to_bits(),
-                    "still_term W={} chunk={} range {}..{} {:?}: {} vs {}",
-                    $w, chunk, alo, ahi, math, got, want);
-            };
-        }
-        check_still!(1);
-        check_still!(2);
-        check_still!(3);
-        check_still!(4);
-        check_still!(8);
-        check_still!(16);
+        let ru = sys.radius[ui];
+        let want = still_term_scalar(av, xa, ru, math);
+        let mut scratch = StillScratch::default();
+        let u1 = sys.atom_arena.view(&sys.radius, ui..ui + 1);
+        u1.still_block(av, math, &mut scratch, &mut one);
+        prop_assert_eq!(one[0].to_bits(), want.to_bits(),
+            "still one source range {}..{} {:?}: {} vs {}", alo, ahi, math, one[0], want);
 
         // Tiled block form, u-block = the same sub-range as a source
         // block (self pairs included — exactly the ordered-pair leaf
-        // semantics). One scratch instance is reused across all widths on
-        // purpose: stale staging contents must not leak into results.
-        let uv = sys.atom_arena.view(&sys.radius, alo..ahi);
-        let mut scratch = StillScratch::default();
-        let mut sblk = vec![0.0f64; ahi - alo];
-        macro_rules! check_still_block {
-            ($w:literal) => {
-                still_block_lanes::<$w>(uv, av, math, chunk, &mut scratch, &mut sblk);
-                for (k, &got) in sblk.iter().enumerate() {
-                    let want = still_term_scalar(
-                        av,
-                        sys.atom_arena.position(alo + k),
-                        sys.radius[alo + k],
-                        math,
-                    );
-                    prop_assert_eq!(got.to_bits(), want.to_bits(),
-                        "still_block W={} chunk={} atom {} {:?}: {} vs {}",
-                        $w, chunk, alo + k, math, got, want);
-                }
-            };
+        // semantics), and its charge-weighted fold.
+        let mut sblk = vec![f64::NAN; ahi - alo];
+        av.still_block(av, math, &mut scratch, &mut sblk);
+        for (k, &got) in sblk.iter().enumerate() {
+            let want = still_term_scalar(
+                av,
+                sys.atom_arena.position(alo + k),
+                sys.radius[alo + k],
+                math,
+            );
+            prop_assert_eq!(got.to_bits(), want.to_bits(),
+                "still_block atom {} {:?}: {} vs {}", alo + k, math, got, want);
         }
-        check_still_block!(1);
-        check_still_block!(2);
-        check_still_block!(3);
-        check_still_block!(4);
-        check_still_block!(8);
-        check_still_block!(16);
+        let raw = sys.still_block_raw(&sys.radius, alo..ahi, av, math, &mut scratch);
+        let want = still_raw_scalar(&sys, &sys.radius, alo..ahi, av, math);
+        prop_assert_eq!(raw.to_bits(), want.to_bits(),
+            "still_block_raw {}..{} {:?}: {} vs {}", alo, ahi, math, raw, want);
     }
 
     /// Arena refresh: reusing lists with positions moved and then moved
@@ -263,53 +252,87 @@ fn paired_kernel_matches_two_unpaired_blocks() {
     }
 }
 
-/// The atom-lane block kernel at every width, over atom blocks around
-/// the lane and CHUNK boundaries and q ranges from empty to several
-/// CHUNKs: every `out[k]` must equal the longhand scalar kernel at atom
-/// `k`, through arena views and through gathered copies alike. `out`
-/// starts as NaN, so a slot the kernel fails to overwrite shows.
+/// Block lengths from one atom past two CHUNKs: all tail (1, 7), whole
+/// lanes (8, 64), lanes plus a tail (9, 63, 65, 129).
+const BLOCK_SIZES: [usize; 8] = [1, 7, 8, 9, 63, CHUNK, CHUNK + 1, 2 * CHUNK + 1];
+
+/// The atom-lane Born kernel over atom blocks around the lane and CHUNK
+/// boundaries and q ranges from empty to several CHUNKs: every `out[k]`
+/// of `born_block_lanes`, and every term `born_block_terms` delivers,
+/// must equal the longhand scalar kernel at atom `k`. `out` starts as
+/// NaN, so a slot the kernel fails to overwrite shows.
 #[test]
-fn born_block_matches_scalar_at_every_width_and_block_shape() {
+fn born_block_matches_scalar_at_every_block_shape() {
     let (_mol, _params, sys) = common::prepared_protein("born-block", 300, 41);
     let (alo, qlo) = (5, 11);
-    assert!(sys.n_atoms() >= alo + 64 && sys.q_arena.len() >= qlo + 200);
-    let mut qsoa = QLeafSoa::default();
-    let mut asoa = AtomSoa::default();
+    assert!(sys.n_atoms() > alo + 2 * CHUNK && sys.q_arena.len() >= qlo + 200);
     let mut checked = 0;
-    for na in [1usize, 7, 8, 9, 31, 32, 33, 64] {
+    for na in BLOCK_SIZES {
         let ar = alo..alo + na;
-        asoa.gather(&sys, &sys.radius, ar.clone());
         let (bx, by, bz) = sys.atom_arena.pos_slices(ar.clone());
         for nq in [0usize, 1, 7, 63, 64, 65, 200] {
-            let qr = qlo..qlo + nq;
-            let qv = sys.q_arena.view(qr.clone());
-            qsoa.gather(&sys, qr);
+            let qv = sys.q_arena.view(qlo..qlo + nq);
             let want: Vec<u64> = ar
                 .clone()
                 .map(|ai| born_term_scalar(qv, sys.atom_arena.position(ai)).to_bits())
                 .collect();
-            let views = [
-                ("arena", qv, (bx, by, bz)),
-                ("gather", qsoa.view(), (&asoa.x[..], &asoa.y[..], &asoa.z[..])),
-            ];
-            for (path, q, (x, y, z)) in views {
-                macro_rules! check {
-                    ($w:literal) => {
-                        let mut out = vec![f64::NAN; na];
-                        born_block_lanes::<$w>(q, x, y, z, &mut out);
-                        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(got, want, "{path} W={} atoms {na} q {nq}", $w);
-                        checked += 1;
-                    };
-                }
-                check!(1);
-                check!(2);
-                check!(3);
-                check!(4);
-                check!(8);
-                check!(16);
+            let mut out = vec![f64::NAN; na];
+            born_block_lanes(qv, bx, by, bz, &mut out);
+            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "born_block_lanes atoms {na} q {nq}");
+            let mut terms = Vec::new();
+            sys.born_block_terms(qv, ar.clone(), |ai, t| terms.push((ai, t.to_bits())));
+            let want_terms: Vec<(usize, u64)> = ar.clone().zip(want).collect();
+            assert_eq!(terms, want_terms, "born_block_terms atoms {na} q {nq}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, BLOCK_SIZES.len() * 7);
+}
+
+/// The tiled STILL kernel over the same block sizes on both axes, both
+/// MathModes and charges with zeros and negatives: every `out[k]` of
+/// `AtomView::still_block` must equal the longhand scalar sum of source
+/// atom `k`, and `still_block_raw` the longhand charge-weighted fold.
+/// One scratch serves every call, large tiles before small ones.
+#[test]
+fn still_block_matches_scalar_at_every_block_shape() {
+    let (_mol, _params, mut sys) = common::prepared_protein("still-block", 520, 78);
+    for i in (0..sys.n_atoms()).step_by(5) {
+        sys.set_atom_charge(i, 0.0);
+    }
+    for i in (3..sys.n_atoms()).step_by(7) {
+        sys.set_atom_charge(i, -0.75);
+    }
+    let born = sys.radius.clone();
+    let (ulo, vlo) = (4, 300);
+    assert!(sys.n_atoms() > vlo + 2 * CHUNK);
+    let mut scratch = StillScratch::default();
+    for math in [MathMode::Exact, MathMode::Approx] {
+        for &nu in BLOCK_SIZES.iter().rev() {
+            let ur = ulo..ulo + nu;
+            let uv = sys.atom_arena.view(&born, ur.clone());
+            for nv in [0].into_iter().chain(BLOCK_SIZES) {
+                let vv = sys.atom_arena.view(&born, vlo..vlo + nv);
+                let want: Vec<u64> = ur
+                    .clone()
+                    .map(|ui| {
+                        let xu = sys.atom_arena.position(ui);
+                        still_term_scalar(vv, xu, born[ui], math).to_bits()
+                    })
+                    .collect();
+                let mut out = vec![f64::NAN; nu];
+                uv.still_block(vv, math, &mut scratch, &mut out);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "still_block {math:?} u {nu} v {nv}");
+                let raw = sys.still_block_raw(&born, ur.clone(), vv, math, &mut scratch);
+                let want_raw = still_raw_scalar(&sys, &born, ur.clone(), vv, math);
+                assert_eq!(
+                    raw.to_bits(),
+                    want_raw.to_bits(),
+                    "still_block_raw {math:?} u {nu} v {nv}"
+                );
             }
         }
     }
-    assert_eq!(checked, 8 * 7 * 2 * 6);
 }

@@ -116,22 +116,6 @@ impl Aabb {
         Aabb { min, max }
     }
 
-    /// Squared distance from `p` to the closest point of the box (0 inside).
-    pub fn dist2_to_point(&self, p: Vec3) -> f64 {
-        let mut d2 = 0.0;
-        for ax in 0..3 {
-            let v = p[ax];
-            let lo = self.min[ax];
-            let hi = self.max[ax];
-            if v < lo {
-                d2 += (lo - v) * (lo - v);
-            } else if v > hi {
-                d2 += (v - hi) * (v - hi);
-            }
-        }
-        d2
-    }
-
     /// Radius of the sphere circumscribing the box (center to corner).
     #[inline]
     pub fn circumradius(&self) -> f64 {
@@ -208,18 +192,6 @@ mod tests {
         assert_eq!(b.octant(2).min, Vec3::new(0.0, 0.5, 0.0));
         // Bit 2 toggles z.
         assert_eq!(b.octant(4).min, Vec3::new(0.0, 0.0, 0.5));
-    }
-
-    #[test]
-    fn dist2_inside_is_zero() {
-        assert_eq!(unit().dist2_to_point(Vec3::splat(0.5)), 0.0);
-    }
-
-    #[test]
-    fn dist2_outside_corner() {
-        // One unit away along each axis from the (1,1,1) corner.
-        let d2 = unit().dist2_to_point(Vec3::splat(2.0));
-        assert_eq!(d2, 3.0);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //!
 //! * [`Vec3`] — a 3-component `f64` vector with the usual algebra.
 //! * [`Aabb`] — axis-aligned bounding boxes (octree domains).
-//! * [`BoundingSphere`] — enclosing spheres for octree nodes; the node
-//!   "radius" `r_A` used by the paper's multipole-acceptance criteria.
 //! * [`morton`] — 63-bit Morton (Z-order) codes used to build the
 //!   cache-efficient linear octree.
 //! * [`Transform`] — rigid-body transforms (rotation + translation) used to
@@ -23,17 +21,12 @@
 pub mod aabb;
 pub mod fastmath;
 pub mod morton;
-pub mod sphere;
 pub mod transform;
 pub mod vec3;
 
 pub use aabb::Aabb;
-pub use sphere::BoundingSphere;
 pub use transform::Transform;
 pub use vec3::Vec3;
-
-/// Numerical tolerance used across the workspace for geometric predicates.
-pub const GEOM_EPS: f64 = 1e-12;
 
 /// Relative-error comparison helper used by tests across the workspace.
 ///

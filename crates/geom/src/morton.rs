@@ -112,18 +112,6 @@ pub fn child_index_at_level(code: u64, level: u32) -> usize {
     ((code >> shift) & 0b111) as usize
 }
 
-/// Prefix of `code` down to (and including) `levels` root splits; two codes
-/// share the same octree node at depth `levels` iff their prefixes match.
-#[inline]
-pub fn prefix_at_level(code: u64, levels: u32) -> u64 {
-    if levels == 0 {
-        return 0;
-    }
-    debug_assert!(levels <= BITS_PER_AXIS);
-    let shift = 3 * (BITS_PER_AXIS - levels);
-    code >> shift
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,19 +172,6 @@ mod tests {
             above,
             (CELLS_PER_AXIS - 1, CELLS_PER_AXIS - 1, CELLS_PER_AXIS - 1)
         );
-    }
-
-    #[test]
-    fn prefix_at_level_identifies_shared_ancestors() {
-        let domain = Aabb::new(Vec3::ZERO, Vec3::splat(16.0));
-        let q = MortonQuantizer::new(&domain);
-        // Two points in the same root octant but different sub-octants.
-        let a = q.code_of(Vec3::new(1.0, 1.0, 1.0));
-        let b = q.code_of(Vec3::new(7.0, 7.0, 7.0));
-        let c = q.code_of(Vec3::new(9.0, 9.0, 9.0));
-        assert_eq!(prefix_at_level(a, 1), prefix_at_level(b, 1));
-        assert_ne!(prefix_at_level(a, 1), prefix_at_level(c, 1));
-        assert_eq!(prefix_at_level(a, 0), prefix_at_level(c, 0));
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Linear interpolation: `self + t * (o - self)`.
-    #[inline]
-    pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
-        self + (o - self) * t
-    }
-
     /// True if every component is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -257,15 +251,6 @@ mod tests {
         let b = Vec3::new(4.0, 6.0, 3.0);
         assert_eq!(a.dist(b), b.dist(a));
         assert_eq!(a.dist(b), 5.0);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn worker(st: &PoolState, wid: usize) {
                     st.deques[wid].lock().push_back((mid, hi));
                     hi = mid;
                 }
-                // Execute index `lo` (grain 1 ⇒ hi == lo + 1).
+                // Execute index `lo` (chunks split to single indices ⇒ hi == lo + 1).
                 if st.poison == Some(lo) {
                     st.panics.fetch_add(1, Ordering::SeqCst);
                     if st.poison_skips_done {

@@ -33,23 +33,13 @@ pub struct PoolMetrics {
 /// is why the cluster experiments use [`crate::sim`] for timing instead.
 pub struct WorkStealingPool {
     width: usize,
-    /// Minimum indices per executed chunk (the `grain`): controls the
-    /// task-creation overhead exactly like cilk's grain size.
-    grain: usize,
 }
 
 impl WorkStealingPool {
     pub fn new(width: usize) -> Self {
         // PANIC-OK: precondition assert — a zero-width pool is a caller bug.
         assert!(width >= 1);
-        WorkStealingPool { width, grain: 1 }
-    }
-
-    /// Set the splitting grain (indices per leaf task).
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        assert!(grain >= 1);
-        self.grain = grain;
-        self
+        WorkStealingPool { width }
     }
 
     pub fn width(&self) -> usize {
@@ -104,7 +94,6 @@ impl WorkStealingPool {
                 let panics = &panics;
                 let done = &done;
                 let contained = &contained;
-                let grain = self.grain;
                 let width = self.width;
                 scope.spawn(move || {
                     // Cheap deterministic xorshift for victim selection.
@@ -152,9 +141,9 @@ impl WorkStealingPool {
                         match chunk {
                             Some((lo, hi)) => {
                                 let mut hi = hi;
-                                // Lazy binary splitting: keep half for
-                                // thieves while the chunk is large.
-                                while hi - lo > grain {
+                                // Lazy binary splitting down to single
+                                // indices, keeping half for thieves.
+                                while hi - lo > 1 {
                                     let mid = lo + (hi - lo) / 2;
                                     worker.push((mid, hi));
                                     hi = mid;
@@ -219,7 +208,6 @@ impl std::fmt::Debug for WorkStealingPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkStealingPool")
             .field("width", &self.width)
-            .field("grain", &self.grain)
             .finish()
     }
 }
@@ -263,19 +251,18 @@ mod tests {
 
     #[test]
     fn map_preserves_index_order() {
-        let pool = WorkStealingPool::new(3);
-        let (v, m) = pool.try_map(257, |i| i * i);
-        assert_eq!(m.panics, 0);
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, Some(i * i));
+        // Fewer tasks than workers, odd sizes and a large run: results
+        // land in index order at every width.
+        for width in [2, 3, 4] {
+            let pool = WorkStealingPool::new(width);
+            for n in [5usize, 257, 1000] {
+                let (v, m) = pool.try_map(n, |i| i * i);
+                assert_eq!(m.panics, 0);
+                assert_eq!(m.tasks, n);
+                let want: Vec<_> = (0..n).map(|i| Some(i * i)).collect();
+                assert_eq!(v, want, "width {width}");
+            }
         }
-    }
-
-    #[test]
-    fn grain_respected_and_results_identical() {
-        let pool = WorkStealingPool::new(2).with_grain(64);
-        let (v, _) = pool.try_map(1000, |i| i + 1);
-        assert_eq!(v, (1..=1000).map(Some).collect::<Vec<_>>());
     }
 
     #[test]
@@ -284,22 +271,6 @@ mod tests {
         let (v, m) = pool.try_map(0, |_| -> usize { panic!("must not run") });
         assert!(v.is_empty());
         assert_eq!(m, PoolMetrics::default());
-    }
-
-    #[test]
-    fn grain_larger_than_n_runs_everything() {
-        // One chunk never splits — a single worker executes all of it.
-        let pool = WorkStealingPool::new(4).with_grain(100);
-        let counts: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-        let m = pool.run(5, |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(m.tasks, 5);
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
-        }
-        let (v, _) = pool.try_map(5, |i| i * 10);
-        assert_eq!(v, vec![Some(0), Some(10), Some(20), Some(30), Some(40)]);
     }
 
     #[test]

@@ -144,6 +144,7 @@ fn cmd_energy(args: &[String]) -> Result<String, String> {
         .unwrap_or(12);
     let driver = flags.get("driver").map(String::as_str).unwrap_or("serial");
 
+    validate_params(&params).map_err(|e| e.to_string())?;
     let sys = GbSystem::prepare(&mol, &params);
     let cfg = DriverConfig::default();
     let machine = MachineSpec::lonestar4();
@@ -189,6 +190,7 @@ fn cmd_radii(args: &[String]) -> Result<String, String> {
     if let Some(e) = flags.get("eps") {
         params.eps_born = e.parse().map_err(|_| "bad --eps")?;
     }
+    validate_params(&params).map_err(|e| e.to_string())?;
     let sys = GbSystem::prepare(&mol, &params);
     let (born, _) =
         polaroct::core::born::born_radii_octree(&sys, params.eps_born, params.math);
@@ -282,6 +284,30 @@ mod tests {
         assert!(info.contains("atoms: 25"));
         let radii = run(&sv(&["radii", path.to_str().unwrap()])).unwrap();
         assert_eq!(radii.lines().count(), 26);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_eps_is_a_config_error() {
+        let gen = sv(&["gen", "--kind", "ligand", "--atoms", "12", "--seed", "3"]);
+        let out = run(&gen).unwrap();
+        let dir = std::env::temp_dir().join("polaroct_cli_eps_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lig.xyzrq");
+        std::fs::write(&path, &out).unwrap();
+        let file = path.to_str().unwrap();
+        let mut cases = Vec::new();
+        for driver in ["serial", "mpi"] {
+            for eps in ["0", "-1", "nan"] {
+                cases.push(sv(&["energy", file, "--driver", driver, "--eps-epol", eps]));
+            }
+        }
+        cases.push(sv(&["energy", file, "--eps-born", "nan"]));
+        cases.push(sv(&["radii", file, "--eps", "-5"]));
+        for args in &cases {
+            let err = run(args).unwrap_err();
+            assert!(err.contains("invalid configuration"), "{args:?}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use polaroct_cluster::fault::{phase, FaultPlan, FtPolicy};
     pub use polaroct_core::drivers::{
         run_naive, run_oct_cilk, run_oct_hybrid_ft, run_oct_mpi_ft, run_oct_threads_ft, run_serial,
-        validate_system, DriverConfig, DriverError, FtConfig, PhaseTimes, RecoveryMode, RunOutcome,
-        RunReport,
+        validate_params, validate_system, DriverConfig, DriverError, FtConfig, PhaseTimes,
+        RecoveryMode, RunOutcome, RunReport,
     };
     pub use polaroct_core::{ApproxParams, EpolFar, GbSystem, WorkDivision};
     pub use polaroct_geom::fastmath::MathMode;
