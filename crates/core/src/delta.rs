@@ -31,26 +31,35 @@
 //!   position, frozen q-points and frozen far sums, so only the moved
 //!   atoms are pushed to radii; the *born-changed* set is the moved atoms
 //!   whose radius bits changed.
-//! * **E_pol, per pair.** Each entry's Phase-A output is one value at
-//!   `entry - chunk.start` of its chunk's cached stream, written in
-//!   place. A dirty entry whose mirror is dirty too shares one STILL
-//!   tile with it ([`crate::soa::still_pair_block`], the lower-indexed
-//!   entry evaluates it), as in the full Phase A. Phase B then replays
-//!   the serial sum tree over **all** chunks in emission order. A clean
+//! * **E_pol, per pair.** Each entry's Phase-A output is one cached
+//!   value, written in place. A dirty entry whose mirror is dirty too
+//!   shares one STILL tile with it ([`crate::soa::still_pair_block`], the
+//!   lower-indexed entry evaluates it), as in the full Phase A. A clean
 //!   entry's cached value is bitwise what a fresh execution would produce
 //!   (its operands read only unchanged inputs — that is what "clean"
-//!   means), so the fold consumes identical floats in identical order
-//!   and the perturbed energy is **bit-identical to a fresh full run by
-//!   construction**.
-//! * [`ChargeBins`]: the bin layout derives from the *global* Born-radius
-//!   extremes, so one changed radius can relabel every node's bins.
-//!   The engine rebuilds bins and node moments every query (O(M·M_ε),
-//!   serial) and diffs the per-node bin vectors, the per-node moments
-//!   and the `rr_table` bitwise against the cached generation; far
-//!   entries are dirty exactly where their endpoints' bins or moments
-//!   (or the shared table) changed. A node's moments read its atoms'
-//!   positions and charges, so a move or a charge change dirties the far
-//!   entries of every ancestor of the touched atom (DESIGN.md §10.8).
+//!   means).
+//! * **E_pol Phase B, per frame.** The engine caches one total per frame
+//!   of the serial sum tree (the entries' `opens`/`closes`). A query
+//!   re-folds only the frames holding a dirty entry and their ancestors,
+//!   each from `0.0` over the same operands in the same order as the full
+//!   replay: cached values for its entries, cached totals for its clean
+//!   child frames. So the perturbed energy is **bit-identical to a fresh
+//!   full run by construction**, and the fold costs what the dirty
+//!   entries touch.
+//! * [`ChargeBins`], in place. The bin layout derives from the *global*
+//!   Born-radius extremes, so one changed radius can relabel every
+//!   node's bins. While `R_min` and `M_ε` hold (always, unless a radius
+//!   changed), the `rr_table` holds too: the engine re-bins only the
+//!   atoms whose radius changed and recomputes bins and moments only for
+//!   the ancestors of the moved, recharged or re-radiused atoms, by the
+//!   same range sums as a full build, then diffs those nodes bitwise. A
+//!   node's bins and moments read only its own atoms, so the changed
+//!   nodes are exactly those a whole-table diff finds. A new layout takes
+//!   the whole-table path: a full rebuild diffed against the cached
+//!   generation. Far entries are dirty exactly where their endpoints'
+//!   bins or moments (or the shared table) changed; under the default
+//!   rule a move or a charge change dirties the far entries of the
+//!   touched atom's ancestors (DESIGN.md §10.8).
 //!
 //! Queries whose cumulative displacement exceeds `skin/2` fall back to a
 //! full rebuild at the perturbed geometry — the same boundary, and the
@@ -58,11 +67,12 @@
 //!
 //! [`DeltaEngine::revert`] pops the last perturbation: an incremental
 //! query is undone by restoring the saved positions/charges, the moved
-//! atoms' integrals and radii, the replaced E_pol values, the bins and
-//! the totals directly (bit-exact, no recomputation); a rebuilt query is
-//! undone by deterministically rebuilding the previous scaffold and
-//! re-executing (prepare is a pure function, so the restored state is
-//! bit-identical too). Scoring N independent candidates against one base
+//! atoms' integrals and radii, the replaced E_pol values, the changed
+//! bins (the atoms' and nodes', or the whole generation), the re-folded
+//! frame totals and the totals directly (bit-exact, no recomputation); a
+//! rebuilt query is undone by deterministically rebuilding the previous
+//! scaffold and re-executing (prepare is a pure function, so the
+//! restored state is bit-identical too). Scoring N independent candidates against one base
 //! state is therefore an apply → revert loop.
 //!
 //! The FT story is the list engine's, unchanged: dirty units fan out
@@ -74,7 +84,8 @@ use crate::born::push_integrals_to_atoms;
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
 use crate::lists::{
-    no_faults, recovering_map, EpolLists, ListEngine, ListEntry, ListSource, PhaseOutputs, Pipeline,
+    no_faults, recovering_map, EpolLists, ListEngine, ListEntry, ListSource, PhaseOutputs,
+    Pipeline, SumFrames,
 };
 use crate::params::ApproxParams;
 use crate::soa::{still_pair_block, StillScratch};
@@ -83,6 +94,7 @@ use polaroct_cluster::comm::checksum;
 use polaroct_cluster::fault::{phase, FaultKind, FaultPlan};
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
+use polaroct_octree::{NodeId, Octree};
 use polaroct_sched::{CoverageIndex, WorkStealingPool};
 use std::ops::Range;
 
@@ -163,7 +175,9 @@ enum UndoRecord {
         born: Vec<(usize, f64, f64)>,
         /// `(chunk, offset, old value)` for every re-executed E_pol entry.
         epol: Vec<(u32, u32, f64)>,
-        bins: ChargeBins,
+        bins: BinsUndo,
+        /// `(frame, old total)` for every re-folded sum-tree frame.
+        frames: Vec<(u32, f64)>,
         raw: f64,
         energy_kcal: f64,
     },
@@ -173,6 +187,21 @@ enum UndoRecord {
         charges: Vec<(usize, f64)>,
         /// The scaffold (reference geometry) that was discarded.
         scaffold: Vec<Vec3>,
+    },
+}
+
+/// What a query changed in the bins, for [`DeltaEngine::revert`].
+enum BinsUndo {
+    /// The layout changed: the whole previous generation.
+    Whole(ChargeBins),
+    /// The layout held and the bins were updated in place.
+    Nodes {
+        /// `(Morton atom, old bin)` for every re-binned atom.
+        atoms: Vec<(usize, u16)>,
+        /// The nodes whose bins or moments changed, in order.
+        nodes: Vec<NodeId>,
+        /// Their old bins, each followed by its old moments.
+        old: Vec<f64>,
     },
 }
 
@@ -199,6 +228,8 @@ pub struct DeltaEngine {
     epol_far_entries: Vec<u32>,
     /// Bin generation the cached far-entry outputs were computed with.
     bins: ChargeBins,
+    /// The E_pol sum tree's frames with their cached totals.
+    frames: SumFrames,
     raw: f64,
     energy_kcal: f64,
     /// Current positions / charges, original atom order.
@@ -238,6 +269,7 @@ impl DeltaEngine {
             epol_far_entry_nodes: CoverageIndex::default(),
             epol_far_entries: Vec::new(),
             bins: ChargeBins::default(),
+            frames: SumFrames::default(),
             raw: 0.0,
             energy_kcal: 0.0,
             positions,
@@ -309,6 +341,7 @@ impl DeltaEngine {
             .filter(|(_, e)| e.far)
             .map(|(i, _)| i as u32)
             .collect();
+        self.frames = SumFrames::new(epol);
     }
 
     /// Resident bytes of the entry-granular tables alone (the coverage
@@ -338,6 +371,12 @@ impl DeltaEngine {
         let Ok(ev) = Pipeline::new(&base.sys, &base.approx, pool, no_faults)
             .run(lists, Some(&mut self.outputs));
         self.bins = ev.bins;
+        let raw = self.frames.fold_all(&self.outputs.epol);
+        debug_assert_eq!(
+            raw.to_bits(),
+            ev.raw.to_bits(),
+            "the frames fold as Phase B does"
+        );
         self.raw = ev.raw;
         self.energy_kcal = ev.energy_kcal;
         self.base.born = ev.born;
@@ -496,52 +535,36 @@ impl DeltaEngine {
 
         // ---- E_pol dirtiness: near entries reading a moved, recharged
         // or re-radiused atom, plus far entries whose far operands
-        // changed. The bin generation (bins and moments) is rebuilt
-        // (cheap, serial) and compared bitwise: a changed rr_table or bin
-        // count invalidates every far entry; otherwise only far entries
-        // on a node whose bin vector or moments changed — for a move,
-        // that includes every ancestor of the moved atom's leaf.
-        let new_bins =
-            ChargeBins::for_params(&self.base.sys, &self.base.born, &self.base.approx);
+        // changed (the bins update below).
         let mut dirty: Vec<u32> = Vec::new();
         for &mi in moved_m.iter().chain(&charged_m).chain(&born_changed) {
             dirty.extend_from_slice(self.epol_entry_touch.chunks_for(mi));
         }
-        let table_changed = new_bins.m_eps != self.bins.m_eps
-            || !bits_equal(&new_bins.rr_table, &self.bins.rr_table);
-        if table_changed {
-            dirty.extend_from_slice(&self.epol_far_entries);
-        } else {
-            for node in 0..self.base.sys.atoms.nodes.len() as u32 {
-                if !bits_equal(new_bins.of(node), self.bins.of(node))
-                    || !bits_equal(new_bins.moments_of(node), self.bins.moments_of(node))
-                {
-                    dirty.extend_from_slice(self.epol_far_entry_nodes.chunks_for(node as usize));
-                }
-            }
-        }
+        let old_bins = self.update_bins(&moved, &charged_m, &born_changed, &mut dirty);
         dirty.sort_unstable();
         dirty.dedup();
-        let old_bins = std::mem::replace(&mut self.bins, new_bins);
         let units = mirror_units(&self.base.epol_lists.entries, &dirty);
         let poison = poison_at(units.len(), phase::EPOL);
         let fresh = self.epol_fresh(&dirty, &units, pool, poison, &mut recovered);
 
         // ---- Write the fresh values in place, saving the old ones.
         let mut epol_undo = Vec::with_capacity(dirty.len());
-        let outputs = &mut self.outputs.epol;
+        let values = &mut self.outputs.epol;
         let epol_chunks_redone =
             chunks_touched(&self.base.epol_lists.chunks, &dirty, |c, off, k| {
-                let slot = outputs.get_mut(c).and_then(|out| out.get_mut(off));
+                let slot = dirty.get(k).and_then(|&e| values.get_mut(e as usize));
                 if let (Some(slot), Some(&v)) = (slot, fresh.get(k)) {
-                    epol_undo.push((c as u32, off as u32, *slot));
-                    *slot = v;
+                    epol_undo.push((c as u32, off as u32, std::mem::replace(slot, v)));
                 }
             });
         let epol_entries_redone = dirty.len();
 
-        // ---- Phase B (E_pol): full sum-tree replay over all chunks.
-        let raw = self.base.epol_lists.apply(&self.outputs.epol);
+        // ---- Phase B (E_pol): re-fold the dirty entries' sum-tree
+        // frames and their ancestors over the cached operands.
+        let mut frames_undo = Vec::new();
+        let raw = self
+            .frames
+            .refold(&self.outputs.epol, &dirty, &mut frames_undo);
         let energy_kcal = epol_from_raw_sum(raw, self.base.approx.eps_solvent);
 
         let old_raw = std::mem::replace(&mut self.raw, raw);
@@ -552,6 +575,7 @@ impl DeltaEngine {
             born: born_undo,
             epol: epol_undo,
             bins: old_bins,
+            frames: frames_undo,
             raw: old_raw,
             energy_kcal: old_energy,
         });
@@ -632,6 +656,75 @@ impl DeltaEngine {
         (undo, changed)
     }
 
+    /// Bring the bins up to date after the query moved the sorted
+    /// `moved` atoms, recharged `charged` and changed the radii of
+    /// `born_changed` (Morton indices; a subset of `moved`), and push onto
+    /// `dirty` the far entries whose operands changed. Returns the undo
+    /// record.
+    ///
+    /// A node's bins and moments read only its own atoms' bins, charges
+    /// and positions. So while the layout (`R_min`, `M_ε`, hence the
+    /// `rr_table`) holds, only the re-radiused atoms can change bin, and
+    /// only the touched atoms' ancestors can change: those nodes are
+    /// recomputed in place and diffed bitwise, which gives the set a full
+    /// rebuild and whole-table diff would. A new layout relabels every
+    /// node, so then the bins are rebuilt and diffed whole.
+    fn update_bins(
+        &mut self,
+        moved: &[usize],
+        charged: &[usize],
+        born_changed: &[usize],
+        dirty: &mut Vec<u32>,
+    ) -> BinsUndo {
+        let (sys, born, eps) = (&self.base.sys, &self.base.born, self.base.approx.eps_epol);
+        if !born_changed.is_empty() && !self.bins.same_layout(born, eps) {
+            let new_bins = ChargeBins::for_params(sys, born, &self.base.approx);
+            let table_changed = new_bins.m_eps != self.bins.m_eps
+                || !bits_equal(&new_bins.rr_table, &self.bins.rr_table);
+            if table_changed {
+                dirty.extend_from_slice(&self.epol_far_entries);
+            } else {
+                for node in 0..sys.atoms.nodes.len() as u32 {
+                    if !bits_equal(new_bins.of(node), self.bins.of(node))
+                        || !bits_equal(new_bins.moments_of(node), self.bins.moments_of(node))
+                    {
+                        dirty
+                            .extend_from_slice(self.epol_far_entry_nodes.chunks_for(node as usize));
+                    }
+                }
+            }
+            return BinsUndo::Whole(std::mem::replace(&mut self.bins, new_bins));
+        }
+        let bins = &mut self.bins;
+        let atoms = born_changed
+            .iter()
+            .filter_map(|&mi| Some((mi, bins.rebin(mi, *born.get(mi)?, eps))))
+            .collect();
+        let mut nodes = ancestors(&sys.atoms, moved.iter().chain(charged));
+        let mut old = Vec::new();
+        nodes.retain(|&id| {
+            let mark = old.len();
+            old.extend_from_slice(bins.of(id));
+            old.extend_from_slice(bins.moments_of(id));
+            bins.refresh_node(sys, id);
+            let now = bins
+                .of(id)
+                .iter()
+                .chain(bins.moments_of(id))
+                .map(|v| v.to_bits());
+            let same = old
+                .get(mark..)
+                .is_some_and(|o| o.iter().map(|v| v.to_bits()).eq(now));
+            if same {
+                old.truncate(mark);
+            } else {
+                dirty.extend_from_slice(self.epol_far_entry_nodes.chunks_for(id as usize));
+            }
+            !same
+        });
+        BinsUndo::Nodes { atoms, nodes, old }
+    }
+
     /// E_pol Phase A for the sorted `dirty` entries under the current
     /// bins and radii: one value per entry, aligned with `dirty`. `units`
     /// is [`mirror_units`]`(dirty)`: a dirty entry whose mirror is dirty
@@ -703,6 +796,7 @@ impl DeltaEngine {
                 born,
                 epol,
                 bins,
+                frames,
                 raw,
                 energy_kcal,
             } => {
@@ -738,11 +832,30 @@ impl DeltaEngine {
                     self.outputs.born.atom[mi] = integral; // PANIC-OK: saved from this engine.
                     self.base.born[mi] = radius; // PANIC-OK: saved from this engine.
                 }
+                let chunks = &self.base.epol_lists.chunks;
                 for (c, off, old) in epol {
-                    // PANIC-OK: slot saved from this engine's own streams.
-                    self.outputs.epol[c as usize][off as usize] = old;
+                    // PANIC-OK: slot saved from this engine's own values.
+                    self.outputs.epol[chunks[c as usize].start + off as usize] = old;
                 }
-                self.bins = bins;
+                match bins {
+                    BinsUndo::Whole(bins) => self.bins = bins,
+                    BinsUndo::Nodes { atoms, nodes, old } => {
+                        for (mi, k) in atoms {
+                            // PANIC-OK: saved from this engine's own bins.
+                            self.bins.atom_bin[mi] = k;
+                        }
+                        // Each saved node holds its bins, then its moments
+                        // (every node keeps as many as the root).
+                        let stride = self.bins.m_eps + self.bins.moments_of(0).len();
+                        for (&id, saved) in nodes.iter().zip(old.chunks(stride)) {
+                            let (b, m) = self.bins.node_mut(id);
+                            for (slot, &v) in b.iter_mut().chain(m).zip(saved) {
+                                *slot = v;
+                            }
+                        }
+                    }
+                }
+                self.frames.restore(&frames);
                 self.raw = raw;
                 self.energy_kcal = energy_kcal;
             }
@@ -837,13 +950,12 @@ impl DeltaEngine {
     /// ([`DeltaEngine::entry_cache_bytes`]) and the bin generation.
     pub fn memory_bytes(&self) -> usize {
         let acc = &self.outputs.born;
-        let floats = acc.node.capacity()
-            + acc.atom.capacity()
-            + self.outputs.epol.iter().map(Vec::capacity).sum::<usize>();
+        let floats = acc.node.capacity() + acc.atom.capacity() + self.outputs.epol.capacity();
         self.base.memory_bytes()
             + floats * std::mem::size_of::<f64>()
             + self.entry_cache_bytes()
             + self.bins.memory_bytes()
+            + self.frames.memory_bytes()
     }
 
     /// Test hook: additively corrupt every cached Born far sum. Far sums
@@ -860,12 +972,15 @@ impl DeltaEngine {
 
     /// Test hook: additively corrupt every cached E_pol Phase-A output
     /// (dirty entries recomputed by the next query overwrite their
-    /// values, so whatever stays cached stays corrupted).
+    /// values, so whatever stays cached stays corrupted). The stale
+    /// values reach the cached frame totals, as a stale value that
+    /// entered the cache would.
     #[doc(hidden)]
     pub fn debug_corrupt_cached_epol_outputs(&mut self, delta: f64) {
-        for v in self.outputs.epol.iter_mut().flatten() {
+        for v in &mut self.outputs.epol {
             *v += delta;
         }
+        self.frames.fold_all(&self.outputs.epol);
     }
 
     /// Test hook: locate one near E_pol entry and an original-order atom
@@ -892,16 +1007,33 @@ impl DeltaEngine {
     /// value (entry-granular recall test — proves a single stale entry,
     /// the smallest unit the cache manages, cannot survive the
     /// differential harness unless a query marks that very entry dirty).
+    /// The stale value reaches the totals of the entry's frames.
     #[doc(hidden)]
     pub fn debug_corrupt_cached_epol_entry(&mut self, entry: usize, delta: f64) {
-        let chunks = &self.base.epol_lists.chunks;
-        let c = chunks.partition_point(|r| r.end <= entry);
-        let slot = chunks
-            .get(c)
-            .zip(self.outputs.epol.get_mut(c))
-            .and_then(|(r, out)| out.get_mut(entry.checked_sub(r.start)?));
-        *slot.expect("entry in range") += delta; // PANIC-OK: test hook.
+        *self.outputs.epol.get_mut(entry).expect("entry in range") += delta; // PANIC-OK: test hook.
+        self.frames
+            .refold(&self.outputs.epol, &[entry as u32], &mut Vec::new());
     }
+}
+
+/// The nodes of `tree` holding one of `atoms` (Morton indices): their
+/// root-to-leaf paths, sorted and deduplicated.
+fn ancestors<'a>(tree: &Octree, atoms: impl Iterator<Item = &'a usize>) -> Vec<NodeId> {
+    let mut nodes = Vec::new();
+    for &mi in atoms {
+        let mut id: NodeId = 0;
+        loop {
+            nodes.push(id);
+            let holds = |c: &NodeId| tree.node(*c).range().contains(&mi);
+            match tree.node(id).children().find(holds) {
+                Some(c) => id = c,
+                None => break,
+            }
+        }
+    }
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
 }
 
 /// The sorted, deduplicated `moved` atoms that lie in `range`.
@@ -980,6 +1112,7 @@ fn chunks_touched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::EpolFar;
     use polaroct_molecule::{synth, Atom, Element};
     use polaroct_octree::NodeId;
 
@@ -1384,6 +1517,133 @@ mod tests {
         assert!(eng.revert(None));
         assert_eq!(eng.raw().to_bits(), raw0.to_bits());
         assert_eq!(eng.born_digest(), digest0);
+    }
+
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert!(bits_equal(a, b), "{what} differ");
+    }
+
+    /// The engine's in-place caches against what a full pass builds: the
+    /// cached root total against [`EpolLists::apply`] over the cached
+    /// values, the bins against [`ChargeBins::for_params`], and the raw
+    /// sum, energy and radii against a fresh [`ListEngine`].
+    fn assert_caches_match_fresh(
+        eng: &DeltaEngine,
+        template: &Molecule,
+        approx: &ApproxParams,
+        skin: f64,
+    ) {
+        let lists = &eng.base.epol_lists;
+        let per_chunk: Vec<&[f64]> = lists
+            .chunks
+            .iter()
+            .map(|r| &eng.outputs.epol[r.clone()])
+            .collect();
+        let replayed = lists.apply(&per_chunk);
+        assert_eq!(
+            eng.frames.root().to_bits(),
+            replayed.to_bits(),
+            "cached root total"
+        );
+        assert_eq!(
+            eng.raw().to_bits(),
+            replayed.to_bits(),
+            "raw vs the replayed fold"
+        );
+
+        let (bins, fresh) = (
+            &eng.bins,
+            ChargeBins::for_params(&eng.base.sys, &eng.base.born, approx),
+        );
+        assert_eq!(
+            (bins.m_eps, bins.r_min.to_bits()),
+            (fresh.m_eps, fresh.r_min.to_bits())
+        );
+        assert_eq!(bins.atom_bin, fresh.atom_bin, "atom bins differ");
+        assert_bits(&bins.per_node, &fresh.per_node, "node bins");
+        assert_bits(&bins.moments, &fresh.moments, "node moments");
+        assert_bits(&bins.rr_table, &fresh.rr_table, "rr tables");
+
+        let (raw, energy, digest) = fresh_reference_from(eng, template, approx, skin);
+        assert_eq!(
+            eng.raw().to_bits(),
+            raw.to_bits(),
+            "raw vs a fresh ListEngine"
+        );
+        assert_eq!(eng.energy_kcal().to_bits(), energy.to_bits());
+        assert_eq!(eng.born_digest(), digest);
+    }
+
+    /// Chains of mixed queries applied without reverting, then unwound
+    /// LIFO, under both far rules. One query moves the atom with the
+    /// smallest Born radius, which changes `R_min`: the bins take the
+    /// whole-table path there and the in-place path everywhere else. At
+    /// this size the one-atom queries re-fold some frames and the
+    /// four-atom ones all of them. The caches match a full pass after
+    /// every apply and every revert.
+    #[test]
+    fn mixed_query_chains_keep_bins_and_frames_fresh() {
+        let skin = 1.0;
+        let m = mol(500, 4);
+        for far in [EpolFar::default(), EpolFar::Binned] {
+            let approx = ApproxParams {
+                epol_far: far,
+                ..ApproxParams::default()
+            };
+            let mut eng = DeltaEngine::new(&m, &approx, skin);
+            let (raw0, digest0) = (eng.raw(), eng.born_digest());
+            let smallest = {
+                let born = eng.born();
+                let mi = (0..born.len())
+                    .min_by(|&a, &b| born[a].total_cmp(&born[b]))
+                    .expect("atoms");
+                eng.system().atoms.point_order[mi] as usize
+            };
+            let at = |oi: usize, d: Vec3| m.positions[oi] + d;
+            let d = |k: usize| {
+                Vec3::new(0.12, -0.08, 0.05) * if k.is_multiple_of(2) { 1.0 } else { -1.0 }
+            };
+            let four = |first: usize| {
+                (0..4).fold(Perturbation::default(), |p, k| {
+                    let oi = (first + 61 * k) % m.len();
+                    p.move_atom(oi, at(oi, d(k)))
+                })
+            };
+            let chain = [
+                Perturbation::default().move_atom(17, at(17, d(0))),
+                Perturbation::default().set_charge(140, -0.75),
+                four(33),
+                Perturbation::default()
+                    .move_atom(smallest, at(smallest, Vec3::new(0.2, -0.15, 0.1))),
+                Perturbation::default()
+                    .move_atom(211, at(211, d(1)))
+                    .set_charge(5, 0.9),
+                four(120),
+                Perturbation::default().set_charge(17, 1.5),
+            ];
+            let (mut whole, mut in_place, mut some_frames) = (0, 0, 0);
+            for p in &chain {
+                let eval = eng.apply_perturbation(p, None);
+                assert!(!eval.rebuilt, "the chain stays inside the skin");
+                let Some(UndoRecord::Incremental { bins, frames, .. }) = eng.undo.last() else {
+                    panic!("the query must be incremental");
+                };
+                match bins {
+                    BinsUndo::Whole(_) => whole += 1,
+                    BinsUndo::Nodes { nodes, .. } => in_place += usize::from(!nodes.is_empty()),
+                }
+                some_frames += usize::from(frames.len() < eng.frames.len());
+                assert_caches_match_fresh(&eng, &m, &approx, skin);
+            }
+            assert!(whole >= 1, "no query changed the bin layout");
+            assert!(in_place >= 1, "no query changed a node in place");
+            assert!(some_frames >= 1, "every query re-folded every frame");
+            while eng.revert(None) {
+                assert_caches_match_fresh(&eng, &m, &approx, skin);
+            }
+            assert_eq!(eng.raw().to_bits(), raw0.to_bits());
+            assert_eq!(eng.born_digest(), digest0);
+        }
     }
 
     #[test]

@@ -85,28 +85,13 @@ impl ChargeBins {
         assert_eq!(born.len(), sys.n_atoms());
         // PANIC-OK: precondition assert — non-finite Born radii mean the upstream solve already failed.
         assert!(eps_epol > 0.0);
-        let r_min = born.iter().cloned().fold(f64::INFINITY, f64::min);
-        let r_max = born.iter().cloned().fold(0.0f64, f64::max);
+        let (r_min, m_eps) = layout(born, eps_epol);
         // PANIC-OK: precondition assert — non-physical dielectric is a configuration bug.
         assert!(r_min > 0.0, "non-positive Born radius");
-        let log1e = (1.0 + eps_epol).ln();
-        let inv_ln_step = 1.0 / log1e;
-        // Cap the bin count: for pathologically small ε the MAC
-        // (1 + 2/ε) already forces exact evaluation everywhere, so the
-        // (never-consulted) bin table must not be allowed to explode.
-        const MAX_BINS: usize = 1024;
-        let m_eps = if r_max <= r_min {
-            1
-        } else {
-            (((r_max / r_min).ln() * inv_ln_step).floor() as usize + 1).min(MAX_BINS)
-        };
-
+        let inv_ln_step = inv_ln_step(eps_epol);
         let atom_bin: Vec<u16> = born
             .iter()
-            .map(|&r| {
-                let k = ((r / r_min).ln() * inv_ln_step).floor();
-                (k.max(0.0) as usize).min(m_eps - 1) as u16
-            })
+            .map(|&r| bin_of(r, r_min, inv_ln_step, m_eps))
             .collect();
 
         // Per-node sums: direct range sums (Σ node sizes = O(M log M)).
@@ -179,6 +164,62 @@ impl ChargeBins {
         }
     }
 
+    /// Whether radii `born` at `eps_epol` give these bins' layout: the
+    /// same `R_min` bits and `M_ε`, hence the same `rr_table` bits.
+    pub(crate) fn same_layout(&self, born: &[f64], eps_epol: f64) -> bool {
+        let (r_min, m_eps) = layout(born, eps_epol);
+        r_min.to_bits() == self.r_min.to_bits() && m_eps == self.m_eps
+    }
+
+    /// Re-bin atom `i` at radius `r` under the unchanged layout, as
+    /// [`ChargeBins::build_far`] bins it; returns its previous bin.
+    pub(crate) fn rebin(&mut self, i: usize, r: f64, eps_epol: f64) -> u16 {
+        let k = bin_of(r, self.r_min, inv_ln_step(eps_epol), self.m_eps);
+        self.atom_bin
+            .get_mut(i)
+            .map_or(k, |b| std::mem::replace(b, k))
+    }
+
+    /// Node `id`'s bins and moments (the latter empty under
+    /// [`EpolFar::Binned`]), writable.
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> (&mut [f64], &mut [f64]) {
+        let (b, m) = (id as usize * self.m_eps, id as usize * MOMENTS);
+        let bins = self.per_node.get_mut(b..b + self.m_eps).unwrap_or_default();
+        (
+            bins,
+            self.moments.get_mut(m..m + MOMENTS).unwrap_or_default(),
+        )
+    }
+
+    /// Recompute node `id`'s bins and moments from its atoms by the
+    /// direct range sums of [`ChargeBins::build_far`], in the same order,
+    /// so they are the bits a full build gives that node.
+    pub(crate) fn refresh_node(&mut self, sys: &GbSystem, id: NodeId) {
+        let node = sys.atoms.node(id);
+        let r = node.range();
+        let points = sys.atoms.points.get(r.clone()).unwrap_or(&[]);
+        let charges = sys.charge.get(r.clone()).unwrap_or(&[]);
+        let atom_bin = self.atom_bin.get(r).unwrap_or(&[]);
+        let b = id as usize * self.m_eps;
+        if let Some(bins) = self.per_node.get_mut(b..b + self.m_eps) {
+            bins.fill(0.0);
+            for (&k, &q) in atom_bin.iter().zip(charges) {
+                if let Some(slot) = bins.get_mut(k as usize) {
+                    *slot += q;
+                }
+            }
+        }
+        let m = id as usize * MOMENTS;
+        if let Some(moments) = self.moments.get_mut(m..m + MOMENTS) {
+            for (slot, v) in moments
+                .iter_mut()
+                .zip(moments_about(node.center, points, charges))
+            {
+                *slot = v;
+            }
+        }
+    }
+
     /// Heap bytes (the binning's memory is O(nodes · M_ε), still
     /// ε-independent in the paper's sense: it does not grow with the
     /// interaction range). Capacity-based like the other accountings.
@@ -186,6 +227,35 @@ impl ChargeBins {
         (self.per_node.capacity() + self.rr_table.capacity() + self.moments.capacity()) * 8
             + self.atom_bin.capacity() * 2
     }
+}
+
+/// `1 / ln(1 + ε)`: radius bins are `floor(ln(R / R_min) · this)`.
+fn inv_ln_step(eps_epol: f64) -> f64 {
+    1.0 / (1.0 + eps_epol).ln()
+}
+
+/// The bin layout of radii `born` at `eps_epol`: `R_min` and `M_ε`. The
+/// `rr_table` is a function of these two and ε alone.
+fn layout(born: &[f64], eps_epol: f64) -> (f64, usize) {
+    let r_min = born.iter().cloned().fold(f64::INFINITY, f64::min);
+    let r_max = born.iter().cloned().fold(0.0f64, f64::max);
+    // Cap the bin count: for pathologically small ε the MAC
+    // (1 + 2/ε) already forces exact evaluation everywhere, so the
+    // (never-consulted) bin table must not be allowed to explode.
+    const MAX_BINS: usize = 1024;
+    let m_eps = if r_max <= r_min {
+        1
+    } else {
+        (((r_max / r_min).ln() * inv_ln_step(eps_epol)).floor() as usize + 1).min(MAX_BINS)
+    };
+    (r_min, m_eps)
+}
+
+/// The bin of radius `r` under the layout `(r_min, m_eps)`.
+#[inline]
+fn bin_of(r: f64, r_min: f64, inv_ln_step: f64, m_eps: usize) -> u16 {
+    let k = ((r / r_min).ln() * inv_ln_step).floor();
+    (k.max(0.0) as usize).min(m_eps - 1) as u16
 }
 
 /// Dipole and second moment of point charges about `c` (see [`MOMENTS`]),

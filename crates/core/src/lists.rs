@@ -697,6 +697,244 @@ impl EpolLists {
     }
 }
 
+/// The E_pol sum tree of an [`EpolLists`] as frames, one cached total
+/// each: the incremental form of [`EpolLists::apply`] (DESIGN.md §15.1).
+///
+/// A frame is what `apply` keeps on its stack: frame 0 is the global
+/// one, and every other frame opens at an entry's `opens` and closes at
+/// an entry's `closes`. Frames are numbered in opening order, so a
+/// frame's descendants follow it and a child's number is above its
+/// parent's. A frame's total is the left fold from `0.0` over its
+/// operands in entry order: the values of its own entries and the
+/// totals of its child frames, each at the entry where `apply` adds it.
+/// That is `apply`'s add for add, so frame 0's total is `apply`'s
+/// result bit for bit. After some entry values change, re-folding
+/// exactly their frames and those frames' ancestors, children first,
+/// gives those bits again: every other frame's operands are unchanged.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SumFrames {
+    frames: Vec<Frame>,
+    /// Per frame: the cached fold.
+    total: Vec<f64>,
+}
+
+/// One sum-tree frame of [`SumFrames`].
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    /// Its first entry.
+    start: u32,
+    /// One past its last entry.
+    end: u32,
+    /// Its parent frame ([`SumFrames::NONE`] for the global frame).
+    parent: u32,
+    /// The first frame after its subtree.
+    after: u32,
+}
+
+impl SumFrames {
+    const NONE: u32 = u32::MAX;
+
+    /// The frames of `lists`, every total `0.0` until
+    /// [`SumFrames::fold_all`].
+    pub(crate) fn new(lists: &EpolLists) -> SumFrames {
+        let len = lists.entries.len() as u32;
+        let opens: usize = lists.entries.iter().map(|e| e.opens as usize).sum();
+        let mut frames = Vec::with_capacity(opens + 1);
+        frames.push(Frame {
+            start: 0,
+            end: len,
+            parent: Self::NONE,
+            after: 0,
+        });
+        let mut stack = vec![0usize];
+        for (i, e) in lists.entries.iter().enumerate() {
+            for _ in 0..e.opens {
+                let parent = stack.last().map_or(Self::NONE, |&p| p as u32);
+                stack.push(frames.len());
+                frames.push(Frame {
+                    start: i as u32,
+                    end: len,
+                    parent,
+                    after: 0,
+                });
+            }
+            for _ in 0..e.closes {
+                // The global frame never closes (`apply` keeps it).
+                if stack.len() > 1 {
+                    let after = frames.len() as u32;
+                    if let Some(f) = stack.pop().and_then(|f| frames.get_mut(f)) {
+                        f.end = i as u32 + 1;
+                        f.after = after;
+                    }
+                }
+            }
+        }
+        let after = frames.len() as u32;
+        for f in stack {
+            if let Some(f) = frames.get_mut(f) {
+                f.after = after;
+            }
+        }
+        let total = vec![0.0; frames.len()];
+        SumFrames { frames, total }
+    }
+
+    /// Fold every frame over the entry `values` and return the root
+    /// total.
+    pub(crate) fn fold_all(&mut self, values: &[f64]) -> f64 {
+        for f in (0..self.frames.len()).rev() {
+            let t = self.fold(f, values);
+            if let Some(slot) = self.total.get_mut(f) {
+                *slot = t;
+            }
+        }
+        self.root()
+    }
+
+    /// Re-fold the frames holding the sorted entry ids `dirty`, and their
+    /// ancestors, each once and after its descendants; append
+    /// `(frame, old total)` for each to `saved`. Returns the root total.
+    pub(crate) fn refold(
+        &mut self,
+        values: &[f64],
+        dirty: &[u32],
+        saved: &mut Vec<(u32, f64)>,
+    ) -> f64 {
+        // Past about one dirty entry in sixteen, finding the frames costs
+        // more than folding them all.
+        if dirty.len() * 16 > values.len() {
+            saved.extend(self.total.iter().enumerate().map(|(f, &t)| (f as u32, t)));
+            return self.fold_all(values);
+        }
+        // The frames holding the current entry, root first. The entries
+        // ascend and a frame spans a contiguous run of them, so once they
+        // pass a frame's end none lies in it again: it is re-folded as it
+        // leaves, after every descendant that held one.
+        let mut open: Vec<usize> = Vec::new();
+        // The last frame opening at or before the current entry. The
+        // innermost frame holding the entry is this frame or an ancestor.
+        let mut last = 0usize;
+        for &e in dirty {
+            let opening = self.last_opening(last, e);
+            // No frame opened since the previous entry and the innermost
+            // open frame still holds this one: it is this one's innermost.
+            if opening == last && open.last().is_some_and(|&g| self.end(g) > e) {
+                continue;
+            }
+            last = opening;
+            while let Some(&f) = open.last().filter(|&&f| self.end(f) <= e) {
+                open.pop();
+                self.refold_one(f, values, saved);
+            }
+            let (top, stop) = (open.len(), open.last().copied());
+            let mut f = Some(last);
+            while let Some(g) = f.filter(|&g| Some(g) != stop) {
+                if self.end(g) > e {
+                    open.push(g);
+                }
+                f = self.parent(g);
+            }
+            open.get_mut(top..).unwrap_or_default().reverse();
+        }
+        while let Some(f) = open.pop() {
+            self.refold_one(f, values, saved);
+        }
+        self.root()
+    }
+
+    /// Write back totals saved by [`SumFrames::refold`].
+    pub(crate) fn restore(&mut self, saved: &[(u32, f64)]) {
+        for &(f, t) in saved {
+            if let Some(slot) = self.total.get_mut(f as usize) {
+                *slot = t;
+            }
+        }
+    }
+
+    /// Number of frames.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// The global frame's total: the raw E_pol sum.
+    pub(crate) fn root(&self) -> f64 {
+        self.total.first().copied().unwrap_or(0.0)
+    }
+
+    /// Heap bytes (capacity-based).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.frames.capacity() * std::mem::size_of::<Frame>()
+            + self.total.capacity() * std::mem::size_of::<f64>()
+    }
+
+    /// One past frame `f`'s last entry.
+    fn end(&self, f: usize) -> u32 {
+        self.frames.get(f).map_or(0, |fr| fr.end)
+    }
+
+    /// Frame `f`'s parent; `None` for the global frame.
+    fn parent(&self, f: usize) -> Option<usize> {
+        let p = self.frames.get(f)?.parent;
+        (p != Self::NONE).then_some(p as usize)
+    }
+
+    /// The last frame opening at or before entry `e`, searched from
+    /// frame `from` on (which opens at or before `e`): galloping, so the
+    /// cost grows with the log of the distance.
+    fn last_opening(&self, from: usize, e: u32) -> usize {
+        let (mut lo, mut step) = (from, 1usize);
+        while self.frames.get(lo + step).is_some_and(|fr| fr.start <= e) {
+            lo += step;
+            step *= 2;
+        }
+        // Frame `lo` opens by `e`; frame `lo + step` does not, or is past
+        // the last frame.
+        let hi = (lo + step).min(self.frames.len());
+        let tail = self.frames.get(lo + 1..hi).unwrap_or_default();
+        lo + tail.partition_point(|fr| fr.start <= e)
+    }
+
+    /// Re-fold frame `f`, saving its old total.
+    fn refold_one(&mut self, f: usize, values: &[f64], saved: &mut Vec<(u32, f64)>) {
+        let t = self.fold(f, values);
+        if let Some(slot) = self.total.get_mut(f) {
+            saved.push((f as u32, std::mem::replace(slot, t)));
+        }
+    }
+
+    /// Frame `f`'s fold from `0.0`: its own entries' `values` and its
+    /// children's cached totals, in entry order.
+    fn fold(&self, f: usize, values: &[f64]) -> f64 {
+        let Some(&Frame { start, end, .. }) = self.frames.get(f) else {
+            return 0.0;
+        };
+        let (mut acc, mut i, mut child) = (0.0, start, f + 1);
+        loop {
+            // The next child, if it opens inside this frame (the first
+            // frame after this frame's subtree opens at or after `end`).
+            let next = self.frames.get(child).filter(|c| c.start < end);
+            let upto = next.map_or(end, |c| c.start);
+            for &v in values.get(i as usize..upto as usize).unwrap_or_default() {
+                acc += v;
+            }
+            let Some(&Frame {
+                end: child_end,
+                after,
+                ..
+            }) = next
+            else {
+                return acc;
+            };
+            // The child's entries are folded into its total, which joins
+            // this frame as one operand.
+            acc += self.total.get(child).copied().unwrap_or(0.0);
+            i = child_end;
+            child = after as usize;
+        }
+    }
+}
+
 /// Link every near entry `(u, v)` to its mirror `(v, u)` when the list
 /// holds both (DESIGN.md §10.7). One pass for single- and dual-tree
 /// lists, linear in the near entries:
@@ -975,11 +1213,11 @@ impl<'l> ListSource<'l> {
 
 /// What `core::delta` keeps of a run: the Born accumulators (the far
 /// node sums and every atom's near integral) and the E_pol Phase-A
-/// outputs, one vector per chunk.
+/// outputs, one value per entry in entry order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhaseOutputs {
     pub born: BornAccumulators,
-    pub epol: Vec<Vec<f64>>,
+    pub epol: Vec<f64>,
 }
 
 /// What one [`Pipeline::run`] produced.
@@ -1170,7 +1408,7 @@ where
         self.ops.add(&epol_lists.ops);
         self.phases.epol += t.elapsed().as_secs_f64();
         if let Some(keep) = keep {
-            keep.epol = outputs;
+            keep.epol = outputs.concat();
         }
 
         Ok(Evaluation {
@@ -1576,6 +1814,62 @@ mod tests {
                 assert!(depth >= 0, "frame closed below the global frame");
             }
             assert_eq!(depth, 0, "unclosed frames at end of list");
+        }
+    }
+
+    /// The frame cache folds as `apply` replays, single- and dual-tree:
+    /// in full, after re-folding a sparse and a dense set of scattered
+    /// changed entries (with the first and last entry), and back after a
+    /// restore.
+    #[test]
+    fn sum_frames_refold_matches_the_replay() {
+        let sys = system(250, 13);
+        let (born, _) = born_radii_naive(&sys, MathMode::Exact);
+        let bins = ChargeBins::build(&sys, &born, 0.9);
+        for lists in [
+            EpolLists::build_single(&sys, &bins, 0.9),
+            EpolLists::build_dual(&sys, &bins, 0.9),
+        ] {
+            let replay = |values: &[f64]| {
+                let per_chunk: Vec<&[f64]> =
+                    lists.chunks.iter().map(|r| &values[r.clone()]).collect();
+                lists.apply(&per_chunk).to_bits()
+            };
+            // Values of mixed sign and scale, so the fold order shows.
+            let mut values: Vec<f64> = (0..lists.len())
+                .map(|i| ((i as f64 * 0.618).fract() - 0.4) * 10f64.powi((i % 7) as i32 - 3))
+                .collect();
+            let mut frames = SumFrames::new(&lists);
+            assert_eq!(frames.fold_all(&values).to_bits(), replay(&values));
+            let before = frames.root().to_bits();
+
+            let last = lists.len() as u32 - 1;
+            for (shift, sparse) in [(27, true), (29, false)] {
+                let dirty: Vec<u32> = (0..=last)
+                    .filter(|&e| e == 0 || e == last || e.wrapping_mul(0x9e37_79b9) >> shift == 3)
+                    .collect();
+                let old = values.clone();
+                for &e in &dirty {
+                    values[e as usize] *= -1.5;
+                }
+                let mut saved = Vec::new();
+                assert_eq!(
+                    frames.refold(&values, &dirty, &mut saved).to_bits(),
+                    replay(&values)
+                );
+                let mut seen: Vec<u32> = saved.iter().map(|&(f, _)| f).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                assert_eq!(seen.len(), saved.len(), "a frame was re-folded twice");
+                assert_eq!(
+                    saved.len() < frames.frames.len(),
+                    sparse,
+                    "sparse sets re-fold some frames"
+                );
+                frames.restore(&saved);
+                assert_eq!(frames.root().to_bits(), before);
+                values = old;
+            }
         }
     }
 

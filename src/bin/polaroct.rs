@@ -101,6 +101,9 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
         .ok_or("--atoms required")?
         .parse()
         .map_err(|_| "bad --atoms")?;
+    if atoms == 0 {
+        return Err("--atoms must be at least 1".into());
+    }
     let seed: u64 =
         flags.get("seed").map(|s| s.parse().map_err(|_| "bad --seed")).transpose()?.unwrap_or(42);
     let mol = match kind {
@@ -143,11 +146,21 @@ fn cmd_energy(args: &[String]) -> Result<String, String> {
         .transpose()?
         .unwrap_or(12);
     let driver = flags.get("driver").map(String::as_str).unwrap_or("serial");
+    let machine = MachineSpec::lonestar4();
+    let socket = machine.cores_per_socket;
+    match driver {
+        "mpi" | "hybrid" if cores == 0 => return Err("--cores must be at least 1".into()),
+        "hybrid" if !cores.is_multiple_of(socket) => {
+            return Err(format!(
+                "--cores {cores} is not a multiple of the socket width {socket}"
+            ));
+        }
+        _ => {}
+    }
 
     validate_params(&params).map_err(|e| e.to_string())?;
     let sys = GbSystem::prepare(&mol, &params);
     let cfg = DriverConfig::default();
-    let machine = MachineSpec::lonestar4();
     let r = match driver {
         "naive" => run_naive(&sys, &params, &cfg),
         "serial" => run_serial(&sys, &params, &cfg),
@@ -309,6 +322,41 @@ mod tests {
             assert!(err.contains("invalid configuration"), "{args:?}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_core_counts_are_errors() {
+        let out = run(&sv(&[
+            "gen", "--kind", "ligand", "--atoms", "12", "--seed", "3",
+        ]))
+        .unwrap();
+        let dir = std::env::temp_dir().join("polaroct_cli_cores_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lig.xyzrq");
+        std::fs::write(&path, &out).unwrap();
+        let file = path.to_str().unwrap();
+        for (driver, cores, want) in [
+            ("mpi", "0", "at least 1"),
+            ("hybrid", "0", "at least 1"),
+            ("hybrid", "7", "multiple of the socket width"),
+        ] {
+            let err =
+                run(&sv(&["energy", file, "--driver", driver, "--cores", cores])).unwrap_err();
+            assert!(err.contains(want), "{driver} --cores {cores}: {err}");
+        }
+        assert!(run(&sv(&[
+            "energy", file, "--driver", "hybrid", "--cores", "12"
+        ]))
+        .is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gen_rejects_zero_atoms() {
+        for kind in ["protein", "capsid", "ligand"] {
+            let err = run(&sv(&["gen", "--kind", kind, "--atoms", "0"])).unwrap_err();
+            assert!(err.contains("at least 1"), "{kind}: {err}");
+        }
     }
 
     #[test]
