@@ -12,11 +12,12 @@
 //! * **arena_lanes** — the current hot path: zero-copy views into the
 //!   persistent Morton-ordered arenas, lane-batched kernels.
 //!
-//! STILL has a third variant, **paired**: the list executor's Phase A,
-//! which evaluates a near entry and its mirror entry from one shared
-//! tile ([`still_pair_block`]). It computes each mirrored leaf pair
-//! once, but its ns figure still divides by every *listed* interaction,
-//! so it is directly comparable with the other two rows.
+//! STILL has a third variant, **paired**: the library's Phase A
+//! ([`EpolLists::run_phase_a`]) over the list's near entries, which
+//! evaluates a near entry and its mirror entry from one shared tile
+//! (`soa::still_pair_block`). It computes each mirrored leaf pair once,
+//! but its ns figure still divides by every *listed* interaction, so it
+//! is directly comparable with the other two rows.
 //!
 //! Blocking gates (any mode, quick or full): the arena path must match
 //! the gather+scalar path **bit-for-bit** — per-atom Born accumulators
@@ -34,8 +35,8 @@
 use polaroct_bench::{fmt_time, quick_mode, Table};
 use polaroct_core::born::born_radii_octree;
 use polaroct_core::epol::ChargeBins;
-use polaroct_core::lists::{BornLists, EpolLists};
-use polaroct_core::soa::{still_pair_block, AtomView, QView, StillScratch, CHUNK};
+use polaroct_core::lists::{BornLists, EpolLists, ListEntry};
+use polaroct_core::soa::{AtomView, QView, StillScratch, CHUNK};
 use polaroct_core::{ApproxParams, GbSystem};
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
@@ -165,7 +166,7 @@ fn still_sweep_gather(sys: &GbSystem, lists: &EpolLists, born: &[f64], math: Mat
 }
 
 /// STILL near sweep, current style: arena views, block-form lane-batched
-/// kernel (the `EpolLists::run_chunk` near path). The `q·term` fold goes
+/// kernel (the `EpolLists::run_entry` near path). The `q·term` fold goes
 /// straight into the global `raw` in source-atom order — the same
 /// association as the gather sweep above, so the two stay bit-comparable.
 fn still_sweep_arena(sys: &GbSystem, lists: &EpolLists, born: &[f64], math: MathMode) -> f64 {
@@ -212,37 +213,24 @@ fn still_entries_gather(
     out
 }
 
-/// Per-entry raw STILL values the way the list executor's Phase A makes
-/// them: a mirrored pair's lower-indexed entry evaluates the shared tile
-/// and writes both values; an unpaired entry runs the unpaired block.
-fn still_entries_paired(
-    sys: &GbSystem,
-    lists: &EpolLists,
-    born: &[f64],
-    math: MathMode,
-) -> Vec<f64> {
-    let mut scratch = StillScratch::default();
-    let mut out = vec![0.0f64; lists.len()];
-    for (i, e) in lists.entries.iter().enumerate().filter(|(_, e)| !e.far) {
-        let ur = sys.atoms.node(e.a).range();
-        let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
-        let (own, mirror) = match e.mirror() {
-            Some(p) if p < i => continue,
-            Some(p) => {
-                let uv = sys.atom_arena.view(born, ur);
-                let (own, theirs) = still_pair_block(uv, vv, math, &mut scratch);
-                (own, Some((p, theirs)))
-            }
-            None => (sys.still_block_raw(born, ur, vv, math, &mut scratch), None),
-        };
-        if let Some(o) = out.get_mut(i) {
-            *o = own;
-        }
-        if let Some((o, v)) = mirror.and_then(|(p, v)| out.get_mut(p).zip(Some(v))) {
-            *o = v;
-        }
+/// `lists` without its far entries, mirror links renumbered: the
+/// library's Phase A over it evaluates exactly the near workload the
+/// other variants time.
+fn near_only(lists: &EpolLists) -> EpolLists {
+    let mut at = vec![ListEntry::NO_PARTNER; lists.len()];
+    let mut entries = Vec::new();
+    for (slot, e) in at.iter_mut().zip(&lists.entries).filter(|(_, e)| !e.far) {
+        *slot = entries.len() as u32;
+        entries.push(*e);
     }
-    out
+    for e in &mut entries {
+        e.partner = e.mirror().and_then(|p| at.get(p).copied()).unwrap_or(ListEntry::NO_PARTNER);
+    }
+    EpolLists {
+        chunks: std::iter::once(0..entries.len()).collect(),
+        entries,
+        ops: lists.ops,
+    }
 }
 
 /// Raw sum of per-entry values, folded in entry order.
@@ -284,6 +272,7 @@ fn main() {
     let (born, _) = born_radii_octree(&sys, approx.eps_born, approx.math);
     let bins = ChargeBins::build(&sys, &born, approx.eps_epol);
     let epol_lists = EpolLists::build_single(&sys, &bins, approx.eps_epol);
+    let near = near_only(&epol_lists);
 
     let n = sys.n_atoms();
     let born_pairs: u64 = born_lists
@@ -350,9 +339,10 @@ fn main() {
                 raw_g.to_bits() == raw_a.to_bits(),
                 "still arena path diverged from gather+scalar ({mode:?}): {raw_g} vs {raw_a}"
             );
-            // Blocking gate 2: the paired path, per entry and summed.
-            let want = still_entries_gather(&sys, &epol_lists, &born, mode);
-            let got = still_entries_paired(&sys, &epol_lists, &born, mode);
+            // Blocking gate 2: the library's paired Phase A, per entry
+            // and summed.
+            let want = still_entries_gather(&sys, &near, &born, mode);
+            let got = near.run_phase_a(&sys, &bins, &born, mode, None, None, &mut 0);
             let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
             let (raw_w, raw_p) = (entry_sum(&want), entry_sum(&got));
             assert!(
@@ -404,7 +394,7 @@ fn main() {
             let t = Instant::now();
             for frame in &traj {
                 sys.refresh_atom_positions(frame);
-                sink += entry_sum(&still_entries_paired(&sys, &epol_lists, &born, mode));
+                sink += entry_sum(&near.run_phase_a(&sys, &bins, &born, mode, None, None, &mut 0));
             }
             paired_wall = paired_wall.min(t.elapsed().as_secs_f64());
 

@@ -32,9 +32,10 @@
 //!   atoms are pushed to radii; the *born-changed* set is the moved atoms
 //!   whose radius bits changed.
 //! * **E_pol, per pair.** Each entry's Phase-A output is one cached
-//!   value, written in place. A dirty entry whose mirror is dirty too
-//!   shares one STILL tile with it ([`crate::soa::still_pair_block`], the
-//!   lower-indexed entry evaluates it), as in the full Phase A. A clean
+//!   value, written in place. The dirty entries run through the list's
+//!   one Phase-A evaluator with the dirty set as its set, so a dirty
+//!   entry whose mirror is dirty too shares one STILL tile with it, as in
+//!   the full Phase A, and one whose mirror is clean runs alone. A clean
 //!   entry's cached value is bitwise what a fresh execution would produce
 //!   (its operands read only unchanged inputs — that is what "clean"
 //!   means).
@@ -75,8 +76,9 @@
 //! restored state is bit-identical too). Scoring N independent candidates against one base
 //! state is therefore an apply → revert loop.
 //!
-//! The FT story is the list engine's, unchanged: dirty units fan out
-//! over [`WorkStealingPool::try_map`], a poisoned unit's panic is
+//! The FT story is the list engine's, unchanged: dirty units (one per
+//! dirty Born entry, one per list chunk holding dirty E_pol entries) fan
+//! out over [`WorkStealingPool::try_map`], a poisoned unit's panic is
 //! contained, and the lost slot is re-executed serially by the same pure
 //! kernel before the fold ([`DeltaEngine::apply_perturbation_ft`]).
 
@@ -84,11 +86,10 @@ use crate::born::push_integrals_to_atoms;
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
 use crate::lists::{
-    no_faults, recovering_map, EpolLists, ListEngine, ListEntry, ListSource, PhaseOutputs,
+    by_chunk, no_faults, recovering_map, ListEngine, ListEntry, ListSource, PhaseOutputs,
     Pipeline, SumFrames,
 };
 use crate::params::ApproxParams;
-use crate::soa::{still_pair_block, StillScratch};
 use crate::system::GbSystem;
 use polaroct_cluster::comm::checksum;
 use polaroct_cluster::fault::{phase, FaultKind, FaultPlan};
@@ -173,8 +174,8 @@ enum UndoRecord {
         /// `(Morton atom, old near integral, old Born radius)` for every
         /// moved atom.
         born: Vec<(usize, f64, f64)>,
-        /// `(chunk, offset, old value)` for every re-executed E_pol entry.
-        epol: Vec<(u32, u32, f64)>,
+        /// `(entry, old value)` for every re-executed E_pol entry.
+        epol: Vec<(u32, f64)>,
         bins: BinsUndo,
         /// `(frame, old total)` for every re-folded sum-tree frame.
         frames: Vec<(u32, f64)>,
@@ -216,7 +217,7 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 pub struct DeltaEngine {
     base: ListEngine,
     /// Cached Born Phase-B accumulators and E_pol Phase-A outputs (one
-    /// vector per chunk).
+    /// value per entry, in entry order).
     outputs: PhaseOutputs,
     /// Morton atom → Born entries with a near record reading it.
     born_entry_touch: CoverageIndex,
@@ -530,7 +531,7 @@ impl DeltaEngine {
         let poison = poison_at(dirty.len(), phase::INTEGRALS);
         let (born_undo, born_changed) =
             self.born_per_atom(&moved, &dirty, pool, poison, &mut recovered);
-        let born_chunks_redone = chunks_touched(&self.base.born_lists.chunks, &dirty, |_, _, _| {});
+        let born_chunks_redone = by_chunk(&self.base.born_lists.chunks, &dirty).count();
         let born_entries_redone = dirty.len();
 
         // ---- E_pol dirtiness: near entries reading a moved, recharged
@@ -543,20 +544,9 @@ impl DeltaEngine {
         let old_bins = self.update_bins(&moved, &charged_m, &born_changed, &mut dirty);
         dirty.sort_unstable();
         dirty.dedup();
-        let units = mirror_units(&self.base.epol_lists.entries, &dirty);
-        let poison = poison_at(units.len(), phase::EPOL);
-        let fresh = self.epol_fresh(&dirty, &units, pool, poison, &mut recovered);
-
-        // ---- Write the fresh values in place, saving the old ones.
-        let mut epol_undo = Vec::with_capacity(dirty.len());
-        let values = &mut self.outputs.epol;
-        let epol_chunks_redone =
-            chunks_touched(&self.base.epol_lists.chunks, &dirty, |c, off, k| {
-                let slot = dirty.get(k).and_then(|&e| values.get_mut(e as usize));
-                if let (Some(slot), Some(&v)) = (slot, fresh.get(k)) {
-                    epol_undo.push((c as u32, off as u32, std::mem::replace(slot, v)));
-                }
-            });
+        let epol_chunks_redone = by_chunk(&self.base.epol_lists.chunks, &dirty).count();
+        let poison = poison_at(epol_chunks_redone, phase::EPOL);
+        let epol_undo = self.epol_per_entry(&dirty, pool, poison, &mut recovered);
         let epol_entries_redone = dirty.len();
 
         // ---- Phase B (E_pol): re-fold the dirty entries' sum-tree
@@ -725,60 +715,29 @@ impl DeltaEngine {
         BinsUndo::Nodes { atoms, nodes, old }
     }
 
-    /// E_pol Phase A for the sorted `dirty` entries under the current
-    /// bins and radii: one value per entry, aligned with `dirty`. `units`
-    /// is [`mirror_units`]`(dirty)`: a dirty entry whose mirror is dirty
-    /// too shares one STILL tile with it, and both values equal
-    /// [`EpolLists::run_entry`]'s bits (DESIGN.md §11.4). Units run over
-    /// `pool` when given (a `poison`ed unit is re-executed serially),
-    /// serially with one reused scratch otherwise.
-    fn epol_fresh(
-        &self,
+    /// The E_pol half of a query: re-evaluate the sorted `dirty` entries
+    /// under the current bins and radii, with the dirty set as the
+    /// evaluator's set ([`crate::lists::EpolLists::run_subset`]; over
+    /// `pool` when given, a `poison`ed chunk group re-executed serially),
+    /// and write each value over its cached one. Returns
+    /// `(entry, old value)` for each.
+    fn epol_per_entry(
+        &mut self,
         dirty: &[u32],
-        units: &[(usize, Option<usize>)],
         pool: Option<&WorkStealingPool>,
         poison: Option<usize>,
         recovered: &mut u32,
-    ) -> Vec<f64> {
-        let (sys, bins, born) = (&self.base.sys, &self.bins, &self.base.born[..]);
-        let (entries, math) = (&self.base.epol_lists.entries, self.base.approx.math);
-        let run = |&(k, mirror): &(usize, Option<usize>), scratch: &mut StillScratch| {
-            // PANIC-OK: unit positions index `dirty`, whose ids index the entry list.
-            let e = &entries[dirty[k] as usize];
-            match mirror {
-                Some(_) => {
-                    let uv = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
-                    let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
-                    still_pair_block(uv, vv, math, scratch)
-                }
-                None => (EpolLists::run_entry(sys, bins, born, math, e, scratch), 0.0),
-            }
-        };
-        let vals: Vec<(f64, f64)> = match pool {
-            None => {
-                // One scratch serves every unit: the kernels are
-                // write-before-read, so reuse cannot change bits (see
-                // the stale-scratch kernel tests).
-                let mut scratch = StillScratch::default();
-                units.iter().map(|u| run(u, &mut scratch)).collect()
-            }
-            Some(_) => recovering_map(
-                pool,
-                units.len(),
-                poison,
-                // PANIC-OK: i < units.len() by the runner's index space.
-                |i| run(&units[i], &mut StillScratch::default()),
-                recovered,
-            ),
-        };
-        let mut fresh = vec![0.0; dirty.len()];
-        for (&(k, mirror), (own, other)) in units.iter().zip(vals) {
-            fresh[k] = own; // PANIC-OK: unit positions index `dirty`.
-            if let Some(j) = mirror {
-                fresh[j] = other; // PANIC-OK: same.
-            }
-        }
+    ) -> Vec<(u32, f64)> {
+        let (sys, born, math) = (&self.base.sys, &self.base.born, self.base.approx.math);
+        let fresh = self
+            .base
+            .epol_lists
+            .run_subset(sys, &self.bins, born, math, dirty, pool, poison, recovered);
+        let values = &mut self.outputs.epol;
         fresh
+            .into_iter()
+            .filter_map(|(e, v)| Some((e as u32, std::mem::replace(values.get_mut(e)?, v))))
+            .collect()
     }
 
     /// Undo the most recent perturbation; returns `false` when none is
@@ -832,10 +791,10 @@ impl DeltaEngine {
                     self.outputs.born.atom[mi] = integral; // PANIC-OK: saved from this engine.
                     self.base.born[mi] = radius; // PANIC-OK: saved from this engine.
                 }
-                let chunks = &self.base.epol_lists.chunks;
-                for (c, off, old) in epol {
-                    // PANIC-OK: slot saved from this engine's own values.
-                    self.outputs.epol[chunks[c as usize].start + off as usize] = old;
+                for (e, old) in epol {
+                    if let Some(slot) = self.outputs.epol.get_mut(e as usize) {
+                        *slot = old;
+                    }
                 }
                 match bins {
                     BinsUndo::Whole(bins) => self.bins = bins,
@@ -1064,55 +1023,12 @@ fn moved_rows(sys: &GbSystem, e: &ListEntry, moved: &[usize]) -> Vec<f64> {
     out
 }
 
-/// Re-execution units for the sorted dirty E_pol entries, as positions
-/// in `dirty`: `(k, Some(j))` when entry `dirty[k]`'s mirror is
-/// `dirty[j]` with `j > k` (the lower-indexed entry evaluates the shared
-/// tile for both), `(k, None)` for an entry with no dirty mirror.
-fn mirror_units(entries: &[ListEntry], dirty: &[u32]) -> Vec<(usize, Option<usize>)> {
-    let mut units = Vec::with_capacity(dirty.len());
-    for (k, &e) in dirty.iter().enumerate() {
-        let mirror = entries
-            .get(e as usize)
-            .and_then(ListEntry::mirror)
-            .and_then(|p| dirty.binary_search(&(p as u32)).ok());
-        match mirror {
-            // The lower-indexed mirror's unit covers this entry.
-            Some(j) if j < k => {}
-            _ => units.push((k, mirror)),
-        }
-    }
-    units
-}
-
-/// Walk the sorted entry `ids` with one cursor over `chunks` (a
-/// partition tiling the entry list in order), calling
-/// `f(chunk, offset in chunk, position in ids)` for each. Returns the
-/// number of distinct chunks holding an id.
-fn chunks_touched(
-    chunks: &[Range<usize>],
-    ids: &[u32],
-    mut f: impl FnMut(usize, usize, usize),
-) -> usize {
-    let (mut c, mut touched, mut last) = (0usize, 0usize, usize::MAX);
-    for (k, &e) in ids.iter().enumerate() {
-        let e = e as usize;
-        while chunks.get(c).is_some_and(|r| r.end <= e) {
-            c += 1;
-        }
-        let Some(r) = chunks.get(c) else { break };
-        if c != last {
-            touched += 1;
-            last = c;
-        }
-        f(c, e - r.start, k);
-    }
-    touched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lists::EpolLists;
     use crate::params::EpolFar;
+    use crate::soa::StillScratch;
     use polaroct_molecule::{synth, Atom, Element};
     use polaroct_octree::NodeId;
 
@@ -1218,11 +1134,8 @@ mod tests {
         let Some(UndoRecord::Incremental { epol, .. }) = eng.undo.last() else {
             panic!("the query must be incremental");
         };
-        let chunks = &eng.base.epol_lists.chunks;
-        let redone: std::collections::HashSet<usize> = epol
-            .iter()
-            .map(|&(c, off, _)| chunks[c as usize].start + off as usize)
-            .collect();
+        let redone: std::collections::HashSet<usize> =
+            epol.iter().map(|&(e, _)| e as usize).collect();
         let stale = far_on(&eng, mi).into_iter().filter(|i| !redone.contains(i)).count();
         assert_eq!(stale, 0, "far entries on the moved atom's ancestors went stale");
 
@@ -1533,13 +1446,7 @@ mod tests {
         approx: &ApproxParams,
         skin: f64,
     ) {
-        let lists = &eng.base.epol_lists;
-        let per_chunk: Vec<&[f64]> = lists
-            .chunks
-            .iter()
-            .map(|r| &eng.outputs.epol[r.clone()])
-            .collect();
-        let replayed = lists.apply(&per_chunk);
+        let replayed = eng.base.epol_lists.apply(&eng.outputs.epol);
         assert_eq!(
             eng.frames.root().to_bits(),
             replayed.to_bits(),
@@ -1646,20 +1553,25 @@ mod tests {
         }
     }
 
+    /// The query's E_pol write path: every dirty slot gets `run_entry`'s
+    /// bits and one undo record, serially, at every pool width and after
+    /// a lost chunk group. Dirty pairs share a tile; an entry whose
+    /// mirror is clean runs alone.
     #[test]
     fn paired_epol_reexecution_matches_run_entry_per_entry() {
         let approx = ApproxParams::default();
-        let eng = DeltaEngine::new(&mol(300, 3), &approx, 1.0);
+        let mut eng = DeltaEngine::new(&mol(300, 3), &approx, 1.0);
         let entries = &eng.base.epol_lists.entries;
         // A pseudo-random two thirds of the entries: most mirrors are
         // dirty together, some entries lose theirs, far entries ride along.
         let dirty: Vec<u32> = (0..entries.len() as u32)
             .filter(|e| e.wrapping_mul(0x9e37_79b9) >> 29 < 5)
             .collect();
-        let units = mirror_units(entries, &dirty);
-        assert!(units.iter().any(|u| u.1.is_some()), "no pair units");
+        let in_dirty = |p: usize| dirty.binary_search(&(p as u32)).is_ok();
+        let mirrors = |e: &u32| entries[*e as usize].mirror();
+        assert!(dirty.iter().filter_map(mirrors).any(in_dirty), "no dirty pair");
         assert!(
-            units.iter().any(|&(k, m)| m.is_none() && entries[dirty[k] as usize].mirror().is_some()),
+            dirty.iter().filter_map(mirrors).any(|p| !in_dirty(p)),
             "no entry with a clean mirror"
         );
         let mut scratch = StillScratch::default();
@@ -1671,18 +1583,24 @@ mod tests {
                 EpolLists::run_entry(sys, &eng.bins, &eng.base.born, math, e, &mut scratch).to_bits()
             })
             .collect();
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let mut recovered = 0;
-        assert_eq!(bits(eng.epol_fresh(&dirty, &units, None, None, &mut recovered)), want);
+        let groups = by_chunk(&eng.base.epol_lists.chunks, &dirty).count();
+        let mut check = |pool: Option<&WorkStealingPool>, poison: Option<usize>| {
+            for &e in &dirty {
+                eng.outputs.epol[e as usize] = f64::NAN;
+            }
+            let mut recovered = 0;
+            let mut undo = eng.epol_per_entry(&dirty, pool, poison, &mut recovered);
+            assert_eq!(recovered, u32::from(poison.is_some()), "only the lost group re-runs");
+            undo.sort_unstable_by_key(|&(e, _)| e);
+            assert!(undo.iter().map(|&(e, _)| e).eq(dirty.iter().copied()));
+            assert!(undo.iter().all(|&(_, old)| old.is_nan()));
+            let got: Vec<u64> = dirty.iter().map(|&e| eng.outputs.epol[e as usize].to_bits()).collect();
+            assert_eq!(got, want, "pool {:?} poison {poison:?}", pool.map(|_| ()));
+        };
+        check(None, None);
         for width in [1, 3] {
-            let pool = WorkStealingPool::new(width);
-            assert_eq!(bits(eng.epol_fresh(&dirty, &units, Some(&pool), None, &mut recovered)), want);
+            check(Some(&WorkStealingPool::new(width)), None);
         }
-        assert_eq!(recovered, 0);
-        let pool = WorkStealingPool::new(3);
-        let poison = Some(units.len() / 2);
-        let poisoned = eng.epol_fresh(&dirty, &units, Some(&pool), poison, &mut recovered);
-        assert_eq!(bits(poisoned), want);
-        assert_eq!(recovered, 1, "exactly the poisoned unit re-executes");
+        check(Some(&WorkStealingPool::new(3)), Some(groups / 2));
     }
 }

@@ -26,6 +26,17 @@
 //!      driven by each entry's `opens`/`closes` counters that replays
 //!      the recursion's exact sum-tree association.
 //!
+//! E_pol Phase A has one evaluator (`EpolLists::run_set`), which the
+//! full pass, a pooled chunk and a `core::delta` query's dirty entries
+//! all run. It takes ascending entry ids and a set rule `in_set(p)`: an
+//! entry whose mirror is in the set shares one STILL tile with it (the
+//! lower-indexed entry evaluates it and emits both values), and every
+//! other entry, one whose mirror lies outside the set included, runs
+//! its own kernel. Both give the same bits (DESIGN.md §10.7, §11.4), so
+//! the set decides only the work. The values go to one flat vector, one
+//! per entry in entry order ([`EpolLists::run_phase_a`]), which Phase B
+//! ([`EpolLists::apply`]) reads and `core::delta` keeps.
+//!
 //! Because Phase A is pure and Phase B replays the serial recursion's
 //! every floating-point add in order, list execution is **bit-identical
 //! to the recursive traversal at any thread count** (see DESIGN.md §10
@@ -323,15 +334,10 @@ impl BornLists {
     /// accumulators in emission order. Serial by design — this is what
     /// pins the floating-point add order regardless of how Phase A was
     /// scheduled. A run without a pool makes the same adds with no
-    /// buffers (`BornLists::fold_entry`). Generic over the per-chunk
-    /// storage (`Vec<f64>` or `&[f64]`). Every caller passes `Vec<f64>`,
-    /// but a non-generic `&[Vec<f64>]` signature measured 2–3% slower per
-    /// `mutscan` delta query, a code-generation effect (the folded bits
-    /// are the same).
-    pub fn apply<S: AsRef<[f64]>>(&self, sys: &GbSystem, outputs: &[S], acc: &mut BornAccumulators) {
+    /// buffers (`BornLists::fold_entry`).
+    pub fn apply(&self, sys: &GbSystem, outputs: &[Vec<f64>], acc: &mut BornAccumulators) {
         debug_assert_eq!(outputs.len(), self.chunks.len());
         for (chunk, vals) in self.chunks.iter().zip(outputs) {
-            let vals = vals.as_ref();
             let mut cur = 0usize;
             for e in &self.entries[chunk.clone()] {
                 if e.far {
@@ -551,11 +557,11 @@ impl EpolLists {
             + self.chunks.capacity() * std::mem::size_of::<Range<usize>>()
     }
 
-    /// Phase A for one entry: the scalar [`EpolLists::run_chunk`] would
-    /// emit for it — the recursions' far kernel ([`far_value`]) or the
-    /// exact SoA STILL block. Pure (the scratch is write-before-read
-    /// workspace, see the stale-scratch-reuse kernel tests), so any
-    /// number of entries may run concurrently with private scratches.
+    /// Phase A for one entry: its scalar — the recursions' far kernel
+    /// ([`far_value`]) or the exact SoA STILL block. Pure (the scratch is
+    /// write-before-read workspace, see the stale-scratch-reuse kernel
+    /// tests), so any number of entries may run concurrently with private
+    /// scratches.
     #[inline]
     pub fn run_entry(
         sys: &GbSystem,
@@ -574,62 +580,57 @@ impl EpolLists {
         }
     }
 
-    /// Phase A for one chunk: one scalar per entry, in entry order, plus
-    /// `(entry, value)` for mirrors that lie in a later chunk. Near
-    /// entries evaluate the exact SoA STILL block (the same internal fold
-    /// as the recursion's leaf case) over a zero-copy slice of the
-    /// persistent atom arena; far entries the binned kernel. The
-    /// lower-indexed entry of a mirrored pair evaluates the shared tile
-    /// and emits both values; the higher one is filled from it, here when
-    /// it lies in this chunk and by `EpolLists::run_phase_a` otherwise.
-    /// Pure, like [`EpolLists::run_entry`].
-    pub fn run_chunk(
+    /// The one E_pol Phase-A evaluator: `emit(entry, value)` for each of
+    /// the ascending entry `ids`, in no fixed order. `in_set(p)` says
+    /// whether entry `p` belongs to the evaluated set — these ids and
+    /// those of any other call whose values join them. An entry whose
+    /// mirror is in the set shares one [`still_pair_block`] tile with it:
+    /// the lower-indexed entry evaluates the tile and emits both values
+    /// (the mirror may lie beyond `ids`), and the higher one emits
+    /// nothing itself. Every other entry — a mirror outside the set
+    /// included — runs [`EpolLists::run_entry`]. Both tile values equal
+    /// `run_entry`'s bits (DESIGN.md §11.4), so any set gives the same
+    /// values. Pure, like `run_entry`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_set(
         &self,
         sys: &GbSystem,
         bins: &ChargeBins,
         born: &[f64],
         math: MathMode,
-        c: usize,
-    ) -> (Vec<f64>, Vec<(usize, f64)>) {
-        let range = self.chunks[c].clone();
-        let mut out = Vec::with_capacity(range.len());
-        let mut mirrors = Vec::new();
+        ids: impl IntoIterator<Item = usize>,
+        in_set: impl Fn(usize) -> bool,
+        mut emit: impl FnMut(usize, f64),
+    ) {
         let mut scratch = StillScratch::default();
-        for (i, e) in range.clone().zip(&self.entries[range.clone()]) {
-            let val = match e.mirror() {
-                None => Self::run_entry(sys, bins, born, math, e, &mut scratch),
-                Some(p) if p > i => {
-                    // Both values bit-equal `run_entry`'s (DESIGN.md §11.4).
+        for i in ids {
+            let Some(e) = self.entries.get(i) else { continue };
+            match e.mirror().filter(|&p| in_set(p)) {
+                // Emitted by the lower-indexed owner of the pair.
+                Some(p) if p < i => {}
+                Some(p) => {
                     let uv = sys.atom_arena.view(born, sys.atoms.node(e.a).range());
                     let vv = sys.atom_arena.view(born, sys.atoms.node(e.b).range());
                     let (own, mirror) = still_pair_block(uv, vv, math, &mut scratch);
-                    mirrors.push((p, mirror));
-                    own
+                    emit(i, own);
+                    emit(p, mirror);
                 }
-                // Written by the lower-indexed owner of the pair.
-                Some(_) => 0.0,
-            };
-            out.push(val);
-        }
-        // `p > i >= range.start`, so the offset cannot underflow.
-        mirrors.retain(|&(p, v)| match out.get_mut(p - range.start) {
-            Some(slot) => {
-                *slot = v;
-                false
+                None => emit(i, Self::run_entry(sys, bins, born, math, e, &mut scratch)),
             }
-            None => true,
-        });
-        (out, mirrors)
+        }
     }
 
-    /// Phase A over every chunk: over `pool` when given (a `poison`ed slot
-    /// is lost and re-executed, see [`recovering_map`]), serially
-    /// otherwise. One serial pass then writes the mirror values each chunk
-    /// handed on into their chunks, so every per-chunk vector is complete
-    /// before [`EpolLists::apply`]. Each chunk is a pure function, so the
-    /// outputs are the same bits at every pool width.
+    /// Phase A over every entry: one value per entry, in entry order, in
+    /// one vector of exactly [`EpolLists::len`] slots. Without a pool, one
+    /// pass of the evaluator (`EpolLists::run_set`) over the whole list
+    /// writes it. Over `pool`, each chunk runs its own range with every
+    /// entry in the set, so an owner hands on `(entry, value)` for a
+    /// mirror in a later chunk; a `poison`ed chunk panics, is contained
+    /// and re-executed serially (`recovered` counts it), and one serial
+    /// pass writes what the chunks emitted. Each chunk is a pure function, so the values are the same
+    /// bits at every pool width.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_phase_a(
+    pub fn run_phase_a(
         &self,
         sys: &GbSystem,
         bins: &ChargeBins,
@@ -638,48 +639,87 @@ impl EpolLists {
         pool: Option<&WorkStealingPool>,
         poison: Option<usize>,
         recovered: &mut u32,
-    ) -> Vec<Vec<f64>> {
-        let run = |c| self.run_chunk(sys, bins, born, math, c);
-        let parts = recovering_map(pool, self.n_chunks(), poison, run, recovered);
-        let (mut outputs, handed_on): (Vec<Vec<f64>>, Vec<_>) = parts.into_iter().unzip();
-        for (p, v) in handed_on.into_iter().flatten() {
-            let c = self.chunks.partition_point(|r| r.end <= p);
-            let chunk = self.chunks.get(c).zip(outputs.get_mut(c));
-            if let Some(slot) = chunk.and_then(|(r, out)| out.get_mut(p - r.start)) {
+    ) -> Vec<f64> {
+        let mut values = vec![0.0; self.len()];
+        let mut write = |i: usize, v: f64| {
+            if let Some(slot) = values.get_mut(i) {
                 *slot = v;
             }
+        };
+        if pool.is_none() {
+            self.run_set(sys, bins, born, math, 0..self.len(), |_| true, &mut write);
+            return values;
         }
-        outputs
+        let run = |c: usize| {
+            let range = self.chunks.get(c).cloned().unwrap_or_default();
+            let mut out = Vec::with_capacity(range.len());
+            self.run_set(sys, bins, born, math, range, |_| true, |i, v| out.push((i, v)));
+            out
+        };
+        let parts = recovering_map(pool, self.n_chunks(), poison, run, recovered);
+        for (i, v) in parts.into_iter().flatten() {
+            write(i, v);
+        }
+        values
     }
 
-    /// Phase B: replay the recursion's sum tree. The stack starts with
-    /// one global frame (the drivers' `raw += leaf` fold); each entry
-    /// pushes `opens` fresh frames, adds its value to the innermost one,
-    /// then folds `closes` completed frames into their parents. The
-    /// global frame ends up holding exactly the recursion's total.
-    /// Generic over the per-chunk storage for the same reason as
-    /// [`BornLists::apply`].
-    pub fn apply<S: AsRef<[f64]>>(&self, outputs: &[S]) -> f64 {
-        debug_assert_eq!(outputs.len(), self.chunks.len());
+    /// Phase A for the sorted entry subset `ids` (a delta query's dirty
+    /// entries): `(entry, value)` for each, in no fixed order, the set
+    /// being `ids` itself, so an entry whose mirror is not in `ids` runs
+    /// alone. Without a pool, one [`EpolLists::run_set`] pass. Over
+    /// `pool`, one group per list chunk holding an id ([`by_chunk`]); a
+    /// `poison`ed group is lost and re-executed, like a chunk of
+    /// [`EpolLists::run_phase_a`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_subset(
+        &self,
+        sys: &GbSystem,
+        bins: &ChargeBins,
+        born: &[f64],
+        math: MathMode,
+        ids: &[u32],
+        pool: Option<&WorkStealingPool>,
+        poison: Option<usize>,
+        recovered: &mut u32,
+    ) -> Vec<(usize, f64)> {
+        let in_set = |p: usize| ids.binary_search(&(p as u32)).is_ok();
+        let run = |group: &[u32]| {
+            let mut out = Vec::with_capacity(group.len());
+            let group = group.iter().map(|&e| e as usize);
+            self.run_set(sys, bins, born, math, group, in_set, |i, v| out.push((i, v)));
+            out
+        };
+        if pool.is_none() {
+            return run(ids);
+        }
+        let groups: Vec<&[u32]> = by_chunk(&self.chunks, ids).collect();
+        let group = |g: usize| run(groups.get(g).copied().unwrap_or_default());
+        recovering_map(pool, groups.len(), poison, group, recovered).concat()
+    }
+
+    /// Phase B: replay the recursion's sum tree over one value per entry.
+    /// The stack starts with one global frame (the drivers' `raw += leaf`
+    /// fold); each entry pushes `opens` fresh frames, adds its value to
+    /// the innermost one, then folds `closes` completed frames into their
+    /// parents. The global frame ends up holding exactly the recursion's
+    /// total.
+    pub fn apply(&self, values: &[f64]) -> f64 {
+        debug_assert_eq!(values.len(), self.len());
         let mut stack: Vec<f64> = vec![0.0];
-        for (chunk, vals) in self.chunks.iter().zip(outputs) {
-            let vals = vals.as_ref();
-            debug_assert_eq!(vals.len(), chunk.len());
-            for (e, &v) in self.entries[chunk.clone()].iter().zip(vals) {
-                stack.resize(stack.len() + e.opens as usize, 0.0);
-                if let Some(top) = stack.last_mut() {
-                    *top += v;
-                }
-                for _ in 0..e.closes {
-                    if let Some(t) = stack.pop() {
-                        if let Some(parent) = stack.last_mut() {
-                            *parent += t;
-                        }
+        for (e, &v) in self.entries.iter().zip(values) {
+            stack.resize(stack.len() + e.opens as usize, 0.0);
+            if let Some(top) = stack.last_mut() {
+                *top += v;
+            }
+            for _ in 0..e.closes {
+                if let Some(t) = stack.pop() {
+                    if let Some(parent) = stack.last_mut() {
+                        *parent += t;
                     }
                 }
             }
         }
-        stack[0]
+        stack.first().copied().unwrap_or(0.0)
     }
 
     /// Full execution: Phase A over the pool (or serially when `None`),
@@ -692,8 +732,8 @@ impl EpolLists {
         math: MathMode,
         pool: Option<&WorkStealingPool>,
     ) -> (f64, OpCounts) {
-        let outputs = self.run_phase_a(sys, bins, born, math, pool, None, &mut 0);
-        (self.apply(&outputs), self.ops)
+        let values = self.run_phase_a(sys, bins, born, math, pool, None, &mut 0);
+        (self.apply(&values), self.ops)
     }
 }
 
@@ -1127,6 +1167,22 @@ fn build_epol_dual(
     }
 }
 
+/// The sorted entry `ids` split by the chunk of `chunks` (a partition
+/// tiling the entry list in order) that holds them, one slice per chunk.
+pub(crate) fn by_chunk<'a>(
+    chunks: &'a [Range<usize>],
+    mut ids: &'a [u32],
+) -> impl Iterator<Item = &'a [u32]> + 'a {
+    std::iter::from_fn(move || {
+        let &first = ids.first()?;
+        let c = chunks.partition_point(|r| r.end <= first as usize);
+        let end = chunks.get(c).map_or(usize::MAX, |r| r.end);
+        let (group, rest) = ids.split_at(ids.partition_point(|&e| (e as usize) < end));
+        ids = rest;
+        Some(group)
+    })
+}
+
 // ---------------------------------------------------------------------------
 // The one-process evaluation pipeline
 // ---------------------------------------------------------------------------
@@ -1395,7 +1451,7 @@ where
 
         let t = Instant::now();
         let poison = (self.faults)(phase::EPOL, epol_lists.n_chunks())?;
-        let outputs = epol_lists.run_phase_a(
+        let values = epol_lists.run_phase_a(
             sys,
             &bins,
             &born,
@@ -1404,11 +1460,11 @@ where
             poison,
             &mut self.recovered,
         );
-        let raw = epol_lists.apply(&outputs);
+        let raw = epol_lists.apply(&values);
         self.ops.add(&epol_lists.ops);
         self.phases.epol += t.elapsed().as_secs_f64();
         if let Some(keep) = keep {
-            keep.epol = outputs.concat();
+            keep.epol = values;
         }
 
         Ok(Evaluation {
@@ -1830,11 +1886,7 @@ mod tests {
             EpolLists::build_single(&sys, &bins, 0.9),
             EpolLists::build_dual(&sys, &bins, 0.9),
         ] {
-            let replay = |values: &[f64]| {
-                let per_chunk: Vec<&[f64]> =
-                    lists.chunks.iter().map(|r| &values[r.clone()]).collect();
-                lists.apply(&per_chunk).to_bits()
-            };
+            let replay = |values: &[f64]| lists.apply(values).to_bits();
             // Values of mixed sign and scale, so the fold order shows.
             let mut values: Vec<f64> = (0..lists.len())
                 .map(|i| ((i as f64 * 0.618).fract() - 0.4) * 10f64.powi((i % 7) as i32 - 3))
@@ -2016,6 +2068,11 @@ mod tests {
         }
     }
 
+    /// Phase A against `run_entry`, entry by entry, single- and
+    /// dual-tree: over the whole list, and over sorted subsets holding
+    /// the first and last entry, dirty pairs and entries whose mirror is
+    /// outside the subset; serially, at several pool widths, and after a
+    /// lost chunk or chunk group.
     #[test]
     fn paired_phase_a_matches_run_entry_at_every_width_and_after_a_lost_slot() {
         let sys = system(450, 31);
@@ -2038,7 +2095,8 @@ mod tests {
                     let out =
                         lists.run_phase_a(&sys, &bins, &born, math, pool, poison, &mut recovered);
                     assert_eq!(recovered, u32::from(poison.is_some()));
-                    let got: Vec<u64> = out.iter().flatten().map(|v| v.to_bits()).collect();
+                    assert_eq!(out.capacity(), lists.len());
+                    let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got, want, "{math:?} pool {:?} poison {poison:?}", pool.map(|_| ()));
                 };
                 check(None, None);
@@ -2046,6 +2104,38 @@ mod tests {
                     check(Some(&WorkStealingPool::new(w)), None);
                 }
                 check(Some(&WorkStealingPool::new(3)), Some(lists.n_chunks() / 2));
+
+                let last = lists.len() as u32 - 1;
+                // A dense (five eighths) and a sparse (one eighth)
+                // pseudo-random subset.
+                for keep in [0..5u32, 3..4] {
+                    let hash = |e: u32| e.wrapping_mul(0x9e37_79b9) >> 29;
+                    let ids: Vec<u32> = (0..=last)
+                        .filter(|&e| e == 0 || e == last || keep.contains(&hash(e)))
+                        .collect();
+                    let in_ids = |p: usize| ids.binary_search(&(p as u32)).is_ok();
+                    let mirrors = ids.iter().filter_map(|&e| lists.entries[e as usize].mirror());
+                    assert!(mirrors.clone().any(in_ids), "no pair inside the subset");
+                    assert!(mirrors.clone().any(|p| !in_ids(p)), "no mirror outside the subset");
+                    let check = |pool: Option<&WorkStealingPool>, poison: Option<usize>| {
+                        let mut recovered = 0;
+                        let mut out = lists.run_subset(
+                            &sys, &bins, &born, math, &ids, pool, poison, &mut recovered,
+                        );
+                        assert_eq!(recovered, u32::from(poison.is_some()));
+                        out.sort_unstable_by_key(|&(e, _)| e);
+                        assert!(out.iter().map(|&(e, _)| e as u32).eq(ids.iter().copied()));
+                        for &(e, v) in &out {
+                            assert_eq!(v.to_bits(), want[e], "{math:?} entry {e} poison {poison:?}");
+                        }
+                    };
+                    check(None, None);
+                    for w in [1usize, 3] {
+                        check(Some(&WorkStealingPool::new(w)), None);
+                    }
+                    let groups = by_chunk(&lists.chunks, &ids).count();
+                    check(Some(&WorkStealingPool::new(3)), Some(groups / 2));
+                }
             }
         }
     }
