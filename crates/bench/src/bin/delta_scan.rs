@@ -18,6 +18,10 @@
 //! * **Blocking speedup gates**: delta beats full at `k ≤ 16`. Quick
 //!   mode only smokes the machinery — single-core CI hosts time noisily
 //!   at smoke sizes, so its margin is generous; see EXPERIMENTS.md.
+//! * **Memory rows**: `state_bytes` (`memory_bytes`) and
+//!   `entry_cache_bytes`, plus memory-only rows at 4,000 and 12,000 atoms
+//!   in full mode. **Blocking size gate** (both modes): the entry tables
+//!   stay O(nodes + entries).
 //!
 //! Emits `BENCH_delta.json` (to `$POLAROCT_OUT` if set, else
 //! `results/`) plus the usual TSV table. `POLAROCT_QUICK=1` shrinks
@@ -92,6 +96,22 @@ fn make_query(mol: &Molecule, k: usize, rng: &mut u64) -> (Perturbation, Vec<Vec
     (p, frame)
 }
 
+/// The memory row of `eng` as a JSON object. Gate: the entry tables are
+/// two `n_nodes + 1` offset arrays plus at most two `u32` ids per entry.
+fn memory_row(eng: &DeltaEngine) -> String {
+    let (atoms, entries) = (eng.positions().len(), eng.total_entries());
+    let nodes = eng.system().atoms.nodes.len();
+    let (state, tables) = (eng.memory_bytes(), eng.entry_cache_bytes());
+    let bound = 4 * (2 * (nodes + 1) + 2 * entries);
+    eprintln!("[delta_scan] {atoms} atoms: state {state} B, entry tables {tables} B (bound {bound})");
+    // PANIC-OK: blocking size gate of the bench (both modes).
+    assert!(tables <= bound, "{atoms} atoms: entry tables {tables} B over {bound} B");
+    format!(
+        "{{\"atoms\": {atoms}, \"atoms_nodes\": {nodes}, \"entries\": {entries}, \
+         \"state_bytes\": {state}, \"entry_cache_bytes\": {tables}}}"
+    )
+}
+
 fn main() {
     let quick = quick_mode();
     let atoms = if quick { 120 } else { 800 };
@@ -111,6 +131,14 @@ fn main() {
         delta.raw().to_bits(),
         "engines disagree at the base geometry"
     );
+
+    let mut memory = vec![memory_row(&delta)];
+    if !quick {
+        for n in [4_000, 12_000] {
+            let eng = DeltaEngine::new(&synth::protein("protein", n, 0), &approx, SKIN);
+            memory.push(memory_row(&eng));
+        }
+    }
 
     let mut rows: Vec<Row> = Vec::new();
     let mut rng = 0xD51u64;
@@ -274,6 +302,7 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
+    json.push_str(&format!("  ],\n  \"memory\": [\n    {}\n", memory.join(",\n    ")));
     json.push_str("  ]\n}\n");
     let dir = std::env::var("POLAROCT_OUT").ok().filter(|d| !d.is_empty());
     let dir = dir.unwrap_or_else(|| "results".to_string());

@@ -9,15 +9,19 @@
 //! [`DeltaEngine`] upgrades a [`ListEngine`] with cached phase state and
 //! an entry-granular dirtiness protocol (DESIGN.md §14–15):
 //!
-//! * **Inverted indexes** ([`polaroct_sched::CoverageIndex`], built once
-//!   per scaffold): Morton atom → the Born entries whose near records
-//!   read that atom's position; the same map for the E_pol list;
-//!   atoms-tree node → E_pol entries holding a far record on that node.
+//! * **Node-keyed entry tables** (built once per scaffold, sized by the
+//!   atoms tree and the lists, not by atoms × entries): two compact (CSR)
+//!   tables from atoms-tree node to E_pol entries — a leaf's near entries
+//!   reading it as `a` or `b`, and a node's far entries. The Born list is
+//!   sorted by `a`, so a node's Born entries are one run of it, found by
+//!   binary search. Near entries of both lists sit on leaves only, so a
+//!   moved atom's near entries are those of its leaf.
 //! * A [`Perturbation`] query writes the moved positions / mutated
 //!   charges through the O(k) subset-refresh paths
 //!   ([`GbSystem::refresh_atom_subset`] / [`GbSystem::set_atom_charge`]),
-//!   marks dirty entries from the indexes, and re-executes **only
-//!   those** through the same pure kernels the full pipeline runs.
+//!   marks dirty entries from the tables of the touched atoms' leaves
+//!   and nodes, and re-executes **only those** through the same pure
+//!   kernels the full pipeline runs.
 //! * **Born, per moved atom.** The engine caches the Born Phase-B
 //!   accumulators: the far node sums and every atom's near integral. A
 //!   dirty Born entry evaluates only the rows of the moved atoms in its
@@ -96,7 +100,7 @@ use polaroct_cluster::fault::{phase, FaultKind, FaultPlan};
 use polaroct_geom::Vec3;
 use polaroct_molecule::Molecule;
 use polaroct_octree::{NodeId, Octree};
-use polaroct_sched::{CoverageIndex, WorkStealingPool};
+use polaroct_sched::WorkStealingPool;
 use std::ops::Range;
 
 /// One perturbation query: absolute new positions for k moved atoms and
@@ -219,14 +223,10 @@ pub struct DeltaEngine {
     /// Cached Born Phase-B accumulators and E_pol Phase-A outputs (one
     /// value per entry, in entry order).
     outputs: PhaseOutputs,
-    /// Morton atom → Born entries with a near record reading it.
-    born_entry_touch: CoverageIndex,
-    /// Morton atom → E_pol entries with a near record reading it.
-    epol_entry_touch: CoverageIndex,
-    /// Atoms-tree node → E_pol entries holding a far record on it.
-    epol_far_entry_nodes: CoverageIndex,
-    /// E_pol entries that are far records (for a global bin relayout).
-    epol_far_entries: Vec<u32>,
+    /// Atoms-tree leaf → the near E_pol entries reading it as `a` or `b`.
+    epol_near: NodeEntries,
+    /// Atoms-tree node → the far E_pol entries holding it as `a` or `b`.
+    epol_far: NodeEntries,
     /// Bin generation the cached far-entry outputs were computed with.
     bins: ChargeBins,
     /// The E_pol sum tree's frames with their cached totals.
@@ -265,10 +265,8 @@ impl DeltaEngine {
         let mut engine = DeltaEngine {
             base,
             outputs: PhaseOutputs::default(),
-            born_entry_touch: CoverageIndex::default(),
-            epol_entry_touch: CoverageIndex::default(),
-            epol_far_entry_nodes: CoverageIndex::default(),
-            epol_far_entries: Vec::new(),
+            epol_near: NodeEntries::default(),
+            epol_far: NodeEntries::default(),
             bins: ChargeBins::default(),
             frames: SumFrames::default(),
             raw: 0.0,
@@ -287,7 +285,7 @@ impl DeltaEngine {
     }
 
     /// Rebuild the scaffold-derived caches after a prepare: the inverse
-    /// permutation and the entry-level coverage indexes.
+    /// permutation and the node-keyed entry tables.
     fn rebuild_caches(&mut self) {
         let n = self.base.sys.n_atoms();
         let mut inv = vec![0u32; n];
@@ -297,61 +295,41 @@ impl DeltaEngine {
         }
         self.inv_order = inv;
 
-        let sys = &self.base.sys;
-        let born = &self.base.born_lists;
-        self.born_entry_touch = CoverageIndex::build(
-            n,
-            born.entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.far)
-                .map(|(i, e)| (sys.atoms.node(e.a).range(), i as u32)),
+        let tree = &self.base.sys.atoms;
+        let (born, epol) = (&self.base.born_lists.entries, &self.base.epol_lists.entries);
+        let leaf = |id: NodeId| tree.node(id).is_leaf();
+        debug_assert!(born.is_sorted_by_key(|e| e.a), "Born entries are atoms-node-major");
+        debug_assert!(
+            born.iter().all(|e| e.far || leaf(e.a))
+                && epol.iter().all(|e| e.far || leaf(e.a) && leaf(e.b)),
+            "near entries sit on atoms leaves only"
         );
-
-        let epol = &self.base.epol_lists;
-        self.epol_entry_touch = CoverageIndex::build(
-            n,
-            epol.entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.far)
-                .flat_map(|(i, e)| {
-                    [
-                        (sys.atoms.node(e.a).range(), i as u32),
-                        (sys.atoms.node(e.b).range(), i as u32),
-                    ]
-                }),
-        );
-        self.epol_far_entry_nodes = CoverageIndex::build(
-            sys.atoms.nodes.len(),
-            epol.entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.far)
-                .flat_map(|(i, e)| {
-                    [
-                        (e.a as usize..e.a as usize + 1, i as u32),
-                        (e.b as usize..e.b as usize + 1, i as u32),
-                    ]
-                }),
-        );
-        self.epol_far_entries = epol
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.far)
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.frames = SumFrames::new(epol);
+        let ends = |far: bool| {
+            (0u32..).zip(epol).filter(move |(_, e)| e.far == far).flat_map(|(i, e)| {
+                let b = (e.b != e.a).then_some((e.b, i));
+                std::iter::once((e.a, i)).chain(b)
+            })
+        };
+        self.epol_near = NodeEntries::build(tree.nodes.len(), ends(false));
+        self.epol_far = NodeEntries::build(tree.nodes.len(), ends(true));
+        self.frames = SumFrames::new(&self.base.epol_lists);
     }
 
-    /// Resident bytes of the entry-granular tables alone (the coverage
-    /// indexes and the far-entry list).
+    /// Resident bytes of the node-keyed entry tables: the E_pol near and
+    /// far tables, each `4·(n_nodes + 1)` B of offsets plus 4 B per entry
+    /// end (two per entry, one per diagonal near entry). The Born list,
+    /// sorted by `a`, is its own node index.
     pub fn entry_cache_bytes(&self) -> usize {
-        self.epol_far_entries.capacity() * std::mem::size_of::<u32>()
-            + self.born_entry_touch.memory_bytes()
-            + self.epol_entry_touch.memory_bytes()
-            + self.epol_far_entry_nodes.memory_bytes()
+        self.epol_near.memory_bytes() + self.epol_far.memory_bytes()
+    }
+
+    /// The near Born entries of atoms-tree leaf `leaf`: its run of the
+    /// list, which is sorted by `a`, without the far records.
+    fn born_near(&self, leaf: NodeId) -> impl Iterator<Item = u32> + '_ {
+        let entries = &self.base.born_lists.entries;
+        let start = entries.partition_point(|e| e.a < leaf);
+        let run = start..entries.partition_point(|e| e.a <= leaf);
+        run.filter(|&i| entries.get(i).is_some_and(|e| !e.far)).map(|i| i as u32)
     }
 
     /// Refresh all Morton positions to `self.positions` and execute every
@@ -509,8 +487,8 @@ impl DeltaEngine {
         self.base.lists_reused += 1;
 
         // ---- Born dirtiness: an entry is dirty iff its near record's
-        // atom range contains a moved atom (far records read only frozen
-        // node aggregates and can never go stale).
+        // leaf holds a moved atom (far records read only frozen node
+        // aggregates and can never go stale).
         let poison_at = |len: usize, ph: u32| {
             plan.and_then(|pl| match pl.fire_exec(0, ph) {
                 Some(FaultKind::PanicWorker) => Some(pl.seed() as usize % len.max(1)),
@@ -521,10 +499,11 @@ impl DeltaEngine {
         let mut moved = moved_m.clone();
         moved.sort_unstable();
         moved.dedup();
+        let tree = &self.base.sys.atoms;
         let mut dirty: Vec<u32> = moved
             .iter()
-            .flat_map(|&mi| self.born_entry_touch.chunks_for(mi))
-            .copied()
+            .filter_map(|&mi| path_to(tree, mi).last())
+            .flat_map(|leaf| self.born_near(leaf))
             .collect();
         dirty.sort_unstable();
         dirty.dedup();
@@ -534,16 +513,26 @@ impl DeltaEngine {
         let born_chunks_redone = by_chunk(&self.base.born_lists.chunks, &dirty).count();
         let born_entries_redone = dirty.len();
 
-        // ---- E_pol dirtiness: near entries reading a moved, recharged
-        // or re-radiused atom, plus far entries whose far operands
-        // changed (the bins update below).
-        let mut dirty: Vec<u32> = Vec::new();
-        for &mi in moved_m.iter().chain(&charged_m).chain(&born_changed) {
-            dirty.extend_from_slice(self.epol_entry_touch.chunks_for(mi));
-        }
-        let old_bins = self.update_bins(&moved, &charged_m, &born_changed, &mut dirty);
+        // ---- E_pol dirtiness: near entries reading the leaf of a moved,
+        // recharged or re-radiused atom (re-radiused atoms moved), plus
+        // far entries whose far operands changed (the bins update below).
+        // Near entries sit on leaves, so an internal node lists none.
+        let nodes = ancestors(&self.base.sys.atoms, moved.iter().chain(&charged_m));
+        let near = nodes.iter().flat_map(|&id| self.epol_near.of(id));
+        let mut dirty: Vec<u32> = near.copied().collect();
+        let old_bins = self.update_bins(nodes, &born_changed, &mut dirty);
         dirty.sort_unstable();
         dirty.dedup();
+        // A near entry and its mirror read the same two leaves, and far
+        // entries have no mirror: the dirty set is closed under mirrors,
+        // so every dirty pair shares one tile below.
+        debug_assert!(
+            dirty
+                .iter()
+                .filter_map(|&e| self.base.epol_lists.entries.get(e as usize)?.mirror())
+                .all(|p| dirty.binary_search(&(p as u32)).is_ok()),
+            "the dirty E_pol set is closed under mirrors"
+        );
         let epol_chunks_redone = by_chunk(&self.base.epol_lists.chunks, &dirty).count();
         let poison = poison_at(epol_chunks_redone, phase::EPOL);
         let epol_undo = self.epol_per_entry(&dirty, pool, poison, &mut recovered);
@@ -646,11 +635,10 @@ impl DeltaEngine {
         (undo, changed)
     }
 
-    /// Bring the bins up to date after the query moved the sorted
-    /// `moved` atoms, recharged `charged` and changed the radii of
-    /// `born_changed` (Morton indices; a subset of `moved`), and push onto
-    /// `dirty` the far entries whose operands changed. Returns the undo
-    /// record.
+    /// Bring the bins up to date after the query changed the radii of
+    /// `born_changed` (Morton indices; moved atoms), given `nodes`, the
+    /// ancestors of the moved and recharged atoms, and push onto `dirty`
+    /// the far entries whose operands changed. Returns the undo record.
     ///
     /// A node's bins and moments read only its own atoms' bins, charges
     /// and positions. So while the layout (`R_min`, `M_ε`, hence the
@@ -661,8 +649,7 @@ impl DeltaEngine {
     /// node, so then the bins are rebuilt and diffed whole.
     fn update_bins(
         &mut self,
-        moved: &[usize],
-        charged: &[usize],
+        mut nodes: Vec<NodeId>,
         born_changed: &[usize],
         dirty: &mut Vec<u32>,
     ) -> BinsUndo {
@@ -672,14 +659,15 @@ impl DeltaEngine {
             let table_changed = new_bins.m_eps != self.bins.m_eps
                 || !bits_equal(&new_bins.rr_table, &self.bins.rr_table);
             if table_changed {
-                dirty.extend_from_slice(&self.epol_far_entries);
+                // Every far entry (listed under both its ends; the caller
+                // deduplicates).
+                dirty.extend_from_slice(&self.epol_far.ids);
             } else {
                 for node in 0..sys.atoms.nodes.len() as u32 {
                     if !bits_equal(new_bins.of(node), self.bins.of(node))
                         || !bits_equal(new_bins.moments_of(node), self.bins.moments_of(node))
                     {
-                        dirty
-                            .extend_from_slice(self.epol_far_entry_nodes.chunks_for(node as usize));
+                        dirty.extend_from_slice(self.epol_far.of(node));
                     }
                 }
             }
@@ -690,7 +678,6 @@ impl DeltaEngine {
             .iter()
             .filter_map(|&mi| Some((mi, bins.rebin(mi, *born.get(mi)?, eps))))
             .collect();
-        let mut nodes = ancestors(&sys.atoms, moved.iter().chain(charged));
         let mut old = Vec::new();
         nodes.retain(|&id| {
             let mark = old.len();
@@ -708,7 +695,7 @@ impl DeltaEngine {
             if same {
                 old.truncate(mark);
             } else {
-                dirty.extend_from_slice(self.epol_far_entry_nodes.chunks_for(id as usize));
+                dirty.extend_from_slice(self.epol_far.of(id));
             }
             !same
         });
@@ -975,21 +962,55 @@ impl DeltaEngine {
     }
 }
 
+/// Entry ids grouped by atoms-tree node, in compact (CSR) form: node
+/// `id`'s ids are `ids[off[id]..off[id + 1]]`, ascending. Its size is
+/// `n_nodes + 1` offsets plus one id per `(node, entry)` claim.
+#[derive(Clone, Debug, Default)]
+struct NodeEntries {
+    off: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl NodeEntries {
+    /// Group the `(node, entry)` claims, listed in ascending entry order,
+    /// by node.
+    fn build(n_nodes: usize, claims: impl Iterator<Item = (NodeId, u32)>) -> Self {
+        let mut of = vec![Vec::new(); n_nodes];
+        for (node, e) in claims {
+            if let Some(ids) = of.get_mut(node as usize) {
+                ids.push(e);
+            }
+        }
+        let mut end = 0;
+        let ends = of.iter().map(|ids| {
+            end += ids.len() as u32;
+            end
+        });
+        NodeEntries { off: std::iter::once(0).chain(ends).collect(), ids: of.concat() }
+    }
+
+    /// The entries of node `id`, ascending.
+    fn of(&self, id: NodeId) -> &[u32] {
+        let at = |i: usize| self.off.get(i).map_or(0, |&o| o as usize);
+        self.ids.get(at(id as usize)..at(id as usize + 1)).unwrap_or_default()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.off.capacity() + self.ids.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// The root-to-leaf path of `tree` to the leaf holding Morton atom `mi`.
+fn path_to(tree: &Octree, mi: usize) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(Some(0), move |&id| {
+        tree.node(id).children().find(|&c| tree.node(c).range().contains(&mi))
+    })
+}
+
 /// The nodes of `tree` holding one of `atoms` (Morton indices): their
 /// root-to-leaf paths, sorted and deduplicated.
 fn ancestors<'a>(tree: &Octree, atoms: impl Iterator<Item = &'a usize>) -> Vec<NodeId> {
-    let mut nodes = Vec::new();
-    for &mi in atoms {
-        let mut id: NodeId = 0;
-        loop {
-            nodes.push(id);
-            let holds = |c: &NodeId| tree.node(*c).range().contains(&mi);
-            match tree.node(id).children().find(holds) {
-                Some(c) => id = c,
-                None => break,
-            }
-        }
-    }
+    let mut nodes: Vec<NodeId> = atoms.flat_map(|&mi| path_to(tree, mi)).collect();
     nodes.sort_unstable();
     nodes.dedup();
     nodes
@@ -1405,7 +1426,10 @@ mod tests {
         let skin = 1.0;
         let mut eng = DeltaEngine::new(&m, &approx, skin);
         let mi = (0..m.len())
-            .find(|&mi| eng.born_entry_touch.chunks_for(mi).is_empty())
+            .find(|&mi| {
+                let leaf = path_to(&eng.system().atoms, mi).last();
+                leaf.is_some_and(|l| eng.born_near(l).next().is_none())
+            })
             .expect("a buried atom has no near Born entry");
         let oi = eng.system().atoms.point_order[mi] as usize;
         let p = Perturbation::default().move_atom(oi, m.positions[oi] + Vec3::new(0.1, 0.1, -0.1));
@@ -1487,7 +1511,8 @@ mod tests {
     /// whole-table path there and the in-place path everywhere else. At
     /// this size the one-atom queries re-fold some frames and the
     /// four-atom ones all of them. The caches match a full pass after
-    /// every apply and every revert.
+    /// every apply and every revert, and every dirty E_pol set is closed
+    /// under mirrors.
     #[test]
     fn mixed_query_chains_keep_bins_and_frames_fresh() {
         let skin = 1.0;
@@ -1528,13 +1553,20 @@ mod tests {
                 four(120),
                 Perturbation::default().set_charge(17, 1.5),
             ];
-            let (mut whole, mut in_place, mut some_frames) = (0, 0, 0);
+            let (mut whole, mut in_place, mut some_frames, mut mirrored) = (0, 0, 0, 0);
             for p in &chain {
                 let eval = eng.apply_perturbation(p, None);
                 assert!(!eval.rebuilt, "the chain stays inside the skin");
-                let Some(UndoRecord::Incremental { bins, frames, .. }) = eng.undo.last() else {
+                let Some(UndoRecord::Incremental { bins, frames, epol, .. }) = eng.undo.last() else {
                     panic!("the query must be incremental");
                 };
+                let dirty: std::collections::HashSet<u32> = epol.iter().map(|&(e, _)| e).collect();
+                for &e in &dirty {
+                    if let Some(p) = eng.base.epol_lists.entries[e as usize].mirror() {
+                        assert!(dirty.contains(&(p as u32)), "entry {e} is dirty, its mirror {p} clean");
+                        mirrored += 1;
+                    }
+                }
                 match bins {
                     BinsUndo::Whole(_) => whole += 1,
                     BinsUndo::Nodes { nodes, .. } => in_place += usize::from(!nodes.is_empty()),
@@ -1545,11 +1577,67 @@ mod tests {
             assert!(whole >= 1, "no query changed the bin layout");
             assert!(in_place >= 1, "no query changed a node in place");
             assert!(some_frames >= 1, "every query re-folded every frame");
+            assert!(mirrored > 0, "no dirty entry had a mirror");
             while eng.revert(None) {
                 assert_caches_match_fresh(&eng, &m, &approx, skin);
             }
             assert_eq!(eng.raw().to_bits(), raw0.to_bits());
             assert_eq!(eng.born_digest(), digest0);
+        }
+    }
+
+    /// The node-keyed tables against a brute-force scan of the lists: for
+    /// every atom, the near entries of its leaf are the near entries whose
+    /// `a` (or, for E_pol, `b`) range holds it; for every node, its far
+    /// E_pol entries are the far entries on it. Both far rules, at the
+    /// first scaffold and after a skin-crossing rebuild.
+    #[test]
+    fn node_tables_match_a_brute_force_scan() {
+        let (skin, m) = (0.4, mol(500, 12));
+        for far in [EpolFar::default(), EpolFar::Binned] {
+            let approx = ApproxParams {
+                epol_far: far,
+                ..ApproxParams::default()
+            };
+            let mut eng = DeltaEngine::new(&m, &approx, skin);
+            for scaffold in ["first", "rebuilt"] {
+                let (sys, tree) = (&eng.base.sys, &eng.base.sys.atoms);
+                let (born, epol) = (&eng.base.born_lists.entries, &eng.base.epol_lists.entries);
+                let holds = |id: NodeId, mi: usize| tree.node(id).range().contains(&mi);
+                let near_epol = epol.iter().filter(|e| !e.far).count();
+                assert!(near_epol > 0 && near_epol < epol.len(), "{scaffold}: near and far entries");
+                for mi in 0..sys.n_atoms() {
+                    let leaf = path_to(tree, mi).last();
+                    let got: Vec<u32> = leaf.iter().flat_map(|&l| eng.born_near(l)).collect();
+                    let want: Vec<u32> = (0u32..)
+                        .zip(born)
+                        .filter(|(_, e)| !e.far && holds(e.a, mi))
+                        .map(|(i, _)| i)
+                        .collect();
+                    assert_eq!(got, want, "{scaffold}: near Born entries of atom {mi}");
+                    let got: Vec<u32> = leaf.iter().flat_map(|&l| eng.epol_near.of(l)).copied().collect();
+                    let want: Vec<u32> = (0u32..)
+                        .zip(epol)
+                        .filter(|(_, e)| !e.far && (holds(e.a, mi) || holds(e.b, mi)))
+                        .map(|(i, _)| i)
+                        .collect();
+                    assert_eq!(got, want, "{scaffold}: near E_pol entries of atom {mi}");
+                }
+                for id in 0..tree.nodes.len() as NodeId {
+                    let want: Vec<u32> = (0u32..)
+                        .zip(epol)
+                        .filter(|(_, e)| e.far && (e.a == id || e.b == id))
+                        .map(|(i, _)| i)
+                        .collect();
+                    assert_eq!(eng.epol_far.of(id), want, "{scaffold}: far entries of node {id}");
+                }
+                let bound = 4 * (2 * (tree.nodes.len() + 1) + 2 * epol.len());
+                assert!(eng.entry_cache_bytes() <= bound, "{scaffold}: tables outgrow the lists");
+                // Push one atom past the skin: the next pass checks the
+                // tables of the rebuilt scaffold.
+                let p = Perturbation::default().move_atom(7, m.positions[7] + Vec3::new(0.5, 0.0, 0.0));
+                assert!(eng.apply_perturbation(&p, None).rebuilt || scaffold == "rebuilt");
+            }
         }
     }
 

@@ -591,6 +591,11 @@ impl EpolLists {
     /// included — runs [`EpolLists::run_entry`]. Both tile values equal
     /// `run_entry`'s bits (DESIGN.md §11.4), so any set gives the same
     /// values. Pure, like `run_entry`.
+    ///
+    /// Every production set holds its mirrors (a delta query's dirty set
+    /// is closed under them), so the "mirror outside the set runs alone"
+    /// branch is reached only by the unit tests' subsets and, later, by
+    /// ranks whose mirrors lie on another rank (ROADMAP item 5).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_set(
         &self,

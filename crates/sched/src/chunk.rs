@@ -52,64 +52,6 @@ pub fn partition_by_cost(costs: &[u64], parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Inverted index from integer keys (atom or node ids) to the chunks
-/// whose entries cover them.
-///
-/// Built once per list build from `(key_range, chunk_id)` pairs; a
-/// perturbation query then answers "which chunks must be re-executed
-/// because key `k` changed?" in O(|answer|) without rescanning the
-/// entry stream. The per-key chunk lists are sorted and deduplicated,
-/// and the structure depends only on its inputs — same determinism
-/// contract as `partition_by_cost`.
-#[derive(Clone, Debug, Default)]
-pub struct CoverageIndex {
-    chunks_of: Vec<Vec<u32>>,
-}
-
-impl CoverageIndex {
-    /// Build from a stream of `(key_range, chunk_id)` coverage claims.
-    /// Keys at or beyond `n_keys` are ignored (callers size `n_keys` to
-    /// the full key universe up front). Pairs may repeat a chunk id for
-    /// many ranges; per-key lists are deduplicated.
-    pub fn build(n_keys: usize, covers: impl Iterator<Item = (Range<usize>, u32)>) -> Self {
-        let mut chunks_of: Vec<Vec<u32>> = vec![Vec::new(); n_keys];
-        for (range, chunk) in covers {
-            for key in range {
-                if let Some(list) = chunks_of.get_mut(key) {
-                    if list.last() != Some(&chunk) {
-                        list.push(chunk);
-                    }
-                }
-            }
-        }
-        for list in &mut chunks_of {
-            list.sort_unstable();
-            list.dedup();
-        }
-        CoverageIndex { chunks_of }
-    }
-
-    /// Chunk ids whose entries cover `key` (sorted, deduplicated).
-    /// Unknown keys map to the empty slice.
-    pub fn chunks_for(&self, key: usize) -> &[u32] {
-        self.chunks_of.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of keys the index was built over.
-    pub fn n_keys(&self) -> usize {
-        self.chunks_of.len()
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.chunks_of
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<u32>())
-            .sum::<usize>()
-            + self.chunks_of.capacity() * std::mem::size_of::<Vec<u32>>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,39 +114,6 @@ mod tests {
         let a = partition_by_cost(&costs, 64);
         let b = partition_by_cost(&costs, 64);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn coverage_index_answers_membership() {
-        // chunk 0 covers keys 0..4, chunk 1 covers 2..6 (overlap at 2,3),
-        // chunk 2 claims 4..5 twice (dedup) and an out-of-range tail.
-        let idx = CoverageIndex::build(
-            6,
-            vec![(0..4, 0u32), (2..6, 1), (4..5, 2), (4..5, 2), (5..9, 2)].into_iter(),
-        );
-        assert_eq!(idx.n_keys(), 6);
-        assert_eq!(idx.chunks_for(0), &[0]);
-        assert_eq!(idx.chunks_for(2), &[0, 1]);
-        assert_eq!(idx.chunks_for(4), &[1, 2]);
-        assert_eq!(idx.chunks_for(5), &[1, 2]);
-        assert_eq!(idx.chunks_for(6), &[] as &[u32]);
-        assert_eq!(idx.chunks_for(usize::MAX), &[] as &[u32]);
-        assert!(idx.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn coverage_index_is_deterministic() {
-        let pairs: Vec<(Range<usize>, u32)> = (0..200)
-            .map(|i| {
-                let start = (i * 7919) % 97;
-                (start..start + 5, (i % 13) as u32)
-            })
-            .collect();
-        let a = CoverageIndex::build(101, pairs.clone().into_iter());
-        let b = CoverageIndex::build(101, pairs.into_iter());
-        for k in 0..101 {
-            assert_eq!(a.chunks_for(k), b.chunks_for(k));
-        }
     }
 
     #[test]

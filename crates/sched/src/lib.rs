@@ -9,8 +9,10 @@
 //! > work, it chooses a random victim thread and steals work from top of
 //! > the victim's queue".
 //!
-//! Two components:
+//! Three components:
 //!
+//! * [`chunk::partition_by_cost`] — the deterministic cost-balanced split
+//!   of an interaction list into the chunks the pool executes.
 //! * [`pool::WorkStealingPool`] — a real Chase–Lev work-stealing pool
 //!   (crossbeam-deque) executing index-space tasks across OS threads,
 //!   with steal counters. This is the Blumofe–Leiserson scheduler the
@@ -30,6 +32,6 @@ pub mod chunk;
 pub mod pool;
 pub mod sim;
 
-pub use chunk::{partition_by_cost, CoverageIndex};
+pub use chunk::partition_by_cost;
 pub use pool::{PoolMetrics, WorkStealingPool};
 pub use sim::{SimOutcome, StealSimParams, StealSimulator};
